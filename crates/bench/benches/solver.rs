@@ -67,10 +67,6 @@ struct Case {
     pops: usize,
     union_words: u64,
     peak_pts_bytes: usize,
-    threads: usize,
-    strata: usize,
-    max_wave_width: usize,
-    barrier_stalls: usize,
     seeded_nodes: usize,
     total_nodes: usize,
 }
@@ -81,8 +77,7 @@ fn json(cases: &[Case]) -> String {
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"min_ms\": {:.4}, \"median_ms\": {:.4}, \"mean_ms\": {:.4}, \
              \"iters\": {}, \"alloc_bytes\": {}, \"alloc_calls\": {}, \"pops\": {}, \
-             \"union_words\": {}, \"peak_pts_bytes\": {}, \"threads\": {}, \"strata\": {}, \
-             \"max_wave_width\": {}, \"barrier_stalls\": {}, \"seeded_nodes\": {}, \
+             \"union_words\": {}, \"peak_pts_bytes\": {}, \"seeded_nodes\": {}, \
              \"total_nodes\": {}}}{}\n",
             c.sample.label,
             c.sample.min_ms,
@@ -94,10 +89,6 @@ fn json(cases: &[Case]) -> String {
             c.pops,
             c.union_words,
             c.peak_pts_bytes,
-            c.threads,
-            c.strata,
-            c.max_wave_width,
-            c.barrier_stalls,
             c.seeded_nodes,
             c.total_nodes,
             if i + 1 == cases.len() { "" } else { "," }
@@ -139,32 +130,21 @@ fn main() {
                 pops: stats.iterations,
                 union_words: stats.union_words,
                 peak_pts_bytes: stats.peak_pts_bytes,
-                threads: 0,
-                strata: stats.strata,
-                max_wave_width: stats.max_wave_width,
-                barrier_stalls: stats.barrier_stalls,
                 seeded_nodes: 0,
                 total_nodes: stats.node_count,
             });
         }
     }
 
-    // Wave-front schedule at scale: a deterministic ~100k-statement module
-    // from the fuzz scale corpus, solved under the classic schedule (t0)
-    // and the wave schedule at 1/2/4 worker threads. Outputs are
-    // byte-identical across thread counts (see
-    // crates/pta/tests/solver_parallel.rs); this measures only wall clock
-    // and the wave-shape counters.
+    // Scale: a deterministic ~100k-statement module from the fuzz scale
+    // corpus, solved from scratch. The `t0` label suffix is kept so
+    // `scripts/bench_guard.sh` keeps comparing against older baselines.
     let scale = kaleidoscope_fuzz::scale::corpus_module(0xca1e, 100_000);
     println!("scale corpus: {} statements", scale.inst_count());
     let scale_iters = if smoke { 1 } else { 5 };
-    for threads in [0usize, 1, 2, 4] {
-        let opts = SolveOptions {
-            solver_threads: threads,
-            ..SolveOptions::baseline()
-        };
-        let label = format!("solver/scale/andersen-100k/t{threads}");
-        let sample = bench(&label, scale_iters, || {
+    {
+        let opts = SolveOptions::baseline();
+        let sample = bench("solver/scale/andersen-100k/t0", scale_iters, || {
             let _ = Analysis::run(&scale, &opts);
         });
         let mut stats = None;
@@ -179,10 +159,6 @@ fn main() {
             pops: stats.iterations,
             union_words: stats.union_words,
             peak_pts_bytes: stats.peak_pts_bytes,
-            threads,
-            strata: stats.strata,
-            max_wave_width: stats.max_wave_width,
-            barrier_stalls: stats.barrier_stalls,
             seeded_nodes: 0,
             total_nodes: stats.node_count,
         });
@@ -217,10 +193,6 @@ fn main() {
             pops: stats.iterations,
             union_words: stats.union_words,
             peak_pts_bytes: stats.peak_pts_bytes,
-            threads: 0,
-            strata: stats.strata,
-            max_wave_width: stats.max_wave_width,
-            barrier_stalls: stats.barrier_stalls,
             seeded_nodes: 0,
             total_nodes: stats.node_count,
         });
@@ -263,10 +235,6 @@ fn main() {
             pops: stats.iterations,
             union_words: stats.union_words,
             peak_pts_bytes: stats.peak_pts_bytes,
-            threads: 0,
-            strata: stats.strata,
-            max_wave_width: stats.max_wave_width,
-            barrier_stalls: stats.barrier_stalls,
             seeded_nodes: stats.incr_seeded_nodes,
             total_nodes: stats.node_count,
         });
@@ -316,10 +284,6 @@ fn main() {
             pops: stats.iterations,
             union_words: stats.union_words,
             peak_pts_bytes: stats.peak_pts_bytes,
-            threads: 0,
-            strata: stats.strata,
-            max_wave_width: stats.max_wave_width,
-            barrier_stalls: stats.barrier_stalls,
             seeded_nodes: stats.incr_seeded_nodes,
             total_nodes: stats.node_count,
         });

@@ -127,11 +127,6 @@ pub fn parse_config(name: &str) -> Result<PolicyConfig, CliError> {
 /// `cache_max_bytes` caps the store's total size (oldest artifacts are
 /// evicted at publish time); `0`/`None` leaves it unbounded.
 ///
-/// `solver_threads` selects the wave-front parallel propagation schedule
-/// inside each solve (`--solver-threads <n>`; `0` = the classic sequential
-/// schedule). Wave output is byte-identical at any thread count ≥ 1 and is
-/// cached separately from classic-schedule reports.
-///
 /// `incremental_from` (`--incremental-from <fp>`) names the fingerprint of
 /// a previously-analyzed revision whose solved-state snapshot (published
 /// to the cache by that run) should warm-start this solve. Requires a
@@ -146,7 +141,6 @@ pub fn cmd_analyze(
     stats: bool,
     budget: Option<usize>,
     cache_dir: Option<&str>,
-    solver_threads: usize,
     cache_max_bytes: Option<u64>,
     incremental_from: Option<u64>,
 ) -> Result<String, CliError> {
@@ -157,7 +151,6 @@ pub fn cmd_analyze(
         stats,
         budget,
         cache_dir,
-        solver_threads,
         cache_max_bytes,
         incremental_from,
     )
@@ -180,10 +173,10 @@ pub struct AnalyzeOutput {
 /// so the binary can print a `--stats` breakdown to stderr.
 ///
 /// Textual-IR files go through [`kaleidoscope_exec::load_frontend`]: the
-/// body pass and constraint generation are parallelized across
-/// `solver_threads` workers, per-function lowered IR + constraint blocks
-/// are cached in the disk cache's `fe/` namespace, and the pre-built
-/// blocks are spliced into every solve via the executor. `.c` sources and
+/// body pass and constraint generation run inline on one worker,
+/// per-function lowered IR + constraint blocks are cached in the disk
+/// cache's `fe/` namespace, and the pre-built blocks are spliced into
+/// every solve via the executor. `.c` sources and
 /// built-in models keep the plain path.
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_analyze_full(
@@ -193,7 +186,6 @@ pub fn cmd_analyze_full(
     stats: bool,
     budget: Option<usize>,
     cache_dir: Option<&str>,
-    solver_threads: usize,
     cache_max_bytes: Option<u64>,
     incremental_from: Option<u64>,
 ) -> Result<AnalyzeOutput, CliError> {
@@ -216,13 +208,12 @@ pub fn cmd_analyze_full(
         Source::File(path) if !path.ends_with(".c") => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
-            let loaded = load_frontend(&text, cache.as_deref(), solver_threads)
-                .map_err(|e| {
-                    err(format!(
-                        "parse error in `{path}`: {e}\n{}",
-                        e.snippet(&text)
-                    ))
-                })?;
+            let loaded = load_frontend(&text, cache.as_deref(), 1).map_err(|e| {
+                err(format!(
+                    "parse error in `{path}`: {e}\n{}",
+                    e.snippet(&text)
+                ))
+            })?;
             let problems = verify_module(&loaded.module);
             if !problems.is_empty() {
                 return Err(err(format!(
@@ -245,7 +236,7 @@ pub fn cmd_analyze_full(
             None
         },
         stats,
-        wave: solver_threads > 0,
+        wave: false,
     };
     let fp = module.fingerprint();
     let fe_stats = frontend.as_ref().map(|(_, s)| *s);
@@ -258,7 +249,7 @@ pub fn cmd_analyze_full(
             });
         }
     }
-    let mut ex = Executor::with_jobs(jobs).with_solver_threads(solver_threads);
+    let mut ex = Executor::with_jobs(jobs);
     if let Some((blocks, _)) = frontend {
         ex = ex.with_frontend(fp, blocks);
     }
@@ -433,9 +424,6 @@ pub struct ServeArgs {
     pub shards: usize,
     /// Executor threads per worker solve (`0` = auto).
     pub jobs: usize,
-    /// Default intra-solve wave-front thread count for workers (`0` =
-    /// classic sequential schedule); requests may override per call.
-    pub solver_threads: usize,
     /// Cap on the shared artifact store's total bytes (`None` = unbounded).
     pub cache_max_bytes: Option<u64>,
     /// Tenant quota: max concurrent solves before shedding.
@@ -466,7 +454,6 @@ impl Default for ServeArgs {
             cache_dir: None,
             shards: 2,
             jobs: 0,
-            solver_threads: 0,
             cache_max_bytes: None,
             max_concurrent: 4,
             deadline_ms: 30_000,
@@ -545,7 +532,6 @@ pub fn cmd_serve(args: &ServeArgs) -> Result<(), CliError> {
     let mode = if args.thread_shards {
         ShardMode::Thread(WorkerOptions {
             jobs: args.jobs,
-            solver_threads: args.solver_threads,
             cache: Some(cache.clone()),
             unsafe_faults: false,
         })
@@ -556,7 +542,6 @@ pub fn cmd_serve(args: &ServeArgs) -> Result<(), CliError> {
             cache_dir: Some(cache.dir().to_path_buf()),
             unsafe_faults: args.unsafe_faults,
             jobs: args.jobs,
-            solver_threads: args.solver_threads,
         }
     };
     let server = Server::start(ServeConfig {
@@ -606,14 +591,12 @@ pub fn cmd_worker(
     jobs: usize,
     cache_dir: Option<&str>,
     unsafe_faults: bool,
-    solver_threads: usize,
 ) -> Result<(), CliError> {
     let cache = DiskCache::resolve(cache_dir)
         .map_err(|e| err(format!("cannot open cache directory: {e}")))?
         .map(std::sync::Arc::new);
     let opts = WorkerOptions {
         jobs,
-        solver_threads,
         cache,
         unsafe_faults,
     };
@@ -644,8 +627,6 @@ pub struct RequestArgs {
     pub stats: bool,
     /// Per-request solve budget (clamped by the tenant quota).
     pub budget: Option<usize>,
-    /// Intra-solve wave-front thread count (`None` = worker default).
-    pub solver_threads: Option<usize>,
     /// Fault directive (testing; requires a `--unsafe-faults` daemon).
     pub fault: Option<String>,
     /// Connect/read/write timeout in milliseconds (`None` = the client
@@ -702,7 +683,7 @@ pub fn cmd_request(args: &RequestArgs) -> Result<RequestOutput, CliError> {
         config: args.config.clone(),
         stats: args.stats,
         budget: args.budget,
-        solver_threads: args.solver_threads,
+        solver_threads: None,
         fault: args.fault.clone(),
     };
     let mut opts = kaleidoscope_serve::ClientOptions {
@@ -777,9 +758,6 @@ OPTIONS:
     --growth <n>       introspection growth threshold
     --types <n>        introspection type-diversity threshold
     --jobs <n>         analyze/serve/worker: executor workers (0 = auto)
-    --solver-threads <n>  analyze/serve/worker/request: wave-front parallel
-                       propagation inside each solve (0 = classic sequential
-                       schedule; output is identical at any count >= 1)
     --stats            analyze/request: print solver counters per config
     --budget <n>       analyze/request: cap each solve at <n> worklist
                        iterations; exhausted cells degrade (fallback, then
@@ -838,8 +816,8 @@ mod tests {
     #[test]
     fn analyze_output_independent_of_jobs() {
         let src = Source::Model("TinyDTLS".into());
-        let serial = cmd_analyze(&src, None, 1, false, None, None, 0, None, None).unwrap();
-        let parallel = cmd_analyze(&src, None, 4, false, None, None, 0, None, None).unwrap();
+        let serial = cmd_analyze(&src, None, 1, false, None, None, None, None).unwrap();
+        let parallel = cmd_analyze(&src, None, 4, false, None, None, None, None).unwrap();
         assert_eq!(serial, parallel);
     }
 
@@ -852,7 +830,6 @@ mod tests {
             false,
             None,
             None,
-            0,
             None,
             None,
         )
@@ -871,7 +848,6 @@ mod tests {
             false,
             None,
             None,
-            0,
             None,
             None,
         )
@@ -882,17 +858,19 @@ mod tests {
     #[test]
     fn analyze_stats_prints_solver_counters() {
         let src = Source::Model("TinyDTLS".into());
-        let plain = cmd_analyze(&src, Some("all"), 1, false, None, None, 0, None, None).unwrap();
-        let with_stats =
-            cmd_analyze(&src, Some("all"), 1, true, None, None, 0, None, None).unwrap();
+        let plain = cmd_analyze(&src, Some("all"), 1, false, None, None, None, None).unwrap();
+        let with_stats = cmd_analyze(&src, Some("all"), 1, true, None, None, None, None).unwrap();
         assert!(!plain.contains("solver["));
         assert!(with_stats.contains("solver[fallback]:"), "{with_stats}");
         assert!(with_stats.contains("solver[optimistic]:"));
         assert!(with_stats.contains("union-words="));
         assert!(with_stats.contains("peak-pts-bytes="));
-        assert!(with_stats.contains("strata="), "{with_stats}");
-        assert!(with_stats.contains("max-wave-width="));
-        assert!(with_stats.contains("barrier-stalls="));
+        for gone in ["strata=", "max-wave-width=", "barrier-stalls="] {
+            assert!(
+                !with_stats.contains(gone),
+                "{gone} still printed:\n{with_stats}"
+            );
+        }
         // The stats lines are additive: stripping them recovers the plain report.
         let stripped: String = with_stats
             .lines()
@@ -903,23 +881,15 @@ mod tests {
     }
 
     #[test]
-    fn analyze_solver_threads_output_is_thread_count_invariant() {
-        let src = Source::Model("TinyDTLS".into());
-        let w1 = cmd_analyze(&src, None, 1, true, None, None, 1, None, None).unwrap();
-        let w4 = cmd_analyze(&src, None, 1, true, None, None, 4, None, None).unwrap();
-        assert_eq!(w1, w4, "wave schedule output independent of thread count");
-    }
-
-    #[test]
     fn analyze_budget_tags_degraded_cells() {
         let src = Source::Model("TinyDTLS".into());
-        let out = cmd_analyze(&src, None, 1, false, Some(1), None, 0, None, None).unwrap();
+        let out = cmd_analyze(&src, None, 1, false, Some(1), None, None, None).unwrap();
         assert!(out.contains("degraded: serving steensgaard tier"), "{out}");
         assert!(out.contains("configurations degraded"), "{out}");
         // A generous budget leaves the report byte-identical to no budget.
-        let plain = cmd_analyze(&src, None, 1, false, None, None, 0, None, None).unwrap();
+        let plain = cmd_analyze(&src, None, 1, false, None, None, None, None).unwrap();
         let generous =
-            cmd_analyze(&src, None, 1, false, Some(100_000_000), None, 0, None, None).unwrap();
+            cmd_analyze(&src, None, 1, false, Some(100_000_000), None, None, None).unwrap();
         assert_eq!(plain, generous);
         assert!(!plain.contains("degraded"));
     }
@@ -947,20 +917,9 @@ mod tests {
         let cache_dir = cache.to_string_lossy().into_owned();
 
         // Cold reference, no cache involved at all.
-        let cold = cmd_analyze(&v2_src, None, 1, false, None, None, 0, None, None).unwrap();
+        let cold = cmd_analyze(&v2_src, None, 1, false, None, None, None, None).unwrap();
         // Analyze v1 with the cache: publishes its snapshots.
-        let _ = cmd_analyze(
-            &v1_src,
-            None,
-            1,
-            false,
-            None,
-            Some(&cache_dir),
-            0,
-            None,
-            None,
-        )
-        .unwrap();
+        let _ = cmd_analyze(&v1_src, None, 1, false, None, Some(&cache_dir), None, None).unwrap();
         // Warm-start v2 from v1: byte-identical to the cold run.
         let warm = cmd_analyze(
             &v2_src,
@@ -969,7 +928,6 @@ mod tests {
             false,
             None,
             Some(&cache_dir),
-            0,
             None,
             Some(v1.fingerprint()),
         )
@@ -983,7 +941,6 @@ mod tests {
             true,
             None,
             Some(&cache_dir),
-            0,
             None,
             Some(v1.fingerprint()),
         )
@@ -994,7 +951,7 @@ mod tests {
         // silent cold solve. (Skipped when the environment supplies a
         // fallback store via KD_CACHE_DIR.)
         if std::env::var(kaleidoscope_exec::CACHE_DIR_ENV).is_err() {
-            assert!(cmd_analyze(&v2_src, None, 1, false, None, None, 0, None, Some(1)).is_err());
+            assert!(cmd_analyze(&v2_src, None, 1, false, None, None, None, Some(1)).is_err());
         }
     }
 
@@ -1021,40 +978,25 @@ mod tests {
         let cache_dir = cache.to_string_lossy().into_owned();
 
         // Cacheless reference bytes.
-        let cold = cmd_analyze(&v2_src, None, 1, false, None, None, 0, None, None).unwrap();
+        let cold = cmd_analyze(&v2_src, None, 1, false, None, None, None, None).unwrap();
         // First cached run of v1 populates fe/ entries: every function is
         // a miss, and the counters come back on the side channel.
-        let first = cmd_analyze_full(
-            &v1_src,
-            None,
-            1,
-            false,
-            None,
-            Some(&cache_dir),
-            0,
-            None,
-            None,
-        )
-        .unwrap();
-        let fe1 = first.frontend.expect("textual-IR source has frontend stats");
+        let first =
+            cmd_analyze_full(&v1_src, None, 1, false, None, Some(&cache_dir), None, None).unwrap();
+        let fe1 = first
+            .frontend
+            .expect("textual-IR source has frontend stats");
         assert_eq!(fe1.fe_cache_hits, 0, "cold revision has no fe hits");
         assert_eq!(fe1.fe_cache_misses, fe1.funcs);
         // v2 differs by one appended function: all shared bodies hit.
-        let second = cmd_analyze_full(
-            &v2_src,
-            None,
-            1,
-            false,
-            None,
-            Some(&cache_dir),
-            0,
-            None,
-            None,
-        )
-        .unwrap();
+        let second =
+            cmd_analyze_full(&v2_src, None, 1, false, None, Some(&cache_dir), None, None).unwrap();
         let fe2 = second.frontend.expect("frontend stats");
         assert_eq!(fe2.funcs, fe1.funcs + 1);
-        assert_eq!(fe2.fe_cache_hits, fe1.funcs, "shared bodies splice from fe/");
+        assert_eq!(
+            fe2.fe_cache_hits, fe1.funcs,
+            "shared bodies splice from fe/"
+        );
         assert_eq!(fe2.fe_cache_misses, 1, "only the new function regenerates");
         // The spliced run's report is byte-identical to the cacheless one.
         assert_eq!(second.report, cold);
@@ -1066,7 +1008,6 @@ mod tests {
             false,
             None,
             None,
-            0,
             None,
             None,
         )
@@ -1129,18 +1070,7 @@ mod c_tests {
 
     #[test]
     fn analyze_c_source_end_to_end() {
-        let out = cmd_analyze(
-            &sample_c("fig6.c"),
-            None,
-            1,
-            false,
-            None,
-            None,
-            0,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = cmd_analyze(&sample_c("fig6.c"), None, 1, false, None, None, None, None).unwrap();
         assert!(out.contains("PA@"), "PA invariant from C source:\n{out}");
     }
 
@@ -1159,7 +1089,6 @@ mod c_tests {
             false,
             None,
             None,
-            0,
             None,
             None,
         )

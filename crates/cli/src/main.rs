@@ -4,8 +4,8 @@
 use std::process::ExitCode;
 
 use kaleidoscope_cli::{
-    cmd_analyze_full, cmd_cfi, cmd_debloat, cmd_fmt, cmd_introspect, cmd_request, cmd_run, cmd_serve,
-    cmd_worker, CliError, RequestArgs, ServeArgs, Source, USAGE,
+    cmd_analyze_full, cmd_cfi, cmd_debloat, cmd_fmt, cmd_introspect, cmd_request, cmd_run,
+    cmd_serve, cmd_worker, CliError, RequestArgs, ServeArgs, Source, USAGE,
 };
 
 struct Args {
@@ -21,7 +21,6 @@ struct Args {
     budget: Option<usize>,
     cache_dir: Option<String>,
     cache_max_bytes: Option<u64>,
-    solver_threads: Option<usize>,
     addr: Option<String>,
     shards: usize,
     max_concurrent: usize,
@@ -58,7 +57,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
         budget: None,
         cache_dir: None,
         cache_max_bytes: None,
-        solver_threads: None,
         addr: None,
         shards: 2,
         max_concurrent: 4,
@@ -113,9 +111,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
             "--cache-max-bytes" => {
                 args.cache_max_bytes = Some(number(&mut argv, "--cache-max-bytes")? as u64);
             }
-            "--solver-threads" => {
-                args.solver_threads = Some(number(&mut argv, "--solver-threads")?);
-            }
             "--addr" => args.addr = Some(need(&mut argv, "--addr")?),
             "--shards" => args.shards = number(&mut argv, "--shards")?,
             "--max-concurrent" => args.max_concurrent = number(&mut argv, "--max-concurrent")?,
@@ -162,7 +157,6 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
                 cache_dir: args.cache_dir.clone(),
                 shards: args.shards,
                 jobs: args.jobs,
-                solver_threads: args.solver_threads.unwrap_or(0),
                 cache_max_bytes: args.cache_max_bytes,
                 max_concurrent: args.max_concurrent,
                 deadline_ms: args.deadline_ms,
@@ -176,13 +170,8 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
             .map(|()| String::new());
         }
         "worker" => {
-            return cmd_worker(
-                args.jobs,
-                args.cache_dir.as_deref(),
-                args.unsafe_faults,
-                args.solver_threads.unwrap_or(0),
-            )
-            .map(|()| String::new());
+            return cmd_worker(args.jobs, args.cache_dir.as_deref(), args.unsafe_faults)
+                .map(|()| String::new());
         }
         "request" => {
             let addr = args
@@ -198,7 +187,6 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
                 tenant: args.tenant.clone(),
                 stats: args.stats,
                 budget: args.budget,
-                solver_threads: args.solver_threads,
                 fault: args.fault.clone(),
                 timeout_ms: args.timeout_ms,
                 retries: args.retries,
@@ -229,7 +217,6 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
                 args.stats,
                 args.budget,
                 args.cache_dir.as_deref(),
-                args.solver_threads.unwrap_or(0),
                 args.cache_max_bytes,
                 incremental_from,
             )?;
@@ -243,7 +230,7 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
                     );
                 }
             }
-            return Ok(out.report);
+            Ok(out.report)
         }
         "cfi" => cmd_cfi(source, args.config.as_deref()),
         "introspect" => cmd_introspect(source, args.growth, args.types),

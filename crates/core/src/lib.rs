@@ -42,9 +42,8 @@ pub use introspect::{Alert, AlertReason, IntrospectionConfig, IntrospectionRepor
 pub use invariant::{InvariantId, LikelyInvariant};
 pub use pipeline::{
     analyze, assemble_degraded_fallback, assemble_degraded_steens, assemble_result, ctx_plan_for,
-    fallback_analysis, optimistic_analysis, try_fallback_analysis, try_fallback_analysis_fe,
-    try_fallback_analysis_incr, try_fallback_analysis_incr_fe, try_optimistic_analysis,
-    try_optimistic_analysis_fe, try_optimistic_analysis_incr, try_optimistic_analysis_incr_fe,
+    fallback_analysis, optimistic_analysis, try_fallback_analysis_fe,
+    try_fallback_analysis_incr_fe, try_optimistic_analysis_fe, try_optimistic_analysis_incr_fe,
     CellHealth, DegradedTier, KaleidoscopeResult, PolicyConfig,
 };
 pub use policy::detect_ctx_plan;

@@ -236,67 +236,45 @@ pub fn fallback_analysis(module: &Module) -> Analysis {
 }
 
 /// Budgeted variant of [`fallback_analysis`]: a typed error instead of a
-/// panic when the budget is exhausted. `solver_threads` selects the
-/// wave-front parallel propagation schedule inside the solve (`0` = the
-/// classic sequential schedule).
-pub fn try_fallback_analysis(
-    module: &Module,
-    budget: &SolveBudget,
-    solver_threads: usize,
-) -> Result<Analysis, SolveError> {
-    let opts = SolveOptions {
-        solver_threads,
-        ..SolveOptions::baseline_with_budget(budget.clone())
-    };
-    Analysis::try_run(module, &opts)
-}
-
-/// [`try_fallback_analysis`] with pre-recorded frontend constraint blocks:
-/// constraint generation replays `blocks` instead of re-walking the IR.
-/// The generated program — and hence the analysis — is identical.
+/// panic when the budget is exhausted. With `blocks`, constraint
+/// generation replays the pre-recorded frontend constraint blocks instead
+/// of re-walking the IR; the generated program — and hence the analysis —
+/// is identical either way.
+///
+/// `_solver_threads` is ignored. It selected a second solver schedule that
+/// has since been removed; the parameter stays so existing callers compile.
 pub fn try_fallback_analysis_fe(
     module: &Module,
     budget: &SolveBudget,
-    solver_threads: usize,
+    _solver_threads: usize,
     blocks: Option<&ModuleBlocks>,
 ) -> Result<Analysis, SolveError> {
-    let opts = SolveOptions {
-        solver_threads,
-        ..SolveOptions::baseline_with_budget(budget.clone())
-    };
-    Analysis::try_run_full_fe(module, &opts, None, &mut kaleidoscope_pta::NullObserver, blocks)
+    let opts = SolveOptions::baseline_with_budget(budget.clone());
+    Analysis::try_run_full_fe(
+        module,
+        &opts,
+        None,
+        &mut kaleidoscope_pta::NullObserver,
+        blocks,
+    )
 }
 
-/// Incremental-aware variant of [`try_fallback_analysis`]: when `prev`
+/// Incremental-aware variant of [`try_fallback_analysis_fe`]: when `prev`
 /// supplies the previous revision's module and captured fixpoint, the
 /// solve warm-starts from it (falling back to a sound full solve on any
 /// incompatible edit); either way a fresh [`SolvedState`] snapshot of the
-/// new fixpoint is captured when the solve converges.
-pub fn try_fallback_analysis_incr(
-    module: &Module,
-    budget: &SolveBudget,
-    solver_threads: usize,
-    prev: Option<(&Module, &SolvedState)>,
-) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-    try_fallback_analysis_incr_fe(module, budget, solver_threads, prev, None, None)
-}
-
-/// [`try_fallback_analysis_incr`] with pre-recorded frontend constraint
-/// blocks for the current (`blocks`) and previous (`prev_blocks`) module
-/// revisions. Constraint generation replays the blocks instead of
-/// re-walking the IR; the generated program is identical either way.
+/// new fixpoint is captured when the solve converges. `prev_blocks` and
+/// `blocks` are the previous and current revisions' frontend constraint
+/// blocks. `_solver_threads` is ignored, as in [`try_fallback_analysis_fe`].
 pub fn try_fallback_analysis_incr_fe(
     module: &Module,
     budget: &SolveBudget,
-    solver_threads: usize,
+    _solver_threads: usize,
     prev: Option<(&Module, &SolvedState)>,
     prev_blocks: Option<&ModuleBlocks>,
     blocks: Option<&ModuleBlocks>,
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-    let opts = SolveOptions {
-        solver_threads,
-        ..SolveOptions::baseline_with_budget(budget.clone())
-    };
+    let opts = SolveOptions::baseline_with_budget(budget.clone());
     match prev {
         Some((prev_module, prev_state)) => Analysis::try_run_incremental_fe(
             prev_module,
@@ -343,42 +321,20 @@ pub fn optimistic_analysis(module: &Module, config: PolicyConfig, ctx_plan: &Ctx
     )
 }
 
-/// Budgeted variant of [`optimistic_analysis`]. `solver_threads` selects
-/// the wave-front schedule inside the solve (`0` = sequential).
-pub fn try_optimistic_analysis(
-    module: &Module,
-    config: PolicyConfig,
-    ctx_plan: &CtxPlan,
-    budget: &SolveBudget,
-    solver_threads: usize,
-) -> Result<Analysis, SolveError> {
-    let opts = SolveOptions {
-        budget: budget.clone(),
-        solver_threads,
-        ..SolveOptions::optimistic(config.pa, config.pwc)
-    };
-    Analysis::try_run_full(
-        module,
-        &opts,
-        if config.ctx { Some(ctx_plan) } else { None },
-        &mut kaleidoscope_pta::NullObserver,
-    )
-}
-
-/// [`try_optimistic_analysis`] with pre-recorded frontend constraint
-/// blocks. Blocks are plan-free: functions the context plan touches are
-/// regenerated live during the splice.
+/// Budgeted variant of [`optimistic_analysis`], with optional
+/// pre-recorded frontend constraint blocks. Blocks are plan-free:
+/// functions the context plan touches are regenerated live during the
+/// splice. `_solver_threads` is ignored, as in [`try_fallback_analysis_fe`].
 pub fn try_optimistic_analysis_fe(
     module: &Module,
     config: PolicyConfig,
     ctx_plan: &CtxPlan,
     budget: &SolveBudget,
-    solver_threads: usize,
+    _solver_threads: usize,
     blocks: Option<&ModuleBlocks>,
 ) -> Result<Analysis, SolveError> {
     let opts = SolveOptions {
         budget: budget.clone(),
-        solver_threads,
         ..SolveOptions::optimistic(config.pa, config.pwc)
     };
     Analysis::try_run_full_fe(
@@ -390,48 +346,26 @@ pub fn try_optimistic_analysis_fe(
     )
 }
 
-/// Incremental-aware variant of [`try_optimistic_analysis`]. The previous
-/// revision's context plan is derived from its module here (plan detection
-/// is deterministic), so callers only have to thread the module and the
-/// captured state. See [`try_fallback_analysis_incr`] for semantics.
-pub fn try_optimistic_analysis_incr(
-    module: &Module,
-    config: PolicyConfig,
-    ctx_plan: &CtxPlan,
-    budget: &SolveBudget,
-    solver_threads: usize,
-    prev: Option<(&Module, &SolvedState)>,
-) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-    try_optimistic_analysis_incr_fe(
-        module,
-        config,
-        ctx_plan,
-        budget,
-        solver_threads,
-        prev,
-        None,
-        None,
-    )
-}
-
-/// [`try_optimistic_analysis_incr`] with pre-recorded frontend constraint
-/// blocks. Blocks are plan-free: functions the context plan touches are
+/// Incremental-aware variant of [`try_optimistic_analysis_fe`]. The
+/// previous revision's context plan is derived from its module here (plan
+/// detection is deterministic), so callers only have to thread the module
+/// and the captured state. See [`try_fallback_analysis_incr_fe`] for the
+/// semantics. Blocks are plan-free: functions the context plan touches are
 /// regenerated live during the splice, so the optimistic program is still
-/// identical to full live generation.
+/// identical to full live generation. `_solver_threads` is ignored.
 #[allow(clippy::too_many_arguments)]
 pub fn try_optimistic_analysis_incr_fe(
     module: &Module,
     config: PolicyConfig,
     ctx_plan: &CtxPlan,
     budget: &SolveBudget,
-    solver_threads: usize,
+    _solver_threads: usize,
     prev: Option<(&Module, &SolvedState)>,
     prev_blocks: Option<&ModuleBlocks>,
     blocks: Option<&ModuleBlocks>,
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
     let opts = SolveOptions {
         budget: budget.clone(),
-        solver_threads,
         ..SolveOptions::optimistic(config.pa, config.pwc)
     };
     let plan = if config.ctx { Some(ctx_plan) } else { None };
@@ -762,7 +696,8 @@ mod tests {
     fn budgeted_stages_match_unbudgeted_when_sufficient() {
         let m = lighttpd_module();
         let a = fallback_analysis(&m);
-        let b = try_fallback_analysis(&m, &SolveBudget::default(), 0).expect("default budget");
+        let b =
+            try_fallback_analysis_fe(&m, &SolveBudget::default(), 0, None).expect("default budget");
         let f = m.func_by_name("http_write_header").unwrap();
         for l in 0..m.func(f).locals.len() as u32 {
             assert_eq!(
@@ -771,11 +706,13 @@ mod tests {
             );
         }
         let tiny = SolveBudget::iterations(1);
-        assert!(try_fallback_analysis(&m, &tiny, 0).is_err());
+        assert!(try_fallback_analysis_fe(&m, &tiny, 0, None).is_err());
         let cfg = PolicyConfig::all();
         let plan = ctx_plan_for(&m, cfg);
-        assert!(try_optimistic_analysis(&m, cfg, &plan, &tiny, 0).is_err());
-        assert!(try_optimistic_analysis(&m, cfg, &plan, &SolveBudget::default(), 0).is_ok());
+        assert!(try_optimistic_analysis_fe(&m, cfg, &plan, &tiny, 0, None).is_err());
+        assert!(
+            try_optimistic_analysis_fe(&m, cfg, &plan, &SolveBudget::default(), 0, None).is_ok()
+        );
     }
 
     #[test]

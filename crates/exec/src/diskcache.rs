@@ -57,10 +57,8 @@
 //! and are excluded from the eviction cap.
 //!
 //! `<scope>` is `call` (the full Table-3 matrix) or `c<k>` for a single
-//! configuration (`k` = [`PolicyConfig::key`]), with an `s` suffix when
-//! solver stats rows are included and a `w` suffix when the report was
-//! produced under the wave-front solver schedule (which can differ from the
-//! classic schedule in lazily-created node ids). `<N>` is
+//! configuration (`k` = [`PolicyConfig::key`]), with an `s2` suffix when
+//! solver stats rows are included. `<N>` is
 //! [`PTS_REPR_VERSION`](kaleidoscope_pta::PTS_REPR_VERSION), so a
 //! representation change can never serve a stale report.
 //!
@@ -104,10 +102,8 @@ pub struct ReportScope {
     pub config: Option<PolicyConfig>,
     /// Whether solver counters are included in the report.
     pub stats: bool,
-    /// Whether the wave-front solver schedule produced the report. The
-    /// thread *count* is deliberately absent: wave output is byte-identical
-    /// at any count ≥ 1, but wave and classic schedules may differ in
-    /// lazily-created node ids, so they must never alias.
+    /// Ignored. It partitioned the reports of a solver schedule that has
+    /// since been removed; the field stays so existing callers compile.
     pub wave: bool,
 }
 
@@ -119,10 +115,9 @@ impl ReportScope {
             Some(c) => format!("c{}", c.key()),
         };
         if self.stats {
-            base.push('s');
-        }
-        if self.wave {
-            base.push('w');
+            // `s2`, not `s`: the stats line lost three fields, so reports
+            // stored under the old suffix must not be served.
+            base.push_str("s2");
         }
         base
     }
@@ -670,32 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn wave_scope_does_not_alias_classic_reports() {
-        let cache = DiskCache::open(tmpdir("wave")).unwrap();
-        let classic = ReportScope {
-            config: None,
-            stats: false,
-            wave: false,
-        };
-        let wave = ReportScope {
-            config: None,
-            stats: false,
-            wave: true,
-        };
-        cache.put_report(9, classic, "classic schedule\n").unwrap();
-        assert_eq!(cache.get_report(9, wave), None, "schedules must not alias");
-        cache.put_report(9, wave, "wave schedule\n").unwrap();
-        assert_eq!(
-            cache.get_report(9, classic).as_deref(),
-            Some("classic schedule\n")
-        );
-        assert_eq!(
-            cache.get_report(9, wave).as_deref(),
-            Some("wave schedule\n")
-        );
-    }
-
-    #[test]
     fn max_bytes_cap_evicts_oldest_artifacts_at_publish() {
         let cache = DiskCache::open(tmpdir("evict"))
             .unwrap()
@@ -898,14 +867,36 @@ mod tests {
     #[test]
     fn repr_version_partitions_reports() {
         let cache = DiskCache::open(tmpdir("repr")).unwrap();
-        let scope = ReportScope {
-            config: None,
-            stats: false,
-            wave: false,
+        let v = kaleidoscope_pta::PTS_REPR_VERSION;
+        let name = |config, stats, wave| {
+            let scope = ReportScope {
+                config,
+                stats,
+                wave,
+            };
+            let path = cache.report_path(3, scope);
+            path.file_name().unwrap().to_string_lossy().into_owned()
         };
-        let path = cache.report_path(3, scope);
-        assert!(path
-            .to_string_lossy()
-            .contains(&format!("-v{}", kaleidoscope_pta::PTS_REPR_VERSION)));
+        let one = Some(PolicyConfig::all());
+        let k = PolicyConfig::all().key();
+        assert_eq!(
+            name(None, false, false),
+            format!("0000000000000003-all-v{v}.txt")
+        );
+        assert_eq!(
+            name(None, true, false),
+            format!("0000000000000003-alls2-v{v}.txt")
+        );
+        assert_eq!(
+            name(one, false, false),
+            format!("0000000000000003-c{k}-v{v}.txt")
+        );
+        assert_eq!(
+            name(one, true, false),
+            format!("0000000000000003-c{k}s2-v{v}.txt")
+        );
+        // `wave` no longer partitions anything.
+        assert_eq!(name(None, true, true), name(None, true, false));
+        assert_eq!(name(one, false, true), name(one, false, false));
     }
 }

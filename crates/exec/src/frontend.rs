@@ -212,7 +212,12 @@ fn decode_entry(
     for _ in 0..ns {
         let id = r.uint().ok()? as usize;
         let name = r.str().ok()?;
-        if header.types.get(StructId(id as u32)).map(|d| d.name.as_str()) != Some(name.as_str()) {
+        if header
+            .types
+            .get(StructId(id as u32))
+            .map(|d| d.name.as_str())
+            != Some(name.as_str())
+        {
             return None;
         }
     }
@@ -239,7 +244,7 @@ fn claim_indexed<T: Send>(n: usize, workers: usize, work: impl Fn(usize) -> T + 
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     if workers <= 1 || n <= 1 {
         for (i, s) in slots.iter().enumerate() {
-            *s.lock().unwrap() = Some(work(i));
+            *s.lock().expect("work slot lock") = Some(work(i));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -251,14 +256,18 @@ fn claim_indexed<T: Send>(n: usize, workers: usize, work: impl Fn(usize) -> T + 
                         break;
                     }
                     let v = work(i);
-                    *slots[i].lock().unwrap() = Some(v);
+                    *slots[i].lock().expect("work slot lock") = Some(v);
                 });
             }
         });
     }
     slots
         .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("work slot filled"))
+        .map(|s| {
+            s.into_inner()
+                .expect("work slot lock")
+                .expect("work slot filled")
+        })
         .collect()
 }
 
@@ -286,9 +295,9 @@ pub fn load_frontend(
                 let (bs, be) = shell.body_span(i);
                 fnv64_chunks(&[
                     &FE_CACHE_VERSION.to_le_bytes(),
-                    text[ss..se].as_bytes(),
+                    &text.as_bytes()[ss..se],
                     b"\0",
-                    text[bs..be].as_bytes(),
+                    &text.as_bytes()[bs..be],
                 ])
             })
             .collect()
@@ -347,7 +356,10 @@ pub fn load_frontend(
     let gen_ms = t1.elapsed().as_millis() as u64;
 
     let blocks = ModuleBlocks {
-        funcs: blocks.into_iter().map(|b| b.expect("block filled")).collect(),
+        funcs: blocks
+            .into_iter()
+            .map(|b| b.expect("block filled"))
+            .collect(),
     };
     Ok(LoadedFrontend {
         module,
@@ -378,7 +390,10 @@ mod tests {
     /// A module exercising calls, globals, structs, and indirect calls.
     fn sample_text() -> String {
         let mut m = Module::new("fe_sample");
-        let s = m.types.declare("pair", vec![Type::Int, Type::ptr(Type::Int)]).unwrap();
+        let s = m
+            .types
+            .declare("pair", vec![Type::Int, Type::ptr(Type::Int)])
+            .unwrap();
         let g = m.add_global("gp", Type::ptr(Type::Int)).unwrap();
         let callee = {
             let mut b = FunctionBuilder::new(

@@ -62,9 +62,9 @@ mod report;
 
 pub use cache::{ArtifactCache, CacheStats, FetchError};
 pub use diskcache::{DiskCache, DiskCacheStats, ReportScope, CACHE_DIR_ENV, FE_CACHE_VERSION};
-pub use frontend::{load_frontend, FrontendStats, LoadedFrontend};
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultKind, FaultPlan};
+pub use frontend::{load_frontend, FrontendStats, LoadedFrontend};
 pub use report::{render_analyze, AnalyzeReport};
 
 use std::fmt;
@@ -74,11 +74,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use kaleidoscope::{
     analyze, assemble_degraded_fallback, assemble_degraded_steens, assemble_result, ctx_plan_for,
-    try_fallback_analysis, try_fallback_analysis_fe, try_fallback_analysis_incr_fe,
-    try_optimistic_analysis_fe, try_optimistic_analysis_incr_fe, KaleidoscopeResult, PolicyConfig,
+    try_fallback_analysis_fe, try_fallback_analysis_incr_fe, try_optimistic_analysis_fe,
+    try_optimistic_analysis_incr_fe, KaleidoscopeResult, PolicyConfig,
 };
-#[cfg(feature = "fault-injection")]
-use kaleidoscope::try_optimistic_analysis;
 use kaleidoscope_ir::{parse_module, Module};
 use kaleidoscope_pta::{
     steens_analysis, CtxPlan, ModuleBlocks, SolveBudget, SolveError, SolveOptions, SolvedState,
@@ -129,7 +127,6 @@ pub struct Executor {
     jobs: usize,
     cache: ArtifactCache,
     budget: SolveBudget,
-    solver_threads: usize,
     state_store: Option<Arc<DiskCache>>,
     incremental_from: Option<u64>,
     /// Pre-recorded constraint blocks for the module fingerprinted by the
@@ -169,7 +166,6 @@ impl Executor {
             jobs,
             cache: ArtifactCache::new(),
             budget: SolveBudget::default(),
-            solver_threads: 0,
             state_store: None,
             incremental_from: None,
             frontend: None,
@@ -195,22 +191,6 @@ impl Executor {
     /// The per-solve budget cells run under.
     pub fn budget(&self) -> &SolveBudget {
         &self.budget
-    }
-
-    /// Run every solve under the wave-front parallel propagation schedule
-    /// with `n` threads. `0` (the default) keeps the classic sequential
-    /// schedule. Wave-schedule artifacts are cache-partitioned from classic
-    /// ones (the schedule changes lazily-created node ids), but the thread
-    /// count itself is not part of the key: wave output is byte-identical
-    /// at any count ≥ 1.
-    pub fn with_solver_threads(mut self, n: usize) -> Executor {
-        self.solver_threads = n;
-        self
-    }
-
-    /// The intra-solve thread count (`0` = classic sequential schedule).
-    pub fn solver_threads(&self) -> usize {
-        self.solver_threads
     }
 
     /// Attach a shared on-disk store for solved-state snapshots. Every
@@ -283,17 +263,7 @@ impl Executor {
     fn optimistic_opts(&self, config: PolicyConfig) -> SolveOptions {
         SolveOptions {
             budget: self.budget.clone(),
-            solver_threads: self.solver_threads,
             ..SolveOptions::optimistic(config.pa, config.pwc)
-        }
-    }
-
-    /// Baseline options carrying the executor's schedule choice, so cache
-    /// keys separate wave-schedule artifacts from classic ones.
-    fn baseline_opts(&self) -> SolveOptions {
-        SolveOptions {
-            solver_threads: self.solver_threads,
-            ..SolveOptions::baseline()
         }
     }
 
@@ -318,7 +288,7 @@ impl Executor {
                 if module.fingerprint() != prev_fp {
                     return None;
                 }
-                let blocks = ModuleBlocks::build_parallel(&module, self.solver_threads.max(1));
+                let blocks = ModuleBlocks::build(&module);
                 Some((Arc::new(module), Arc::new(blocks)))
             })
             .clone()
@@ -413,28 +383,23 @@ impl Executor {
             // Solve uncached under an exhausted budget: the faulted
             // attempt must neither publish nor consume shared artifacts.
             return Err(CellError::FallbackBudget(synthesize_budget_failure(
-                try_fallback_analysis(module, &SolveBudget::iterations(0), self.solver_threads),
+                try_fallback_analysis_fe(module, &SolveBudget::iterations(0), 0, None),
             )));
         }
 
         let blocks = self.frontend_blocks(fp);
         let fallback = self
             .cache
-            .try_analysis(fp, &self.baseline_opts(), false, || {
+            .try_analysis(fp, &SolveOptions::baseline(), false, || {
                 if self.state_store.is_none() {
-                    return try_fallback_analysis_fe(
-                        module,
-                        &self.budget,
-                        self.solver_threads,
-                        blocks,
-                    );
+                    return try_fallback_analysis_fe(module, &self.budget, 0, blocks);
                 }
-                let key = self.baseline_opts().cache_key();
+                let key = SolveOptions::baseline().cache_key();
                 let prev = self.prev_inputs(key, false);
                 let (analysis, state) = try_fallback_analysis_incr_fe(
                     module,
                     &self.budget,
-                    self.solver_threads,
+                    0,
                     prev.as_ref().map(|(m, _, s)| (&**m, s)),
                     prev.as_ref().map(|(_, b, _)| &**b),
                     blocks,
@@ -458,12 +423,13 @@ impl Executor {
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::OptimisticBudget) {
             return Err(CellError::OptimisticBudget(synthesize_budget_failure(
-                try_optimistic_analysis(
+                try_optimistic_analysis_fe(
                     module,
                     config,
                     &ctx_plan,
                     &SolveBudget::iterations(0),
-                    self.solver_threads,
+                    0,
+                    None,
                 ),
             )));
         }
@@ -473,13 +439,7 @@ impl Executor {
             // Ensure the artifact exists, then damage its recorded digest;
             // the verified fetch below must reject it.
             let _ = self.cache.try_analysis(fp, &opts, config.ctx, || {
-                try_optimistic_analysis(
-                    module,
-                    config,
-                    &ctx_plan,
-                    &self.budget,
-                    self.solver_threads,
-                )
+                try_optimistic_analysis_fe(module, config, &ctx_plan, &self.budget, 0, None)
             });
             self.cache.corrupt_analysis_entry(fp, &opts, config.ctx);
         }
@@ -493,7 +453,7 @@ impl Executor {
                         config,
                         &ctx_plan,
                         &self.budget,
-                        self.solver_threads,
+                        0,
                         blocks,
                     );
                 }
@@ -504,7 +464,7 @@ impl Executor {
                     config,
                     &ctx_plan,
                     &self.budget,
-                    self.solver_threads,
+                    0,
                     prev.as_ref().map(|(m, _, s)| (&**m, s)),
                     prev.as_ref().map(|(_, b, _)| &**b),
                     blocks,
@@ -537,11 +497,11 @@ impl Executor {
         // against its own faults so a failure here falls through.
         if !matches!(err, CellError::FallbackBudget(_)) {
             let rung1 = catch_unwind(AssertUnwindSafe(|| {
-                let fallback = self
-                    .cache
-                    .try_analysis(fp, &self.baseline_opts(), false, || {
-                        try_fallback_analysis(module, &self.budget, self.solver_threads)
-                    })?;
+                let fallback =
+                    self.cache
+                        .try_analysis(fp, &SolveOptions::baseline(), false, || {
+                            try_fallback_analysis_fe(module, &self.budget, 0, None)
+                        })?;
                 let ctx_plan = if config.ctx {
                     self.cache.ctx_plan(fp, || ctx_plan_for(module, config))
                 } else {
@@ -599,7 +559,6 @@ impl Executor {
         let legacy = self.jobs <= 1
             && self.budget == SolveBudget::default()
             && !self.has_faults()
-            && self.solver_threads == 0
             && self.state_store.is_none()
             && self.frontend.is_none();
         let results: Vec<T> = if legacy {

@@ -1,6 +1,6 @@
 //! The incremental differential gate: incremental re-solves must produce
 //! **byte-identical** analysis reports to from-scratch solves at every
-//! step of a watch-mode edit script, at every thread count.
+//! step of a watch-mode edit script.
 //!
 //! This is the empirical soundness argument for warm-starting (DESIGN.md
 //! §5g): the restore path is monotone, so the fixpoint is provably the
@@ -45,67 +45,58 @@ fn incremental_reports_match_cold_bytes_at_every_step() {
 
     for &seed in &seeds {
         let script = edit_script(seed, steps);
-        for threads in [1usize, 4] {
-            let dir = std::env::temp_dir().join(format!(
-                "kd-incr-diff-s{seed}-t{threads}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let store = Arc::new(DiskCache::open(&dir).expect("open store"));
+        let dir = std::env::temp_dir().join(format!("kd-incr-diff-s{seed}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(DiskCache::open(&dir).expect("open store"));
 
-            // Revision 0: cold solve, publishing the first snapshots.
-            let base = &script[0].module;
-            store
-                .put_module(base.fingerprint(), &base.to_text())
-                .unwrap();
-            let ex0 = Executor::with_jobs(2)
-                .with_solver_threads(threads)
-                .with_state_store(Arc::clone(&store));
-            let _ = render_analyze(base, &configs, &ex0, false);
+        // Revision 0: cold solve, publishing the first snapshots.
+        let base = &script[0].module;
+        store
+            .put_module(base.fingerprint(), &base.to_text())
+            .unwrap();
+        let ex0 = Executor::with_jobs(2).with_state_store(Arc::clone(&store));
+        let _ = render_analyze(base, &configs, &ex0, false);
 
-            let mut prev_fp = base.fingerprint();
-            for (i, step) in script.iter().enumerate().skip(1) {
-                let m = &step.module;
-                store.put_module(m.fingerprint(), &m.to_text()).unwrap();
-                let warm_ex = Executor::with_jobs(2)
-                    .with_solver_threads(threads)
-                    .with_state_store(Arc::clone(&store))
-                    .with_incremental_from(prev_fp);
-                let warm = render_analyze(m, &configs, &warm_ex, false).text;
-                let cold_ex = Executor::with_jobs(2).with_solver_threads(threads);
-                let cold = render_analyze(m, &configs, &cold_ex, false).text;
-                assert_eq!(
-                    warm, cold,
-                    "seed {seed} threads {threads} step {i} ({:?}): report bytes diverged",
-                    step.kind
-                );
-                // The warm pass must have exercised the intended path: a
-                // with-stats rendering of the same warm executor reports
-                // reuse on appends and the fallback counter on removals.
-                let stats_report = render_analyze(m, &configs, &warm_ex, true).text;
-                match step.kind {
-                    EditKind::Append => assert!(
-                        stats_report.contains("incr-fallback-full=0"),
-                        "seed {seed} threads {threads} step {i}: append did not warm-start:\n{stats_report}"
-                    ),
-                    EditKind::Remove => assert!(
-                        stats_report.contains("incr-fallback-full=1"),
-                        "seed {seed} threads {threads} step {i}: removal did not fall back:\n{stats_report}"
-                    ),
-                    EditKind::Base => unreachable!(),
-                }
-                prev_fp = m.fingerprint();
+        let mut prev_fp = base.fingerprint();
+        for (i, step) in script.iter().enumerate().skip(1) {
+            let m = &step.module;
+            store.put_module(m.fingerprint(), &m.to_text()).unwrap();
+            let warm_ex = Executor::with_jobs(2)
+                .with_state_store(Arc::clone(&store))
+                .with_incremental_from(prev_fp);
+            let warm = render_analyze(m, &configs, &warm_ex, false).text;
+            let cold = render_analyze(m, &configs, &Executor::with_jobs(2), false).text;
+            assert_eq!(
+                warm, cold,
+                "seed {seed} step {i} ({:?}): report bytes diverged",
+                step.kind
+            );
+            // The warm pass must have exercised the intended path: a
+            // with-stats rendering of the same warm executor reports
+            // reuse on appends and the fallback counter on removals.
+            let stats_report = render_analyze(m, &configs, &warm_ex, true).text;
+            match step.kind {
+                EditKind::Append => assert!(
+                    stats_report.contains("incr-fallback-full=0"),
+                    "seed {seed} step {i}: append did not warm-start:\n{stats_report}"
+                ),
+                EditKind::Remove => assert!(
+                    stats_report.contains("incr-fallback-full=1"),
+                    "seed {seed} step {i}: removal did not fall back:\n{stats_report}"
+                ),
+                EditKind::Base => unreachable!(),
             }
-            let _ = std::fs::remove_dir_all(&dir);
+            prev_fp = m.fingerprint();
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 /// The frontend-cache differential: loading a revision through the
 /// per-function `fe/` cache (spliced constraint blocks, skipped body
 /// parses) must leave the rendered report byte-identical to a plain
-/// parse-everything run, at every step of the edit script and at every
-/// thread count. This is the gate that lets the cache be a pure
+/// parse-everything run, at every step of the edit script and at
+/// frontend thread counts 1 and 4. This is the gate that lets the cache be a pure
 /// performance feature: any splice bug shows up here as a byte diff.
 #[test]
 fn frontend_cache_reports_match_cacheless_bytes_at_every_step() {
@@ -127,8 +118,7 @@ fn frontend_cache_reports_match_cacheless_bytes_at_every_step() {
                 let text = step.module.to_text();
                 // Cache-on: per-function entries from earlier revisions
                 // splice in; the blocks feed the executor directly.
-                let loaded =
-                    load_frontend(&text, Some(&store), threads).expect("frontend load");
+                let loaded = load_frontend(&text, Some(&store), threads).expect("frontend load");
                 if i > 0 {
                     assert!(
                         loaded.stats.fe_cache_hits > 0,
@@ -137,15 +127,13 @@ fn frontend_cache_reports_match_cacheless_bytes_at_every_step() {
                     );
                 }
                 let fp = loaded.module.fingerprint();
-                let on_ex = Executor::with_jobs(2)
-                    .with_solver_threads(threads)
-                    .with_frontend(fp, Arc::clone(&loaded.blocks));
+                let on_ex = Executor::with_jobs(2).with_frontend(fp, Arc::clone(&loaded.blocks));
                 let on = render_analyze(&loaded.module, &configs, &on_ex, false).text;
                 // Cache-off: plain parse, no pre-built blocks.
                 let plain = load_frontend(&text, None, threads).expect("plain load");
                 assert_eq!(plain.stats.fe_cache_hits, 0);
-                let off_ex = Executor::with_jobs(2).with_solver_threads(threads);
-                let off = render_analyze(&plain.module, &configs, &off_ex, false).text;
+                let off =
+                    render_analyze(&plain.module, &configs, &Executor::with_jobs(2), false).text;
                 assert_eq!(
                     on, off,
                     "seed {seed} threads {threads} step {i} ({:?}): fe-cache-on \

@@ -1,12 +1,12 @@
-//! Deterministic synthetic scale corpus for intra-solve parallelism.
+//! Deterministic synthetic scale corpus for solver benchmarks.
 //!
 //! The bundled application models (Table 2) all solve in a few
-//! milliseconds, which is the wrong scale for measuring the wave-front
-//! parallel schedule. This module synthesizes modules of ~100k statements
-//! from the embedded-code pointer patterns catalogued by Pathade &
-//! Khedker — linked structures, function-pointer tables, array-of-pointer
-//! loops, and heap factories — wired so that the solve spends its time in
-//! wide, independent propagation waves:
+//! milliseconds, which is the wrong scale for measuring the solver. This
+//! module synthesizes modules of ~100k statements from the embedded-code
+//! pointer patterns catalogued by Pathade & Khedker — linked structures,
+//! function-pointer tables, array-of-pointer loops, and heap factories —
+//! wired so that the solve spends its time propagating large points-to
+//! sets through many mutually independent nodes:
 //!
 //! * a **registry** of heap/stack pointer objects is published into a
 //!   global array (the array-of-pointer loop pattern), so a single load
@@ -15,7 +15,7 @@
 //!   down per-chain alloca slots (store/store/load rungs — the classic
 //!   flow-through-memory idiom), giving every topological stratum
 //!   `chains` mutually independent nodes with multi-hundred-element
-//!   deltas — exactly the shape the wave scheduler fans out;
+//!   deltas;
 //! * **linked structures**, **function-pointer dispatch tables**, and
 //!   **heap factories** ride along at realistic proportions so the corpus
 //!   also exercises field, indirect-call, and allocation constraints.
@@ -36,8 +36,8 @@ pub struct ScaleConfig {
     pub seed: u64,
     /// Pointer objects published in the shared registry array.
     pub registry: usize,
-    /// Parallel chains in the copy mesh (the wave width the corpus
-    /// offers the scheduler).
+    /// Parallel chains in the copy mesh (the number of mutually
+    /// independent nodes in each topological stratum).
     pub chains: usize,
     /// Rungs per chain (the number of strata the mesh contributes).
     pub depth: usize,
@@ -121,7 +121,7 @@ pub fn synthesize(cfg: &ScaleConfig) -> Module {
     // Each rung merges its own chain's previous value with a neighbor
     // chain's through a fresh alloca slot, so sets flow through memory
     // (two StoreDerefs + one LoadDeref per rung) and every depth level is
-    // one independent wave of `chains` nodes.
+    // one stratum of `chains` mutually independent nodes.
     {
         let mut b = FunctionBuilder::new(&mut module, "mesh", vec![], Type::Void);
         let stride = 1 + rng.gen_range(0..cfg.chains.max(2) - 1);

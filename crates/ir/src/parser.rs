@@ -405,9 +405,10 @@ impl<'a> Parser<'a> {
                     let ret = self.parse_type(names)?;
                     Type::Func(FuncSig::new(params, ret))
                 } else {
-                    let id = names.structs.get(&s).copied().ok_or_else(|| {
-                        self.err(format!("unknown struct `{}`", self.text(s)))
-                    })?;
+                    let id =
+                        names.structs.get(&s).copied().ok_or_else(|| {
+                            self.err(format!("unknown struct `{}`", self.text(s)))
+                        })?;
                     Type::Struct(id)
                 }
             }
@@ -795,10 +796,7 @@ fn parse_body(
     })
 }
 
-fn parse_block(
-    p: &mut Parser<'_>,
-    names: &Names,
-) -> Result<(Vec<Inst>, Terminator), ParseError> {
+fn parse_block(p: &mut Parser<'_>, names: &Names) -> Result<(Vec<Inst>, Terminator), ParseError> {
     let kw = &names.kw;
     let mut insts = Vec::new();
     loop {

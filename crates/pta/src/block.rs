@@ -350,7 +350,10 @@ pub fn build_func_block(module: &Module, fid: FuncId) -> FuncBlock {
 /// Record one instruction, touching references in exactly the order live
 /// generation resolves them.
 fn rec_inst(module: &Module, ops: &mut Vec<BlockOp>, loc: SelfLoc, inst: &Inst) {
-    let simple = |ops: &mut Vec<BlockOp>, src: Option<SymRef>, dst: LocalId, mk: &dyn Fn(SymRef, SymRef) -> SymConstraintKind| {
+    let simple = |ops: &mut Vec<BlockOp>,
+                  src: Option<SymRef>,
+                  dst: LocalId,
+                  mk: &dyn Fn(SymRef, SymRef) -> SymConstraintKind| {
         if let Some(src) = src {
             let d = SymRef::SelfLocal(dst);
             ops.push(BlockOp::Touch(src));

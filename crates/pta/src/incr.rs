@@ -1367,25 +1367,4 @@ mod tests {
         }
         assert!(SolvedState::from_bytes(b"XXXX").is_none());
     }
-
-    #[test]
-    fn wave_schedule_snapshots_are_partitioned() {
-        let v1 = base_module();
-        let mut v2 = base_module();
-        append_extra(&mut v2);
-        let mut opts_wave = SolveOptions::baseline();
-        opts_wave.solver_threads = 1;
-        let (_, s_seq) = solve_cold(&v1, &SolveOptions::baseline());
-        // A sequential-schedule snapshot must not warm a wave solve.
-        let (warm, _) = solve_incr(&v1, &s_seq.unwrap(), &v2, &opts_wave);
-        assert_eq!(warm.stats.incr_fallback_full, 1);
-        // But a wave snapshot warms a wave solve, at any thread count.
-        let (_, s_wave) = solve_cold(&v1, &opts_wave);
-        let mut opts_wave4 = opts_wave.clone();
-        opts_wave4.solver_threads = 4;
-        let (warm4, _) = solve_incr(&v1, &s_wave.unwrap(), &v2, &opts_wave4);
-        assert_eq!(warm4.stats.incr_fallback_full, 0);
-        let (cold4, _) = solve_cold(&v2, &opts_wave4);
-        assert_eq!(canon_pts(&v2, &cold4), canon_pts(&v2, &warm4));
-    }
 }

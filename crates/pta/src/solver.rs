@@ -17,11 +17,9 @@
 //!   because field sub-objects only materialize along declared struct
 //!   types, whose nesting is finite.
 
-use std::cell::UnsafeCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use kaleidoscope_ir::{InstLoc, Module, Type};
@@ -150,14 +148,6 @@ pub struct SolveOptions {
     pub collapse_cycles: bool,
     /// Upper bound on fixpoint/cycle-detection passes (safety valve).
     pub max_passes: usize,
-    /// Wave-front parallel propagation: drain each topological stratum of
-    /// the worklist across this many threads (`0` = the classic sequential
-    /// heap schedule, `1` = the wave schedule run inline without spawning).
-    /// The wave schedule is deterministic and produces byte-identical
-    /// results at every thread count ≥ 1; it is a *different* schedule
-    /// from the sequential one, so lazily-created field-node ids may
-    /// differ (see the cache-key note on [`SolveOptions::cache_key`]).
-    pub solver_threads: usize,
     /// Resource budget; exhausting it turns the solve into a typed
     /// [`SolveError`] instead of a panic.
     pub budget: SolveBudget,
@@ -171,7 +161,6 @@ impl SolveOptions {
             pwc_defer: false,
             collapse_cycles: true,
             max_passes: 128,
-            solver_threads: 0,
             budget: SolveBudget::unlimited(),
         }
     }
@@ -202,16 +191,12 @@ impl SolveOptions {
     /// budget, and budget-exceeded solves are never cached — a cached
     /// artifact therefore satisfies a request under any budget.
     ///
-    /// The wave-front schedule contributes one bit (`solver_threads > 0`):
-    /// the wave and sequential schedules create lazily-materialized field
-    /// nodes in different orders, so their raw artifacts must not alias.
-    /// The thread *count* is excluded — wave results are byte-identical at
-    /// every count ≥ 1, so artifacts are shared across counts.
+    /// Bit 3 is retired (it once partitioned a second solver schedule);
+    /// leaving it clear keeps every existing key unchanged.
     pub fn cache_key(&self) -> u64 {
         (self.pa_filter as u64)
             | (self.pwc_defer as u64) << 1
             | (self.collapse_cycles as u64) << 2
-            | ((self.solver_threads > 0) as u64) << 3
             | (self.max_passes as u64) << 8
     }
 }
@@ -272,15 +257,6 @@ pub struct SolveStats {
     /// Peak heap bytes held by the points-to and propagated-frontier sets,
     /// sampled at each propagation-round boundary.
     pub peak_pts_bytes: usize,
-    /// Wave-front schedule only: number of strata (waves) drained. Zero
-    /// under the classic sequential schedule. Thread-count independent.
-    pub strata: usize,
-    /// Wave-front schedule only: the widest wave (active nodes drained
-    /// concurrently at one barrier). Thread-count independent.
-    pub max_wave_width: usize,
-    /// Wave-front schedule only: waves of width 1, where the barrier had
-    /// no parallel work to hand out. Thread-count independent.
-    pub barrier_stalls: usize,
     /// Incremental re-solve only: previous-fixpoint nodes translated and
     /// reused as the warm-start state (zero for from-scratch solves).
     pub incr_reused: usize,
@@ -344,88 +320,6 @@ struct Scratch {
     elems: Vec<(NodeId, u32)>,
     icalls: Vec<u32>,
     outs: Vec<NodeId>,
-}
-
-/// One stratum member's propagation payload, carried from the sequential
-/// complex-constraint phase of a wave to the parallel copy fan-out.
-/// Buffers are reused across waves.
-#[derive(Debug)]
-struct WaveJob {
-    node: NodeId,
-    delta_canon: Vec<NodeId>,
-    outs: Vec<NodeId>,
-}
-
-impl Default for WaveJob {
-    fn default() -> Self {
-        WaveJob {
-            node: NodeId(0),
-            delta_canon: Vec::new(),
-            outs: Vec::new(),
-        }
-    }
-}
-
-/// A mutable slice shared across scoped worker threads that claim
-/// *disjoint* indices, so each slot has at most one live `&mut` at a time.
-/// This is the same atomic work-claiming shape as the executor's matrix
-/// pool, pushed down to per-slot granularity.
-struct ClaimedSlice<'a, T> {
-    cells: &'a [UnsafeCell<T>],
-}
-
-// SAFETY: workers only dereference disjoint indices (the `get_mut`
-// contract), so sharing the wrapper across threads cannot alias.
-unsafe impl<T: Send> Sync for ClaimedSlice<'_, T> {}
-
-impl<'a, T> ClaimedSlice<'a, T> {
-    fn new(slice: &'a mut [T]) -> Self {
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
-        // slice layouts match, and the exclusive borrow keeps every other
-        // observer out for the wrapper's lifetime.
-        let cells = unsafe { &*(slice as *mut [T] as *const [UnsafeCell<T>]) };
-        ClaimedSlice { cells }
-    }
-
-    /// # Safety
-    ///
-    /// No two live references to the same index may exist: each index must
-    /// be claimed by at most one worker at a time.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, i: usize) -> &mut T {
-        &mut *self.cells[i].get()
-    }
-}
-
-/// Run `f(i, &mut slots[i])` for every index, fanned across `threads`
-/// scoped workers claiming indices from a shared atomic counter. With one
-/// thread (or one slot) it runs inline without spawning, so a single-
-/// threaded wave solve has no synchronization in its hot path. `f` must
-/// only touch the slot it is handed (plus whatever disjoint state it
-/// claims through its own [`ClaimedSlice`]).
-fn run_claimed<T: Send>(threads: usize, slots: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-    let n = slots.len();
-    if threads <= 1 || n <= 1 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            f(i, slot);
-        }
-        return;
-    }
-    let shared = ClaimedSlice::new(slots);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // SAFETY: the fetch_add hands index `i` to exactly one
-                // worker, so this is the only live reference to slot `i`.
-                f(i, unsafe { shared.get_mut(i) });
-            });
-        }
-    });
 }
 
 /// Disjoint mutable borrows of two slots of one slice.
@@ -568,15 +462,6 @@ impl<'m> Solver<'m> {
         self
     }
 
-    /// Drain each topological stratum across `n` threads (the wave-front
-    /// schedule). `0` keeps the classic sequential heap schedule; `1` runs
-    /// the wave schedule inline without spawning. See
-    /// [`SolveOptions::solver_threads`].
-    pub fn solver_threads(mut self, n: usize) -> Self {
-        self.opts.solver_threads = n;
-        self
-    }
-
     pub(crate) fn push(&mut self, n: NodeId) {
         let n = self.nodes.find(n);
         if !self.queued[n.index()] {
@@ -636,18 +521,10 @@ impl<'m> Solver<'m> {
         start: Instant,
         obs: &mut dyn SolverObserver,
     ) -> Result<bool, SolveError> {
-        // The FIFO worklist has no rank structure to build waves from, so
-        // it always drains sequentially.
-        let use_waves = self.opts.solver_threads > 0 && !self.use_fifo;
         let mut passes = 0usize;
         let mut converged = false;
         let run = loop {
-            let drained = if use_waves {
-                self.drain_worklist_waves(obs)
-            } else {
-                self.drain_worklist(obs)
-            };
-            if let Err(e) = drained {
+            if let Err(e) = self.drain_worklist(obs) {
                 break Err(e);
             }
             let live_bytes = self.live_pts_bytes();
@@ -886,9 +763,9 @@ impl<'m> Solver<'m> {
     /// `delta` of newly discovered pointees: loads and stores through the
     /// new objects derive copy edges, field/arith/elem constraints
     /// materialize or collapse targets, and function objects wire indirect
-    /// calls. Shared by the sequential and wave-front drains; the per-node
-    /// constraint lists are copied into reusable scratch first because a
-    /// merge triggered mid-processing moves the solver's own lists.
+    /// calls. The per-node constraint lists are copied into reusable
+    /// scratch first because a merge triggered mid-processing moves the
+    /// solver's own lists.
     fn apply_complex(&mut self, n: NodeId, delta: &[NodeId], obs: &mut dyn SolverObserver) {
         let mut loads = std::mem::take(&mut self.scratch.loads);
         let mut stores = std::mem::take(&mut self.scratch.stores);
@@ -959,213 +836,6 @@ impl<'m> Solver<'m> {
         self.scratch.ariths = ariths;
         self.scratch.elems = elems;
         self.scratch.icalls = icalls;
-    }
-
-    /// Wave-front drain: repeatedly pop *all* minimum-rank worklist
-    /// entries (one topological stratum), compute every member's delta in
-    /// parallel (phase A), apply the complex constraints sequentially in
-    /// ascending node-id order (phase B), fan the copy-edge unions out
-    /// across threads grouped by canonical target — each target's set is
-    /// touched by exactly one worker (phase C) — and merge the results
-    /// deterministically, targets ascending, at the barrier (phase D).
-    ///
-    /// # Determinism
-    ///
-    /// Every step is ordered by node id, never by thread arrival: the
-    /// stratum member list is sorted and deduplicated, phase B runs
-    /// sequentially over it, phase C tasks are keyed by ascending target
-    /// id with their sources in member order, and phase D applies results
-    /// (and accumulates `union_words`) in that same target order. Thread
-    /// count only changes *which worker* executes a task, never what is
-    /// computed — so the result is byte-identical at every count ≥ 1.
-    /// Equal-rank edges inside a stratum (uncollapsed cycles, object
-    /// nodes) are not assumed away: a member growing another member's set
-    /// re-queues it, and the next wave propagates the growth — the
-    /// fixpoint is reached by re-push, not by an independence assumption.
-    fn drain_worklist_waves(&mut self, obs: &mut dyn SolverObserver) -> Result<(), SolveError> {
-        debug_assert!(!self.use_fifo, "waves need the ranked heap");
-        let threads = self.opts.solver_threads.max(1);
-        let mut canon: Vec<NodeId> = Vec::new();
-        let mut awork: Vec<(Vec<NodeId>, u64)> = Vec::new();
-        let mut jobs: Vec<WaveJob> = Vec::new();
-        let mut cwork: Vec<(Vec<NodeId>, u64)> = Vec::new();
-        let mut prop_added: Vec<NodeId> = Vec::new();
-        let mut waves = 0usize;
-        while let Some(&Reverse((wave_rank, _))) = self.worklist.peek() {
-            // --- gather one stratum ---
-            canon.clear();
-            while let Some(&Reverse((r, id))) = self.worklist.peek() {
-                if r != wave_rank {
-                    break;
-                }
-                self.worklist.pop();
-                let raw = NodeId(id);
-                self.queued[raw.index()] = false;
-                self.stats.iterations += 1;
-                canon.push(self.nodes.find(raw));
-            }
-            // Budget checks once per wave: the pop count is exact, the
-            // check cadence is coarser than the sequential drain's but
-            // still deterministic for a fixed schedule.
-            if self.stats.iterations >= self.opts.budget.max_iterations {
-                return Err(self.budget_error(BudgetKind::Iterations));
-            }
-            if let Some(at) = self.deadline_at {
-                if Instant::now() >= at {
-                    return Err(self.budget_error(BudgetKind::Deadline));
-                }
-            }
-            waves += 1;
-            if waves & 15 == 0 {
-                let live = self.live_pts_bytes();
-                self.stats.peak_pts_bytes = self.stats.peak_pts_bytes.max(live);
-                if live > self.opts.budget.max_pts_bytes {
-                    return Err(self.budget_error(BudgetKind::PtsBytes));
-                }
-            }
-            canon.sort_unstable();
-            canon.dedup();
-            // O(1) empty-delta skip per member — `prop[c] ⊆ pts[c]` is an
-            // invariant, so equal cardinality means nothing to propagate.
-            canon.retain(|c| self.pts[c.index()].len() != self.prop[c.index()].len());
-            let width = canon.len();
-            if width == 0 {
-                continue;
-            }
-            self.stats.strata += 1;
-            self.stats.max_wave_width = self.stats.max_wave_width.max(width);
-            if width == 1 {
-                self.stats.barrier_stalls += 1;
-            }
-
-            // --- phase A: per-member deltas, read-only, in parallel ---
-            if awork.len() < width {
-                awork.resize_with(width, Default::default);
-            }
-            for slot in &mut awork[..width] {
-                slot.0.clear();
-                slot.1 = 0;
-            }
-            {
-                let pts = &self.pts;
-                let prop = &self.prop;
-                let canon = &canon;
-                run_claimed(threads, &mut awork[..width], |i, slot| {
-                    let c = canon[i];
-                    slot.1 = pts[c.index()].diff_into(&prop[c.index()], &mut slot.0);
-                });
-            }
-            for slot in &awork[..width] {
-                self.stats.union_words += slot.1;
-            }
-
-            // --- phase B: complex constraints, sequential, id order ---
-            if jobs.len() < width {
-                jobs.resize_with(width, Default::default);
-            }
-            let mut njobs = 0usize;
-            for i in 0..width {
-                let c = canon[i];
-                if self.nodes.find(c) != c {
-                    // Merged away by an earlier member's collapse in this
-                    // same wave. The merge cleared the winner's frontier
-                    // and re-queued it, so the union (including this
-                    // delta) propagates next wave.
-                    continue;
-                }
-                let delta = std::mem::take(&mut awork[i].0);
-                debug_assert!(!delta.is_empty(), "prop ⊆ pts violated");
-                // Refresh the propagated frontier by the delta *snapshot*,
-                // not blindly by `clone_from(pts)`: an earlier phase-B
-                // member of this wave may have grown `pts[c]` again, and
-                // that growth must stay un-propagated so c's re-push
-                // processes it. When pts is unchanged since the snapshot
-                // (`prop ∪ delta == pts`, detected by cardinality — delta
-                // is disjoint from prop and both are subsets of pts) the
-                // bulk copy is equivalent and much cheaper than inserting
-                // the delta element by element.
-                if self.prop[c.index()].len() + delta.len() == self.pts[c.index()].len() {
-                    self.prop[c.index()].clone_from(&self.pts[c.index()]);
-                } else {
-                    prop_added.clear();
-                    self.stats.union_words +=
-                        self.prop[c.index()].union_slice_from(&delta, &mut prop_added);
-                }
-                self.apply_complex(c, &delta, obs);
-                let job = &mut jobs[njobs];
-                njobs += 1;
-                job.node = c;
-                job.delta_canon.clear();
-                job.delta_canon
-                    .extend(delta.iter().map(|&o| self.nodes.find(o)));
-                job.delta_canon.sort_unstable();
-                job.delta_canon.dedup();
-                job.outs.clear();
-                job.outs.extend_from_slice(&self.copy_out[c.index()]);
-                awork[i].0 = delta;
-            }
-
-            // --- phase C: copy fan-out grouped by canonical target ---
-            let mut by_target: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-            for (j, job) in jobs.iter().enumerate().take(njobs) {
-                if job.delta_canon.is_empty() {
-                    continue;
-                }
-                let home = self.nodes.find_ref(job.node);
-                for &out in &job.outs {
-                    let t = self.nodes.find_ref(out);
-                    if t == home {
-                        continue;
-                    }
-                    by_target.entry(t.0).or_default().push(j);
-                }
-            }
-            let tasks: Vec<(u32, Vec<usize>)> = by_target.into_iter().collect();
-            let ntasks = tasks.len();
-            if ntasks == 0 {
-                continue;
-            }
-            if cwork.len() < ntasks {
-                cwork.resize_with(ntasks, Default::default);
-            }
-            for slot in &mut cwork[..ntasks] {
-                slot.0.clear();
-                slot.1 = 0;
-            }
-            {
-                let jobs = &jobs;
-                let tasks = &tasks;
-                let pts_shared = ClaimedSlice::new(&mut self.pts);
-                run_claimed(threads, &mut cwork[..ntasks], |i, slot| {
-                    let (t, sources) = &tasks[i];
-                    // SAFETY: tasks are keyed by *distinct* canonical
-                    // target ids and nothing else touches `pts` while the
-                    // fan-out scope runs, so this worker holds the only
-                    // reference to `pts[t]`.
-                    let tset = unsafe { pts_shared.get_mut(*t as usize) };
-                    for &j in sources {
-                        slot.1 += tset.union_slice_from(&jobs[j].delta_canon, &mut slot.0);
-                    }
-                });
-            }
-
-            // --- phase D: deterministic merge, targets ascending ---
-            for (i, (t, _)) in tasks.iter().enumerate() {
-                let slot = &mut cwork[i];
-                self.stats.union_words += slot.1;
-                if slot.0.is_empty() {
-                    continue;
-                }
-                // Unique by construction (each element entered pts[t] via
-                // exactly one union); sorting restores ascending order
-                // across the per-source segments.
-                slot.0.sort_unstable();
-                let t = NodeId(*t);
-                obs.pts_grew(&self.nodes, t, &slot.0);
-                self.push(t);
-            }
-        }
-        Ok(())
     }
 
     fn process_field(
@@ -2083,82 +1753,6 @@ mod tests {
             local_pts(&m, &a, "main", 25).len(),
             local_pts(&m, &b, "main", 25).len()
         );
-    }
-
-    fn solve_waves(m: &Module, opts: SolveOptions, threads: usize) -> SolveResult {
-        let program = generate(m, None);
-        Solver::new(m, program, opts)
-            .solver_threads(threads)
-            .solve(&mut NullObserver)
-    }
-
-    #[test]
-    fn wave_schedule_reaches_the_fixpoint() {
-        let m = busy_module();
-        for threads in [1, 2, 4] {
-            let res = solve_waves(&m, SolveOptions::baseline(), threads);
-            assert_eq!(
-                local_pts(&m, &res, "main", 25).len(),
-                24,
-                "all stored objects reach the load at {threads} threads"
-            );
-            assert!(res.stats.strata > 0, "wave counters populated");
-            assert!(res.stats.max_wave_width >= 1);
-        }
-    }
-
-    #[test]
-    fn wave_results_and_counters_are_thread_count_invariant() {
-        let m = busy_module();
-        let w1 = solve_waves(&m, SolveOptions::baseline(), 1);
-        for threads in [2, 4, 8] {
-            let w = solve_waves(&m, SolveOptions::baseline(), threads);
-            assert_eq!(w1.pts, w.pts, "raw sets identical at {threads} threads");
-            assert_eq!(w1.stats.iterations, w.stats.iterations);
-            assert_eq!(w1.stats.union_words, w.stats.union_words);
-            assert_eq!(w1.stats.strata, w.stats.strata);
-            assert_eq!(w1.stats.max_wave_width, w.stats.max_wave_width);
-            assert_eq!(w1.stats.barrier_stalls, w.stats.barrier_stalls);
-        }
-    }
-
-    #[test]
-    fn wave_cache_key_partitions_schedules_not_thread_counts() {
-        let seq = SolveOptions::baseline();
-        let w1 = SolveOptions {
-            solver_threads: 1,
-            ..SolveOptions::baseline()
-        };
-        let w4 = SolveOptions {
-            solver_threads: 4,
-            ..SolveOptions::baseline()
-        };
-        assert_ne!(
-            seq.cache_key(),
-            w1.cache_key(),
-            "wave and sequential artifacts must not alias"
-        );
-        assert_eq!(
-            w1.cache_key(),
-            w4.cache_key(),
-            "wave artifacts are shared across thread counts"
-        );
-    }
-
-    #[test]
-    fn wave_iteration_budget_still_trips() {
-        let m = busy_module();
-        let opts = SolveOptions {
-            solver_threads: 2,
-            budget: SolveBudget::iterations(1),
-            ..SolveOptions::baseline()
-        };
-        let program = generate(&m, None);
-        let err = Solver::new(&m, program, opts)
-            .try_solve(&mut NullObserver)
-            .expect_err("budget of 1 pop must trip");
-        let SolveError::BudgetExceeded { kind, .. } = &err;
-        assert_eq!(*kind, BudgetKind::Iterations);
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub struct Request {
     /// Per-request solve budget (worklist iterations), capped by the
     /// tenant quota.
     pub budget: Option<usize>,
-    /// Intra-solve thread count for the wave-front solver schedule
-    /// (`0` = classic sequential); absent = the worker's default.
+    /// Ignored. It selected a solver schedule that has since been removed;
+    /// it is still decoded and validated so older frames parse.
     pub solver_threads: Option<usize>,
     /// Fault directive for tests (`"kill"`); honored only by workers
     /// started with `--unsafe-faults`.

@@ -365,7 +365,7 @@ impl Router {
     /// untouched either way.
     fn shed_response(&self, req: &Request, tier_override: Option<&str>) -> Response {
         let cache = self.cache.as_deref();
-        let resolved = match resolve_module(req, cache, req.solver_threads.unwrap_or(0)) {
+        let resolved = match resolve_module(req, cache) {
             Ok(m) => m,
             Err(e) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
@@ -397,10 +397,7 @@ impl Router {
                 None
             },
             stats: req.stats,
-            // The shed path only knows the request's own schedule choice;
-            // a wave-scoped artifact published by a wave-default worker is
-            // simply a miss here, never a wrong answer.
-            wave: req.solver_threads.is_some_and(|n| n > 0),
+            wave: false,
         };
         if let Some(text) = cache.and_then(|c| c.get_report(fp, scope)) {
             return Response::Ok {
@@ -633,6 +630,15 @@ fn reap_finished(conns: &Mutex<Vec<Conn>>) {
     }
 }
 
+/// Send one newline-terminated frame in a single write. Writing the body
+/// and the `\n` separately lets Nagle's algorithm hold the trailing byte
+/// until the peer's delayed ACK, which stalls every answer after the
+/// first on a kept-alive connection by tens of milliseconds.
+fn write_frame(w: &mut impl Write, mut frame: String) -> std::io::Result<()> {
+    frame.push('\n');
+    w.write_all(frame.as_bytes())
+}
+
 fn serve_connection(router: &Router, stream: TcpStream) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     for line in BufReader::new(stream).lines() {
@@ -640,11 +646,10 @@ fn serve_connection(router: &Router, stream: TcpStream) -> std::io::Result<()> {
         if line.trim().is_empty() {
             continue;
         }
-        // The in-flight guard spans decode→route→write→flush: a drain
-        // that observes zero in-flight knows every answer hit the wire.
+        // The in-flight guard spans decode→route→write: a drain that
+        // observes zero in-flight knows every answer hit the wire.
         let _in_flight = router.begin_request();
-        writeln!(writer, "{}", router.handle_line(&line))?;
-        writer.flush()?;
+        write_frame(&mut writer, router.handle_line(&line))?;
     }
     Ok(())
 }
@@ -800,8 +805,7 @@ fn request_once(addr: &str, req: &Request, opts: &ClientOptions) -> Result<Respo
     let mut writer = stream
         .try_clone()
         .map_err(|e| RequestError::Io(e.to_string()))?;
-    writeln!(writer, "{}", encode_request(req)).map_err(|e| io_error("send", e))?;
-    writer.flush().map_err(|e| io_error("send", e))?;
+    write_frame(&mut writer, encode_request(req)).map_err(|e| io_error("send", e))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader

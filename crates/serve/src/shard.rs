@@ -55,9 +55,6 @@ pub enum ShardMode {
         unsafe_faults: bool,
         /// Worker `--jobs` (executor threads per solve).
         jobs: usize,
-        /// Worker `--solver-threads` default (wave-front schedule; `0` =
-        /// classic sequential).
-        solver_threads: usize,
     },
     /// Serve requests on the calling thread (tests, bench).
     Thread(WorkerOptions),
@@ -86,7 +83,6 @@ impl Shard {
                 cache_dir,
                 unsafe_faults,
                 jobs,
-                solver_threads,
             } => {
                 let mut cmd = Command::new(bin);
                 cmd.arg("worker")
@@ -95,9 +91,6 @@ impl Shard {
                     .stdin(Stdio::piped())
                     .stdout(Stdio::piped())
                     .stderr(Stdio::inherit());
-                if *solver_threads > 0 {
-                    cmd.arg("--solver-threads").arg(solver_threads.to_string());
-                }
                 if let Some(dir) = cache_dir {
                     cmd.arg("--cache-dir").arg(dir);
                 }

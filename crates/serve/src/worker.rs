@@ -23,7 +23,9 @@ use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
 use kaleidoscope::{DegradedTier, PolicyConfig};
-use kaleidoscope_exec::{load_frontend, render_analyze, DiskCache, Executor, FrontendStats, ReportScope};
+use kaleidoscope_exec::{
+    load_frontend, render_analyze, DiskCache, Executor, FrontendStats, ReportScope,
+};
 use kaleidoscope_ir::{verify_module, Module};
 use kaleidoscope_pta::SolveBudget;
 
@@ -35,10 +37,6 @@ use crate::protocol::{decode_request, encode_response, CacheDisposition, Request
 pub struct WorkerOptions {
     /// Executor worker threads per solve (`0` = available parallelism).
     pub jobs: usize,
-    /// Default intra-solve thread count for the wave-front solver
-    /// schedule (`0` = classic sequential). A request's own
-    /// `solver_threads` field overrides this.
-    pub solver_threads: usize,
     /// The shared on-disk artifact store, if configured.
     pub cache: Option<Arc<DiskCache>>,
     /// Honor `fault` directives in requests (test builds of the daemon
@@ -77,11 +75,11 @@ pub(crate) struct ResolvedModule {
 /// fingerprint, storing inline submissions in the cache for later
 /// fingerprint-only queries. Parsing and constraint recording go through
 /// [`load_frontend`], so unchanged functions are served from the `fe/`
-/// cache and the blocks ride along for the solve to splice.
+/// cache and the blocks ride along for the solve to splice. The body pass
+/// runs inline, on one worker.
 pub(crate) fn resolve_module(
     req: &Request,
     cache: Option<&DiskCache>,
-    threads: usize,
 ) -> Result<ResolvedModule, String> {
     let text = match (&req.module, req.fingerprint) {
         (Some(text), None) => text.clone(),
@@ -91,7 +89,7 @@ pub(crate) fn resolve_module(
         // decode_request enforces exactly-one; direct callers get the same rule.
         _ => return Err("one of `module` or `fingerprint` is required".to_string()),
     };
-    let loaded = load_frontend(&text, cache, threads).map_err(|e| format!("parse error: {e}"))?;
+    let loaded = load_frontend(&text, cache, 1).map_err(|e| format!("parse error: {e}"))?;
     let module = loaded.module;
     let problems = verify_module(&module);
     if !problems.is_empty() {
@@ -153,8 +151,9 @@ pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
         }
     }
     let cache = opts.cache.as_deref();
-    let solver_threads = req.solver_threads.unwrap_or(opts.solver_threads);
-    let resolved = match resolve_module(req, cache, solver_threads) {
+    // A request's `solver_threads` field is decoded but ignored: there is
+    // one solver schedule.
+    let resolved = match resolve_module(req, cache) {
         Ok(m) => m,
         Err(e) => return error(&req.id, e),
     };
@@ -174,7 +173,7 @@ pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
             None
         },
         stats: req.stats,
-        wave: solver_threads > 0,
+        wave: false,
     };
     if let Some(text) = cache.and_then(|c| c.get_report(fp, scope)) {
         if let Some(c) = cache {
@@ -192,9 +191,7 @@ pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
             fe_cache_hits: Some(fe.fe_cache_hits as u64),
         };
     }
-    let mut ex = Executor::with_jobs(opts.jobs)
-        .with_solver_threads(solver_threads)
-        .with_frontend(fp, resolved.blocks);
+    let mut ex = Executor::with_jobs(opts.jobs).with_frontend(fp, resolved.blocks);
     if let Some(n) = req.budget {
         ex = ex.with_budget(SolveBudget::iterations(n));
     }
@@ -280,7 +277,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         WorkerOptions {
             jobs: 2,
-            solver_threads: 0,
             cache: Some(Arc::new(DiskCache::open(dir).expect("temp cache"))),
             unsafe_faults: false,
         }
@@ -399,27 +395,33 @@ mod tests {
     }
 
     #[test]
-    fn wave_request_is_served_and_cached_apart_from_classic() {
-        let opts = opts_with_cache("wave");
-        let classic = handle_request(&Request::inline("c", &tiny_module()), &opts);
-        let Response::Ok { cache: c1, .. } = &classic else {
-            panic!("expected ok, got {classic:?}");
+    fn solver_threads_field_is_ignored() {
+        let opts = opts_with_cache("threads");
+        let plain = handle_request(&Request::inline("c", &tiny_module()), &opts);
+        let Response::Ok {
+            report: r1,
+            cache: c1,
+            ..
+        } = &plain
+        else {
+            panic!("expected ok, got {plain:?}");
         };
         assert_eq!(*c1, CacheDisposition::Stored);
-        // Same module under the wave schedule: a fresh solve (no alias
-        // with the classic artifact), then a hit on repeat.
-        let mut wreq = Request::inline("w", &tiny_module());
-        wreq.solver_threads = Some(2);
-        let first = handle_request(&wreq, &opts);
-        let Response::Ok { cache: c2, .. } = &first else {
-            panic!("expected ok, got {first:?}");
+        // The same module with the legacy knob set: the same bytes, served
+        // from the report the plain request stored.
+        let mut treq = Request::inline("t", &tiny_module());
+        treq.solver_threads = Some(2);
+        let with = handle_request(&treq, &opts);
+        let Response::Ok {
+            report: r2,
+            cache: c2,
+            ..
+        } = &with
+        else {
+            panic!("expected ok, got {with:?}");
         };
-        assert_eq!(*c2, CacheDisposition::Stored, "wave scope is distinct");
-        let second = handle_request(&wreq, &opts);
-        let Response::Ok { cache: c3, .. } = &second else {
-            panic!("expected ok, got {second:?}");
-        };
-        assert_eq!(*c3, CacheDisposition::Hit);
+        assert_eq!(*c2, CacheDisposition::Hit);
+        assert_eq!(r2, r1);
     }
 
     #[test]

@@ -42,7 +42,6 @@ fn start(tag: &str, shards: usize, quota: TenantQuota) -> (Server, Arc<DiskCache
         cache: Some(cache.clone()),
         mode: ShardMode::Thread(WorkerOptions {
             jobs: 1,
-            solver_threads: 0,
             cache: Some(cache.clone()),
             unsafe_faults: false,
         }),
@@ -197,7 +196,6 @@ fn shed_requests_prefer_a_cached_full_report() {
         cache: Some(cache.clone()),
         mode: ShardMode::Thread(WorkerOptions {
             jobs: 1,
-            solver_threads: 0,
             cache: Some(cache),
             unsafe_faults: false,
         }),
@@ -361,7 +359,6 @@ fn open_breaker_short_circuits_to_a_tagged_ladder_answer() {
         cache: Some(cache.clone()),
         mode: ShardMode::Thread(WorkerOptions {
             jobs: 1,
-            solver_threads: 0,
             cache: Some(cache),
             unsafe_faults: true,
         }),
@@ -503,4 +500,34 @@ fn tenant_quota_clamps_the_requested_budget() {
     assert_eq!(tier, "steensgaard");
     assert_eq!(*report, offline_report(Some(1)));
     server.stop();
+}
+
+/// A kept-alive connection must answer each frame as soon as it is
+/// routed. A frame sent as two writes (body, then `\n`) lets Nagle's
+/// algorithm hold the trailing byte until the peer's delayed ACK, about
+/// 40 ms per answer on Linux; ten health round trips then take ~400 ms.
+#[test]
+fn persistent_connection_answers_without_delayed_ack_stalls() {
+    use std::io::{BufRead, BufReader, Write};
+    let (server, _cache) = start("keepalive", 1, TenantQuota::default());
+    let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let started = std::time::Instant::now();
+    for i in 0..10 {
+        let mut frame = kaleidoscope_serve::encode_request(&Request::health(&format!("h{i}")));
+        frame.push('\n');
+        writer.write_all(frame.as_bytes()).expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("receive");
+        let resp = kaleidoscope_serve::decode_response(line.trim_end()).expect("decodes");
+        assert!(matches!(resp, Response::Health { .. }), "{resp:?}");
+    }
+    let elapsed = started.elapsed();
+    drop((writer, reader));
+    server.stop();
+    assert!(
+        elapsed < std::time::Duration::from_millis(200),
+        "10 health round trips over one connection took {elapsed:?}"
+    );
 }
