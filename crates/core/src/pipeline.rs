@@ -323,8 +323,9 @@ pub fn optimistic_analysis(module: &Module, config: PolicyConfig, ctx_plan: &Ctx
 
 /// Budgeted variant of [`optimistic_analysis`], with optional
 /// pre-recorded frontend constraint blocks. Blocks are plan-free:
-/// functions the context plan touches are regenerated live during the
-/// splice. `_solver_threads` is ignored, as in [`try_fallback_analysis_fe`].
+/// functions the context plan touches are recorded afresh under the plan
+/// during the splice. `_solver_threads` is ignored, as in
+/// [`try_fallback_analysis_fe`].
 pub fn try_optimistic_analysis_fe(
     module: &Module,
     config: PolicyConfig,
@@ -351,8 +352,9 @@ pub fn try_optimistic_analysis_fe(
 /// detection is deterministic), so callers only have to thread the module
 /// and the captured state. See [`try_fallback_analysis_incr_fe`] for the
 /// semantics. Blocks are plan-free: functions the context plan touches are
-/// regenerated live during the splice, so the optimistic program is still
-/// identical to full live generation. `_solver_threads` is ignored.
+/// recorded afresh under the plan during the splice, so the optimistic
+/// program is identical to one generated without cached blocks.
+/// `_solver_threads` is ignored.
 #[allow(clippy::too_many_arguments)]
 pub fn try_optimistic_analysis_incr_fe(
     module: &Module,

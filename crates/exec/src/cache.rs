@@ -9,17 +9,17 @@
 //! up as the eight `PolicyConfig`s of one module sharing a single baseline
 //! solve and a single context plan.
 //!
-//! Concurrency: each key maps to an [`OnceLock`] slot, so when several
-//! workers want the same artifact at once exactly one computes it and the
-//! rest block on the slot instead of duplicating the solve.
+//! Concurrency: each key maps to an [`OnceLock`] slot that the first
+//! finished compute fills. Workers racing on a cold key may each compute
+//! (content addressing makes the results identical); all of them then
+//! share the stored artifact.
 //!
-//! Integrity: every analysis entry carries a content digest taken when the
-//! artifact was stored. The fallible fetch path ([`ArtifactCache::try_analysis`])
-//! re-digests on every hit and reports [`FetchError::Corrupt`] on mismatch,
-//! so a damaged entry degrades the one cell that reads it instead of
-//! silently serving a wrong memory view. Failed solves are never stored —
-//! a budget-exhausted attempt leaves the slot empty for a retry with a
-//! bigger budget.
+//! Integrity: every entry carries a content digest taken when the artifact
+//! was stored. Every fetch goes through one path that re-digests on each
+//! hit and reports [`FetchError::Corrupt`] on mismatch, so a damaged entry
+//! degrades the one cell that reads it instead of silently serving a wrong
+//! memory view. Failed solves are never stored — a budget-exhausted
+//! attempt leaves the slot empty for a retry with a bigger budget.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -196,26 +196,7 @@ impl ArtifactCache {
         Arc::clone(self.entries().entry(key).or_default())
     }
 
-    /// Infallible slot fetch (no verification): the legacy path for
-    /// artifacts whose compute cannot fail.
-    fn slot(&self, key: Key, compute: impl FnOnce() -> Slot) -> Slot {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let entry = self.entry(key);
-        let stored = entry.cell.get_or_init(|| {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            compute()
-        });
-        let _ = entry.digest.compare_exchange(
-            0,
-            slot_digest(stored),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        );
-        stored.clone()
-    }
-
-    /// Fallible, verified analysis fetch for
-    /// `(fingerprint, opts, with_ctx)`.
+    /// The one fetch path every artifact goes through.
     ///
     /// * On a hit, the entry is re-digested and compared against the
     ///   digest recorded at store time; a mismatch returns
@@ -223,20 +204,11 @@ impl ArtifactCache {
     /// * On a miss, `compute` runs; an `Err` is returned as
     ///   [`FetchError::Solve`] and **nothing is cached**, so a failed
     ///   budgeted solve never masks a later, better-budgeted one.
-    pub fn try_analysis(
+    fn fetch(
         &self,
-        fingerprint: u64,
-        opts: &SolveOptions,
-        with_ctx: bool,
-        compute: impl FnOnce() -> Result<Analysis, SolveError>,
-    ) -> Result<Arc<Analysis>, FetchError> {
-        let key = Key::new(
-            fingerprint,
-            Stage::Solve {
-                opts_key: opts.cache_key(),
-                with_ctx,
-            },
-        );
+        key: Key,
+        compute: impl FnOnce() -> Result<Slot, SolveError>,
+    ) -> Result<Slot, FetchError> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let entry = self.entry(key);
         let stored = match entry.cell.get() {
@@ -246,11 +218,8 @@ impl ArtifactCache {
                 // the slot empty. If another worker races us to the slot,
                 // its (identical, content-addressed) artifact wins.
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let a = compute().map_err(FetchError::Solve)?;
-                entry
-                    .cell
-                    .get_or_init(|| Slot::Analysis(Arc::new(a)))
-                    .clone()
+                let slot = compute().map_err(FetchError::Solve)?;
+                entry.cell.get_or_init(|| slot).clone()
             }
         };
         let digest = slot_digest(&stored);
@@ -265,22 +234,18 @@ impl ArtifactCache {
                 return Err(FetchError::Corrupt);
             }
         }
-        match stored {
-            Slot::Analysis(a) => Ok(a),
-            Slot::Plan(_) => unreachable!("solve key holds an analysis"),
-        }
+        Ok(stored)
     }
 
-    /// The solved analysis for `(fingerprint, opts, with_ctx)`, computing
-    /// it with `compute` on a miss. Unverified legacy path for infallible
-    /// computes.
-    pub fn analysis(
+    /// Verified analysis fetch for `(fingerprint, opts, with_ctx)`; see
+    /// [`FetchError`] for how it can fail.
+    pub fn try_analysis(
         &self,
         fingerprint: u64,
         opts: &SolveOptions,
         with_ctx: bool,
-        compute: impl FnOnce() -> Analysis,
-    ) -> Arc<Analysis> {
+        compute: impl FnOnce() -> Result<Analysis, SolveError>,
+    ) -> Result<Arc<Analysis>, FetchError> {
         let key = Key::new(
             fingerprint,
             Stage::Solve {
@@ -288,28 +253,29 @@ impl ArtifactCache {
                 with_ctx,
             },
         );
-        match self.slot(key, || Slot::Analysis(Arc::new(compute()))) {
-            Slot::Analysis(a) => a,
+        match self.fetch(key, || Ok(Slot::Analysis(Arc::new(compute()?))))? {
+            Slot::Analysis(a) => Ok(a),
             Slot::Plan(_) => unreachable!("solve key holds an analysis"),
         }
     }
 
     /// The Steensgaard-tier analysis for `fingerprint`, computing it on a
-    /// miss. One per module; the unification solve cannot fail.
+    /// miss. One per module; the unification solve cannot fail, and only
+    /// solve entries can be corrupted.
     pub fn steens(&self, fingerprint: u64, compute: impl FnOnce() -> Analysis) -> Arc<Analysis> {
         let key = Key::new(fingerprint, Stage::Steens);
-        match self.slot(key, || Slot::Analysis(Arc::new(compute()))) {
-            Slot::Analysis(a) => a,
-            Slot::Plan(_) => unreachable!("steens key holds an analysis"),
+        match self.fetch(key, || Ok(Slot::Analysis(Arc::new(compute())))) {
+            Ok(Slot::Analysis(a)) => a,
+            _ => unreachable!("steens key holds a verified analysis"),
         }
     }
 
     /// The context plan for `fingerprint`, computing it on a miss.
     pub fn ctx_plan(&self, fingerprint: u64, compute: impl FnOnce() -> CtxPlan) -> Arc<CtxPlan> {
         let key = Key::new(fingerprint, Stage::CtxPlan);
-        match self.slot(key, || Slot::Plan(Arc::new(compute()))) {
-            Slot::Plan(p) => p,
-            Slot::Analysis(_) => unreachable!("ctx-plan key holds a plan"),
+        match self.fetch(key, || Ok(Slot::Plan(Arc::new(compute())))) {
+            Ok(Slot::Plan(p)) => p,
+            _ => unreachable!("ctx-plan key holds a verified plan"),
         }
     }
 
@@ -369,18 +335,22 @@ mod tests {
     fn keys_separate_by_content_options_and_ctx() {
         let cache = ArtifactCache::new();
         let mk = || {
-            Analysis::run(
+            Ok(Analysis::run(
                 &kaleidoscope_ir::Module::new("empty"),
                 &SolveOptions::baseline(),
-            )
+            ))
         };
         let base = SolveOptions::baseline();
         let opt = SolveOptions::optimistic(true, false);
-        cache.analysis(1, &base, false, mk);
-        cache.analysis(1, &base, false, mk); // hit
-        cache.analysis(2, &base, false, mk); // new fingerprint
-        cache.analysis(1, &opt, false, mk); // new options
-        cache.analysis(1, &base, true, mk); // ctx plan fed generation
+        for (fp, opts, with_ctx) in [
+            (1, &base, false),
+            (1, &base, false), // hit
+            (2, &base, false), // new fingerprint
+            (1, &opt, false),  // new options
+            (1, &base, true),  // ctx plan fed generation
+        ] {
+            cache.try_analysis(fp, opts, with_ctx, mk).unwrap();
+        }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().misses, 4);
         assert_eq!(cache.stats().hits(), 1);
@@ -418,8 +388,5 @@ mod tests {
         let fetched = cache.try_analysis(3, &base, false, || Ok(Analysis::run(&m, &base)));
         assert!(matches!(fetched, Err(FetchError::Corrupt)));
         assert_eq!(cache.stats().verify_failures, 1);
-        // The unverified legacy path still serves it (used only by callers
-        // that predate the ladder).
-        let _ = cache.analysis(3, &base, false, || Analysis::run(&m, &base));
     }
 }

@@ -183,6 +183,11 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The integrity sidecar line of an artifact: `"<fnv64:016x> <len>"`.
+fn sidecar_line(bytes: &[u8]) -> String {
+    format!("{:016x} {}", fnv64(bytes), bytes.len())
+}
+
 impl DiskCache {
     /// Open (creating if needed) a store rooted at `dir`.
     ///
@@ -255,9 +260,7 @@ impl DiskCache {
                 }
                 let sidecar = path.with_extension("sum");
                 let healthy = match (fs::read(&path), fs::read_to_string(&sidecar)) {
-                    (Ok(bytes), Ok(sum)) => {
-                        sum == format!("{:016x} {}", fnv64(&bytes), bytes.len())
-                    }
+                    (Ok(bytes), Ok(sum)) => sum == sidecar_line(&bytes),
                     _ => false,
                 };
                 if healthy {
@@ -360,12 +363,7 @@ impl DiskCache {
 
     /// Atomically publish `content` at `path` (same-directory temp file +
     /// rename, so readers never observe a torn file).
-    fn publish(path: &Path, content: &str) -> io::Result<()> {
-        Self::publish_bytes(path, content.as_bytes())
-    }
-
-    /// Byte-level [`DiskCache::publish`] (state snapshots are binary).
-    fn publish_bytes(path: &Path, content: &[u8]) -> io::Result<()> {
+    fn publish(path: &Path, content: impl AsRef<[u8]>) -> io::Result<()> {
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
         fs::write(&tmp, content)?;
         fs::rename(&tmp, path)
@@ -443,9 +441,9 @@ impl DiskCache {
 
     /// Store a module's canonical text under fingerprint `fp`.
     ///
-    /// `text` must be the canonical form ([`Module::to_text`]
-    /// (kaleidoscope_ir::Module::to_text)) so that re-parsing the stored
-    /// text yields the same fingerprint.
+    /// `text` must be the canonical form
+    /// ([`Module::to_text`](kaleidoscope_ir::Module::to_text)) so that
+    /// re-parsing the stored text yields the same fingerprint.
     pub fn put_module(&self, fp: u64, text: &str) -> io::Result<()> {
         let path = self.module_path(fp);
         if path.exists() {
@@ -461,31 +459,51 @@ impl DiskCache {
         fs::read_to_string(self.module_path(fp)).ok()
     }
 
-    /// Store a healthy analyze report.
-    pub fn put_report(&self, fp: u64, scope: ReportScope, text: &str) -> io::Result<()> {
-        let path = self.report_path(fp, scope);
-        Self::publish(&path, text)?;
-        let sum = format!("{:016x} {}", fnv64(text.as_bytes()), text.len());
-        Self::publish(&path.with_extension("sum"), &sum)?;
+    /// Publish `bytes` at `path` with its integrity sidecar, then enforce
+    /// the size cap.
+    fn put_checked(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        Self::publish(path, bytes)?;
+        Self::publish(&path.with_extension("sum"), sidecar_line(bytes))?;
         self.enforce_cap();
         Ok(())
     }
 
-    /// Fetch a verified report; checksum mismatches count as misses (and
-    /// bump `verify_failures`) so a torn or tampered entry is recomputed,
-    /// never served.
-    pub fn get_report(&self, fp: u64, scope: ReportScope) -> Option<String> {
-        self.report_lookups.fetch_add(1, Ordering::Relaxed);
-        let path = self.report_path(fp, scope);
-        let text = fs::read_to_string(&path).ok()?;
+    /// Read the artifact at `path`, `decode` it, and verify it against its
+    /// sidecar. Counts the lookup, and the hit or the verify failure.
+    /// Checksum mismatches are misses, so a torn or tampered entry is
+    /// recomputed, never served.
+    fn get_checked<T: AsRef<[u8]>>(
+        &self,
+        path: &Path,
+        lookups: &AtomicU64,
+        hits: &AtomicU64,
+        decode: impl FnOnce(Vec<u8>) -> Option<T>,
+    ) -> Option<T> {
+        lookups.fetch_add(1, Ordering::Relaxed);
+        let body = decode(fs::read(path).ok()?)?;
         let sum = fs::read_to_string(path.with_extension("sum")).ok()?;
-        let want = format!("{:016x} {}", fnv64(text.as_bytes()), text.len());
-        if sum != want {
+        if sum != sidecar_line(body.as_ref()) {
             self.verify_failures.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        self.report_hits.fetch_add(1, Ordering::Relaxed);
-        Some(text)
+        hits.fetch_add(1, Ordering::Relaxed);
+        Some(body)
+    }
+
+    /// Store a healthy analyze report.
+    pub fn put_report(&self, fp: u64, scope: ReportScope, text: &str) -> io::Result<()> {
+        self.put_checked(&self.report_path(fp, scope), text.as_bytes())
+    }
+
+    /// Fetch a verified report; checksum mismatches count as misses (and
+    /// bump `verify_failures`).
+    pub fn get_report(&self, fp: u64, scope: ReportScope) -> Option<String> {
+        self.get_checked(
+            &self.report_path(fp, scope),
+            &self.report_lookups,
+            &self.report_hits,
+            |b| String::from_utf8(b).ok(),
+        )
     }
 
     fn state_path(&self, fp: u64, opts_key: u64, with_ctx: bool) -> PathBuf {
@@ -507,28 +525,18 @@ impl DiskCache {
         with_ctx: bool,
         bytes: &[u8],
     ) -> io::Result<()> {
-        let path = self.state_path(fp, opts_key, with_ctx);
-        Self::publish_bytes(&path, bytes)?;
-        let sum = format!("{:016x} {}", fnv64(bytes), bytes.len());
-        Self::publish(&path.with_extension("sum"), &sum)?;
-        self.enforce_cap();
-        Ok(())
+        self.put_checked(&self.state_path(fp, opts_key, with_ctx), bytes)
     }
 
     /// Fetch a verified solved-state snapshot; checksum mismatches count
     /// as misses (the caller solves cold), never as wrong warm-starts.
     pub fn get_state(&self, fp: u64, opts_key: u64, with_ctx: bool) -> Option<Vec<u8>> {
-        self.state_lookups.fetch_add(1, Ordering::Relaxed);
-        let path = self.state_path(fp, opts_key, with_ctx);
-        let bytes = fs::read(&path).ok()?;
-        let sum = fs::read_to_string(path.with_extension("sum")).ok()?;
-        let want = format!("{:016x} {}", fnv64(&bytes), bytes.len());
-        if sum != want {
-            self.verify_failures.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        self.state_hits.fetch_add(1, Ordering::Relaxed);
-        Some(bytes)
+        self.get_checked(
+            &self.state_path(fp, opts_key, with_ctx),
+            &self.state_lookups,
+            &self.state_hits,
+            Some,
+        )
     }
 
     fn fe_path(&self, key: u64) -> PathBuf {
@@ -541,28 +549,13 @@ impl DiskCache {
     /// import list, pre-encoded by the frontend loader) under its content
     /// key.
     pub fn put_fe(&self, key: u64, bytes: &[u8]) -> io::Result<()> {
-        let path = self.fe_path(key);
-        Self::publish_bytes(&path, bytes)?;
-        let sum = format!("{:016x} {}", fnv64(bytes), bytes.len());
-        Self::publish(&path.with_extension("sum"), &sum)?;
-        self.enforce_cap();
-        Ok(())
+        self.put_checked(&self.fe_path(key), bytes)
     }
 
     /// Fetch a verified frontend entry; checksum mismatches count as
     /// misses (the function re-parses), never as a wrong splice.
     pub fn get_fe(&self, key: u64) -> Option<Vec<u8>> {
-        self.fe_lookups.fetch_add(1, Ordering::Relaxed);
-        let path = self.fe_path(key);
-        let bytes = fs::read(&path).ok()?;
-        let sum = fs::read_to_string(path.with_extension("sum")).ok()?;
-        let want = format!("{:016x} {}", fnv64(&bytes), bytes.len());
-        if sum != want {
-            self.verify_failures.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        self.fe_hits.fetch_add(1, Ordering::Relaxed);
-        Some(bytes)
+        self.get_checked(&self.fe_path(key), &self.fe_lookups, &self.fe_hits, Some)
     }
 
     fn head_path(&self, tenant: &str) -> PathBuf {
@@ -576,7 +569,7 @@ impl DiskCache {
     /// Record `fp` as the last module fingerprint served for `tenant`
     /// (the warm-start candidate for that tenant's next request).
     pub fn put_tenant_head(&self, tenant: &str, fp: u64) -> io::Result<()> {
-        Self::publish(&self.head_path(tenant), &format!("{fp:016x}"))
+        Self::publish(&self.head_path(tenant), format!("{fp:016x}"))
     }
 
     /// The last module fingerprint served for `tenant`, if recorded.

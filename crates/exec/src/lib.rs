@@ -48,7 +48,7 @@
 //! Degraded cells are tagged via [`kaleidoscope::CellHealth`] on the
 //! result, and surface in `kd analyze --stats`, the report dashboard, and
 //! `BENCH_executor.json`. The `fault-injection` cargo feature adds
-//! [`FaultPlan`] for deterministically injecting panics, budget
+//! `FaultPlan` for deterministically injecting panics, budget
 //! exhaustion, and cache corruption at chosen cells.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

@@ -5,14 +5,13 @@
 //! a lossless encoding of the module. These properties drive seeded
 //! [`scale`] corpus modules and [`edit`] revision streams through
 //! `Module::to_text` → `parse_module` and require the result to be
-//! indistinguishable — same canonical text, same fingerprint — under
-//! both the serial and the parallel body-pass parser.
+//! indistinguishable — same canonical text, same fingerprint.
 
 use kaleidoscope_fuzz::{edit, scale};
-use kaleidoscope_ir::{parse_module, parse_module_parallel, Module};
+use kaleidoscope_ir::{parse_module, Module};
 use kaleidoscope_prng::check;
 
-/// Assert `m` survives print → parse unchanged, serially and in parallel.
+/// Assert `m` survives print → parse unchanged.
 fn assert_roundtrip(m: &Module) {
     let text = m.to_text();
     let reparsed = parse_module(&text).expect("printed module parses");
@@ -22,9 +21,6 @@ fn assert_roundtrip(m: &Module) {
         m.fingerprint(),
         "fingerprint survives the round trip"
     );
-    let par = parse_module_parallel(&text, 4).expect("parallel parse");
-    assert_eq!(par.to_text(), text, "parallel parse matches");
-    assert_eq!(par.fingerprint(), m.fingerprint());
 }
 
 #[test]

@@ -58,7 +58,7 @@ pub use module::{
     BinOpKind, Block, BlockId, FuncId, Function, GlobalDecl, GlobalId, Inst, LocalDecl, LocalId,
     Module, Operand, Terminator,
 };
-pub use parser::{parse_header, parse_module, parse_module_parallel, ModuleShell, ParseError};
+pub use parser::{parse_header, parse_module, ModuleShell, ParseError};
 pub use transform::{mem2reg, Mem2RegStats};
 pub use types::{FuncSig, StructDef, StructId, Type, TypeRegistry};
 pub use verify::{verify_module, VerifyError};

@@ -13,16 +13,14 @@
 //!   range and raw byte span in a [`ModuleShell`].
 //! * [`ModuleShell::parse_body`] parses one function body against the
 //!   fully-declared header. It takes `&self`, so bodies parse
-//!   independently — sequentially ([`parse_module`]), across threads
-//!   ([`parse_module_parallel`]), or selectively (the per-function
-//!   frontend cache re-parses only changed bodies).
+//!   independently — in order ([`parse_module`]), or selectively and
+//!   across threads (the per-function frontend cache in
+//!   `kaleidoscope-exec` re-parses only changed bodies).
 //!
-//! Both drivers produce byte-identical modules: a body's parse depends
+//! Every order produces a byte-identical module: a body's parse depends
 //! only on the header, never on sibling bodies.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::intern::{Interner, Symbol};
 use crate::lexer::{describe_kind, lex_with, line_col, prescan, TokKind, Token, TokenStream};
@@ -675,49 +673,6 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
     Ok(shell.finish(bodies))
 }
 
-/// [`parse_module`] with the body pass fanned out over `threads`
-/// worker threads (scoped, work-claiming by function index). Deterministic:
-/// bodies are spliced back in declaration order, and a body parse depends
-/// only on the header, so the result is byte-identical to the sequential
-/// parse. Errors are reported for the lowest-index failing function, the
-/// same one the sequential parse would report first.
-pub fn parse_module_parallel(src: &str, threads: usize) -> Result<Module, ParseError> {
-    let shell = parse_header(src)?;
-    let n = shell.func_count();
-    let workers = threads.min(n);
-    if workers <= 1 {
-        let mut bodies = Vec::with_capacity(n);
-        for i in 0..n {
-            bodies.push(shell.parse_body(i)?);
-        }
-        return Ok(shell.finish(bodies));
-    }
-    let slots: Vec<Mutex<Option<Result<Function, ParseError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = shell.parse_body(i);
-                *slots[i].lock().expect("body slot") = Some(r);
-            });
-        }
-    });
-    let mut bodies = Vec::with_capacity(n);
-    for slot in slots {
-        bodies.push(
-            slot.into_inner()
-                .expect("body slot")
-                .expect("every body claimed")?,
-        );
-    }
-    Ok(shell.finish(bodies))
-}
-
 fn parse_body(
     src: &str,
     ts: &TokenStream,
@@ -1094,32 +1049,6 @@ bb0:
         assert_eq!(fb.name, "b");
         let m = shell.finish(vec![fa, fb]);
         assert_eq!(m.iter_funcs().count(), 2);
-    }
-
-    #[test]
-    fn parallel_parse_matches_sequential_byte_for_byte() {
-        let mut src = String::from("module \"par\"\nglobal g: int*\n");
-        for i in 0..24 {
-            src.push_str(&format!(
-                "func f{i}(%0 x: int) -> int {{\n  local %1 y: int*\nbb0:\n  \
-                 %1 = copy $g\n  ret %0\n}}\n"
-            ));
-        }
-        let seq = parse_module(&src).unwrap();
-        for threads in [1, 2, 4] {
-            let par = parse_module_parallel(&src, threads).unwrap();
-            assert_eq!(seq.to_text(), par.to_text(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_parse_reports_lowest_index_error() {
-        let src = "module \"e\"\nfunc a() -> void {\nbb0:\n  bogus\n}\n\
-                   func b() -> void {\nbb0:\n  also_bogus\n}\n";
-        let seq = parse_module(src).unwrap_err();
-        let par = parse_module_parallel(src, 4).unwrap_err();
-        assert_eq!(seq.msg, par.msg);
-        assert!(seq.msg.contains("bogus"));
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Analysis {
     /// [`Analysis::try_run_full`] with pre-recorded frontend constraint
     /// blocks: constraint generation replays `blocks` for every function
     /// the context plan does not affect, producing a program identical to
-    /// full live generation.
+    /// one generated without them.
     pub fn try_run_full_fe(
         module: &Module,
         opts: &SolveOptions,

@@ -1,25 +1,26 @@
-//! Position-independent per-function constraint blocks.
+//! Per-function constraint blocks: the one place IR instructions are mapped
+//! to the primitive constraints of Table 1 (paper §2.1).
 //!
-//! A [`FuncBlock`] is the constraint-generation trace of one function with
-//! every module-position-dependent value made symbolic: locals of the
-//! function itself become [`SymRef::SelfLocal`], its allocation sites become
-//! self-relative [`SymSite`]s, and only the identities a body *textually*
-//! names (callee functions, globals) remain absolute. Replaying a block
-//! against a [`NodeTable`](crate::node::NodeTable) performs exactly the same
-//! primitive-call sequence as [`gen::generate`](crate::gen::generate) would
-//! for that function, so splicing cached blocks for unchanged functions into
-//! a fresh generation run yields a byte-identical [`Program`]
-//! (crate::gen::Program) — the invariant the frontend cache's differential
-//! tests pin.
+//! [`build_func_block`] records one function as a [`FuncBlock`]: the exact
+//! sequence of node-table resolutions and constraint emissions that
+//! generating it performs. Every module-position-dependent value is
+//! symbolic: locals of the function itself become [`SymRef::SelfLocal`],
+//! its allocation sites and callsites become self-relative [`SelfLoc`]s,
+//! and only the identities a body *textually* names (callee functions,
+//! globals) remain absolute. [`generate_spliced`](crate::gen::generate_spliced)
+//! replays blocks against one fresh node table to build the
+//! [`Program`](crate::gen::Program). The op order is the order node ids are
+//! assigned in, so a block yields the same program whether it was just
+//! recorded or decoded from the frontend cache.
 //!
-//! Blocks are *plan-free*: the context-sensitivity bypass of
-//! [`CtxPlan`] rewrites both a planned function's own body (skipped stores,
-//! bypassed returns) and every direct caller's callsites (per-site dummy
-//! replication). [`plan_affected`] computes that set so the splicer can fall
-//! back to live generation for exactly those functions; everything else
-//! replays. With an empty plan — the baseline configuration every cached
-//! solve family starts from — the affected set is empty and all blocks
-//! replay.
+//! Under a [`CtxPlan`] (the §4.4 context-sensitivity bypass) recording
+//! differs in exactly the functions [`plan_affected`] names: a planned
+//! function skips its critical stores and returns, and each direct caller
+//! replicates them per callsite through fresh [`SymRef::CtxDummy`] nodes.
+//! The frontend caches *plan-free* blocks; the generator re-records the
+//! affected functions under the plan and replays the cached blocks of all
+//! others. With an empty plan — the baseline every cached solve family
+//! starts from — the affected set is empty and every cached block replays.
 
 use std::collections::HashSet;
 
@@ -29,15 +30,15 @@ use kaleidoscope_ir::{
     Operand, Terminator, Type,
 };
 
-use crate::ctxplan::CtxPlan;
+use crate::ctxplan::{ChainStep, CriticalFlow, CtxPlan, FuncCtxPlan};
 
 /// A `(block, instruction)` coordinate within the block's own function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SelfLoc {
     /// Block index within the function.
     pub block: u32,
     /// Instruction index within the block (`insts.len()` addresses the
-    /// terminator, matching live generation's return-flow location).
+    /// terminator, the location of the return-value flow).
     pub inst: u32,
 }
 
@@ -78,11 +79,18 @@ pub enum SymRef {
     GlobalAddr(GlobalId),
     /// The address constant of a function.
     FuncAddr(FuncId),
+    /// The `seq`-th context dummy of a callsite (the `cbs0`/`cbs1` nodes of
+    /// Figure 8). Replay creates it on its first resolution.
+    CtxDummy {
+        /// The callsite.
+        site: SelfLoc,
+        /// Index of the dummy within the callsite.
+        seq: u32,
+    },
 }
 
-/// Self-relative [`Origin`](crate::gen::Origin). `Init` and `CtxBypass`
-/// never appear: address-constant seeding is implied by reference
-/// resolution, and bypass edges only exist in live-generated functions.
+/// Self-relative [`Origin`](crate::gen::Origin). `Init` never appears:
+/// address-constant seeding is implied by reference resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SymOrigin {
     /// The instruction (or terminator) at this self-relative location.
@@ -96,6 +104,11 @@ pub enum SymOrigin {
     },
     /// Return-value flow at a direct callsite.
     CallRet {
+        /// The callsite.
+        site: SelfLoc,
+    },
+    /// Added by the context-sensitivity bypass for this callsite.
+    CtxBypass {
         /// The callsite.
         site: SelfLoc,
     },
@@ -159,23 +172,21 @@ pub enum SymConstraintKind {
     },
 }
 
-/// One step of the recorded generation trace. Replay applies ops in order
-/// against the shared node table, reproducing live generation's exact
-/// node-creation sequence.
+/// One step of a recorded generation trace. Replay applies ops in order
+/// against the shared node table; their order is the node-creation order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockOp {
     /// Ensure the abstract object for a self-owned allocation site exists
-    /// (mirrors `NodeTable::object`).
+    /// (`NodeTable::object`).
     Obj {
         /// The allocation site.
         site: SymSite,
         /// The allocated type, if known.
         ty: Option<Type>,
     },
-    /// Resolve a reference for its node-creation side effect (mirrors each
-    /// `op_node`/`local_node`/`ret_node` call of live generation, in order).
-    /// For address constants this includes pushing the seeding `AddrOf` on
-    /// first creation.
+    /// Resolve a reference for its node-creation side effect. For address
+    /// constants this includes pushing the seeding `AddrOf` on first
+    /// creation.
     Touch(SymRef),
     /// Push a constraint whose references were already touched.
     Push {
@@ -197,10 +208,10 @@ pub enum BlockOp {
     },
 }
 
-/// The recorded, plan-free constraint-generation trace of one function.
+/// The recorded constraint-generation trace of one function.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FuncBlock {
-    /// The trace, in live generation order.
+    /// The trace, in replay order.
     pub ops: Vec<BlockOp>,
 }
 
@@ -277,7 +288,8 @@ impl ModuleBlocks {
 /// The functions whose generated constraints depend on `plan`: the planned
 /// functions themselves (skipped stores / bypassed returns) plus every
 /// function with a direct call to one (per-callsite replication). These must
-/// be generated live; all other functions' blocks replay unchanged.
+/// be recorded under the plan; all other functions' plan-free blocks replay
+/// unchanged.
 pub fn plan_affected(module: &Module, plan: Option<&CtxPlan>) -> HashSet<FuncId> {
     let mut affected = HashSet::new();
     let Some(plan) = plan else {
@@ -314,20 +326,40 @@ fn sym_op(op: Operand) -> Option<SymRef> {
     }
 }
 
-/// Record the plan-free generation trace of one function.
+/// Record the plan-free generation trace of one function (the form the
+/// frontend cache stores).
 pub fn build_func_block(module: &Module, fid: FuncId) -> FuncBlock {
     let mut ops = Vec::new();
-    let func = module.func(fid);
-    for (bid, block) in func.iter_blocks() {
+    record_func(module, fid, None, &mut ops);
+    FuncBlock { ops }
+}
+
+/// Append the generation trace of function `fid` under `plan` to `ops`.
+pub(crate) fn record_func(
+    module: &Module,
+    fid: FuncId,
+    plan: Option<&CtxPlan>,
+    ops: &mut Vec<BlockOp>,
+) {
+    let own = plan.and_then(|p| p.for_func(fid));
+    // A bypassed store or return emits nothing here, not even its touches:
+    // every direct callsite replicates it instead.
+    let bypass_ret = own.is_some_and(FuncCtxPlan::bypasses_ret);
+    for (bid, block) in module.func(fid).iter_blocks() {
         for (i, inst) in block.insts.iter().enumerate() {
             let loc = SelfLoc {
                 block: bid.0,
                 inst: i as u32,
             };
-            rec_inst(module, &mut ops, loc, inst);
+            if matches!(inst, Inst::Store { .. })
+                && own.is_some_and(|p| p.bypassed_stores().any(|l| l == loc.rebase(fid)))
+            {
+                continue;
+            }
+            rec_inst(module, plan, ops, loc, inst);
         }
         if let Terminator::Ret(Some(op)) = &block.term {
-            if let Some(src) = sym_op(*op) {
+            if let Some(src) = sym_op(*op).filter(|_| !bypass_ret) {
                 let loc = SelfLoc {
                     block: bid.0,
                     inst: block.insts.len() as u32,
@@ -344,12 +376,17 @@ pub fn build_func_block(module: &Module, fid: FuncId) -> FuncBlock {
             }
         }
     }
-    FuncBlock { ops }
 }
 
-/// Record one instruction, touching references in exactly the order live
-/// generation resolves them.
-fn rec_inst(module: &Module, ops: &mut Vec<BlockOp>, loc: SelfLoc, inst: &Inst) {
+/// Record one instruction: touch each reference in the order generation
+/// resolves it, then push the constraint.
+fn rec_inst(
+    module: &Module,
+    plan: Option<&CtxPlan>,
+    ops: &mut Vec<BlockOp>,
+    loc: SelfLoc,
+    inst: &Inst,
+) {
     let simple = |ops: &mut Vec<BlockOp>,
                   src: Option<SymRef>,
                   dst: LocalId,
@@ -404,16 +441,10 @@ fn rec_inst(module: &Module, ops: &mut Vec<BlockOp>, loc: SelfLoc, inst: &Inst) 
             });
         }
         Inst::Store { dst, src } => {
-            // Live generation resolves both operands unconditionally (tuple
-            // evaluation) before checking either; replicate the touches.
+            // Both operands are resolved before either is checked.
             let addr = sym_op(*dst);
             let src = sym_op(*src);
-            if let Some(a) = addr {
-                ops.push(BlockOp::Touch(a));
-            }
-            if let Some(s) = src {
-                ops.push(BlockOp::Touch(s));
-            }
+            ops.extend(addr.into_iter().chain(src).map(BlockOp::Touch));
             if let (Some(addr), Some(src)) = (addr, src) {
                 ops.push(BlockOp::Push {
                     kind: SymConstraintKind::Store { addr, src },
@@ -459,19 +490,45 @@ fn rec_inst(module: &Module, ops: &mut Vec<BlockOp>, loc: SelfLoc, inst: &Inst) 
                     });
                 }
             }
+            let planned = plan.and_then(|p| p.for_func(*callee));
             if let Some(dst) = dst {
-                // The destination local is resolved even for void callees,
-                // exactly as live generation does.
+                // The destination local is resolved even when nothing flows
+                // into it (a void callee, constant actuals).
                 let d = SymRef::SelfLocal(*dst);
                 ops.push(BlockOp::Touch(d));
-                if callee_func.ret_ty != Type::Void {
-                    let r = SymRef::CalleeRet(*callee);
-                    ops.push(BlockOp::Touch(r));
-                    ops.push(BlockOp::Push {
-                        kind: SymConstraintKind::Copy { dst: d, src: r },
-                        origin: SymOrigin::CallRet { site: loc },
-                    });
+                match planned.filter(|p| p.bypasses_ret()) {
+                    // The callee's return edge is bypassed: copy each
+                    // returned actual straight into the destination.
+                    Some(p) => {
+                        for flow in &p.flows {
+                            let CriticalFlow::Ret { param } = flow else {
+                                continue;
+                            };
+                            if let Some(actual) = args.get(*param).and_then(|a| sym_op(*a)) {
+                                ops.push(BlockOp::Touch(actual));
+                                ops.push(BlockOp::Push {
+                                    kind: SymConstraintKind::Copy {
+                                        dst: d,
+                                        src: actual,
+                                    },
+                                    origin: SymOrigin::CtxBypass { site: loc },
+                                });
+                            }
+                        }
+                    }
+                    None if callee_func.ret_ty != Type::Void => {
+                        let r = SymRef::CalleeRet(*callee);
+                        ops.push(BlockOp::Touch(r));
+                        ops.push(BlockOp::Push {
+                            kind: SymConstraintKind::Copy { dst: d, src: r },
+                            origin: SymOrigin::CallRet { site: loc },
+                        });
+                    }
+                    None => {}
                 }
+            }
+            if let Some(p) = planned {
+                rec_store_replicas(ops, loc, args, p);
             }
         }
         Inst::CallInd { dst, callee, args } => {
@@ -493,6 +550,52 @@ fn rec_inst(module: &Module, ops: &mut Vec<BlockOp>, loc: SelfLoc, inst: &Inst) 
                 });
             }
         }
+    }
+}
+
+/// Replicate a planned callee's critical stores at one callsite: rebuild
+/// each address chain from the *actual* base argument through fresh
+/// per-callsite dummies, then store the actual source argument through it.
+fn rec_store_replicas(ops: &mut Vec<BlockOp>, site: SelfLoc, args: &[Operand], plan: &FuncCtxPlan) {
+    let origin = SymOrigin::CtxBypass { site };
+    let mut seq = 0u32;
+    for flow in &plan.flows {
+        let CriticalFlow::Store {
+            base_param,
+            addr_chain,
+            src_param,
+            ..
+        } = flow
+        else {
+            continue;
+        };
+        // Both actuals are resolved before either is checked.
+        let base = args.get(*base_param).and_then(|a| sym_op(*a));
+        let src = args.get(*src_param).and_then(|a| sym_op(*a));
+        ops.extend(base.into_iter().chain(src).map(BlockOp::Touch));
+        let (Some(mut cur), Some(src)) = (base, src) else {
+            continue;
+        };
+        for step in addr_chain {
+            let d = SymRef::CtxDummy { site, seq };
+            seq += 1;
+            ops.push(BlockOp::Touch(d));
+            let kind = match *step {
+                ChainStep::Field(idx) => SymConstraintKind::Field {
+                    dst: d,
+                    base: cur,
+                    idx,
+                },
+                ChainStep::Load => SymConstraintKind::Load { dst: d, addr: cur },
+                ChainStep::Elem => SymConstraintKind::Elem { dst: d, base: cur },
+            };
+            ops.push(BlockOp::Push { kind, origin });
+            cur = d;
+        }
+        ops.push(BlockOp::Push {
+            kind: SymConstraintKind::Store { addr: cur, src },
+            origin,
+        });
     }
 }
 
@@ -561,6 +664,11 @@ fn encode_ref(w: &mut ByteWriter, r: SymRef) {
             w.u8(5);
             w.uint(f.0 as u64);
         }
+        SymRef::CtxDummy { site, seq } => {
+            w.u8(6);
+            encode_loc(w, site);
+            w.uint(seq as u64);
+        }
     }
 }
 
@@ -572,6 +680,10 @@ fn decode_ref(r: &mut ByteReader<'_>) -> Result<SymRef, CodecError> {
         3 => SymRef::CalleeRet(FuncId(r.u32()?)),
         4 => SymRef::GlobalAddr(GlobalId(r.u32()?)),
         5 => SymRef::FuncAddr(FuncId(r.u32()?)),
+        6 => SymRef::CtxDummy {
+            site: decode_loc(r)?,
+            seq: r.u32()?,
+        },
         _ => return Err(bad("bad ref tag")),
     })
 }
@@ -591,6 +703,10 @@ fn encode_origin(w: &mut ByteWriter, o: SymOrigin) {
             w.u8(2);
             encode_loc(w, site);
         }
+        SymOrigin::CtxBypass { site } => {
+            w.u8(3);
+            encode_loc(w, site);
+        }
     }
 }
 
@@ -602,6 +718,9 @@ fn decode_origin(r: &mut ByteReader<'_>) -> Result<SymOrigin, CodecError> {
             idx: r.uint()? as usize,
         },
         2 => SymOrigin::CallRet {
+            site: decode_loc(r)?,
+        },
+        3 => SymOrigin::CtxBypass {
             site: decode_loc(r)?,
         },
         _ => return Err(bad("bad origin tag")),
@@ -834,27 +953,76 @@ mod tests {
         m
     }
 
+    /// A plan for [`sample_module`]'s `callee`: a three-step Store chain
+    /// from its parameter into itself, and its return bypassed.
+    fn sample_plan() -> CtxPlan {
+        let mut plan = CtxPlan::new();
+        let store = CriticalFlow::Store {
+            loc: InstLoc::new(FuncId(0), BlockId(0), 0),
+            base_param: 0,
+            addr_chain: vec![ChainStep::Field(0), ChainStep::Load, ChainStep::Elem],
+            src_param: 0,
+        };
+        let flows = vec![store, CriticalFlow::Ret { param: 0 }];
+        plan.funcs.insert(FuncId(0), FuncCtxPlan { flows });
+        plan
+    }
+
+    fn record(m: &Module, fid: FuncId, plan: Option<&CtxPlan>) -> FuncBlock {
+        let mut ops = Vec::new();
+        record_func(m, fid, plan, &mut ops);
+        FuncBlock { ops }
+    }
+
     #[test]
     fn block_round_trips_through_codec() {
         let m = sample_module();
-        for (fid, _) in m.iter_funcs() {
-            let block = build_func_block(&m, fid);
-            let bytes = block.to_bytes();
-            assert_eq!(FuncBlock::from_bytes(&bytes).unwrap(), block);
+        let plan = sample_plan();
+        for plan in [None, Some(&plan)] {
+            for (fid, _) in m.iter_funcs() {
+                let block = record(&m, fid, plan);
+                let bytes = block.to_bytes();
+                assert_eq!(FuncBlock::from_bytes(&bytes).unwrap(), block);
+            }
         }
     }
 
     #[test]
     fn truncated_block_bytes_are_an_error() {
         let m = sample_module();
-        let block = build_func_block(&m, FuncId(1));
-        let bytes = block.to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                FuncBlock::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} decoded"
-            );
+        let plan = sample_plan();
+        for plan in [None, Some(&plan)] {
+            let bytes = record(&m, FuncId(1), plan).to_bytes();
+            for cut in 0..bytes.len() {
+                assert!(
+                    FuncBlock::from_bytes(&bytes[..cut]).is_err(),
+                    "cut at {cut} decoded"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn planned_callsite_records_the_bypass() {
+        let m = sample_module();
+        let plan = sample_plan();
+        let main = record(&m, FuncId(1), Some(&plan)).ops;
+        let count = |pred: fn(&BlockOp) -> bool| main.iter().filter(|op| pred(op)).count();
+        let dummies = count(|op| matches!(op, BlockOp::Touch(SymRef::CtxDummy { .. })));
+        assert_eq!(dummies, 3, "one dummy per chain step");
+        let bypass = count(|op| {
+            matches!(
+                op,
+                BlockOp::Push {
+                    origin: SymOrigin::CtxBypass { .. },
+                    ..
+                }
+            )
+        });
+        assert_eq!(bypass, 5, "three chain steps, the store, the return copy");
+        // The planned callee records no return edge.
+        let callee = record(&m, FuncId(0), Some(&plan)).ops;
+        assert!(!callee.contains(&BlockOp::Touch(SymRef::SelfRet)));
     }
 
     #[test]

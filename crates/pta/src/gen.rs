@@ -1,20 +1,30 @@
 //! Constraint generation (the "modeling phase" of paper §2.1).
 //!
-//! Walks a module and produces the primitive constraints of Table 1:
-//! Addr-Of, Copy, Load, Store, and Field-Of, plus the two forms the solver
-//! treats specially — arbitrary pointer arithmetic and array element
-//! addresses — and the indirect-call records resolved on the fly.
+//! Produces the primitive constraints of Table 1 — Addr-Of, Copy, Load,
+//! Store, and Field-Of, plus the two forms the solver treats specially
+//! (arbitrary pointer arithmetic and array element addresses) — and the
+//! indirect-call records resolved on the fly.
 //!
+//! The mapping from instructions to constraints lives in [`crate::block`]
+//! alone: each function is recorded as a self-relative
+//! [`FuncBlock`](crate::block::FuncBlock) trace, and this module replays
+//! the traces in function order against one fresh [`NodeTable`], turning
+//! symbolic references into node ids. A trace is
+//! either a cached plan-free block from the frontend or a fresh recording.
 //! When a [`CtxPlan`] is supplied (the optimistic context-sensitivity
-//! policy), the critical store/return statements it names are *skipped*
-//! here and replicated per direct callsite through fresh dummy nodes.
+//! policy), every function it affects is recorded afresh under the plan:
+//! the critical store/return statements it names are skipped and
+//! replicated per direct callsite through fresh dummy nodes.
 
-use kaleidoscope_ir::{FuncId, Inst, InstLoc, LocalId, Module, Operand, Terminator, Type};
+use std::collections::HashMap;
+
+use kaleidoscope_ir::{FuncId, InstLoc, Module, Type};
 
 use crate::block::{
-    plan_affected, BlockOp, FuncBlock, ModuleBlocks, SymConstraintKind, SymOrigin, SymRef, SymSite,
+    plan_affected, record_func, BlockOp, ModuleBlocks, SelfLoc, SymConstraintKind, SymOrigin,
+    SymRef, SymSite,
 };
-use crate::ctxplan::{ChainStep, CriticalFlow, CtxPlan};
+use crate::ctxplan::CtxPlan;
 use crate::node::{NodeId, NodeTable, ObjId, ObjSite};
 
 /// Why a primitive constraint exists.
@@ -175,12 +185,13 @@ pub struct Program {
     pub icalls: Vec<IndirectCall>,
 }
 
-struct Gen<'m> {
-    module: &'m Module,
+struct Gen {
     nodes: NodeTable,
     constraints: Vec<Constraint>,
     icalls: Vec<IndirectCall>,
-    ctx_plan: Option<&'m CtxPlan>,
+    /// Context dummies of the function being replayed, by callsite and
+    /// sequence number.
+    dummies: HashMap<(SelfLoc, u32), NodeId>,
 }
 
 /// Generate the constraint program for a module.
@@ -191,26 +202,27 @@ pub fn generate(module: &Module, ctx_plan: Option<&CtxPlan>) -> Program {
     generate_spliced(module, ctx_plan, None)
 }
 
-/// Generate the constraint program, replaying pre-recorded [`FuncBlock`]s
-/// for every function the context plan does not touch.
+/// Generate the constraint program, replaying pre-recorded plan-free
+/// [`FuncBlock`](crate::block::FuncBlock)s for every function the context
+/// plan does not touch.
 ///
 /// `blocks` must be index-aligned with `Module::iter_funcs` (ignored when
-/// the lengths disagree). Replay performs exactly the primitive-call
-/// sequence live generation would, so the resulting [`Program`] is
-/// identical — node ids, constraint order, everything — to a fresh
-/// [`generate`]. Functions in [`plan_affected`] are always generated live,
-/// because the bypass rewrites their bodies and callsites.
+/// the lengths disagree). Functions in [`plan_affected`], and all functions
+/// when `blocks` is absent, are recorded afresh under the plan into one
+/// reused buffer and replayed from there. Recording a function the plan
+/// does not affect yields exactly its plan-free block, so the resulting
+/// [`Program`] is identical — node ids, constraint order, everything —
+/// whichever blocks come from a cache.
 pub fn generate_spliced(
     module: &Module,
     ctx_plan: Option<&CtxPlan>,
     blocks: Option<&ModuleBlocks>,
 ) -> Program {
     let mut g = Gen {
-        module,
         nodes: NodeTable::new(),
         constraints: Vec::new(),
         icalls: Vec::new(),
-        ctx_plan,
+        dummies: HashMap::new(),
     };
     // Pre-create objects for globals and functions so their ids are stable
     // regardless of reference order.
@@ -221,20 +233,17 @@ pub fn generate_spliced(
         g.nodes
             .object(ObjSite::Func(fid), Some(Type::Func(f.sig())));
     }
-    match blocks {
-        Some(bs) if bs.funcs.len() == module.iter_funcs().count() => {
-            let affected = plan_affected(module, ctx_plan);
-            for (i, (fid, _)) in module.iter_funcs().enumerate() {
-                if affected.contains(&fid) {
-                    g.gen_func(fid);
-                } else {
-                    g.replay_block(fid, &bs.funcs[i]);
-                }
-            }
-        }
-        _ => {
-            for (fid, _) in module.iter_funcs() {
-                g.gen_func(fid);
+    let cached = blocks
+        .filter(|bs| bs.funcs.len() == module.iter_funcs().count())
+        .map(|bs| (bs, plan_affected(module, ctx_plan)));
+    let mut ops = Vec::new();
+    for (i, (fid, _)) in module.iter_funcs().enumerate() {
+        match &cached {
+            Some((bs, affected)) if !affected.contains(&fid) => g.replay(fid, &bs.funcs[i].ops),
+            _ => {
+                ops.clear();
+                record_func(module, fid, ctx_plan, &mut ops);
+                g.replay(fid, &ops);
             }
         }
     }
@@ -245,28 +254,15 @@ pub fn generate_spliced(
     }
 }
 
-impl<'m> Gen<'m> {
-    fn op_node(&mut self, f: FuncId, op: Operand) -> Option<NodeId> {
-        match op {
-            Operand::Local(l) => Some(self.nodes.local_node(f, l)),
-            Operand::Global(gid) => {
-                let obj = self
-                    .nodes
-                    .object_at(ObjSite::Global(gid))
-                    .expect("globals pre-created");
-                Some(self.addr_const(obj))
-            }
-            Operand::Func(fid) => {
-                let obj = self
-                    .nodes
-                    .object_at(ObjSite::Func(fid))
-                    .expect("functions pre-created");
-                Some(self.addr_const(obj))
-            }
-            Operand::ConstInt(_) | Operand::Null => None,
-        }
+/// The concrete allocation site of a self-relative one in function `fid`.
+fn obj_site(fid: FuncId, site: SymSite) -> ObjSite {
+    match site {
+        SymSite::Stack(l) => ObjSite::Stack(l.rebase(fid)),
+        SymSite::Heap(l) => ObjSite::Heap(l.rebase(fid)),
     }
+}
 
+impl Gen {
     fn addr_const(&mut self, obj: ObjId) -> NodeId {
         let existed = self.nodes.len();
         let n = self.nodes.addr_node(obj);
@@ -280,8 +276,7 @@ impl<'m> Gen<'m> {
         n
     }
 
-    /// Resolve a self-relative reference, creating the node if needed —
-    /// the replay counterpart of `op_node`/`local_node`/`ret_node`.
+    /// Resolve a self-relative reference, creating the node if needed.
     fn resolve_ref(&mut self, fid: FuncId, r: SymRef) -> NodeId {
         match r {
             SymRef::SelfLocal(l) => self.nodes.local_node(fid, l),
@@ -302,30 +297,26 @@ impl<'m> Gen<'m> {
                     .expect("functions pre-created");
                 self.addr_const(obj)
             }
+            SymRef::CtxDummy { site, seq } => *self
+                .dummies
+                .entry((site, seq))
+                .or_insert_with(|| self.nodes.ctx_dummy(site.rebase(fid), seq, None)),
         }
     }
 
     fn site_obj(&mut self, fid: FuncId, site: SymSite) -> ObjId {
-        let site = match site {
-            SymSite::Stack(l) => ObjSite::Stack(l.rebase(fid)),
-            SymSite::Heap(l) => ObjSite::Heap(l.rebase(fid)),
-        };
         self.nodes
-            .object_at(site)
+            .object_at(obj_site(fid, site))
             .expect("block Obj op precedes uses")
     }
 
-    /// Replay a recorded plan-free block for function `fid`, reproducing
-    /// live generation's exact node-creation and constraint order.
-    fn replay_block(&mut self, fid: FuncId, block: &FuncBlock) {
-        for op in &block.ops {
+    /// Replay the recorded trace of function `fid`.
+    fn replay(&mut self, fid: FuncId, ops: &[BlockOp]) {
+        self.dummies.clear();
+        for op in ops {
             match op {
                 BlockOp::Obj { site, ty } => {
-                    let site = match site {
-                        SymSite::Stack(l) => ObjSite::Stack(l.rebase(fid)),
-                        SymSite::Heap(l) => ObjSite::Heap(l.rebase(fid)),
-                    };
-                    self.nodes.object(site, ty.clone());
+                    self.nodes.object(obj_site(fid, *site), ty.clone());
                 }
                 BlockOp::Touch(r) => {
                     self.resolve_ref(fid, *r);
@@ -374,6 +365,9 @@ impl<'m> Gen<'m> {
                         SymOrigin::CallRet { site } => Origin::CallRet {
                             site: site.rebase(fid),
                         },
+                        SymOrigin::CtxBypass { site } => Origin::CtxBypass {
+                            site: site.rebase(fid),
+                        },
                     };
                     self.constraints.push(Constraint { kind, origin });
                 }
@@ -399,236 +393,13 @@ impl<'m> Gen<'m> {
             }
         }
     }
-
-    fn gen_func(&mut self, fid: FuncId) {
-        let func = self.module.func(fid);
-        let plan = self.ctx_plan.and_then(|p| p.for_func(fid)).cloned();
-        let bypassed_stores: Vec<InstLoc> = plan
-            .as_ref()
-            .map(|p| p.bypassed_stores().collect())
-            .unwrap_or_default();
-        let bypass_ret = plan.as_ref().is_some_and(|p| p.bypasses_ret());
-
-        for (bid, block) in func.iter_blocks() {
-            for (i, inst) in block.insts.iter().enumerate() {
-                let loc = InstLoc::new(fid, bid, i as u32);
-                self.gen_inst(fid, loc, inst, &bypassed_stores);
-            }
-            // Return-value flow: the terminator gets a location one past the
-            // last instruction of its block.
-            if let Terminator::Ret(Some(op)) = &block.term {
-                if !bypass_ret {
-                    if let Some(src) = self.op_node(fid, *op) {
-                        let ret = self.nodes.ret_node(fid);
-                        let loc = InstLoc::new(fid, bid, block.insts.len() as u32);
-                        self.constraints.push(Constraint {
-                            kind: ConstraintKind::Copy { dst: ret, src },
-                            origin: Origin::Inst(loc),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    fn gen_inst(&mut self, fid: FuncId, loc: InstLoc, inst: &Inst, bypassed: &[InstLoc]) {
-        match inst {
-            Inst::Alloca { dst, ty } => {
-                let obj = self.nodes.object(ObjSite::Stack(loc), Some(ty.clone()));
-                let dst = self.nodes.local_node(fid, *dst);
-                self.constraints.push(Constraint {
-                    kind: ConstraintKind::AddrOf { dst, obj },
-                    origin: Origin::Inst(loc),
-                });
-            }
-            Inst::HeapAlloc { dst, ty } => {
-                let obj = self.nodes.object(ObjSite::Heap(loc), ty.clone());
-                let dst = self.nodes.local_node(fid, *dst);
-                self.constraints.push(Constraint {
-                    kind: ConstraintKind::AddrOf { dst, obj },
-                    origin: Origin::Inst(loc),
-                });
-            }
-            Inst::Copy { dst, src } => {
-                if let Some(src) = self.op_node(fid, *src) {
-                    let dst = self.nodes.local_node(fid, *dst);
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Copy { dst, src },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::Load { dst, src } => {
-                if let Some(addr) = self.op_node(fid, *src) {
-                    let dst = self.nodes.local_node(fid, *dst);
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Load { dst, addr },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::Store { dst, src } => {
-                if bypassed.contains(&loc) {
-                    return;
-                }
-                if let (Some(addr), Some(src)) = (self.op_node(fid, *dst), self.op_node(fid, *src))
-                {
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Store { addr, src },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::FieldAddr { dst, base, field } => {
-                if let Some(base) = self.op_node(fid, *base) {
-                    let dst = self.nodes.local_node(fid, *dst);
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Field {
-                            dst,
-                            base,
-                            idx: *field,
-                        },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::PtrArith { dst, base, .. } => {
-                if let Some(base) = self.op_node(fid, *base) {
-                    let dst = self.nodes.local_node(fid, *dst);
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::PtrArith { dst, base, loc },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::ElemAddr { dst, base, .. } => {
-                if let Some(base) = self.op_node(fid, *base) {
-                    let dst = self.nodes.local_node(fid, *dst);
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Elem { dst, base },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::BinOp { .. } | Inst::Input { .. } | Inst::Output { .. } => {}
-            Inst::Call { dst, callee, args } => {
-                self.gen_direct_call(fid, loc, *dst, *callee, args);
-            }
-            Inst::CallInd { dst, callee, args } => {
-                if let Some(fnptr) = self.op_node(fid, *callee) {
-                    let args = args.iter().map(|a| self.op_node(fid, *a)).collect();
-                    let dst = dst.map(|d| self.nodes.local_node(fid, d));
-                    self.icalls.push(IndirectCall {
-                        site: loc,
-                        fnptr,
-                        args,
-                        dst,
-                    });
-                }
-            }
-        }
-    }
-
-    fn gen_direct_call(
-        &mut self,
-        fid: FuncId,
-        site: InstLoc,
-        dst: Option<LocalId>,
-        callee: FuncId,
-        args: &[Operand],
-    ) {
-        let callee_func = self.module.func(callee);
-        let n = args.len().min(callee_func.param_count);
-        for (idx, arg) in args.iter().take(n).enumerate() {
-            if let Some(src) = self.op_node(fid, *arg) {
-                let dst = self.nodes.local_node(callee, LocalId(idx as u32));
-                self.constraints.push(Constraint {
-                    kind: ConstraintKind::Copy { dst, src },
-                    origin: Origin::CallArg { site, idx },
-                });
-            }
-        }
-        let plan = self.ctx_plan.and_then(|p| p.for_func(callee)).cloned();
-        // Return-value flow: bypassed per-callsite if the plan says so.
-        if let Some(dst) = dst {
-            let dst_node = self.nodes.local_node(fid, dst);
-            let bypass_ret = plan.as_ref().is_some_and(|p| p.bypasses_ret());
-            if bypass_ret {
-                for flow in plan.as_ref().map(|p| p.flows.as_slice()).unwrap_or(&[]) {
-                    if let CriticalFlow::Ret { param } = flow {
-                        if let Some(actual) = args.get(*param).and_then(|a| self.op_node(fid, *a)) {
-                            self.constraints.push(Constraint {
-                                kind: ConstraintKind::Copy {
-                                    dst: dst_node,
-                                    src: actual,
-                                },
-                                origin: Origin::CtxBypass { site },
-                            });
-                        }
-                    }
-                }
-            } else if callee_func.ret_ty != Type::Void {
-                let ret = self.nodes.ret_node(callee);
-                self.constraints.push(Constraint {
-                    kind: ConstraintKind::Copy {
-                        dst: dst_node,
-                        src: ret,
-                    },
-                    origin: Origin::CallRet { site },
-                });
-            }
-        }
-        // Store-flow replication: rebuild the address chain per callsite
-        // with the *actual* arguments, through fresh dummy nodes.
-        if let Some(plan) = plan {
-            let mut seq = 0u32;
-            for flow in &plan.flows {
-                if let CriticalFlow::Store {
-                    base_param,
-                    addr_chain,
-                    src_param,
-                    ..
-                } = flow
-                {
-                    let base = args.get(*base_param).and_then(|a| self.op_node(fid, *a));
-                    let src = args.get(*src_param).and_then(|a| self.op_node(fid, *a));
-                    let (Some(base), Some(src)) = (base, src) else {
-                        continue;
-                    };
-                    let mut cur = base;
-                    for step in addr_chain {
-                        let d = self.nodes.ctx_dummy(site, seq, None);
-                        seq += 1;
-                        let kind = match step {
-                            ChainStep::Field(k) => ConstraintKind::Field {
-                                dst: d,
-                                base: cur,
-                                idx: *k,
-                            },
-                            ChainStep::Load => ConstraintKind::Load { dst: d, addr: cur },
-                            ChainStep::Elem => ConstraintKind::Elem { dst: d, base: cur },
-                        };
-                        self.constraints.push(Constraint {
-                            kind,
-                            origin: Origin::CtxBypass { site },
-                        });
-                        cur = d;
-                    }
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Store { addr: cur, src },
-                        origin: Origin::CtxBypass { site },
-                    });
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctxplan::FuncCtxPlan;
-    use kaleidoscope_ir::FunctionBuilder;
+    use crate::ctxplan::{ChainStep, CriticalFlow, FuncCtxPlan};
+    use kaleidoscope_ir::{FunctionBuilder, GlobalId, LocalId, Operand};
 
     fn count_kind(p: &Program, pred: impl Fn(&ConstraintKind) -> bool) -> usize {
         p.constraints.iter().filter(|c| pred(&c.kind)).count()
@@ -712,9 +483,10 @@ mod tests {
         assert!(p.icalls[0].dst.is_none());
     }
 
-    #[test]
-    fn ctx_plan_skips_store_and_replicates_per_callsite() {
-        // ev_queue_insert(b, cb) { *(&b->0) = cb } called from two sites.
+    /// `ev_queue_insert(b, cb) { *(&b->0) = cb }` called from two sites of
+    /// `main`, planned with its store bypassed, plus an `unrelated`
+    /// function the plan does not affect.
+    fn store_flow_module() -> (Module, CtxPlan) {
         let mut m = Module::new("ctx");
         let s = m
             .types
@@ -737,6 +509,13 @@ mod tests {
             b.ret(None);
             b.finish()
         };
+        {
+            let mut b = FunctionBuilder::new(&mut m, "unrelated", vec![], Type::Void);
+            let a = b.alloca("a", Type::Int);
+            b.copy("p", a);
+            b.ret(None);
+            b.finish();
+        }
         let mut b = FunctionBuilder::new(&mut m, "main", vec![], Type::Void);
         let g1 = b.alloca("g1", Type::Struct(s));
         let g2 = b.alloca("g2", Type::Struct(s));
@@ -749,20 +528,21 @@ mod tests {
 
         // The store to bypass is instruction 1 of block 0 of `insert`
         // (0 = field_addr, 1 = store).
-        let store_loc = InstLoc::new(insert, kaleidoscope_ir::BlockId(0), 1);
+        let store = CriticalFlow::Store {
+            loc: InstLoc::new(insert, kaleidoscope_ir::BlockId(0), 1),
+            base_param: 0,
+            addr_chain: vec![ChainStep::Field(0)],
+            src_param: 1,
+        };
         let mut plan = CtxPlan::new();
-        plan.funcs.insert(
-            insert,
-            FuncCtxPlan {
-                flows: vec![CriticalFlow::Store {
-                    loc: store_loc,
-                    base_param: 0,
-                    addr_chain: vec![ChainStep::Field(0)],
-                    src_param: 1,
-                }],
-            },
-        );
+        let flows = vec![store];
+        plan.funcs.insert(insert, FuncCtxPlan { flows });
+        (m, plan)
+    }
 
+    #[test]
+    fn ctx_plan_skips_store_and_replicates_per_callsite() {
+        let (m, plan) = store_flow_module();
         let without = generate(&m, None);
         let with = generate(&m, Some(&plan));
         let stores = |p: &Program| count_kind(p, |k| matches!(k, ConstraintKind::Store { .. }));
@@ -776,6 +556,68 @@ mod tests {
             .count();
         // Per callsite: 1 Field dummy + 1 Store = 2, times 2 callsites.
         assert_eq!(bypass_edges, 4);
+    }
+
+    #[test]
+    fn ctx_plan_bypasses_returns_through_the_splice() {
+        // `id` is planned with a Ret flow. `sink` is a void callee, called
+        // with a destination, whose Ret flow names an out-of-range
+        // parameter. `other` is not plan-affected, so its cached block
+        // replays.
+        let m = kaleidoscope_ir::parse_module(
+            "module \"ret\"\nglobal g: int\n\
+             func id(%0 p: int*) -> int* {\nbb0:\n  ret %0\n}\n\
+             func sink(%0 p: int*) -> void {\nbb0:\n  ret\n}\n\
+             func other() -> void {\n  local %0 a: int*\nbb0:\n  %0 = alloca int\n  ret\n}\n\
+             func main() -> void {\n  local %0 x: int*\n  local %1 r1: int*\n  \
+             local %2 r2: int*\n  local %3 r3: int*\nbb0:\n  %0 = alloca int\n  \
+             %1 = call @id(%0)\n  %2 = call @id($g)\n  %3 = call @sink(%0)\n  ret\n}\n",
+        )
+        .unwrap();
+        let f = |name| m.func_by_name(name).unwrap();
+        let mut plan = CtxPlan::new();
+        for (callee, param) in [("id", 0), ("sink", 7)] {
+            let flows = vec![CriticalFlow::Ret { param }];
+            plan.funcs.insert(f(callee), FuncCtxPlan { flows });
+        }
+
+        let p = generate(&m, Some(&plan));
+        let blocks = crate::block::ModuleBlocks::build(&m);
+        assert_programs_identical(&p, &generate_spliced(&m, Some(&plan), Some(&blocks)));
+        // `id`'s own `ret %0` is bypassed and no callsite reads a return
+        // slot: each `id` call copies its actual into its result, and the
+        // void call's resolved destination receives nothing.
+        assert!(p.nodes.ret_node_opt(f("id")).is_none());
+        let local = |l| p.nodes.local_node_opt(f("main"), LocalId(l)).unwrap();
+        let site = |i| InstLoc::new(f("main"), kaleidoscope_ir::BlockId(0), i);
+        let bypass = |i, dst, src| Constraint {
+            kind: ConstraintKind::Copy { dst, src },
+            origin: Origin::CtxBypass { site: site(i) },
+        };
+        let g = p.nodes.object_at(ObjSite::Global(GlobalId(0))).unwrap();
+        let g_addr = p.nodes.addr_node_opt(g).unwrap();
+        let bypasses: Vec<Constraint> = p
+            .constraints
+            .iter()
+            .filter(|c| matches!(c.origin, Origin::CtxBypass { .. }))
+            .cloned()
+            .collect();
+        assert_eq!(
+            bypasses,
+            [bypass(1, local(1), local(0)), bypass(2, local(2), g_addr)]
+        );
+        assert!(!p
+            .constraints
+            .iter()
+            .any(|c| matches!(c.origin, Origin::CallRet { .. })
+                || matches!(c.kind, ConstraintKind::Copy { dst, .. } if dst == local(3))));
+        // Without the plan both `id` results flow through its return slot.
+        let base = generate(&m, None);
+        let call_rets = base
+            .constraints
+            .iter()
+            .filter(|c| matches!(c.origin, Origin::CallRet { .. }));
+        assert_eq!(call_rets.count(), 2);
     }
 
     #[test]
@@ -863,12 +705,12 @@ mod tests {
     }
 
     #[test]
-    fn spliced_blocks_reproduce_live_generation_exactly() {
+    fn spliced_blocks_reproduce_fresh_recording_exactly() {
         let m = exercise_module();
-        let live = generate(&m, None);
+        let fresh = generate(&m, None);
         let blocks = crate::block::ModuleBlocks::build(&m);
         let spliced = generate_spliced(&m, None, Some(&blocks));
-        assert_programs_identical(&live, &spliced);
+        assert_programs_identical(&fresh, &spliced);
         // Parallel block recording is index-deterministic.
         let par = crate::block::ModuleBlocks::build_parallel(&m, 4);
         assert_eq!(par, blocks);
@@ -881,73 +723,20 @@ mod tests {
                 .collect(),
         };
         let respliced = generate_spliced(&m, None, Some(&decoded));
-        assert_programs_identical(&live, &respliced);
+        assert_programs_identical(&fresh, &respliced);
     }
 
     #[test]
-    fn spliced_generation_with_ctx_plan_regenerates_affected_live() {
-        // Same module/plan as ctx_plan_skips_store_and_replicates_per_callsite,
-        // plus an unrelated function that stays on the replay path.
-        let mut m = Module::new("ctx");
-        let s = m
-            .types
-            .declare("ev_base", vec![Type::ptr(Type::Int)])
-            .unwrap();
-        let insert = {
-            let mut b = FunctionBuilder::new(
-                &mut m,
-                "ev_queue_insert",
-                vec![
-                    ("b", Type::ptr(Type::Struct(s))),
-                    ("cb", Type::ptr(Type::Int)),
-                ],
-                Type::Void,
-            );
-            let base = b.param(0);
-            let cb = b.param(1);
-            let slot = b.field_addr("slot", base, 0);
-            b.store(slot, cb);
-            b.ret(None);
-            b.finish()
-        };
-        {
-            let mut b = FunctionBuilder::new(&mut m, "unrelated", vec![], Type::Void);
-            let a = b.alloca("a", Type::Int);
-            let p = b.alloca("p", Type::ptr(Type::Int));
-            b.store(p, a);
-            b.ret(None);
-            b.finish();
-        }
-        let mut b = FunctionBuilder::new(&mut m, "main", vec![], Type::Void);
-        let g1 = b.alloca("g1", Type::Struct(s));
-        let c1 = b.alloca("c1", Type::Int);
-        b.call("r1", insert, vec![g1.into(), c1.into()]);
-        b.call("r2", insert, vec![g1.into(), c1.into()]);
-        b.ret(None);
-        b.finish();
-
-        let store_loc = InstLoc::new(insert, kaleidoscope_ir::BlockId(0), 1);
-        let mut plan = CtxPlan::new();
-        plan.funcs.insert(
-            insert,
-            FuncCtxPlan {
-                flows: vec![CriticalFlow::Store {
-                    loc: store_loc,
-                    base_param: 0,
-                    addr_chain: vec![ChainStep::Field(0)],
-                    src_param: 1,
-                }],
-            },
-        );
-
+    fn spliced_generation_with_ctx_plan_rerecords_affected() {
+        let (m, plan) = store_flow_module();
         let blocks = crate::block::ModuleBlocks::build(&m);
-        // Baseline plan-free splice matches live.
+        // Baseline plan-free splice matches fresh recording.
         assert_programs_identical(
             &generate(&m, None),
             &generate_spliced(&m, None, Some(&blocks)),
         );
-        // With the plan, affected funcs regenerate live; result still
-        // matches a full live generation under the same plan.
+        // With the plan, affected funcs are re-recorded under it; the
+        // result still matches recording every function under the plan.
         assert_programs_identical(
             &generate(&m, Some(&plan)),
             &generate_spliced(&m, Some(&plan), Some(&blocks)),

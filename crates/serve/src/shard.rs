@@ -7,10 +7,10 @@
 //! deadline ([`mpsc::Receiver::recv_timeout`]); a child that misses its
 //! deadline is killed, not waited on.
 //!
-//! Thread shards run [`handle_request`](crate::worker::handle_request)
-//! in-process. They exist so the protocol/supervisor stack can be tested
-//! (and load-benched) without spawning processes, and they share the
-//! worker code path exactly — same handler, same cache, same rendering.
+//! Thread shards run [`handle_request`] in-process. They exist so the
+//! protocol/supervisor stack can be tested (and load-benched) without
+//! spawning processes, and they share the worker code path exactly — same
+//! handler, same cache, same rendering.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
