@@ -50,7 +50,6 @@ fn start_server_with(
             max_module_bytes: 8 << 20,
             ..TenantQuota::default()
         },
-        shed_jobs: 1,
         breaker,
         ..ServeConfig::default()
     })

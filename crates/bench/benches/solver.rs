@@ -174,8 +174,9 @@ fn main() {
         let opts = SolveOptions::baseline();
         let mut edited = scale.clone();
         kaleidoscope_fuzz::edit::append_function(&mut edited, 0xca1e, 0);
-        let (_, prev_state) = Analysis::try_run_captured(&scale, &opts, None, &mut NullObserver)
-            .expect("unbudgeted solve");
+        let (_, prev_state) =
+            Analysis::try_run_captured_fe(&scale, &opts, None, &mut NullObserver, None)
+                .expect("unbudgeted solve");
         let prev_state = prev_state.expect("converged solve captures a snapshot");
 
         let sample = bench("solver/incr/andersen-100k/cold", scale_iters, || {
@@ -198,7 +199,7 @@ fn main() {
         });
 
         let sample = bench("solver/incr/andersen-100k/warm-edit", scale_iters, || {
-            let _ = Analysis::try_run_incremental(
+            let _ = Analysis::try_run_incremental_fe(
                 &scale,
                 None,
                 &prev_state,
@@ -206,11 +207,13 @@ fn main() {
                 &opts,
                 None,
                 &mut NullObserver,
+                None,
+                None,
             );
         });
         let mut stats = None;
         let (alloc_bytes, alloc_calls) = alloc_traffic(|| {
-            let (a, _) = Analysis::try_run_incremental(
+            let (a, _) = Analysis::try_run_incremental_fe(
                 &scale,
                 None,
                 &prev_state,
@@ -218,6 +221,8 @@ fn main() {
                 &opts,
                 None,
                 &mut NullObserver,
+                None,
+                None,
             )
             .expect("unbudgeted solve");
             stats = Some(a.result.stats);
@@ -247,7 +252,7 @@ fn main() {
         let mut leaf_edited = scale.clone();
         kaleidoscope_fuzz::edit::append_leaf_function(&mut leaf_edited, 0xca1e, 1);
         let sample = bench("solver/incr/andersen-100k/warm-leaf", scale_iters, || {
-            let _ = Analysis::try_run_incremental(
+            let _ = Analysis::try_run_incremental_fe(
                 &scale,
                 None,
                 &prev_state,
@@ -255,11 +260,13 @@ fn main() {
                 &opts,
                 None,
                 &mut NullObserver,
+                None,
+                None,
             );
         });
         let mut stats = None;
         let (alloc_bytes, alloc_calls) = alloc_traffic(|| {
-            let (a, _) = Analysis::try_run_incremental(
+            let (a, _) = Analysis::try_run_incremental_fe(
                 &scale,
                 None,
                 &prev_state,
@@ -267,6 +274,8 @@ fn main() {
                 &opts,
                 None,
                 &mut NullObserver,
+                None,
+                None,
             )
             .expect("unbudgeted solve");
             stats = Some(a.result.stats);

@@ -14,10 +14,10 @@ use kaleidoscope::{analyze, IntrospectionConfig, Introspector, PolicyConfig};
 use kaleidoscope_cfi::harden;
 use kaleidoscope_debloat::DebloatPlan;
 use kaleidoscope_exec::{
-    load_frontend, render_analyze, DiskCache, Executor, FrontendStats, ReportScope,
+    analyze_request, AnalyzeError, AnalyzeRequest, DiskCache, FrontendStats, ModuleSource,
 };
 use kaleidoscope_ir::{parse_module, verify_module, Module};
-use kaleidoscope_pta::{Analysis, SolveBudget, SolveOptions};
+use kaleidoscope_pta::{Analysis, SolveOptions};
 use kaleidoscope_runtime::ViewKind;
 use kaleidoscope_serve::{
     Request, Response, ServeConfig, Server, ShardMode, TenantQuota, WorkerOptions,
@@ -102,9 +102,9 @@ pub fn parse_config(name: &str) -> Result<PolicyConfig, CliError> {
 /// `kaleidoscope analyze` — run the IGO pipeline, print invariants and
 /// points-to statistics for one configuration (or all eight).
 ///
-/// `jobs` sets the executor's worker count (`0` = available parallelism);
-/// `1` forces the legacy serial path. The printed report is identical
-/// either way — configurations of one module share the baseline solve and
+/// `jobs` sets the executor's worker count (`0` = available parallelism;
+/// `1` runs the cells serially). The printed report is identical either
+/// way — configurations of one module share the baseline solve and
 /// context plan through the executor's artifact cache.
 ///
 /// With `stats` set, each configuration row is followed by the solver's
@@ -157,27 +157,36 @@ pub fn cmd_analyze(
     .map(|out| out.report)
 }
 
-/// The result of [`cmd_analyze_full`]: the printed report plus, for
-/// textual-IR sources, the frontend loader's counters (parse/generation
-/// time and per-function cache hits). The counters never appear in the
-/// report text — it stays byte-identical across cold and warm runs.
+/// The result of [`cmd_analyze_full`]: the printed report plus the
+/// frontend loader's counters (parse/generation time and per-function
+/// cache hits). The counters never appear in the report text — it stays
+/// byte-identical across cold and warm runs.
 pub struct AnalyzeOutput {
     /// The analysis report, exactly as `cmd_analyze` returns it.
     pub report: String,
-    /// Frontend counters for textual-IR files; `None` for `.c` sources
-    /// and built-in models, which bypass the cached frontend.
-    pub frontend: Option<FrontendStats>,
+    /// Frontend counters of the load.
+    pub frontend: FrontendStats,
+}
+
+/// The module text of `source`: a textual-IR file as read, a C file
+/// lowered and printed, a built-in model printed.
+fn source_text(source: &Source) -> Result<String, CliError> {
+    match source {
+        Source::File(path) if !path.ends_with(".c") => {
+            std::fs::read_to_string(path).map_err(|e| err(format!("cannot read `{path}`: {e}")))
+        }
+        _ => Ok(load(source)?.to_text()),
+    }
 }
 
 /// Like [`cmd_analyze`], but also returns the frontend loader's counters
 /// so the binary can print a `--stats` breakdown to stderr.
 ///
-/// Textual-IR files go through [`kaleidoscope_exec::load_frontend`]: the
-/// body pass and constraint generation run inline on one worker,
-/// per-function lowered IR + constraint blocks are cached in the disk
-/// cache's `fe/` namespace, and the pre-built blocks are spliced into
-/// every solve via the executor. `.c` sources and
-/// built-in models keep the plain path.
+/// Every source is passed as text to
+/// [`kaleidoscope_exec::analyze_request`], the request function the serve
+/// daemon answers through too: per-function lowered IR and constraint
+/// blocks are cached in the disk cache's `fe/` namespace, and the blocks
+/// are spliced into every solve.
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_analyze_full(
     source: &Source,
@@ -189,10 +198,6 @@ pub fn cmd_analyze_full(
     cache_max_bytes: Option<u64>,
     incremental_from: Option<u64>,
 ) -> Result<AnalyzeOutput, CliError> {
-    let configs: Vec<PolicyConfig> = match config {
-        Some(c) => vec![parse_config(c)?],
-        None => PolicyConfig::table3_order().to_vec(),
-    };
     let cache = DiskCache::resolve(cache_dir)
         .map_err(|e| err(format!("cannot open cache directory: {e}")))?
         .map(|c| std::sync::Arc::new(c.with_max_bytes(cache_max_bytes.unwrap_or(0))));
@@ -202,75 +207,34 @@ pub fn cmd_analyze_full(
              holding the previous revision's snapshot",
         ));
     }
-    // The cache is opened before loading so textual-IR sources can reuse
-    // per-function frontend entries from earlier revisions.
-    let (module, frontend) = match source {
-        Source::File(path) if !path.ends_with(".c") => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
-            let loaded = load_frontend(&text, cache.as_deref(), 1).map_err(|e| {
-                err(format!(
-                    "parse error in `{path}`: {e}\n{}",
-                    e.snippet(&text)
-                ))
-            })?;
-            let problems = verify_module(&loaded.module);
-            if !problems.is_empty() {
-                return Err(err(format!(
-                    "`{path}` failed verification: {}",
-                    problems
-                        .iter()
-                        .map(|p| p.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                )));
-            }
-            (loaded.module, Some((loaded.blocks, loaded.stats)))
-        }
-        _ => (load(source)?, None),
-    };
-    let scope = ReportScope {
-        config: if configs.len() == 1 {
-            Some(configs[0])
-        } else {
-            None
-        },
+    let text = source_text(source)?;
+    let req = AnalyzeRequest {
+        module: ModuleSource::Text(&text),
+        config,
         stats,
-        wave: false,
+        budget,
+        jobs,
+        prev_fingerprint: incremental_from,
+        tenant: None,
     };
-    let fp = module.fingerprint();
-    let fe_stats = frontend.as_ref().map(|(_, s)| *s);
-    if let Some(c) = &cache {
-        let _ = c.put_module(fp, &module.to_text());
-        if let Some(text) = c.get_report(fp, scope) {
-            return Ok(AnalyzeOutput {
-                report: text,
-                frontend: fe_stats,
-            });
+    let answer = analyze_request(&req, cache.as_ref()).map_err(|e| {
+        let name = match source {
+            Source::File(name) | Source::Model(name) => name,
+        };
+        match e {
+            AnalyzeError::Parse(e) => err(format!(
+                "parse error in `{name}`: {e}\n{}",
+                e.snippet(&text)
+            )),
+            AnalyzeError::Verify(problems) => {
+                err(format!("`{name}` failed verification: {problems}"))
+            }
+            other => err(other.to_string()),
         }
-    }
-    let mut ex = Executor::with_jobs(jobs);
-    if let Some((blocks, _)) = frontend {
-        ex = ex.with_frontend(fp, blocks);
-    }
-    if let Some(n) = budget {
-        ex = ex.with_budget(SolveBudget::iterations(n));
-    }
-    if let Some(c) = &cache {
-        ex = ex.with_state_store(c.clone());
-        if let Some(prev) = incremental_from.filter(|&prev| prev != fp) {
-            ex = ex.with_incremental_from(prev);
-        }
-    }
-    let report = render_analyze(&module, &configs, &ex, stats);
-    if let Some(c) = &cache {
-        if report.all_healthy() {
-            let _ = c.put_report(fp, scope, &report.text);
-        }
-    }
+    })?;
     Ok(AnalyzeOutput {
-        report: report.text,
-        frontend: fe_stats,
+        report: answer.report.text,
+        frontend: answer.frontend,
     })
 }
 
@@ -434,9 +398,6 @@ pub struct ServeArgs {
     pub tenant_budget: Option<usize>,
     /// Honor `fault` directives in requests (test deployments only).
     pub unsafe_faults: bool,
-    /// Use in-process thread shards instead of `kd worker` children
-    /// (debugging; loses crash isolation).
-    pub thread_shards: bool,
     /// How long a SIGTERM/SIGINT shutdown waits for in-flight requests
     /// before force-closing connections.
     pub drain_ms: u64,
@@ -459,7 +420,6 @@ impl Default for ServeArgs {
             deadline_ms: 30_000,
             tenant_budget: None,
             unsafe_faults: false,
-            thread_shards: false,
             drain_ms: 5_000,
             breaker_strikes: 3,
             breaker_cooldown_ms: 5_000,
@@ -520,7 +480,7 @@ fn open_serve_cache(
 ///
 /// Prints `kd serve: listening on <addr>` (with the resolved port) to
 /// stdout once the socket is accepting, then blocks. Workers are `kd
-/// worker` child processes of this binary unless `thread_shards` is set.
+/// worker` child processes of this binary.
 ///
 /// On SIGTERM or Ctrl-C the daemon drains instead of dying: in-flight
 /// requests finish and are written, late requests get a typed `draining`
@@ -529,20 +489,11 @@ fn open_serve_cache(
 /// with a one-line drain summary.
 pub fn cmd_serve(args: &ServeArgs) -> Result<(), CliError> {
     let cache = open_serve_cache(args.cache_dir.as_deref(), args.cache_max_bytes)?;
-    let mode = if args.thread_shards {
-        ShardMode::Thread(WorkerOptions {
-            jobs: args.jobs,
-            cache: Some(cache.clone()),
-            unsafe_faults: false,
-        })
-    } else {
-        ShardMode::Process {
-            bin: std::env::current_exe()
-                .map_err(|e| err(format!("cannot locate own binary: {e}")))?,
-            cache_dir: Some(cache.dir().to_path_buf()),
-            unsafe_faults: args.unsafe_faults,
-            jobs: args.jobs,
-        }
+    let mode = ShardMode::Process {
+        bin: std::env::current_exe().map_err(|e| err(format!("cannot locate own binary: {e}")))?,
+        cache_dir: Some(cache.dir().to_path_buf()),
+        unsafe_faults: args.unsafe_faults,
+        jobs: args.jobs,
     };
     let server = Server::start(ServeConfig {
         addr: args.addr.clone(),
@@ -555,7 +506,6 @@ pub fn cmd_serve(args: &ServeArgs) -> Result<(), CliError> {
             max_module_bytes: TenantQuota::default().max_module_bytes,
             budget: args.tenant_budget,
         },
-        shed_jobs: 1,
         breaker: kaleidoscope_serve::BreakerConfig {
             strike_threshold: args.breaker_strikes.max(1),
             cooldown: std::time::Duration::from_millis(args.breaker_cooldown_ms),
@@ -716,11 +666,7 @@ pub fn cmd_request(args: &RequestArgs) -> Result<RequestOutput, CliError> {
             report,
             meta: format!(
                 "kd request: tier={tier} cache={} fingerprint={fingerprint:016x} degraded={degraded}",
-                match cache {
-                    kaleidoscope_serve::CacheDisposition::Hit => "hit",
-                    kaleidoscope_serve::CacheDisposition::Miss => "miss",
-                    kaleidoscope_serve::CacheDisposition::Stored => "stored",
-                }
+                cache.as_str()
             ),
         }),
         Response::Error { error, .. } => Err(err(format!("server refused request: {error}"))),
@@ -777,7 +723,6 @@ SERVING:
     --max-concurrent <n>  serve: tenant solves in flight before shedding
     --deadline-ms <n>  serve: per-request deadline before a worker is killed
     --tenant-budget <n>   serve: cap on per-request solve budgets
-    --thread-shards    serve: in-process shards (no crash isolation)
     --unsafe-faults    serve/worker: honor fault directives (tests only)
     --drain-ms <n>     serve: how long SIGTERM/Ctrl-C waits for in-flight
                        requests before force-closing (default 5000)
@@ -983,15 +928,13 @@ mod tests {
         // a miss, and the counters come back on the side channel.
         let first =
             cmd_analyze_full(&v1_src, None, 1, false, None, Some(&cache_dir), None, None).unwrap();
-        let fe1 = first
-            .frontend
-            .expect("textual-IR source has frontend stats");
+        let fe1 = first.frontend;
         assert_eq!(fe1.fe_cache_hits, 0, "cold revision has no fe hits");
         assert_eq!(fe1.fe_cache_misses, fe1.funcs);
         // v2 differs by one appended function: all shared bodies hit.
         let second =
             cmd_analyze_full(&v2_src, None, 1, false, None, Some(&cache_dir), None, None).unwrap();
-        let fe2 = second.frontend.expect("frontend stats");
+        let fe2 = second.frontend;
         assert_eq!(fe2.funcs, fe1.funcs + 1);
         assert_eq!(
             fe2.fe_cache_hits, fe1.funcs,
@@ -1000,19 +943,62 @@ mod tests {
         assert_eq!(fe2.fe_cache_misses, 1, "only the new function regenerates");
         // The spliced run's report is byte-identical to the cacheless one.
         assert_eq!(second.report, cold);
-        // Models bypass the frontend loader entirely.
-        let model = cmd_analyze_full(
-            &Source::Model("TinyDTLS".into()),
-            None,
-            1,
-            false,
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(model.frontend.is_none());
+        // Models and C sources load through the same frontend: a second
+        // cached run of each splices every function from fe/.
+        for src in [
+            Source::Model("Curl".into()),
+            Source::File(format!("{}/samples/fig7.c", env!("CARGO_MANIFEST_DIR"))),
+        ] {
+            let run = || {
+                cmd_analyze_full(&src, None, 1, false, None, Some(&cache_dir), None, None).unwrap()
+            };
+            let (cold, warm) = (run(), run());
+            assert!(cold.frontend.funcs > 0);
+            assert_eq!(warm.frontend.fe_cache_hits, cold.frontend.funcs, "{src:?}");
+            assert_eq!(warm.report, cold.report);
+        }
+    }
+
+    #[test]
+    fn analyze_cache_dir_warms_a_fingerprint_only_worker_request() {
+        use kaleidoscope_serve::{handle_request, CacheDisposition};
+        let dir = std::env::temp_dir().join(format!("kd-cli-to-worker-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache_dir = dir.to_string_lossy().into_owned();
+        let src = Source::Model("Lighttpd".into());
+        let fp = kaleidoscope_apps::model("Lighttpd")
+            .expect("model")
+            .module
+            .fingerprint();
+        let opts = WorkerOptions {
+            jobs: 1,
+            cache: Some(std::sync::Arc::new(DiskCache::open(&dir).unwrap())),
+            unsafe_faults: false,
+        };
+        for (config, stats) in [(None, false), (Some("kd-ctx-pa"), true)] {
+            let offline =
+                cmd_analyze(&src, config, 1, stats, None, Some(&cache_dir), None, None).unwrap();
+            let req = Request {
+                id: "fp-only".into(),
+                tenant: "default".into(),
+                op: None,
+                module: None,
+                fingerprint: Some(fp),
+                prev_fingerprint: None,
+                config: config.map(str::to_string),
+                stats,
+                budget: None,
+                solver_threads: None,
+                fault: None,
+            };
+            let resp = handle_request(&req, &opts);
+            let Response::Ok { report, cache, .. } = &resp else {
+                panic!("expected ok, got {resp:?}");
+            };
+            assert_eq!(*cache, CacheDisposition::Hit, "{config:?}");
+            assert_eq!(*report, offline, "{config:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

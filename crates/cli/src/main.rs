@@ -32,7 +32,6 @@ struct Args {
     prev_fingerprint: Option<String>,
     fault: Option<String>,
     unsafe_faults: bool,
-    thread_shards: bool,
     drain_ms: u64,
     breaker_strikes: u32,
     breaker_cooldown_ms: u64,
@@ -68,7 +67,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
         prev_fingerprint: None,
         fault: None,
         unsafe_faults: false,
-        thread_shards: false,
         drain_ms: 5_000,
         breaker_strikes: 3,
         breaker_cooldown_ms: 5_000,
@@ -128,7 +126,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
             }
             "--fault" => args.fault = Some(need(&mut argv, "--fault")?),
             "--unsafe-faults" => args.unsafe_faults = true,
-            "--thread-shards" => args.thread_shards = true,
             "--drain-ms" => args.drain_ms = number(&mut argv, "--drain-ms")? as u64,
             "--breaker-strikes" => {
                 args.breaker_strikes = number(&mut argv, "--breaker-strikes")? as u32;
@@ -162,7 +159,6 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
                 deadline_ms: args.deadline_ms,
                 tenant_budget: args.tenant_budget,
                 unsafe_faults: args.unsafe_faults,
-                thread_shards: args.thread_shards,
                 drain_ms: args.drain_ms,
                 breaker_strikes: args.breaker_strikes,
                 breaker_cooldown_ms: args.breaker_cooldown_ms,
@@ -223,12 +219,11 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
             // Frontend counters go to stderr, like `request` metadata: the
             // stdout report stays byte-identical across cold and warm runs.
             if args.stats {
-                if let Some(fe) = out.frontend {
-                    eprintln!(
-                        "frontend: funcs={} fe_cache_hits={} fe_cache_misses={} parse_ms={} gen_ms={}",
-                        fe.funcs, fe.fe_cache_hits, fe.fe_cache_misses, fe.parse_ms, fe.gen_ms
-                    );
-                }
+                let fe = out.frontend;
+                eprintln!(
+                    "frontend: funcs={} fe_cache_hits={} fe_cache_misses={} parse_ms={} gen_ms={}",
+                    fe.funcs, fe.fe_cache_hits, fe.fe_cache_misses, fe.parse_ms, fe.gen_ms
+                );
             }
             Ok(out.report)
         }

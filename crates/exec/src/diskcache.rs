@@ -21,12 +21,12 @@
 //! <cache-dir>/
 //!   modules/<fp:016x>.kir                canonical module text
 //!   reports/<fp:016x>-<scope>-v<N>.txt   healthy analyze report
-//!   reports/<fp:016x>-<scope>-v<N>.sum   "<fnv64:016x> <len>" integrity sidecar
+//!   reports/<fp:016x>-<scope>-v<N>.sum   "<fnv1a64:016x> <len>" integrity sidecar
 //!   state/<fp:016x>-k<key>[c]-v<N>i<M>.bin  solved-state snapshot (incremental)
 //!   state/<fp:016x>-k<key>[c]-v<N>i<M>.sum  integrity sidecar
 //!   fe/<key:016x>-v<F>.bin               per-function frontend cache entry
 //!   fe/<key:016x>-v<F>.sum               integrity sidecar
-//!   heads/t<fnv64(tenant):016x>.fp       tenant's last-served fingerprint
+//!   heads/t<fnv1a64(tenant):016x>.fp     tenant's last-served fingerprint
 //!   quarantine/                          corrupt artifacts parked by recovery
 //! ```
 //!
@@ -84,6 +84,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use kaleidoscope::PolicyConfig;
+use kaleidoscope_ir::fnv1a64;
 
 /// Environment variable naming the shared cache directory.
 pub const CACHE_DIR_ENV: &str = "KD_CACHE_DIR";
@@ -172,20 +173,9 @@ struct Artifact {
     mtime: Option<std::time::SystemTime>,
 }
 
-/// FNV-1a over bytes — same family as the module fingerprint, cheap and
-/// dependency-free.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01B3);
-    }
-    h
-}
-
-/// The integrity sidecar line of an artifact: `"<fnv64:016x> <len>"`.
+/// The integrity sidecar line of an artifact: `"<fnv1a64:016x> <len>"`.
 fn sidecar_line(bytes: &[u8]) -> String {
-    format!("{:016x} {}", fnv64(bytes), bytes.len())
+    format!("{:016x} {}", fnv1a64(&[bytes]), bytes.len())
 }
 
 impl DiskCache {
@@ -563,7 +553,7 @@ impl DiskCache {
         // so odd characters can't escape the directory.
         self.dir
             .join("heads")
-            .join(format!("t{:016x}.fp", fnv64(tenant.as_bytes())))
+            .join(format!("t{:016x}.fp", fnv1a64(&[tenant.as_bytes()])))
     }
 
     /// Record `fp` as the last module fingerprint served for `tenant`

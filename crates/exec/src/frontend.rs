@@ -1,4 +1,4 @@
-//! Cached, parallel analysis frontend: text → module + constraint blocks.
+//! Cached analysis frontend: text → module + constraint blocks.
 //!
 //! [`load_frontend`] is the single entry point the CLI and the serve worker
 //! use to turn module text into (a) a parsed [`Module`] and (b) the
@@ -9,8 +9,8 @@
 //!
 //! # Entry layout and validity
 //!
-//! A cache entry is keyed by `fnv64(FE_CACHE_VERSION ∥ signature text ∥ NUL
-//! ∥ body text)` and stores three sections in one buffer:
+//! A cache entry is keyed by `fnv1a64(FE_CACHE_VERSION ∥ signature text ∥
+//! NUL ∥ body text)` and stores three sections in one buffer:
 //!
 //! 1. **Imports** — every (id, name) the lowered body resolved against the
 //!    module header: referenced functions (with their `param_count` and
@@ -28,14 +28,13 @@
 //! would produce.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use kaleidoscope_ir::codec::{decode_function, encode_function};
 use kaleidoscope_ir::{
-    parse_header, ByteReader, ByteWriter, FuncId, Function, GlobalId, Inst, Module, Operand,
-    ParseError, StructId, Terminator, Type,
+    fnv1a64, parse_header, ByteReader, ByteWriter, FuncId, Function, GlobalId, Inst, Module,
+    Operand, ParseError, StructId, Terminator, Type,
 };
 use kaleidoscope_pta::{build_func_block, FuncBlock, ModuleBlocks};
 
@@ -70,18 +69,6 @@ pub struct LoadedFrontend {
     pub blocks: Arc<ModuleBlocks>,
     /// Load counters.
     pub stats: FrontendStats,
-}
-
-/// FNV-1a over several chunks, as one logical byte stream.
-fn fnv64_chunks(chunks: &[&[u8]]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for c in chunks {
-        for &b in *c {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01B3);
-        }
-    }
-    h
 }
 
 /// Collect every struct id embedded in `ty`, recursively.
@@ -229,51 +216,13 @@ fn decode_entry(
     Some((func, block))
 }
 
-/// Outcome of the per-function parse phase.
-enum Lowered {
-    /// Cache hit: function and block both decoded and validated.
-    Hit(Function, FuncBlock),
-    /// Cache miss (or no cache): body parsed live, block still to record.
-    Parsed(Function),
-}
-
-/// Run `work(i)` for every `i in 0..n` across `workers` scoped threads
-/// using atomic work claiming; results land in index-ordered slots so the
-/// outcome is deterministic regardless of interleaving.
-fn claim_indexed<T: Send>(n: usize, workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    if workers <= 1 || n <= 1 {
-        for (i, s) in slots.iter().enumerate() {
-            *s.lock().expect("work slot lock") = Some(work(i));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let v = work(i);
-                    *slots[i].lock().expect("work slot lock") = Some(v);
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("work slot lock")
-                .expect("work slot filled")
-        })
-        .collect()
-}
-
 /// Parse module text into a module plus replayable constraint blocks,
-/// serving unchanged functions from `cache`'s `fe/` namespace and fanning
-/// the rest across `threads` worker threads (`0` or `1` means inline).
+/// serving unchanged functions from `cache`'s `fe/` namespace. The body
+/// pass runs inline.
+///
+/// `_threads` is ignored. It sized a work-claiming pool for the body pass
+/// that no caller ran with more than one thread; the parameter stays so
+/// existing callers compile.
 ///
 /// The returned module and blocks are byte-identical to a cold
 /// `parse_module` + `ModuleBlocks::build`, whatever mix of hits and misses
@@ -281,89 +230,68 @@ fn claim_indexed<T: Send>(n: usize, workers: usize, work: impl Fn(usize) -> T + 
 pub fn load_frontend(
     text: &str,
     cache: Option<&DiskCache>,
-    threads: usize,
+    _threads: usize,
 ) -> Result<LoadedFrontend, ParseError> {
     let t0 = Instant::now();
     let shell = parse_header(text)?;
     let n = shell.func_count();
-    let workers = threads.max(1).min(n.max(1));
-
-    let keys: Vec<u64> = if cache.is_some() {
-        (0..n)
-            .map(|i| {
-                let (ss, se) = shell.sig_span(i);
-                let (bs, be) = shell.body_span(i);
-                fnv64_chunks(&[
-                    &FE_CACHE_VERSION.to_le_bytes(),
-                    &text.as_bytes()[ss..se],
-                    b"\0",
-                    &text.as_bytes()[bs..be],
-                ])
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     let header = shell.module();
-    let func_count = n;
     let global_count = header.iter_globals().count();
-    let lowered: Vec<Result<Lowered, ParseError>> = claim_indexed(n, workers, |i| {
-        if let Some(c) = cache {
-            if let Some(bytes) = c.get_fe(keys[i]) {
-                if let Some((f, b)) = decode_entry(&bytes, header, func_count, global_count) {
-                    return Ok(Lowered::Hit(f, b));
-                }
-            }
-        }
-        shell.parse_body(i).map(Lowered::Parsed)
-    });
 
-    let ids: Vec<FuncId> = (0..n).map(|i| shell.func_id(i)).collect();
+    // Per function: its `fe/` key (with a cache), the lowered body, and its
+    // id with the block decoded from a hit (`None` on a miss, recorded
+    // below).
+    let mut keys = Vec::new();
     let mut bodies = Vec::with_capacity(n);
-    let mut blocks: Vec<Option<FuncBlock>> = Vec::with_capacity(n);
-    let mut hits = 0usize;
-    for r in lowered {
-        match r? {
-            Lowered::Hit(f, b) => {
-                hits += 1;
+    let mut blocks: Vec<(FuncId, Option<FuncBlock>)> = Vec::with_capacity(n);
+    for i in 0..n {
+        let id = shell.func_id(i);
+        if let Some(c) = cache {
+            let (ss, se) = shell.sig_span(i);
+            let (bs, be) = shell.body_span(i);
+            let key = fnv1a64(&[
+                &FE_CACHE_VERSION.to_le_bytes(),
+                &text.as_bytes()[ss..se],
+                b"\0",
+                &text.as_bytes()[bs..be],
+            ]);
+            keys.push(key);
+            let hit = c
+                .get_fe(key)
+                .and_then(|bytes| decode_entry(&bytes, header, n, global_count));
+            if let Some((f, b)) = hit {
                 bodies.push(f);
-                blocks.push(Some(b));
-            }
-            Lowered::Parsed(f) => {
-                bodies.push(f);
-                blocks.push(None);
+                blocks.push((id, Some(b)));
+                continue;
             }
         }
+        bodies.push(shell.parse_body(i)?);
+        blocks.push((id, None));
     }
+    let hits = blocks.iter().filter(|(_, b)| b.is_some()).count();
     let module = shell.finish(bodies);
     let parse_ms = t0.elapsed().as_millis() as u64;
 
     let t1 = Instant::now();
-    let miss_idx: Vec<usize> = (0..n).filter(|&i| blocks[i].is_none()).collect();
-    let built = claim_indexed(miss_idx.len(), workers.min(miss_idx.len().max(1)), |j| {
-        let i = miss_idx[j];
-        let fb = build_func_block(&module, ids[i]);
-        if let Some(c) = cache {
-            // Write-back is best-effort: a full disk never fails the load.
-            let _ = c.put_fe(keys[i], &encode_entry(&module, module.func(ids[i]), &fb));
-        }
-        fb
-    });
-    for (j, fb) in built.into_iter().enumerate() {
-        blocks[miss_idx[j]] = Some(fb);
-    }
+    let funcs = blocks
+        .into_iter()
+        .enumerate()
+        .map(|(i, (id, b))| {
+            b.unwrap_or_else(|| {
+                let fb = build_func_block(&module, id);
+                if let Some(c) = cache {
+                    // Write-back is best-effort: a full disk never fails the load.
+                    let _ = c.put_fe(keys[i], &encode_entry(&module, module.func(id), &fb));
+                }
+                fb
+            })
+        })
+        .collect();
     let gen_ms = t1.elapsed().as_millis() as u64;
 
-    let blocks = ModuleBlocks {
-        funcs: blocks
-            .into_iter()
-            .map(|b| b.expect("block filled"))
-            .collect(),
-    };
     Ok(LoadedFrontend {
         module,
-        blocks: Arc::new(blocks),
+        blocks: Arc::new(ModuleBlocks { funcs }),
         stats: FrontendStats {
             funcs: n,
             fe_cache_hits: hits,
@@ -425,7 +353,7 @@ mod tests {
     #[test]
     fn cacheless_load_matches_parse_module() {
         let text = sample_text();
-        let lf = load_frontend(&text, None, 4).unwrap();
+        let lf = load_frontend(&text, None, 1).unwrap();
         let direct = parse_module(&text).unwrap();
         assert_eq!(lf.module.fingerprint(), direct.fingerprint());
         assert_eq!(lf.module.to_text(), direct.to_text());
@@ -443,9 +371,9 @@ mod tests {
     fn warm_load_hits_and_is_identical() {
         let text = sample_text();
         let cache = DiskCache::open(tmpdir("warm")).unwrap();
-        let cold = load_frontend(&text, Some(&cache), 2).unwrap();
+        let cold = load_frontend(&text, Some(&cache), 1).unwrap();
         assert_eq!(cold.stats.fe_cache_hits, 0);
-        let warm = load_frontend(&text, Some(&cache), 2).unwrap();
+        let warm = load_frontend(&text, Some(&cache), 1).unwrap();
         assert_eq!(warm.stats.fe_cache_hits, 2);
         assert_eq!(warm.stats.fe_cache_misses, 0);
         assert_eq!(warm.module.to_text(), cold.module.to_text());
@@ -513,7 +441,7 @@ mod tests {
     #[test]
     fn parse_errors_surface_with_position() {
         let text = sample_text().replace("alloca int", "alloca nosuchty");
-        let err = load_frontend(&text, None, 2).unwrap_err();
+        let err = load_frontend(&text, None, 1).unwrap_err();
         assert!(err.line > 1);
         assert!(err.msg.contains("nosuchty") || !err.msg.is_empty());
     }

@@ -65,7 +65,10 @@ pub use diskcache::{DiskCache, DiskCacheStats, ReportScope, CACHE_DIR_ENV, FE_CA
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultKind, FaultPlan};
 pub use frontend::{load_frontend, FrontendStats, LoadedFrontend};
-pub use report::{render_analyze, AnalyzeReport};
+pub use report::{
+    analyze_request, render_analyze, AnalyzeAnswer, AnalyzeError, AnalyzeReport, AnalyzeRequest,
+    CacheDisposition, ModuleSource,
+};
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -805,7 +808,7 @@ mod tests {
     fn frontend_blocks_do_not_change_output() {
         let m = small_module("fe-exec");
         let text = m.to_text();
-        let lf = load_frontend(&text, None, 2).expect("frontend load");
+        let lf = load_frontend(&text, None, 1).expect("frontend load");
         assert_eq!(lf.module.fingerprint(), m.fingerprint());
 
         let configs = PolicyConfig::table3_order();

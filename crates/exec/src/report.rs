@@ -1,18 +1,20 @@
-//! The canonical `analyze` report renderer.
+//! The canonical `analyze` request and its report renderer.
 //!
-//! `kd analyze`, the serve daemon's worker processes, and the degraded
-//! admission tier all render analysis results through this one function,
-//! which is what makes a served response byte-identical to the offline
-//! CLI report for the same module and configuration — the serving
-//! acceptance criterion, and the property the e2e tests assert.
+//! `kd analyze`, the serve daemon's worker processes, and the daemon's
+//! shed path all answer through [`analyze_request`], which renders
+//! through [`render_analyze`]. That is what makes a served response
+//! byte-identical to the offline CLI report for the same module and
+//! configuration — the serving acceptance criterion, and the property the
+//! e2e tests assert.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use kaleidoscope::{CellHealth, DegradedTier, PolicyConfig};
-use kaleidoscope_ir::Module;
-use kaleidoscope_pta::PtsStats;
+use kaleidoscope_ir::{fnv1a64, verify_module, Module, ParseError};
+use kaleidoscope_pta::{PtsStats, SolveBudget};
 
-use crate::Executor;
+use crate::{load_frontend, DiskCache, Executor, FrontendStats, ReportScope};
 
 /// A rendered analyze report plus the health summary the serving layer
 /// tags responses with.
@@ -124,10 +126,220 @@ pub fn render_analyze(
     }
 }
 
+/// The program an [`AnalyzeRequest`] names.
+#[derive(Debug, Clone, Copy)]
+pub enum ModuleSource<'a> {
+    /// Module text, in any formatting the parser accepts.
+    Text(&'a str),
+    /// The fingerprint of a module stored in the disk cache earlier.
+    Stored(u64),
+}
+
+/// One `analyze` request: what `kd analyze`, a serve worker and the
+/// daemon's shed path each ask of [`analyze_request`].
+#[derive(Debug, Clone, Copy)]
+pub struct AnalyzeRequest<'a> {
+    /// The program to analyze.
+    pub module: ModuleSource<'a>,
+    /// Configuration name (see [`PolicyConfig::parse`]); `None` is the
+    /// full Table-3 matrix.
+    pub config: Option<&'a str>,
+    /// Include solver counters in the report.
+    pub stats: bool,
+    /// Per-solve worklist budget; `None` is unbounded.
+    pub budget: Option<usize>,
+    /// Executor worker count (`0` = available parallelism).
+    pub jobs: usize,
+    /// Warm-start from this revision's snapshot, when the cache has it.
+    pub prev_fingerprint: Option<u64>,
+    /// The tenant whose head the answer moves. Without an explicit
+    /// `prev_fingerprint`, a miss warm-starts from the tenant's head.
+    pub tenant: Option<&'a str>,
+}
+
+/// How an answer was produced relative to the shared artifact store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheDisposition {
+    /// Served from the store without a solve.
+    Hit,
+    /// Solved; the result was not storable (degraded or store disabled).
+    Miss,
+    /// Solved and the healthy report was published to the store.
+    Stored,
+}
+
+impl CacheDisposition {
+    /// The wire and log name: `hit`, `miss` or `stored`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CacheDisposition::Hit => "hit",
+            CacheDisposition::Miss => "miss",
+            CacheDisposition::Stored => "stored",
+        }
+    }
+
+    /// Inverse of [`CacheDisposition::as_str`].
+    pub fn parse(s: &str) -> Option<CacheDisposition> {
+        Some(match s {
+            "hit" => CacheDisposition::Hit,
+            "miss" => CacheDisposition::Miss,
+            "stored" => CacheDisposition::Stored,
+            _ => return None,
+        })
+    }
+}
+
+/// What [`analyze_request`] answered.
+#[derive(Debug, Clone)]
+pub struct AnalyzeAnswer {
+    /// The report and its health summary (healthy on a cache hit: the
+    /// store holds only full-precision reports).
+    pub report: AnalyzeReport,
+    /// Fingerprint of the module's canonical text.
+    pub fingerprint: u64,
+    /// Relation to the shared artifact store.
+    pub cache: CacheDisposition,
+    /// Counters of the frontend load.
+    pub frontend: FrontendStats,
+}
+
+/// Why [`analyze_request`] could not answer.
+#[derive(Debug)]
+pub enum AnalyzeError {
+    /// A [`ModuleSource::Stored`] fingerprint the cache does not hold.
+    UnknownFingerprint(u64),
+    /// The module text does not parse.
+    Parse(ParseError),
+    /// The module parses but fails verification; the problems, joined.
+    Verify(String),
+    /// The configuration name is not one [`PolicyConfig::parse`] accepts.
+    Config(String),
+}
+
+impl fmt::Display for AnalyzeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AnalyzeError::UnknownFingerprint(fp) => write!(
+                f,
+                "unknown fingerprint `{fp:016x}` (submit the module inline first)"
+            ),
+            AnalyzeError::Parse(e) => write!(f, "parse error: {e}"),
+            AnalyzeError::Verify(problems) => write!(f, "module failed verification: {problems}"),
+            AnalyzeError::Config(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for AnalyzeError {}
+
+/// Answer one `analyze` request. The steps, and their disk-cache traffic
+/// in order:
+///
+/// 1. Load the program through [`load_frontend`] (`fe/` entries) and
+///    verify it. Print its canonical text once; the fingerprint is the
+///    hash of that text.
+/// 2. Store the canonical text, so fetch-by-fingerprint re-parses to the
+///    same fingerprint whatever the submission's formatting.
+/// 3. Look up the report. A hit moves the tenant head and returns.
+/// 4. On a miss, solve on an [`Executor`] with the frontend's blocks, the
+///    budget, the cache as state store, and a warm start from
+///    `prev_fingerprint` or else the tenant's head. Render, move the
+///    head, and publish the report if it is healthy.
+///
+/// A healthy report is the full fixpoint whatever the budget, so budgeted
+/// answers are stored too; a degraded one never is.
+pub fn analyze_request(
+    req: &AnalyzeRequest<'_>,
+    cache: Option<&Arc<DiskCache>>,
+) -> Result<AnalyzeAnswer, AnalyzeError> {
+    let fe_cache = cache.map(|c| &**c);
+    let loaded = match req.module {
+        ModuleSource::Text(text) => load_frontend(text, fe_cache, 1),
+        ModuleSource::Stored(fp) => {
+            let text = cache
+                .and_then(|c| c.get_module(fp))
+                .ok_or(AnalyzeError::UnknownFingerprint(fp))?;
+            load_frontend(&text, fe_cache, 1)
+        }
+    }
+    .map_err(AnalyzeError::Parse)?;
+    let problems = verify_module(&loaded.module);
+    if !problems.is_empty() {
+        let joined: Vec<String> = problems.iter().map(|p| p.to_string()).collect();
+        return Err(AnalyzeError::Verify(joined.join("; ")));
+    }
+    let canonical = loaded.module.to_text();
+    let fp = fnv1a64(&[canonical.as_bytes()]);
+    if let Some(c) = cache {
+        let _ = c.put_module(fp, &canonical);
+    }
+    // Only the store needs the text; free it before the solve.
+    drop(canonical);
+
+    let configs: Vec<PolicyConfig> = match req.config {
+        Some(name) => vec![PolicyConfig::parse(name).map_err(AnalyzeError::Config)?],
+        None => PolicyConfig::table3_order().to_vec(),
+    };
+    let scope = ReportScope {
+        config: (configs.len() == 1).then(|| configs[0]),
+        stats: req.stats,
+        wave: false,
+    };
+    let move_head = || {
+        if let (Some(c), Some(tenant)) = (cache, req.tenant) {
+            let _ = c.put_tenant_head(tenant, fp);
+        }
+    };
+    if let Some(text) = cache.and_then(|c| c.get_report(fp, scope)) {
+        move_head();
+        return Ok(AnalyzeAnswer {
+            report: AnalyzeReport {
+                text,
+                degraded: 0,
+                worst_tier: None,
+            },
+            fingerprint: fp,
+            cache: CacheDisposition::Hit,
+            frontend: loaded.stats,
+        });
+    }
+
+    let mut ex = Executor::with_jobs(req.jobs).with_frontend(fp, loaded.blocks);
+    if let Some(n) = req.budget {
+        ex = ex.with_budget(SolveBudget::iterations(n));
+    }
+    if let Some(store) = cache {
+        // The warm start is advisory: a missing or incompatible snapshot
+        // solves cold, and a self-edge (prev == current) is skipped.
+        ex = ex.with_state_store(Arc::clone(store));
+        let prev = req
+            .prev_fingerprint
+            .or_else(|| req.tenant.and_then(|t| store.get_tenant_head(t)))
+            .filter(|&prev| prev != fp);
+        if let Some(prev) = prev {
+            ex = ex.with_incremental_from(prev);
+        }
+    }
+    let report = render_analyze(&loaded.module, &configs, &ex, req.stats);
+    move_head();
+    let disposition = match cache {
+        Some(c) if report.all_healthy() => match c.put_report(fp, scope, &report.text) {
+            Ok(()) => CacheDisposition::Stored,
+            Err(_) => CacheDisposition::Miss,
+        },
+        _ => CacheDisposition::Miss,
+    };
+    Ok(AnalyzeAnswer {
+        report,
+        fingerprint: fp,
+        cache: disposition,
+        frontend: loaded.stats,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kaleidoscope_pta::SolveBudget;
 
     fn model() -> Module {
         kaleidoscope_apps::model("TinyDTLS")

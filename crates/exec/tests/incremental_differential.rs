@@ -95,9 +95,9 @@ fn incremental_reports_match_cold_bytes_at_every_step() {
 /// The frontend-cache differential: loading a revision through the
 /// per-function `fe/` cache (spliced constraint blocks, skipped body
 /// parses) must leave the rendered report byte-identical to a plain
-/// parse-everything run, at every step of the edit script and at
-/// frontend thread counts 1 and 4. This is the gate that lets the cache be a pure
-/// performance feature: any splice bug shows up here as a byte diff.
+/// parse-everything run, at every step of the edit script. This is the
+/// gate that lets the cache be a pure performance feature: any splice bug
+/// shows up here as a byte diff.
 #[test]
 fn frontend_cache_reports_match_cacheless_bytes_at_every_step() {
     let seeds = env_list("KD_EDIT_SEEDS", &[1, 2]);
@@ -106,42 +106,34 @@ fn frontend_cache_reports_match_cacheless_bytes_at_every_step() {
 
     for &seed in &seeds {
         let script = edit_script(seed, steps);
-        for threads in [1usize, 4] {
-            let dir = std::env::temp_dir().join(format!(
-                "kd-fe-diff-s{seed}-t{threads}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let store = Arc::new(DiskCache::open(&dir).expect("open store"));
+        let dir = std::env::temp_dir().join(format!("kd-fe-diff-s{seed}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(DiskCache::open(&dir).expect("open store"));
 
-            for (i, step) in script.iter().enumerate() {
-                let text = step.module.to_text();
-                // Cache-on: per-function entries from earlier revisions
-                // splice in; the blocks feed the executor directly.
-                let loaded = load_frontend(&text, Some(&store), threads).expect("frontend load");
-                if i > 0 {
-                    assert!(
-                        loaded.stats.fe_cache_hits > 0,
-                        "seed {seed} threads {threads} step {i}: warm revision \
-                         never hit the fe cache"
-                    );
-                }
-                let fp = loaded.module.fingerprint();
-                let on_ex = Executor::with_jobs(2).with_frontend(fp, Arc::clone(&loaded.blocks));
-                let on = render_analyze(&loaded.module, &configs, &on_ex, false).text;
-                // Cache-off: plain parse, no pre-built blocks.
-                let plain = load_frontend(&text, None, threads).expect("plain load");
-                assert_eq!(plain.stats.fe_cache_hits, 0);
-                let off =
-                    render_analyze(&plain.module, &configs, &Executor::with_jobs(2), false).text;
-                assert_eq!(
-                    on, off,
-                    "seed {seed} threads {threads} step {i} ({:?}): fe-cache-on \
-                     report bytes diverged from cache-off",
-                    step.kind
+        for (i, step) in script.iter().enumerate() {
+            let text = step.module.to_text();
+            // Cache-on: per-function entries from earlier revisions
+            // splice in; the blocks feed the executor directly.
+            let loaded = load_frontend(&text, Some(&store), 1).expect("frontend load");
+            if i > 0 {
+                assert!(
+                    loaded.stats.fe_cache_hits > 0,
+                    "seed {seed} step {i}: warm revision never hit the fe cache"
                 );
             }
-            let _ = std::fs::remove_dir_all(&dir);
+            let fp = loaded.module.fingerprint();
+            let on_ex = Executor::with_jobs(2).with_frontend(fp, Arc::clone(&loaded.blocks));
+            let on = render_analyze(&loaded.module, &configs, &on_ex, false).text;
+            // Cache-off: plain parse, no pre-built blocks.
+            let plain = load_frontend(&text, None, 1).expect("plain load");
+            assert_eq!(plain.stats.fe_cache_hits, 0);
+            let off = render_analyze(&plain.module, &configs, &Executor::with_jobs(2), false).text;
+            assert_eq!(
+                on, off,
+                "seed {seed} step {i} ({:?}): fe-cache-on report bytes diverged from cache-off",
+                step.kind
+            );
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

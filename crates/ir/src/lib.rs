@@ -55,8 +55,8 @@ pub use intern::{Interner, Symbol};
 pub use layout::Layout;
 pub use loc::InstLoc;
 pub use module::{
-    BinOpKind, Block, BlockId, FuncId, Function, GlobalDecl, GlobalId, Inst, LocalDecl, LocalId,
-    Module, Operand, Terminator,
+    fnv1a64, BinOpKind, Block, BlockId, FuncId, Function, GlobalDecl, GlobalId, Inst, LocalDecl,
+    LocalId, Module, Operand, Terminator,
 };
 pub use parser::{parse_header, parse_module, ModuleShell, ParseError};
 pub use transform::{mem2reg, Mem2RegStats};

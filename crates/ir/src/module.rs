@@ -662,22 +662,31 @@ impl Module {
         self.to_text().lines().count()
     }
 
-    /// Stable content fingerprint: FNV-1a over the canonical textual form.
+    /// Stable content fingerprint: [`fnv1a64`] over the canonical textual
+    /// form.
     ///
     /// Two modules with the same printed IR (names, types, instructions)
     /// fingerprint identically, across processes and runs — this keys the
     /// executor's content-addressed artifact cache, so it must not depend
     /// on allocation order, hash-map iteration, or anything non-canonical.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
-        let mut h = FNV_OFFSET;
-        for b in self.to_text().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        fnv1a64(&[self.to_text().as_bytes()])
     }
+}
+
+/// 64-bit FNV-1a over `chunks`, read as one byte stream.
+///
+/// The workspace's one content hash: module fingerprints, frontend cache
+/// keys, tenant-head file names and disk-cache integrity sidecars all use
+/// it, so a change of digest happens here.
+pub fn fnv1a64(chunks: &[&[u8]]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for chunk in chunks {
+        for &b in *chunk {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+    h
 }
 
 #[cfg(test)]
@@ -809,6 +818,14 @@ mod tests {
         let sig = m.func(FuncId(0)).sig();
         assert_eq!(sig.params, vec![Type::ptr(Type::Int)]);
         assert_eq!(*sig.ret, Type::Void);
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_reference_digests() {
+        assert_eq!(fnv1a64(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(&[b"foobar"]), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64(&[b"foo", b"", b"bar"]), fnv1a64(&[b"foobar"]));
     }
 
     #[test]

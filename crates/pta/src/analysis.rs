@@ -55,26 +55,11 @@ impl Analysis {
         Analysis { result }
     }
 
-    /// Fallible variant of [`Analysis::run`]: returns the typed budget
-    /// error instead of panicking when the solve budget is exhausted.
-    pub fn try_run(module: &Module, opts: &SolveOptions) -> Result<Analysis, SolveError> {
-        Self::try_run_full(module, opts, None, &mut NullObserver)
-    }
-
-    /// Fallible variant of [`Analysis::run_full`].
-    pub fn try_run_full(
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<Analysis, SolveError> {
-        Self::try_run_full_fe(module, opts, ctx_plan, obs, None)
-    }
-
-    /// [`Analysis::try_run_full`] with pre-recorded frontend constraint
-    /// blocks: constraint generation replays `blocks` for every function
-    /// the context plan does not affect, producing a program identical to
-    /// one generated without them.
+    /// Fallible variant of [`Analysis::run_full`]: returns the typed budget
+    /// error instead of panicking when the solve budget is exhausted. With
+    /// pre-recorded frontend constraint `blocks`, generation replays them
+    /// for every function the context plan does not affect, producing a
+    /// program identical to one generated without them.
     pub fn try_run_full_fe(
         module: &Module,
         opts: &SolveOptions,
@@ -87,19 +72,9 @@ impl Analysis {
         Ok(Analysis { result })
     }
 
-    /// Like [`Analysis::try_run_full`], but also captures a [`SolvedState`]
-    /// snapshot when the solve converges, for later incremental re-solves
-    /// of edited revisions of the same module.
-    pub fn try_run_captured(
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-        Self::try_run_captured_fe(module, opts, ctx_plan, obs, None)
-    }
-
-    /// [`Analysis::try_run_captured`] with pre-recorded frontend blocks.
+    /// Like [`Analysis::try_run_full_fe`], but also captures a
+    /// [`SolvedState`] snapshot when the solve converges, for later
+    /// incremental re-solves of edited revisions of the same module.
     pub fn try_run_captured_fe(
         module: &Module,
         opts: &SolveOptions,
@@ -108,8 +83,7 @@ impl Analysis {
         blocks: Option<&ModuleBlocks>,
     ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
         let program = generate_spliced(module, ctx_plan, blocks);
-        let (result, state) = Solver::new(module, program, opts.clone())
-            .try_solve_captured(module.fingerprint(), obs)?;
+        let (result, state) = Solver::new(module, program, opts.clone()).try_solve_captured(obs)?;
         Ok((Analysis { result }, state))
     }
 
@@ -118,32 +92,11 @@ impl Analysis {
     /// only the touched nodes. Any incompatible edit falls back to a sound
     /// full solve, visible as `stats.incr_fallback_full == 1`. Captures a
     /// fresh snapshot of the new fixpoint for chained edits.
-    pub fn try_run_incremental(
-        prev_module: &Module,
-        prev_plan: Option<&CtxPlan>,
-        prev: &SolvedState,
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-        Self::try_run_incremental_fe(
-            prev_module,
-            prev_plan,
-            prev,
-            module,
-            opts,
-            ctx_plan,
-            obs,
-            None,
-            None,
-        )
-    }
-
-    /// [`Analysis::try_run_incremental`] with pre-recorded frontend blocks
-    /// for the previous and current revisions. Both generations (the
-    /// previous program regenerated for diffing, and the new program)
-    /// splice their blocks when given.
+    ///
+    /// `prev_blocks` and `blocks` are the previous and current revisions'
+    /// frontend constraint blocks; both generations (the previous program
+    /// regenerated for diffing, and the new program) splice them when
+    /// given.
     #[allow(clippy::too_many_arguments)]
     pub fn try_run_incremental_fe(
         prev_module: &Module,
@@ -160,7 +113,7 @@ impl Analysis {
         let program = generate_spliced(module, ctx_plan, blocks);
         let diff = ConstraintDiff::compute(prev_module, &prev_program, module, &program);
         let (result, state) = Solver::new(module, program, opts.clone())
-            .try_resolve_incremental_captured(module.fingerprint(), prev, &diff, obs)?;
+            .try_resolve_incremental_captured(prev, &diff, obs)?;
         Ok((Analysis { result }, state))
     }
 

@@ -252,36 +252,11 @@ impl ModuleBlocks {
         }
     }
 
-    /// Record blocks for every function using up to `threads` worker
-    /// threads (work-claiming over the function list; deterministic because
-    /// results land at their function index).
-    pub fn build_parallel(module: &Module, threads: usize) -> ModuleBlocks {
-        let n = module.iter_funcs().count();
-        let workers = threads.max(1).min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            return ModuleBlocks::build(module);
-        }
-        let slots: Vec<std::sync::Mutex<Option<FuncBlock>>> =
-            (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let block = build_func_block(module, FuncId(i as u32));
-                    *slots[i].lock().unwrap() = Some(block);
-                });
-            }
-        });
-        ModuleBlocks {
-            funcs: slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap().expect("worker filled every slot"))
-                .collect(),
-        }
+    /// [`ModuleBlocks::build`]. `_threads` is ignored: it sized a
+    /// work-claiming pool that no caller ran with more than one thread;
+    /// the parameter stays so existing callers compile.
+    pub fn build_parallel(module: &Module, _threads: usize) -> ModuleBlocks {
+        ModuleBlocks::build(module)
     }
 }
 

@@ -711,9 +711,6 @@ mod tests {
         let blocks = crate::block::ModuleBlocks::build(&m);
         let spliced = generate_spliced(&m, None, Some(&blocks));
         assert_programs_identical(&fresh, &spliced);
-        // Parallel block recording is index-deterministic.
-        let par = crate::block::ModuleBlocks::build_parallel(&m, 4);
-        assert_eq!(par, blocks);
         // Codec round-trip of every block preserves the splice result.
         let decoded = crate::block::ModuleBlocks {
             funcs: blocks

@@ -802,11 +802,10 @@ impl ConstraintDiff {
 impl<'m> Solver<'m> {
     /// Like [`Solver::try_solve`], but additionally captures a
     /// [`SolvedState`] snapshot when the solve converges (reaching a true
-    /// fixpoint rather than the `max_passes` valve). `fingerprint` tags
-    /// the snapshot with the solved module revision.
+    /// fixpoint rather than the `max_passes` valve). The snapshot is tagged
+    /// with the solved module's fingerprint, computed only on capture.
     pub fn try_solve_captured(
         mut self,
-        fingerprint: u64,
         obs: &mut dyn SolverObserver,
     ) -> Result<(SolveResult, Option<SolvedState>), SolveError> {
         let start = Instant::now();
@@ -814,54 +813,21 @@ impl<'m> Solver<'m> {
         self.init(obs);
         let converged = self.run_loop(start, obs)?;
         let state = if converged {
-            SolvedState::capture(&self, fingerprint)
+            SolvedState::capture(&self, self.module.fingerprint())
         } else {
             None
         };
         Ok((self.finish(), state))
     }
 
-    /// Incremental re-solve, panicking on budget exhaustion (mirrors
-    /// [`Solver::solve`]). See [`Solver::try_resolve_incremental`].
-    pub fn resolve_incremental(
-        self,
-        prev: &SolvedState,
-        diff: &ConstraintDiff,
-        obs: &mut dyn SolverObserver,
-    ) -> SolveResult {
-        self.try_resolve_incremental(prev, diff, obs)
-            .unwrap_or_else(|e| panic!("likely divergence: {e}"))
-    }
-
     /// Warm-start from a previous fixpoint: restore the captured state
     /// translated onto this solver's arena and seed the worklist with only
     /// the nodes the edit touched. Falls back to a sound full solve (and
     /// sets `SolveStats::incr_fallback_full`) when the diff or state is
-    /// incompatible.
-    pub fn try_resolve_incremental(
-        self,
-        prev: &SolvedState,
-        diff: &ConstraintDiff,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<SolveResult, SolveError> {
-        Ok(self.resolve_incremental_core(None, prev, diff, obs)?.0)
-    }
-
-    /// [`Solver::try_resolve_incremental`] plus snapshot capture of the
-    /// *new* fixpoint, for chained watch-mode edits.
+    /// incompatible. Captures a snapshot of the *new* fixpoint, for
+    /// chained watch-mode edits, as [`Solver::try_solve_captured`] does.
     pub fn try_resolve_incremental_captured(
-        self,
-        fingerprint: u64,
-        prev: &SolvedState,
-        diff: &ConstraintDiff,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<(SolveResult, Option<SolvedState>), SolveError> {
-        self.resolve_incremental_core(Some(fingerprint), prev, diff, obs)
-    }
-
-    fn resolve_incremental_core(
         mut self,
-        capture_fp: Option<u64>,
         prev: &SolvedState,
         diff: &ConstraintDiff,
         obs: &mut dyn SolverObserver,
@@ -886,9 +852,10 @@ impl<'m> Solver<'m> {
             self.init(obs);
         }
         let converged = self.run_loop(start, obs)?;
-        let state = match capture_fp {
-            Some(fp) if converged => SolvedState::capture(&self, fp),
-            _ => None,
+        let state = if converged {
+            SolvedState::capture(&self, self.module.fingerprint())
+        } else {
+            None
         };
         Ok((self.finish(), state))
     }
@@ -1204,7 +1171,7 @@ mod tests {
     fn solve_cold(m: &Module, opts: &SolveOptions) -> (SolveResult, Option<SolvedState>) {
         let program = generate(m, None);
         Solver::new(m, program, opts.clone())
-            .try_solve_captured(m.fingerprint(), &mut NullObserver)
+            .try_solve_captured(&mut NullObserver)
             .expect("unbudgeted")
     }
 
@@ -1218,7 +1185,7 @@ mod tests {
         let new_program = generate(new_m, None);
         let diff = ConstraintDiff::compute(prev_m, &prev_program, new_m, &new_program);
         Solver::new(new_m, new_program, opts.clone())
-            .try_resolve_incremental_captured(new_m.fingerprint(), prev, &diff, &mut NullObserver)
+            .try_resolve_incremental_captured(prev, &diff, &mut NullObserver)
             .expect("unbudgeted")
     }
 

@@ -338,7 +338,8 @@ fn two_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
 ///
 /// Fields are `pub(crate)` so the incremental module (`crate::incr`) can
 /// capture and restore solved state; external callers go through the
-/// public `solve`/`try_solve`/`resolve_incremental` entry points.
+/// public `solve`/`try_solve`/`try_resolve_incremental_captured` entry
+/// points.
 #[derive(Debug)]
 pub struct Solver<'m> {
     pub(crate) module: &'m Module,

@@ -37,7 +37,7 @@ fn canon(m: &Module, a: &Analysis) -> Vec<(String, Vec<String>)> {
 
 fn cold(m: &Module, opts: &SolveOptions) -> (Analysis, SolvedState) {
     let (a, state) =
-        Analysis::try_run_captured(m, opts, None, &mut NullObserver).expect("no budget");
+        Analysis::try_run_captured_fe(m, opts, None, &mut NullObserver, None).expect("no budget");
     (a, state.expect("converged solve captures"))
 }
 
@@ -48,7 +48,7 @@ fn walk_script(script: &[kaleidoscope_fuzz::edit::EditStep], opts: &SolveOptions
     let (_, mut state) = cold(&script[0].module, opts);
     let mut prev_module = &script[0].module;
     for (i, step) in script.iter().enumerate().skip(1) {
-        let (warm, next_state) = Analysis::try_run_incremental(
+        let (warm, next_state) = Analysis::try_run_incremental_fe(
             prev_module,
             None,
             &state,
@@ -56,6 +56,8 @@ fn walk_script(script: &[kaleidoscope_fuzz::edit::EditStep], opts: &SolveOptions
             opts,
             None,
             &mut NullObserver,
+            None,
+            None,
         )
         .expect("no budget");
         let stats = &warm.result.stats;

@@ -20,21 +20,25 @@
 //! * [`protocol`] — newline-delimited JSON frames, hand-rolled, used on
 //!   both the TCP and worker-pipe hops.
 //! * [`worker`] — the request handler (`kd worker` runs it over pipes;
-//!   thread shards call it directly).
+//!   thread shards call it directly). It answers through
+//!   [`kaleidoscope_exec::analyze_request`], the request function
+//!   `kd analyze` uses, and keeps only the fault directives and the
+//!   [`Response`].
 //! * [`shard`] — one worker plus its transport; process or thread mode.
 //! * [`supervisor`] — per-tenant shard pools; crashed or deadline-blown
 //!   workers are respawned with bounded backoff and the request retried.
 //! * [`admission`] — per-tenant quotas; over-quota requests shed to a
 //!   cheaper tier instead of queueing or dropping.
 //! * [`server`] — the TCP front door and the router that ties the
-//!   pieces together.
+//!   pieces together. Its shed path is one call of the same request
+//!   function, under [`SHED_BUDGET`] on one executor thread.
 //!
 //! The stack's contract, which the e2e tests pin down:
 //!
 //! 1. **Byte-identity** — a served report is byte-identical to
 //!    `kd analyze` run offline with the same module, configuration, and
-//!    effective budget, at any shard count. Every path renders through
-//!    [`kaleidoscope_exec::render_analyze`].
+//!    effective budget, at any shard count. Every path answers through
+//!    [`kaleidoscope_exec::analyze_request`].
 //! 2. **Warm repeats don't solve** — healthy reports are published to
 //!    the shared content-addressed [`kaleidoscope_exec::DiskCache`], so
 //!    a repeat query (even naming only the fingerprint) is a cache hit

@@ -14,6 +14,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+pub use kaleidoscope_exec::CacheDisposition;
+
 /// A request, as carried on the wire.
 ///
 /// The program is given either inline (`module`, textual IR) or by content
@@ -117,36 +119,6 @@ pub struct HealthReport {
     pub cache_tmp_swept: u64,
     /// Corrupt artifacts quarantined by disk-cache recovery sweeps.
     pub cache_quarantined: u64,
-}
-
-/// How the response was produced relative to the shared artifact store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheDisposition {
-    /// Served from the store without a solve.
-    Hit,
-    /// Solved; the result was not storable (degraded or store disabled).
-    Miss,
-    /// Solved and the healthy report was published to the store.
-    Stored,
-}
-
-impl CacheDisposition {
-    fn as_str(self) -> &'static str {
-        match self {
-            CacheDisposition::Hit => "hit",
-            CacheDisposition::Miss => "miss",
-            CacheDisposition::Stored => "stored",
-        }
-    }
-
-    fn parse(s: &str) -> Option<CacheDisposition> {
-        Some(match s {
-            "hit" => CacheDisposition::Hit,
-            "miss" => CacheDisposition::Miss,
-            "stored" => CacheDisposition::Stored,
-            _ => return None,
-        })
-    }
 }
 
 /// A response, as carried on the wire.

@@ -15,10 +15,13 @@
 //!    rung: the shared artifact store if it has the report, else a
 //!    one-iteration budget solve that lands on the Steensgaard tier.
 //!
-//! The shed solve renders through the same [`render_analyze`] as every
-//! other path, so a shed response is byte-identical to
-//! `kd analyze --budget 1` for the same module — degraded answers are
-//! still *reproducible* answers.
+//! The shed path is one call of
+//! [`analyze_request`](kaleidoscope_exec::analyze_request), the request
+//! function `kd analyze` and the workers use, with [`SHED_BUDGET`], one
+//! executor thread, no tenant and no warm start. A shed response is
+//! therefore byte-identical to `kd analyze --budget 1` for the same
+//! module — degraded answers are still *reproducible* answers — and a
+//! shed solve that finishes healthy stores its report like any other.
 //!
 //! # Lifecycle
 //!
@@ -40,19 +43,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use kaleidoscope::PolicyConfig;
-use kaleidoscope_exec::{render_analyze, DiskCache, Executor, ReportScope};
+use kaleidoscope_exec::{AnalyzeRequest, DiskCache};
 use kaleidoscope_prng::Rng;
-use kaleidoscope_pta::SolveBudget;
 
 use crate::admission::{Admission, Decision, TenantQuota};
 use crate::protocol::{
-    decode_request, decode_response, encode_request, encode_response, CacheDisposition,
-    HealthReport, Request, Response,
+    decode_request, decode_response, encode_request, encode_response, HealthReport, Request,
+    Response,
 };
 use crate::shard::{ShardError, ShardMode};
 use crate::supervisor::{BreakerConfig, BreakerState, ShardHealth, Supervisor};
-use crate::worker::{resolve_module, tier_name};
+use crate::worker::{analyze_request_of, respond};
 
 /// The solve budget used for shed responses: one worklist iteration,
 /// which drives every cell to the Steensgaard rung — the cheap,
@@ -77,8 +78,6 @@ pub struct ServeConfig {
     pub shards_per_tenant: usize,
     /// Quota applied to every tenant.
     pub quota: TenantQuota,
-    /// Executor threads for in-daemon shed solves.
-    pub shed_jobs: usize,
     /// Per-slot circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// Default drain deadline for [`Server::stop`].
@@ -93,7 +92,6 @@ impl Default for ServeConfig {
             mode: ShardMode::Thread(crate::worker::WorkerOptions::default()),
             shards_per_tenant: 2,
             quota: TenantQuota::default(),
-            shed_jobs: 1,
             breaker: BreakerConfig::default(),
             drain: Duration::from_secs(5),
         }
@@ -128,7 +126,6 @@ pub struct Router {
     supervisor: Supervisor,
     admission: Admission,
     cache: Option<Arc<DiskCache>>,
-    shed_jobs: usize,
     state: AtomicU8,
     in_flight: AtomicUsize,
     degraded_after_failure: AtomicU64,
@@ -156,7 +153,6 @@ impl Router {
                 .with_breaker(config.breaker),
             admission: Admission::new(config.quota.clone()),
             cache: config.cache.clone(),
-            shed_jobs: config.shed_jobs,
             state: AtomicU8::new(STATE_ACCEPTING),
             in_flight: AtomicUsize::new(0),
             degraded_after_failure: AtomicU64::new(0),
@@ -359,76 +355,24 @@ impl Router {
     }
 
     /// Answer without a worker: cached artifact if present, else an
-    /// in-daemon Steensgaard-tier solve under [`SHED_BUDGET`]. A
+    /// in-daemon Steensgaard-tier solve under [`SHED_BUDGET`] on one
+    /// executor thread. It neither warm-starts nor moves a tenant head,
+    /// so the answer is a function of the request alone. A
     /// `tier_override` replaces the tier tag (the breaker short-circuit
     /// path labels its answers `breaker-open`); the report bytes are
     /// untouched either way.
     fn shed_response(&self, req: &Request, tier_override: Option<&str>) -> Response {
-        let cache = self.cache.as_deref();
-        let resolved = match resolve_module(req, cache) {
-            Ok(m) => m,
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                return Response::Error {
-                    id: req.id.clone(),
-                    error: e,
-                };
-            }
-        };
-        let (module, fp) = (resolved.module, resolved.fp);
-        let fe = resolved.fe;
-        let configs: Vec<PolicyConfig> = match &req.config {
-            Some(name) => match PolicyConfig::parse(name) {
-                Ok(c) => vec![c],
-                Err(e) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                    return Response::Error {
-                        id: req.id.clone(),
-                        error: e,
-                    };
-                }
-            },
-            None => PolicyConfig::table3_order().to_vec(),
-        };
-        let scope = ReportScope {
-            config: if configs.len() == 1 {
-                Some(configs[0])
-            } else {
-                None
-            },
-            stats: req.stats,
-            wave: false,
-        };
-        if let Some(text) = cache.and_then(|c| c.get_report(fp, scope)) {
-            return Response::Ok {
-                id: req.id.clone(),
-                report: text,
-                tier: tier_override.unwrap_or("full").to_string(),
-                cache: CacheDisposition::Hit,
-                fingerprint: fp,
-                degraded: 0,
-                parse_ms: Some(fe.parse_ms),
-                gen_ms: Some(fe.gen_ms),
-                fe_cache_hits: Some(fe.fe_cache_hits as u64),
-            };
+        let ask = analyze_request_of(req, 1).map(|ask| AnalyzeRequest {
+            budget: Some(SHED_BUDGET),
+            prev_fingerprint: None,
+            tenant: None,
+            ..ask
+        });
+        let resp = respond(req, ask, self.cache.as_ref(), tier_override);
+        if matches!(resp, Response::Error { .. }) {
+            self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let ex = Executor::with_jobs(self.shed_jobs)
-            .with_budget(SolveBudget::iterations(SHED_BUDGET))
-            .with_frontend(fp, resolved.blocks);
-        let report = render_analyze(&module, &configs, &ex, req.stats);
-        Response::Ok {
-            id: req.id.clone(),
-            report: report.text,
-            tier: tier_override
-                .unwrap_or(tier_name(report.worst_tier))
-                .to_string(),
-            cache: CacheDisposition::Miss,
-            fingerprint: fp,
-            degraded: report.degraded as u64,
-            parse_ms: Some(fe.parse_ms),
-            gen_ms: Some(fe.gen_ms),
-            fe_cache_hits: Some(fe.fe_cache_hits as u64),
-        }
+        resp
     }
 }
 

@@ -12,24 +12,23 @@
 //!   without process spawning. Fault directives are inert here
 //!   (`unsafe_faults` is never set for thread shards).
 //!
-//! Workers consult the shared [`DiskCache`] before solving and publish
+//! A request is answered by [`kaleidoscope_exec::analyze_request`], the
+//! one request function `kd analyze` and the daemon's shed path use too.
+//! It consults the shared [`DiskCache`] before solving and publishes
 //! healthy reports back to it, which is what makes a repeat query a cache
 //! hit regardless of which worker — or which *process* — served the first
 //! one. The cached artifact is the full-precision fixpoint, so a hit is
 //! always served at the `full` tier even when the request carried a
-//! budget: the store never holds degraded reports.
+//! budget: the store never holds degraded reports. The worker keeps only
+//! what is its own: the fault directives and the [`Response`].
 
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
-use kaleidoscope::{DegradedTier, PolicyConfig};
-use kaleidoscope_exec::{
-    load_frontend, render_analyze, DiskCache, Executor, FrontendStats, ReportScope,
-};
-use kaleidoscope_ir::{verify_module, Module};
-use kaleidoscope_pta::SolveBudget;
+use kaleidoscope::DegradedTier;
+use kaleidoscope_exec::{analyze_request, AnalyzeRequest, DiskCache, ModuleSource};
 
-use crate::protocol::{decode_request, encode_response, CacheDisposition, Request, Response};
+use crate::protocol::{decode_request, encode_response, Request, Response};
 
 /// Configuration a worker runs under (fixed at spawn time, not per
 /// request).
@@ -60,66 +59,60 @@ fn error(id: &str, msg: impl Into<String>) -> Response {
     }
 }
 
-/// A request's program, resolved through the cached frontend: the verified
-/// module, its canonical fingerprint, the replayable constraint blocks,
-/// and the frontend's load counters.
-#[derive(Debug)]
-pub(crate) struct ResolvedModule {
-    pub module: Module,
-    pub fp: u64,
-    pub blocks: Arc<kaleidoscope_pta::ModuleBlocks>,
-    pub fe: FrontendStats,
-}
-
-/// Resolve the request's program to a verified module plus its canonical
-/// fingerprint, storing inline submissions in the cache for later
-/// fingerprint-only queries. Parsing and constraint recording go through
-/// [`load_frontend`], so unchanged functions are served from the `fe/`
-/// cache and the blocks ride along for the solve to splice. The body pass
-/// runs inline, on one worker.
-pub(crate) fn resolve_module(
-    req: &Request,
-    cache: Option<&DiskCache>,
-) -> Result<ResolvedModule, String> {
-    let text = match (&req.module, req.fingerprint) {
-        (Some(text), None) => text.clone(),
-        (None, Some(fp)) => cache.and_then(|c| c.get_module(fp)).ok_or_else(|| {
-            format!("unknown fingerprint `{fp:016x}` (submit the module inline first)")
-        })?,
+/// `req` as the exec crate's request, the way a worker runs it: the
+/// request's budget and warm start, the tenant's head, and `jobs`
+/// executor threads.
+pub(crate) fn analyze_request_of(req: &Request, jobs: usize) -> Result<AnalyzeRequest<'_>, String> {
+    let module = match (&req.module, req.fingerprint) {
+        (Some(text), None) => ModuleSource::Text(text),
+        (None, Some(fp)) => ModuleSource::Stored(fp),
         // decode_request enforces exactly-one; direct callers get the same rule.
         _ => return Err("one of `module` or `fingerprint` is required".to_string()),
     };
-    let loaded = load_frontend(&text, cache, 1).map_err(|e| format!("parse error: {e}"))?;
-    let module = loaded.module;
-    let problems = verify_module(&module);
-    if !problems.is_empty() {
-        return Err(format!(
-            "module failed verification: {}",
-            problems
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        ));
-    }
-    let fp = module.fingerprint();
-    if let Some(c) = cache {
-        // Store the canonical form, so fetch-by-fingerprint re-parses to
-        // the same fingerprint even if the submission had odd whitespace.
-        let _ = c.put_module(fp, &module.to_text());
-    }
-    Ok(ResolvedModule {
+    Ok(AnalyzeRequest {
         module,
-        fp,
-        blocks: loaded.blocks,
-        fe: loaded.stats,
+        config: req.config.as_deref(),
+        stats: req.stats,
+        budget: req.budget,
+        jobs,
+        prev_fingerprint: req.prev_fingerprint,
+        tenant: Some(&req.tenant),
     })
 }
 
-/// Serve one request. This is the single code path behind every tier:
-/// cache hits, full solves, and (in the daemon) the shed path all render
-/// through [`render_analyze`], which keeps responses byte-identical to
-/// `kd analyze` for the same module, configuration, and budget.
+/// Answer `ask` (the exec request for `req`, or why there is none) and
+/// build the response. `tier_override` replaces the tier tag of an `ok`
+/// answer; the report bytes are untouched.
+pub(crate) fn respond(
+    req: &Request,
+    ask: Result<AnalyzeRequest<'_>, String>,
+    cache: Option<&Arc<DiskCache>>,
+    tier_override: Option<&str>,
+) -> Response {
+    let answer = match ask.and_then(|a| analyze_request(&a, cache).map_err(|e| e.to_string())) {
+        Ok(answer) => answer,
+        Err(e) => return error(&req.id, e),
+    };
+    let fe = answer.frontend;
+    Response::Ok {
+        id: req.id.clone(),
+        tier: tier_override
+            .unwrap_or(tier_name(answer.report.worst_tier))
+            .to_string(),
+        report: answer.report.text,
+        cache: answer.cache,
+        fingerprint: answer.fingerprint,
+        degraded: answer.report.degraded as u64,
+        parse_ms: Some(fe.parse_ms),
+        gen_ms: Some(fe.gen_ms),
+        fe_cache_hits: Some(fe.fe_cache_hits as u64),
+    }
+}
+
+/// Serve one request. Cache hits, full solves, and (in the daemon) the
+/// shed path all answer through [`analyze_request`], which keeps
+/// responses byte-identical to `kd analyze` for the same module,
+/// configuration, and budget.
 pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
     if opts.unsafe_faults {
         if let Some(fault) = &req.fault {
@@ -150,91 +143,14 @@ pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
             }
         }
     }
-    let cache = opts.cache.as_deref();
     // A request's `solver_threads` field is decoded but ignored: there is
     // one solver schedule.
-    let resolved = match resolve_module(req, cache) {
-        Ok(m) => m,
-        Err(e) => return error(&req.id, e),
-    };
-    let (module, fp) = (resolved.module, resolved.fp);
-    let fe = resolved.fe;
-    let configs: Vec<PolicyConfig> = match &req.config {
-        Some(name) => match PolicyConfig::parse(name) {
-            Ok(c) => vec![c],
-            Err(e) => return error(&req.id, e),
-        },
-        None => PolicyConfig::table3_order().to_vec(),
-    };
-    let scope = ReportScope {
-        config: if configs.len() == 1 {
-            Some(configs[0])
-        } else {
-            None
-        },
-        stats: req.stats,
-        wave: false,
-    };
-    if let Some(text) = cache.and_then(|c| c.get_report(fp, scope)) {
-        if let Some(c) = cache {
-            let _ = c.put_tenant_head(&req.tenant, fp);
-        }
-        return Response::Ok {
-            id: req.id.clone(),
-            report: text,
-            tier: "full".to_string(),
-            cache: CacheDisposition::Hit,
-            fingerprint: fp,
-            degraded: 0,
-            parse_ms: Some(fe.parse_ms),
-            gen_ms: Some(fe.gen_ms),
-            fe_cache_hits: Some(fe.fe_cache_hits as u64),
-        };
-    }
-    let mut ex = Executor::with_jobs(opts.jobs).with_frontend(fp, resolved.blocks);
-    if let Some(n) = req.budget {
-        ex = ex.with_budget(SolveBudget::iterations(n));
-    }
-    if let Some(store) = &opts.cache {
-        // Warm-start candidate: the request's explicit `prev_fingerprint`,
-        // else the tenant's recorded head. Either is advisory — a missing
-        // or incompatible snapshot just solves cold — and a self-edge
-        // (prev == current) is skipped outright.
-        ex = ex.with_state_store(Arc::clone(store));
-        let prev = req
-            .prev_fingerprint
-            .or_else(|| store.get_tenant_head(&req.tenant))
-            .filter(|&prev| prev != fp);
-        if let Some(prev) = prev {
-            ex = ex.with_incremental_from(prev);
-        }
-    }
-    let report = render_analyze(&module, &configs, &ex, req.stats);
-    if let Some(c) = cache {
-        let _ = c.put_tenant_head(&req.tenant, fp);
-    }
-    let disposition = match cache {
-        Some(c) if report.all_healthy() => {
-            // Only the full-precision fixpoint is storable; a degraded
-            // report is an artifact of this request's budget.
-            match c.put_report(fp, scope, &report.text) {
-                Ok(()) => CacheDisposition::Stored,
-                Err(_) => CacheDisposition::Miss,
-            }
-        }
-        _ => CacheDisposition::Miss,
-    };
-    Response::Ok {
-        id: req.id.clone(),
-        report: report.text,
-        tier: tier_name(report.worst_tier).to_string(),
-        cache: disposition,
-        fingerprint: fp,
-        degraded: report.degraded as u64,
-        parse_ms: Some(fe.parse_ms),
-        gen_ms: Some(fe.gen_ms),
-        fe_cache_hits: Some(fe.fe_cache_hits as u64),
-    }
+    respond(
+        req,
+        analyze_request_of(req, opts.jobs),
+        opts.cache.as_ref(),
+        None,
+    )
 }
 
 /// The `kd worker` loop: one request line in on `input`, one response
@@ -264,6 +180,9 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::CacheDisposition;
+    use kaleidoscope::PolicyConfig;
+    use kaleidoscope_exec::{render_analyze, Executor};
 
     fn tiny_module() -> String {
         kaleidoscope_apps::model("TinyDTLS")

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use kaleidoscope::PolicyConfig;
 use kaleidoscope_exec::{render_analyze, DiskCache, Executor};
+use kaleidoscope_ir::{FunctionBuilder, Module, Type};
 use kaleidoscope_pta::SolveBudget;
 use kaleidoscope_serve::{
     request_over_tcp, request_over_tcp_with, BreakerConfig, CacheDisposition, ClientOptions,
@@ -47,7 +48,6 @@ fn start(tag: &str, shards: usize, quota: TenantQuota) -> (Server, Arc<DiskCache
         }),
         shards_per_tenant: shards,
         quota,
-        shed_jobs: 1,
         ..ServeConfig::default()
     })
     .expect("bind");
@@ -204,7 +204,6 @@ fn shed_requests_prefer_a_cached_full_report() {
             max_concurrent: 0, // force the shed path
             ..TenantQuota::default()
         },
-        shed_jobs: 1,
         ..ServeConfig::default()
     })
     .expect("bind");
@@ -223,6 +222,70 @@ fn shed_requests_prefer_a_cached_full_report() {
     assert_eq!(tier, "full", "a cached hit outranks the shed solve");
     assert_eq!(*report, offline);
     server.stop();
+}
+
+#[test]
+fn healthy_shed_solve_is_stored_and_the_next_admitted_request_hits_it() {
+    // Without pointer constraints the solver pops nothing, so even the
+    // shed budget finishes every configuration healthy.
+    let mut m = Module::new("no_pointers");
+    let mut b = FunctionBuilder::new(&mut m, "main", vec![], Type::Void);
+    b.ret(None);
+    b.finish();
+    let text = m.to_text();
+    let cache = test_cache("shedstore");
+    let router = |max_concurrent| {
+        Router::new(&ServeConfig {
+            cache: Some(cache.clone()),
+            mode: ShardMode::Thread(WorkerOptions {
+                jobs: 1,
+                cache: Some(cache.clone()),
+                unsafe_faults: false,
+            }),
+            shards_per_tenant: 1,
+            quota: TenantQuota {
+                max_concurrent,
+                ..TenantQuota::default()
+            },
+            ..ServeConfig::default()
+        })
+    };
+
+    let shedding = router(0);
+    let shed = shedding.route(&Request::inline("shed", &text));
+    assert_eq!(shedding.stats().shed, 1);
+    let Response::Ok {
+        report,
+        tier,
+        cache: disp,
+        degraded,
+        ..
+    } = &shed
+    else {
+        panic!("shed: {shed:?}");
+    };
+    assert_eq!((tier.as_str(), *degraded), ("full", 0));
+    assert_eq!(
+        *disp,
+        CacheDisposition::Stored,
+        "a healthy shed answer is stored"
+    );
+
+    let admitting = router(4);
+    let next = admitting.route(&Request::inline("admitted", &text));
+    assert_eq!(admitting.stats().admitted, 1);
+    let Response::Ok {
+        report: r2,
+        cache: d2,
+        ..
+    } = &next
+    else {
+        panic!("admitted: {next:?}");
+    };
+    assert_eq!(*d2, CacheDisposition::Hit);
+    assert_eq!(r2, report);
+    admitting.shutdown_workers();
+    shedding.shutdown_workers();
 }
 
 #[test]
@@ -364,7 +427,6 @@ fn open_breaker_short_circuits_to_a_tagged_ladder_answer() {
         }),
         shards_per_tenant: 1,
         quota: TenantQuota::default(),
-        shed_jobs: 1,
         breaker: BreakerConfig {
             strike_threshold: 2,
             cooldown: std::time::Duration::from_secs(120),
