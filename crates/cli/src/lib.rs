@@ -537,6 +537,10 @@ pub fn cmd_serve(args: &ServeArgs) -> Result<(), CliError> {
 
 /// `kd worker` — the daemon's child-process shard: serve requests over
 /// stdin/stdout until EOF. Not intended for interactive use.
+///
+/// The worker opens the daemon's cache directory without sweeping it:
+/// sibling workers publish into it concurrently, and only the daemon
+/// recovers it.
 pub fn cmd_worker(
     jobs: usize,
     cache_dir: Option<&str>,

@@ -270,13 +270,34 @@ fn sigterm_drains_gracefully_with_concurrent_clients_and_no_tmp_litter() {
 }
 
 #[test]
+fn worker_open_leaves_a_sibling_publish_alone() {
+    // A sibling worker is mid-publish in the shared directory when the
+    // supervisor spawns (or restarts) another worker. The new worker must
+    // not sweep the sibling's temp file: that would lose its write-back.
+    let cache = temp_dir("live-tmp");
+    std::fs::create_dir_all(cache.join("fe")).expect("mkdir");
+    let live = cache.join("fe").join("00000000000000ab-v2.tmp4242-0");
+    std::fs::write(&live, "in-flight pack").expect("write tmp");
+    let out = kd()
+        .arg("worker")
+        .arg("--cache-dir")
+        .arg(&cache)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run kd worker");
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(tmp_litter(&cache), vec![live]);
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
 fn torn_publish_is_recovered_and_swept_at_shutdown() {
     let cache = temp_dir("torn");
     let mut daemon = Daemon::start(&cache, &["--shards", "1", "--unsafe-faults"]);
 
-    // The directive makes the worker die between its tmp-write and
-    // rename, leaving a `.tmp` orphan and a truncated sidecar. The
-    // request itself must still be answered from the ladder.
+    // The directive makes the worker die mid-publish, leaving a `.tmp`
+    // orphan and a report with a truncated integrity line. The request
+    // itself must still be answered from the ladder.
     let (report, meta, ok) = request(&daemon, &["--model", "TinyDTLS", "--fault", "torn"]);
     assert!(ok, "torn-publish request must still be answered: {meta}");
     assert!(meta.contains("tier=steensgaard"), "{meta}");

@@ -44,11 +44,12 @@ pub enum FaultKind {
     /// drain, never dropped. Reproduced in the chaos soak by mixing
     /// `fault:"kill"` traffic with a mid-burst SIGTERM.
     KillDuringDrain,
-    /// A cache publish dies between its tmp-write and rename, leaving a
-    /// `.tmp` orphan and a truncated sidecar. Reproduced by the
+    /// A cache publish is cut short, leaving a `.tmp` orphan and a
+    /// report whose integrity line is truncated. Reproduced by the
     /// request-level `fault:"torn"` directive (and
-    /// `DiskCache::inject_torn_publish`); `DiskCache::open`'s recovery
-    /// sweep is the defense under test.
+    /// `DiskCache::inject_torn_publish`); `DiskCache::recover`, the sweep
+    /// the serve daemon runs at start and at drain, is the defense under
+    /// test.
     TornPublish,
 }
 

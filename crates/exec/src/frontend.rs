@@ -5,7 +5,8 @@
 //! per-function constraint [`FuncBlock`]s that `generate_spliced` replays
 //! instead of re-walking the IR. Both halves are cached **per function** in
 //! the [`DiskCache`]'s `fe/` namespace, so a warm revision re-parses and
-//! re-records only the functions whose text actually changed.
+//! re-records only the functions whose text actually changed. A load
+//! writes every entry it missed as one pack file.
 //!
 //! # Entry layout and validity
 //!
@@ -25,7 +26,8 @@
 //! or reordered — the entry *misses* and the function is re-lowered live.
 //! An entry can therefore be stale but never wrong: a hit decodes to
 //! exactly what re-parsing the unchanged text against the current header
-//! would produce.
+//! would produce. The cache may hold several entries for one key (the same
+//! text under different headers); each is tried until one validates.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -244,9 +246,10 @@ pub fn load_frontend(
     let mut keys = Vec::new();
     let mut bodies = Vec::with_capacity(n);
     let mut blocks: Vec<(FuncId, Option<FuncBlock>)> = Vec::with_capacity(n);
+    let mut reader = cache.map(DiskCache::fe_reader);
     for i in 0..n {
         let id = shell.func_id(i);
-        if let Some(c) = cache {
+        if let Some(r) = reader.as_mut() {
             let (ss, se) = shell.sig_span(i);
             let (bs, be) = shell.body_span(i);
             let key = fnv1a64(&[
@@ -256,10 +259,7 @@ pub fn load_frontend(
                 &text.as_bytes()[bs..be],
             ]);
             keys.push(key);
-            let hit = c
-                .get_fe(key)
-                .and_then(|bytes| decode_entry(&bytes, header, n, global_count));
-            if let Some((f, b)) = hit {
+            if let Some((f, b)) = r.get(key, |bytes| decode_entry(bytes, header, n, global_count)) {
                 bodies.push(f);
                 blocks.push((id, Some(b)));
                 continue;
@@ -273,20 +273,24 @@ pub fn load_frontend(
     let parse_ms = t0.elapsed().as_millis() as u64;
 
     let t1 = Instant::now();
+    let mut missed = Vec::new();
     let funcs = blocks
         .into_iter()
         .enumerate()
         .map(|(i, (id, b))| {
             b.unwrap_or_else(|| {
                 let fb = build_func_block(&module, id);
-                if let Some(c) = cache {
-                    // Write-back is best-effort: a full disk never fails the load.
-                    let _ = c.put_fe(keys[i], &encode_entry(&module, module.func(id), &fb));
+                if cache.is_some() {
+                    missed.push((keys[i], encode_entry(&module, module.func(id), &fb)));
                 }
                 fb
             })
         })
         .collect();
+    if let Some(c) = cache {
+        // Write-back is best-effort: a full disk never fails the load.
+        let _ = c.put_fe_pack(&missed);
+    }
     let gen_ms = t1.elapsed().as_millis() as u64;
 
     Ok(LoadedFrontend {

@@ -274,7 +274,7 @@ impl Executor {
     /// full fault isolation: on panic, budget exhaustion, or artifact
     /// corruption the cell degrades down the ladder instead of failing.
     pub fn run_one(&self, module: &Module, config: PolicyConfig) -> KaleidoscopeResult {
-        self.run_cell(module, config, None)
+        self.run_cell(module, module.fingerprint(), config, None)
     }
 
     /// The previous revision's parsed module and recorded constraint
@@ -327,15 +327,18 @@ impl Executor {
         }
     }
 
+    /// One cell of `module`, whose fingerprint `fp` the caller computes
+    /// once per module rather than once per cell.
     fn run_cell(
         &self,
         module: &Module,
+        fp: u64,
         config: PolicyConfig,
         cell: Option<(usize, usize)>,
     ) -> KaleidoscopeResult {
-        match self.run_cell_isolated(module, config, cell) {
+        match self.run_cell_isolated(module, fp, config, cell) {
             Ok(r) => r,
-            Err(e) => self.degrade(module, config, e),
+            Err(e) => self.degrade(module, fp, config, e),
         }
     }
 
@@ -344,11 +347,12 @@ impl Executor {
     fn run_cell_isolated(
         &self,
         module: &Module,
+        fp: u64,
         config: PolicyConfig,
         cell: Option<(usize, usize)>,
     ) -> Result<KaleidoscopeResult, CellError> {
         catch_unwind(AssertUnwindSafe(|| {
-            self.configured_cell(module, config, cell)
+            self.configured_cell(module, fp, config, cell)
         }))
         .unwrap_or_else(|payload| Err(CellError::Panic(panic_message(payload.as_ref()))))
     }
@@ -359,6 +363,7 @@ impl Executor {
     fn configured_cell(
         &self,
         module: &Module,
+        fp: u64,
         config: PolicyConfig,
         cell: Option<(usize, usize)>,
     ) -> Result<KaleidoscopeResult, CellError> {
@@ -378,8 +383,6 @@ impl Executor {
             // unwind out of the solve, caught by cell isolation.
             panic!("injected fault: worker killed mid-solve at {cell:?}");
         }
-
-        let fp = module.fingerprint();
 
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::FallbackBudget) {
@@ -491,9 +494,14 @@ impl Executor {
 
     /// The degradation ladder — the analysis-time analogue of the paper's
     /// runtime switch to the fallback memory view.
-    fn degrade(&self, module: &Module, config: PolicyConfig, err: CellError) -> KaleidoscopeResult {
+    fn degrade(
+        &self,
+        module: &Module,
+        fp: u64,
+        config: PolicyConfig,
+        err: CellError,
+    ) -> KaleidoscopeResult {
         let reason = err.to_string();
-        let fp = module.fingerprint();
 
         // Rung 1: the module's sound fallback artifact serves as both
         // views. Skipped when the fallback stage itself failed; guarded
@@ -581,8 +589,13 @@ impl Executor {
             // exactly as on the pooled path.
             let mut out = Vec::with_capacity(n_cells);
             for (mi, module) in modules.iter().enumerate() {
+                let fp = module.fingerprint();
                 for (ci, config) in configs.iter().enumerate() {
-                    out.push(f(mi, ci, &self.run_cell(module, *config, Some((mi, ci)))));
+                    out.push(f(
+                        mi,
+                        ci,
+                        &self.run_cell(module, fp, *config, Some((mi, ci))),
+                    ));
                 }
             }
             out
@@ -594,6 +607,7 @@ impl Executor {
             let cells: Vec<(usize, usize)> = (0..configs.len())
                 .flat_map(|ci| (0..modules.len()).map(move |mi| (mi, ci)))
                 .collect();
+            let fps: Vec<u64> = modules.iter().map(|m| m.fingerprint()).collect();
             let next = AtomicUsize::new(0);
             let slots: Vec<Mutex<Option<T>>> = (0..n_cells).map(|_| Mutex::new(None)).collect();
             std::thread::scope(|scope| {
@@ -601,7 +615,8 @@ impl Executor {
                     scope.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&(mi, ci)) = cells.get(i) else { break };
-                        let result = self.run_cell(modules[mi], configs[ci], Some((mi, ci)));
+                        let result =
+                            self.run_cell(modules[mi], fps[mi], configs[ci], Some((mi, ci)));
                         let t = f(mi, ci, &result);
                         // A panicking reducer on another worker may poison
                         // a slot lock; recover the data — a slot is only

@@ -35,7 +35,8 @@
 //! reaches zero — or the drain deadline passes — the accept loop stops,
 //! remaining connections are shut down and *joined* (no detached
 //! threads), workers are stopped, and the disk cache runs a recovery
-//! sweep so a clean exit leaves no `.tmp` litter behind.
+//! sweep so a clean exit leaves no `.tmp` litter behind. The same sweep
+//! runs once at start, before any worker exists.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -60,7 +61,8 @@ use crate::worker::{analyze_request_of, respond};
 /// near-linear unification tier.
 pub const SHED_BUDGET: usize = 1;
 
-/// How often the accept loop polls for stop/reap between connections.
+/// How long the accept loop waits for a connection before it re-checks
+/// the stop flag and reaps finished connections.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// How often the drain loop re-checks the in-flight count.
@@ -415,6 +417,10 @@ pub struct Server {
 impl Server {
     /// Bind and start serving in background threads. Returns once the
     /// socket is listening, so `addr()` is immediately connectable.
+    ///
+    /// Before serving, the disk cache runs its recovery sweep. The daemon
+    /// owns the directory: its workers, which open the same directory,
+    /// never sweep it, since a sweep deletes in-flight publishes.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         // Non-blocking accept lets the loop notice the stop flag without
@@ -424,6 +430,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let drain = config.drain;
         let router = Arc::new(Router::new(&config));
+        router.recover_cache();
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_router = router.clone();
@@ -458,7 +465,7 @@ impl Server {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     reap_finished(&accept_conns);
-                    std::thread::sleep(ACCEPT_POLL);
+                    wait_for_connection(&listener, ACCEPT_POLL);
                 }
                 Err(_) => std::thread::sleep(ACCEPT_POLL),
             }
@@ -550,6 +557,47 @@ impl Drop for Server {
             let _ = self.shutdown_graceful(Duration::ZERO);
         }
     }
+}
+
+/// Block until `listener` has a connection waiting or `timeout` passes.
+/// A new connection is accepted as soon as it arrives instead of after
+/// the rest of a sleep. Early or spurious returns are harmless: the
+/// caller's non-blocking `accept` then answers `WouldBlock`.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type NFds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NFds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut fds = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fds` is one valid, exclusively borrowed `struct pollfd`
+    // that outlives the call, `nfds` is 1 to match, and `poll` writes
+    // only its `revents` field. The descriptor stays open: `listener` is
+    // borrowed for the whole call.
+    unsafe {
+        poll(&mut fds, 1, timeout_ms);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
 }
 
 /// Join connection threads that have already finished, so a long-lived

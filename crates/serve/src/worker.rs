@@ -129,10 +129,11 @@ pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
                 "stall" => loop {
                     std::thread::sleep(std::time::Duration::from_secs(3600));
                 },
-                // Simulates dying between the tmp-write and the rename of
-                // a cache publish (`TornPublish`): leave a `.tmp` orphan
-                // and a truncated sidecar behind, then die. The next
-                // `DiskCache::open` recovery sweep must clean both up.
+                // Simulates a cache publish cut short (`TornPublish`):
+                // leave a `.tmp` orphan and a report with a truncated
+                // integrity line behind, then die. The daemon's next
+                // recovery sweep (at drain, or at its next start) must
+                // delete the one and quarantine the other.
                 "torn" => {
                     if let Some(c) = opts.cache.as_deref() {
                         let _ = c.inject_torn_publish();

@@ -569,6 +569,27 @@ fn tenant_quota_clamps_the_requested_budget() {
 /// algorithm hold the trailing byte until the peer's delayed ACK, about
 /// 40 ms per answer on Linux; ten health round trips then take ~400 ms.
 #[test]
+fn fresh_connections_are_accepted_without_a_poll_delay() {
+    // `kd request` and kdbench open one connection per request. An accept
+    // loop that sleeps between polls leaves each new connection waiting
+    // out the rest of the sleep (10 ms, about 5 ms on average) before it
+    // is read; 50 health requests then take about 250 ms.
+    let (server, _cache) = start("fresh-conns", 1, TenantQuota::default());
+    let addr = server.addr().to_string();
+    let started = std::time::Instant::now();
+    for i in 0..50 {
+        let resp = request_over_tcp(&addr, &Request::health(&format!("h{i}"))).expect("health");
+        assert!(matches!(resp, Response::Health { .. }), "{resp:?}");
+    }
+    let elapsed = started.elapsed();
+    server.stop();
+    assert!(
+        elapsed < std::time::Duration::from_millis(150),
+        "50 health requests over fresh connections took {elapsed:?}"
+    );
+}
+
+#[test]
 fn persistent_connection_answers_without_delayed_ack_stalls() {
     use std::io::{BufRead, BufReader, Write};
     let (server, _cache) = start("keepalive", 1, TenantQuota::default());
