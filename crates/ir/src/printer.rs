@@ -5,8 +5,12 @@
 
 use std::fmt::Write as _;
 
-use crate::module::{Block, Function, Inst, Module, Operand, Terminator};
+use crate::module::{Block, Function, Inst, LocalId, Module, Operand, Terminator};
 use crate::types::{FuncSig, Type, TypeRegistry};
+
+// Every token is written straight into one `String`; no per-instruction,
+// per-operand or per-type strings are built. Writing to a `String` cannot
+// fail, so the `write!` results are discarded.
 
 impl Module {
     /// Render the module in its textual form.
@@ -14,123 +18,191 @@ impl Module {
         let mut out = String::new();
         let _ = writeln!(out, "module \"{}\"", self.name);
         for (_, def) in self.types.iter() {
-            let fields = def
-                .fields
-                .iter()
-                .map(|f| type_text(f, &self.types))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = writeln!(out, "struct {} {{ {} }}", def.name, fields);
+            let _ = write!(out, "struct {} {{ ", def.name);
+            for (i, f) in def.fields.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_type(&mut out, f, &self.types);
+            }
+            out.push_str(" }\n");
         }
         for g in &self.globals {
-            let _ = writeln!(out, "global {}: {}", g.name, type_text(&g.ty, &self.types));
+            let _ = write!(out, "global {}: ", g.name);
+            write_type(&mut out, &g.ty, &self.types);
+            out.push('\n');
         }
         for f in &self.funcs {
             out.push('\n');
-            self.print_func(f, &mut out);
+            self.write_func(&mut out, f);
         }
         out
     }
 
-    fn print_func(&self, f: &Function, out: &mut String) {
-        let params = f.locals[..f.param_count]
-            .iter()
-            .enumerate()
-            .map(|(i, l)| format!("%{} {}: {}", i, l.name, type_text(&l.ty, &self.types)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(
-            out,
-            "func {}({}) -> {} {{",
-            f.name,
-            params,
-            type_text(&f.ret_ty, &self.types)
-        );
+    fn write_func(&self, out: &mut String, f: &Function) {
+        let _ = write!(out, "func {}(", f.name);
+        for (i, l) in f.locals[..f.param_count].iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "%{i} {}: ", l.name);
+            write_type(out, &l.ty, &self.types);
+        }
+        out.push_str(") -> ");
+        write_type(out, &f.ret_ty, &self.types);
+        out.push_str(" {\n");
         for (i, l) in f.locals.iter().enumerate().skip(f.param_count) {
-            let _ = writeln!(
-                out,
-                "  local %{} {}: {}",
-                i,
-                l.name,
-                type_text(&l.ty, &self.types)
-            );
+            let _ = write!(out, "  local %{i} {}: ", l.name);
+            write_type(out, &l.ty, &self.types);
+            out.push('\n');
         }
         for (i, b) in f.blocks.iter().enumerate() {
-            let _ = writeln!(out, "bb{}:", i);
-            self.print_block(b, out);
+            let _ = writeln!(out, "bb{i}:");
+            self.write_block(out, b);
         }
         out.push_str("}\n");
     }
 
-    fn print_block(&self, b: &Block, out: &mut String) {
+    fn write_block(&self, out: &mut String, b: &Block) {
         for inst in &b.insts {
-            let _ = writeln!(out, "  {}", self.inst_text(inst));
+            out.push_str("  ");
+            self.write_inst(out, inst);
+            out.push('\n');
         }
-        let t = match &b.term {
-            Terminator::Jump(bb) => format!("jmp {bb}"),
+        out.push_str("  ");
+        match &b.term {
+            Terminator::Jump(bb) => {
+                let _ = write!(out, "jmp {bb}");
+            }
             Terminator::Branch {
                 cond,
                 then_bb,
                 else_bb,
-            } => format!("br {}, {}, {}", op_text(cond, self), then_bb, else_bb),
-            Terminator::Ret(Some(v)) => format!("ret {}", op_text(v, self)),
-            Terminator::Ret(None) => "ret".to_string(),
-        };
-        let _ = writeln!(out, "  {t}");
+            } => {
+                out.push_str("br ");
+                self.write_op(out, cond);
+                let _ = write!(out, ", {then_bb}, {else_bb}");
+            }
+            Terminator::Ret(Some(v)) => {
+                out.push_str("ret ");
+                self.write_op(out, v);
+            }
+            Terminator::Ret(None) => out.push_str("ret"),
+        }
+        out.push('\n');
     }
 
     /// Render one instruction (used by diagnostics as well as `to_text`).
     pub fn inst_text(&self, inst: &Inst) -> String {
-        let t = |ty: &Type| type_text(ty, &self.types);
-        let o = |op: &Operand| op_text(op, self);
+        let mut out = String::new();
+        self.write_inst(&mut out, inst);
+        out
+    }
+
+    fn write_inst(&self, out: &mut String, inst: &Inst) {
         match inst {
-            Inst::Alloca { dst, ty } => format!("{dst} = alloca {}", t(ty)),
-            Inst::HeapAlloc { dst, ty: Some(ty) } => format!("{dst} = halloc {}", t(ty)),
-            Inst::HeapAlloc { dst, ty: None } => format!("{dst} = halloc ?"),
-            Inst::Copy { dst, src } => format!("{dst} = copy {}", o(src)),
-            Inst::Load { dst, src } => format!("{dst} = load {}", o(src)),
-            Inst::Store { dst, src } => format!("store {} -> {}", o(src), o(dst)),
+            Inst::Alloca { dst, ty } => {
+                def(out, dst, "alloca ");
+                write_type(out, ty, &self.types);
+            }
+            Inst::HeapAlloc { dst, ty: Some(ty) } => {
+                def(out, dst, "halloc ");
+                write_type(out, ty, &self.types);
+            }
+            Inst::HeapAlloc { dst, ty: None } => def(out, dst, "halloc ?"),
+            Inst::Copy { dst, src } => {
+                def(out, dst, "copy ");
+                self.write_op(out, src);
+            }
+            Inst::Load { dst, src } => {
+                def(out, dst, "load ");
+                self.write_op(out, src);
+            }
+            Inst::Store { dst, src } => {
+                out.push_str("store ");
+                self.write_op(out, src);
+                out.push_str(" -> ");
+                self.write_op(out, dst);
+            }
             Inst::FieldAddr { dst, base, field } => {
-                format!("{dst} = field {}, {}", o(base), field)
+                def(out, dst, "field ");
+                self.write_op(out, base);
+                let _ = write!(out, ", {field}");
             }
             Inst::PtrArith { dst, base, offset } => {
-                format!("{dst} = arith {}, {}", o(base), o(offset))
+                def(out, dst, "arith ");
+                self.write_ops(out, &[*base, *offset]);
             }
             Inst::ElemAddr { dst, base, index } => {
-                format!("{dst} = elem {}, {}", o(base), o(index))
+                def(out, dst, "elem ");
+                self.write_ops(out, &[*base, *index]);
             }
             Inst::BinOp { dst, op, lhs, rhs } => {
-                format!("{dst} = {} {}, {}", op, o(lhs), o(rhs))
+                let _ = write!(out, "{dst} = {op} ");
+                self.write_ops(out, &[*lhs, *rhs]);
             }
             Inst::Call { dst, callee, args } => {
-                let args = args.iter().map(o).collect::<Vec<_>>().join(", ");
-                let callee = &self.func(*callee).name;
-                match dst {
-                    Some(d) => format!("{d} = call @{callee}({args})"),
-                    None => format!("call @{callee}({args})"),
+                if let Some(d) = dst {
+                    def(out, d, "");
                 }
+                out.push_str("call @");
+                out.push_str(&self.func(*callee).name);
+                out.push('(');
+                self.write_ops(out, args);
+                out.push(')');
             }
             Inst::CallInd { dst, callee, args } => {
-                let args = args.iter().map(o).collect::<Vec<_>>().join(", ");
-                match dst {
-                    Some(d) => format!("{d} = icall {}({args})", o(callee)),
-                    None => format!("icall {}({args})", o(callee)),
+                if let Some(d) = dst {
+                    def(out, d, "");
                 }
+                out.push_str("icall ");
+                self.write_op(out, callee);
+                out.push('(');
+                self.write_ops(out, args);
+                out.push(')');
             }
-            Inst::Input { dst } => format!("{dst} = input"),
-            Inst::Output { src } => format!("output {}", o(src)),
+            Inst::Input { dst } => def(out, dst, "input"),
+            Inst::Output { src } => {
+                out.push_str("output ");
+                self.write_op(out, src);
+            }
+        }
+    }
+
+    /// Operands separated by `", "`.
+    fn write_ops(&self, out: &mut String, ops: &[Operand]) {
+        for (i, op) in ops.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            self.write_op(out, op);
+        }
+    }
+
+    fn write_op(&self, out: &mut String, op: &Operand) {
+        match op {
+            Operand::Local(l) => {
+                let _ = write!(out, "{l}");
+            }
+            Operand::Global(g) => {
+                out.push('$');
+                out.push_str(&self.global(*g).name);
+            }
+            Operand::Func(f) => {
+                out.push('@');
+                out.push_str(&self.func(*f).name);
+            }
+            Operand::ConstInt(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Operand::Null => out.push_str("null"),
         }
     }
 }
 
-fn op_text(op: &Operand, m: &Module) -> String {
-    match op {
-        Operand::Local(l) => format!("{l}"),
-        Operand::Global(g) => format!("${}", m.global(*g).name),
-        Operand::Func(f) => format!("@{}", m.func(*f).name),
-        Operand::ConstInt(v) => format!("{v}"),
-        Operand::Null => "null".to_string(),
-    }
+/// `dst = ` followed by `rest` (an instruction's mnemonic).
+fn def(out: &mut String, dst: &LocalId, rest: &str) {
+    let _ = write!(out, "{dst} = {rest}");
 }
 
 /// Render a type using struct *names* (so the text can be re-parsed).
@@ -138,22 +210,42 @@ fn op_text(op: &Operand, m: &Module) -> String {
 /// Pointers to function types are parenthesized — `(fn(int) -> int)*` —
 /// because `fn(int) -> int*` denotes a function *returning* `int*`.
 pub fn type_text(ty: &Type, reg: &TypeRegistry) -> String {
+    let mut out = String::new();
+    write_type(&mut out, ty, reg);
+    out
+}
+
+fn write_type(out: &mut String, ty: &Type, reg: &TypeRegistry) {
     match ty {
-        Type::Void => "void".into(),
-        Type::Int => "int".into(),
+        Type::Void => out.push_str("void"),
+        Type::Int => out.push_str("int"),
         Type::Ptr(t) => match **t {
-            Type::Func(_) => format!("({})*", type_text(t, reg)),
-            _ => format!("{}*", type_text(t, reg)),
+            Type::Func(_) => {
+                out.push('(');
+                write_type(out, t, reg);
+                out.push_str(")*");
+            }
+            _ => {
+                write_type(out, t, reg);
+                out.push('*');
+            }
         },
-        Type::Struct(s) => reg.def(*s).name.clone(),
-        Type::Array(t, n) => format!("[{}; {}]", type_text(t, reg), n),
+        Type::Struct(s) => out.push_str(&reg.def(*s).name),
+        Type::Array(t, n) => {
+            out.push('[');
+            write_type(out, t, reg);
+            let _ = write!(out, "; {n}]");
+        }
         Type::Func(FuncSig { params, ret }) => {
-            let ps = params
-                .iter()
-                .map(|p| type_text(p, reg))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("fn({}) -> {}", ps, type_text(ret, reg))
+            out.push_str("fn(");
+            for (i, p) in params.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_type(out, p, reg);
+            }
+            out.push_str(") -> ");
+            write_type(out, ret, reg);
         }
     }
 }
@@ -186,48 +278,104 @@ mod tests {
         assert!(text.contains("ret %1"));
     }
 
+    /// Every instruction, terminator and type form, in canonical text.
+    const ALL_FORMS: &str = r#"module "pin"
+struct pair { int, int* }
+struct node { pair, [int*; 4], (fn(int, pair*) -> int*)* }
+struct empty {  }
+global g: int
+global table: [(fn() -> void)*; 2]
+
+func callee(%0 a: int, %1 p: pair*) -> int* {
+  local %2 r: int*
+bb0:
+  %2 = field %1, 1
+  ret %2
+}
+
+func main() -> void {
+  local %0 s: pair*
+  local %1 h: int*
+  local %2 u: int*
+  local %3 c: pair*
+  local %4 v: int
+  local %5 f: int*
+  local %6 q: int*
+  local %7 e: int*
+  local %8 x: int
+  local %9 r: int*
+  local %10 ri: int*
+  local %11 fp: (fn() -> void)*
+  local %12 i: int
+bb0:
+  %0 = alloca pair
+  %1 = halloc int
+  %2 = halloc ?
+  %3 = copy %0
+  %4 = load %1
+  store %4 -> $g
+  %5 = field %3, 0
+  %6 = arith %5, %4
+  %7 = elem %6, -3
+  %8 = add %4, 1
+  %9 = call @callee(%8, %0)
+  call @callee(7, null)
+  %10 = icall @callee(%8, %0)
+  icall %11()
+  %12 = input
+  output %12
+  br %12, bb1, bb2
+bb1:
+  jmp bb2
+bb2:
+  ret
+}
+"#;
+
     #[test]
     fn prints_all_instruction_forms() {
-        let mut m = Module::new("all");
-        let s = m.types.declare("s", vec![Type::Int]).unwrap();
-        let g = m.add_global("g", Type::Int).unwrap();
-        let callee = {
-            let b = FunctionBuilder::new(&mut m, "callee", vec![], Type::Void);
-            b.finish()
-        };
-        let mut b = FunctionBuilder::new(&mut m, "main", vec![], Type::Void);
-        let a = b.alloca("a", Type::Struct(s));
-        let h = b.heap_alloc("h", Type::Int);
-        let _hu = b.heap_alloc_untyped("hu");
-        let c = b.copy("c", a);
-        let l = b.load("l", h);
-        b.store(g, l);
-        let f = b.field_addr("f", c, 0);
-        let p = b.ptr_arith("p", f, l);
-        let _e = b.elem_addr("e", p, 0i64);
-        b.call("r", callee, vec![]);
-        b.call_ind("ri", Operand::Func(callee), vec![], Type::Void);
-        let i = b.input("i");
-        b.output(i);
-        b.ret(None);
-        b.finish();
-        let text = m.to_text();
-        for needle in [
-            "= alloca s",
-            "= halloc int",
-            "= halloc ?",
-            "= copy %",
-            "= load %",
-            "store %",
-            "= field %",
-            "= arith %",
-            "= elem %",
-            "call @callee()",
-            "icall @callee()",
-            "= input",
-            "output %",
+        let m = crate::parser::parse_module(ALL_FORMS).expect("parses");
+        assert_eq!(m.to_text(), ALL_FORMS);
+        let insts: Vec<String> = m.iter_locs().map(|(_, i)| m.inst_text(i)).collect();
+        let expected = [
+            "%2 = field %1, 1",
+            "%0 = alloca pair",
+            "%1 = halloc int",
+            "%2 = halloc ?",
+            "%3 = copy %0",
+            "%4 = load %1",
+            "store %4 -> $g",
+            "%5 = field %3, 0",
+            "%6 = arith %5, %4",
+            "%7 = elem %6, -3",
+            "%8 = add %4, 1",
+            "%9 = call @callee(%8, %0)",
+            "call @callee(7, null)",
+            "%10 = icall @callee(%8, %0)",
+            "icall %11()",
+            "%12 = input",
+            "output %12",
+        ];
+        assert_eq!(insts, expected);
+        let pair = Type::Struct(m.types.by_name("pair").expect("declared"));
+        for (ty, text) in [
+            (Type::Void, "void"),
+            (Type::Int, "int"),
+            (Type::ptr(Type::ptr(Type::Int)), "int**"),
+            (
+                Type::fn_ptr(
+                    vec![Type::Int, Type::ptr(pair.clone())],
+                    Type::ptr(Type::Int),
+                ),
+                "(fn(int, pair*) -> int*)*",
+            ),
+            (
+                Type::Array(Box::new(Type::fn_ptr(vec![], Type::Void)), 3),
+                "[(fn() -> void)*; 3]",
+            ),
+            (Type::Array(Box::new(pair), 2), "[pair; 2]"),
         ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+            assert_eq!(type_text(&ty, &m.types), text);
         }
     }
 }

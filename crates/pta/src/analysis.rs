@@ -96,7 +96,8 @@ impl Analysis {
     /// `prev_blocks` and `blocks` are the previous and current revisions'
     /// frontend constraint blocks; both generations (the previous program
     /// regenerated for diffing, and the new program) splice them when
-    /// given.
+    /// given. The previous program is generated only when
+    /// [`ConstraintDiff::precheck`] finds the modules compatible.
     #[allow(clippy::too_many_arguments)]
     pub fn try_run_incremental_fe(
         prev_module: &Module,
@@ -109,9 +110,14 @@ impl Analysis {
         prev_blocks: Option<&ModuleBlocks>,
         blocks: Option<&ModuleBlocks>,
     ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-        let prev_program = generate_spliced(prev_module, prev_plan, prev_blocks);
         let program = generate_spliced(module, ctx_plan, blocks);
-        let diff = ConstraintDiff::compute(prev_module, &prev_program, module, &program);
+        let diff = ConstraintDiff::precheck(prev_module, module);
+        let diff = if diff.fallback.is_some() {
+            diff
+        } else {
+            let prev_program = generate_spliced(prev_module, prev_plan, prev_blocks);
+            diff.check_programs(&prev_program, &program)
+        };
         let (result, state) = Solver::new(module, program, opts.clone())
             .try_resolve_incremental_captured(prev, &diff, obs)?;
         Ok((Analysis { result }, state))
@@ -161,7 +167,7 @@ impl Analysis {
                 }
                 let lid = LocalId(i as u32);
                 if let Some(n) = self.result.nodes.local_node_opt(fid, lid) {
-                    let size = self.result.pts_of(n).len();
+                    let size = self.result.canonical_len(n);
                     if size > 0 {
                         out.push((fid, lid, size));
                     }

@@ -298,6 +298,18 @@ impl SolveResult {
         let rep = self.nodes.find_ref(n);
         PtsSet::from_iter_unsorted(self.pts[rep.index()].iter().map(|m| self.nodes.find_ref(m)))
     }
+
+    /// `pts_of(n).len()` without building the set: when every member is
+    /// its own representative (no member object was merged away), the raw
+    /// set already is the canonical one.
+    pub fn canonical_len(&self, n: NodeId) -> usize {
+        let set = &self.pts[self.nodes.find_ref(n).index()];
+        if set.iter().all(|m| self.nodes.find_ref(m) == m) {
+            set.len()
+        } else {
+            self.pts_of(n).len()
+        }
+    }
 }
 
 /// Reusable scratch buffers for the propagation loop. Each worklist pop
@@ -726,7 +738,17 @@ impl<'m> Solver<'m> {
             // allocation instead of cloning a fresh set).
             self.prop[n.index()].clone_from(&self.pts[n.index()]);
 
-            self.apply_complex(n, &delta, obs);
+            // Per-member work only where something reads the members: most
+            // nodes have no complex constraint, and many no copy out-edge.
+            // The edge check follows `apply_complex`, which can add copy
+            // edges out of `n` or merge it away.
+            if self.has_complex(n) {
+                self.apply_complex(n, &delta, obs);
+            }
+            if self.copy_out[n.index()].is_empty() {
+                self.scratch.delta = delta;
+                continue;
+            }
 
             // Copy propagation along out-edges.
             let mut delta_canon = std::mem::take(&mut self.scratch.delta_canon);
@@ -758,6 +780,18 @@ impl<'m> Solver<'m> {
             self.scratch.outs = outs;
         }
         Ok(())
+    }
+
+    /// Whether `n` has a load, store, field, arith, elem or indirect-call
+    /// constraint, i.e. whether [`Solver::apply_complex`] has work to do.
+    fn has_complex(&self, n: NodeId) -> bool {
+        let i = n.index();
+        !(self.loads[i].is_empty()
+            && self.stores[i].is_empty()
+            && self.fields[i].is_empty()
+            && self.ariths[i].is_empty()
+            && self.elems[i].is_empty()
+            && self.icalls_by_fnptr[i].is_empty())
     }
 
     /// Apply the complex (non-copy) constraints gated on `pts(n)` to the
@@ -1287,13 +1321,7 @@ impl<'m> Solver<'m> {
                 self.prop[i].clear();
                 self.push(id);
             }
-            if !self.loads[i].is_empty()
-                || !self.stores[i].is_empty()
-                || !self.fields[i].is_empty()
-                || !self.ariths[i].is_empty()
-                || !self.elems[i].is_empty()
-                || !self.icalls_by_fnptr[i].is_empty()
-            {
+            if self.has_complex(id) {
                 self.prop[i].clear();
                 self.push(id);
             }
@@ -1422,6 +1450,69 @@ mod tests {
         assert_eq!(opt.pa_filters.len(), 1, "one filtered (site, obj) pair");
         let p_pts = local_pts(&m, &opt, "main", 8);
         assert_eq!(p_pts.len(), 1, "field sensitivity retained");
+    }
+
+    #[test]
+    fn a_pop_walks_copy_edges_its_complex_constraints_add() {
+        // `*p = p`: popping `p` adds the copy edge p → obj, and the same
+        // pop runs the copy loop over it. That union adds nothing but
+        // `union_words` counts it, so the out-edge check must follow
+        // `apply_complex`.
+        let m = kaleidoscope_ir::parse_module(
+            "module \"self\"\n\
+             func main() -> void {\n\
+               local %0 p: int**\n\
+             bb0:\n\
+               %0 = alloca int*\n\
+               store %0 -> %0\n\
+               ret\n\
+             }\n",
+        )
+        .expect("parses");
+        let r = solve(&m, SolveOptions::baseline());
+        assert_eq!(
+            (r.stats.iterations, r.stats.union_words, r.stats.copy_edges),
+            (2, 4, 1)
+        );
+    }
+
+    #[test]
+    fn canonical_len_resolves_members_merged_by_a_collapse() {
+        // `f` receives both field nodes of `obj`; the pointer arithmetic
+        // then collapses `obj`, merging them into its root, so `f`'s raw
+        // set holds two members whose canonical set is one.
+        let m = kaleidoscope_ir::parse_module(
+            "module \"canon\"\n\
+             struct pair { int, int }\n\
+             func main() -> void {\n\
+               local %0 obj: pair*\n\
+               local %1 f: int*\n\
+               local %2 i: int\n\
+               local %3 pa: pair*\n\
+             bb0:\n\
+               %0 = alloca pair\n\
+               %1 = field %0, 0\n\
+               %1 = field %0, 1\n\
+               %2 = input\n\
+               %3 = arith %0, %2\n\
+               ret\n\
+             }\n",
+        )
+        .expect("parses");
+        let r = solve(&m, SolveOptions::baseline());
+        assert_eq!(r.collapsed_objects.len(), 1, "struct collapsed");
+        let mut merged = 0;
+        for i in 0..r.nodes.len() {
+            let n = NodeId(i as u32);
+            assert_eq!(r.canonical_len(n), r.pts_of(n).len(), "node {i}");
+            let raw = &r.pts[r.nodes.find_ref(n).index()];
+            merged += raw.iter().any(|m| r.nodes.find_ref(m) != m) as usize;
+        }
+        assert!(merged > 0, "no set holds a merged-away member");
+        let main = m.func_by_name("main").unwrap();
+        let f = r.nodes.local_node_opt(main, LocalId(1)).unwrap();
+        assert_eq!(r.pts[f.index()].len(), 2, "raw set keeps both fields");
+        assert_eq!(r.canonical_len(f), 1);
     }
 
     #[test]
