@@ -16,7 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use kaleidoscope_bench::timing::{bench, Sample};
-use kaleidoscope_pta::{steensgaard, Analysis, NullObserver, SolveOptions};
+use kaleidoscope_ir::Module;
+use kaleidoscope_pta::{steensgaard, Analysis, NullObserver, SolveOptions, WarmStart};
 
 /// System allocator wrapped with monotonic allocation counters, so a bench
 /// case can report "bytes allocated per solve" — a direct, variance-free
@@ -174,10 +175,38 @@ fn main() {
         let opts = SolveOptions::baseline();
         let mut edited = scale.clone();
         kaleidoscope_fuzz::edit::append_function(&mut edited, 0xca1e, 0);
-        let (_, prev_state) =
-            Analysis::try_run_captured_fe(&scale, &opts, None, &mut NullObserver, None)
-                .expect("unbudgeted solve");
+        let (_, prev_state) = Analysis::try_run(
+            &scale,
+            &opts,
+            None,
+            None,
+            None,
+            Some(scale.fingerprint()),
+            &mut NullObserver,
+        )
+        .expect("unbudgeted solve");
         let prev_state = prev_state.expect("converged solve captures a snapshot");
+        let prev = WarmStart {
+            module: &scale,
+            plan: None,
+            blocks: None,
+            state: &prev_state,
+        };
+        // The edited revision's fingerprint is computed once, outside the
+        // timed region, as the executor does: it tags the new snapshot.
+        let warm = |module: &Module, fp: u64| {
+            Analysis::try_run(
+                module,
+                &opts,
+                None,
+                None,
+                Some(prev),
+                Some(fp),
+                &mut NullObserver,
+            )
+            .expect("unbudgeted solve")
+            .0
+        };
 
         let sample = bench("solver/incr/andersen-100k/cold", scale_iters, || {
             let _ = Analysis::run(&edited, &opts);
@@ -198,34 +227,13 @@ fn main() {
             total_nodes: stats.node_count,
         });
 
+        let edited_fp = edited.fingerprint();
         let sample = bench("solver/incr/andersen-100k/warm-edit", scale_iters, || {
-            let _ = Analysis::try_run_incremental_fe(
-                &scale,
-                None,
-                &prev_state,
-                &edited,
-                &opts,
-                None,
-                &mut NullObserver,
-                None,
-                None,
-            );
+            let _ = warm(&edited, edited_fp);
         });
         let mut stats = None;
         let (alloc_bytes, alloc_calls) = alloc_traffic(|| {
-            let (a, _) = Analysis::try_run_incremental_fe(
-                &scale,
-                None,
-                &prev_state,
-                &edited,
-                &opts,
-                None,
-                &mut NullObserver,
-                None,
-                None,
-            )
-            .expect("unbudgeted solve");
-            stats = Some(a.result.stats);
+            stats = Some(warm(&edited, edited_fp).result.stats);
         });
         let stats = stats.expect("solve ran");
         assert_eq!(stats.incr_fallback_full, 0, "append edit must warm-start");
@@ -251,34 +259,13 @@ fn main() {
         // `warm-edit` case above).
         let mut leaf_edited = scale.clone();
         kaleidoscope_fuzz::edit::append_leaf_function(&mut leaf_edited, 0xca1e, 1);
+        let leaf_fp = leaf_edited.fingerprint();
         let sample = bench("solver/incr/andersen-100k/warm-leaf", scale_iters, || {
-            let _ = Analysis::try_run_incremental_fe(
-                &scale,
-                None,
-                &prev_state,
-                &leaf_edited,
-                &opts,
-                None,
-                &mut NullObserver,
-                None,
-                None,
-            );
+            let _ = warm(&leaf_edited, leaf_fp);
         });
         let mut stats = None;
         let (alloc_bytes, alloc_calls) = alloc_traffic(|| {
-            let (a, _) = Analysis::try_run_incremental_fe(
-                &scale,
-                None,
-                &prev_state,
-                &leaf_edited,
-                &opts,
-                None,
-                &mut NullObserver,
-                None,
-                None,
-            )
-            .expect("unbudgeted solve");
-            stats = Some(a.result.stats);
+            stats = Some(warm(&leaf_edited, leaf_fp).result.stats);
         });
         let stats = stats.expect("solve ran");
         assert_eq!(stats.incr_fallback_full, 0, "leaf edit must warm-start");

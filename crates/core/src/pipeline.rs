@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use kaleidoscope_ir::{InstLoc, Module};
 use kaleidoscope_pta::{
-    Analysis, CriticalFlow, CtxPlan, ModuleBlocks, ObjSite, SolveBudget, SolveError, SolveOptions,
-    SolvedState,
+    Analysis, CriticalFlow, CtxPlan, ModuleBlocks, NullObserver, ObjSite, SolveBudget, SolveError,
+    SolveOptions, SolvedState, WarmStart,
 };
 
 use crate::invariant::LikelyInvariant;
@@ -214,11 +214,13 @@ impl KaleidoscopeResult {
 /// With [`PolicyConfig::none`], both views are the same baseline analysis
 /// and no invariants are produced.
 ///
-/// This is a composition of the cacheable stages below; the parallel
-/// executor (`kaleidoscope-exec`) runs the same stages but memoizes
-/// [`fallback_analysis`], [`ctx_plan_for`], and [`optimistic_analysis`]
-/// per module in its content-addressed artifact cache. Keeping both paths
-/// on one set of stage functions is what makes their outputs
+/// This is a composition of the cacheable stages below. The parallel
+/// executor (`kaleidoscope-exec`) runs the same stages, memoized per module
+/// in its content-addressed artifact cache: [`ctx_plan_for`] and
+/// [`assemble_result`] themselves, and the two solves through
+/// [`Analysis::try_run`], which [`fallback_analysis`] and
+/// [`optimistic_analysis`] call too. Every solve ends in the one
+/// `Solver::try_solve`, which is what makes both paths' outputs
 /// byte-identical.
 pub fn analyze(module: &Module, config: PolicyConfig) -> KaleidoscopeResult {
     let fallback = Arc::new(fallback_analysis(module));
@@ -241,8 +243,11 @@ pub fn fallback_analysis(module: &Module) -> Analysis {
 /// of re-walking the IR; the generated program — and hence the analysis —
 /// is identical either way.
 ///
+/// This and the three other `try_*_fe` functions are kept, with unchanged
+/// signatures, for the benchmark's replay of the executor; each is one call
+/// of [`Analysis::try_run`], which the executor calls directly.
 /// `_solver_threads` is ignored. It selected a second solver schedule that
-/// has since been removed; the parameter stays so existing callers compile.
+/// has since been removed.
 pub fn try_fallback_analysis_fe(
     module: &Module,
     budget: &SolveBudget,
@@ -250,22 +255,16 @@ pub fn try_fallback_analysis_fe(
     blocks: Option<&ModuleBlocks>,
 ) -> Result<Analysis, SolveError> {
     let opts = SolveOptions::baseline_with_budget(budget.clone());
-    Analysis::try_run_full_fe(
-        module,
-        &opts,
-        None,
-        &mut kaleidoscope_pta::NullObserver,
-        blocks,
-    )
+    Analysis::try_run(module, &opts, None, blocks, None, None, &mut NullObserver).map(|(a, _)| a)
 }
 
 /// Incremental-aware variant of [`try_fallback_analysis_fe`]: when `prev`
 /// supplies the previous revision's module and captured fixpoint, the
 /// solve warm-starts from it (falling back to a sound full solve on any
 /// incompatible edit); either way a fresh [`SolvedState`] snapshot of the
-/// new fixpoint is captured when the solve converges. `prev_blocks` and
-/// `blocks` are the previous and current revisions' frontend constraint
-/// blocks. `_solver_threads` is ignored, as in [`try_fallback_analysis_fe`].
+/// new fixpoint, tagged with `module`'s fingerprint, is captured when the
+/// solve converges. `prev_blocks` and `blocks` are the previous and current
+/// revisions' frontend constraint blocks.
 pub fn try_fallback_analysis_incr_fe(
     module: &Module,
     budget: &SolveBudget,
@@ -275,26 +274,21 @@ pub fn try_fallback_analysis_incr_fe(
     blocks: Option<&ModuleBlocks>,
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
     let opts = SolveOptions::baseline_with_budget(budget.clone());
-    match prev {
-        Some((prev_module, prev_state)) => Analysis::try_run_incremental_fe(
-            prev_module,
-            None,
-            prev_state,
-            module,
-            &opts,
-            None,
-            &mut kaleidoscope_pta::NullObserver,
-            prev_blocks,
-            blocks,
-        ),
-        None => Analysis::try_run_captured_fe(
-            module,
-            &opts,
-            None,
-            &mut kaleidoscope_pta::NullObserver,
-            blocks,
-        ),
-    }
+    let warm = prev.map(|(prev_module, state)| WarmStart {
+        module: prev_module,
+        plan: None,
+        blocks: prev_blocks,
+        state,
+    });
+    Analysis::try_run(
+        module,
+        &opts,
+        None,
+        blocks,
+        warm,
+        Some(module.fingerprint()),
+        &mut NullObserver,
+    )
 }
 
 /// Stage: the context plan feeding constraint generation (empty when the
@@ -317,14 +311,14 @@ pub fn optimistic_analysis(module: &Module, config: PolicyConfig, ctx_plan: &Ctx
         module,
         &opts,
         if config.ctx { Some(ctx_plan) } else { None },
-        &mut kaleidoscope_pta::NullObserver,
+        &mut NullObserver,
     )
 }
 
 /// Budgeted variant of [`optimistic_analysis`], with optional
 /// pre-recorded frontend constraint blocks. Blocks are plan-free:
 /// functions the context plan touches are recorded afresh under the plan
-/// during the splice. `_solver_threads` is ignored, as in
+/// during the splice. Kept for the benchmark's replay, like
 /// [`try_fallback_analysis_fe`].
 pub fn try_optimistic_analysis_fe(
     module: &Module,
@@ -338,13 +332,8 @@ pub fn try_optimistic_analysis_fe(
         budget: budget.clone(),
         ..SolveOptions::optimistic(config.pa, config.pwc)
     };
-    Analysis::try_run_full_fe(
-        module,
-        &opts,
-        if config.ctx { Some(ctx_plan) } else { None },
-        &mut kaleidoscope_pta::NullObserver,
-        blocks,
-    )
+    let plan = config.ctx.then_some(ctx_plan);
+    Analysis::try_run(module, &opts, plan, blocks, None, None, &mut NullObserver).map(|(a, _)| a)
 }
 
 /// Incremental-aware variant of [`try_optimistic_analysis_fe`]. The
@@ -353,8 +342,8 @@ pub fn try_optimistic_analysis_fe(
 /// and the captured state. See [`try_fallback_analysis_incr_fe`] for the
 /// semantics. Blocks are plan-free: functions the context plan touches are
 /// recorded afresh under the plan during the splice, so the optimistic
-/// program is identical to one generated without cached blocks.
-/// `_solver_threads` is ignored.
+/// program is identical to one generated without cached blocks. Kept for
+/// the benchmark's replay, like [`try_fallback_analysis_fe`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_optimistic_analysis_incr_fe(
     module: &Module,
@@ -370,34 +359,24 @@ pub fn try_optimistic_analysis_incr_fe(
         budget: budget.clone(),
         ..SolveOptions::optimistic(config.pa, config.pwc)
     };
-    let plan = if config.ctx { Some(ctx_plan) } else { None };
-    match prev {
-        Some((prev_module, prev_state)) => {
-            let prev_plan = if config.ctx {
-                Some(ctx_plan_for(prev_module, config))
-            } else {
-                None
-            };
-            Analysis::try_run_incremental_fe(
-                prev_module,
-                prev_plan.as_ref(),
-                prev_state,
-                module,
-                &opts,
-                plan,
-                &mut kaleidoscope_pta::NullObserver,
-                prev_blocks,
-                blocks,
-            )
-        }
-        None => Analysis::try_run_captured_fe(
-            module,
-            &opts,
-            plan,
-            &mut kaleidoscope_pta::NullObserver,
-            blocks,
-        ),
-    }
+    let prev_plan = prev
+        .filter(|_| config.ctx)
+        .map(|(m, _)| ctx_plan_for(m, config));
+    let warm = prev.map(|(prev_module, state)| WarmStart {
+        module: prev_module,
+        plan: prev_plan.as_ref(),
+        blocks: prev_blocks,
+        state,
+    });
+    Analysis::try_run(
+        module,
+        &opts,
+        config.ctx.then_some(ctx_plan),
+        blocks,
+        warm,
+        Some(module.fingerprint()),
+        &mut NullObserver,
+    )
 }
 
 /// ❸ Stage: derive the likely-invariant descriptors and package the

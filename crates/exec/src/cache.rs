@@ -42,24 +42,19 @@ enum Stage {
     Steens,
 }
 
-/// Full cache key: module content fingerprint + stage + the points-to
-/// representation version. Solve artifacts embed representation-dependent
-/// detail (lazily numbered field nodes, discovery-order event lists), so a
-/// representation or propagation-order change must invalidate them.
+/// Full cache key: module content fingerprint + stage. The cache lives in
+/// memory and dies with the process, so it needs no representation
+/// version: a new `PTS_REPR_VERSION` means a new binary, which starts with
+/// an empty cache. (The disk store's file names do carry the version.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     fingerprint: u64,
     stage: Stage,
-    repr_version: u32,
 }
 
 impl Key {
     fn new(fingerprint: u64, stage: Stage) -> Key {
-        Key {
-            fingerprint,
-            stage,
-            repr_version: kaleidoscope_pta::PTS_REPR_VERSION,
-        }
+        Key { fingerprint, stage }
     }
 }
 

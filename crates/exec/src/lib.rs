@@ -24,12 +24,16 @@
 //! * **A/B checking** — one worker ([`Executor::serial`], `--jobs 1`)
 //!   bypasses both the pool and the cache and runs the legacy
 //!   [`kaleidoscope::analyze`] per cell, as the reference for the
-//!   determinism guarantee (taken only under the default budget with no
-//!   fault plan, where the two paths are byte-identical by construction).
+//!   determinism guarantee. It is taken only under the default budget
+//!   with no fault plan, state store or frontend blocks; otherwise one
+//!   worker runs the pooled loop.
 //!
-//! Both paths compose the same stage functions from `core::pipeline`
+//! The legacy path composes the stage functions of `core::pipeline`
 //! (`fallback_analysis` / `ctx_plan_for` / `optimistic_analysis` /
-//! `assemble_result`), which is what makes their outputs identical.
+//! `assemble_result`). The executor calls `ctx_plan_for` and
+//! `assemble_result` itself and runs every solve through one helper that
+//! calls [`kaleidoscope_pta::Analysis::try_run`]. Both paths end in the one
+//! `Solver::try_solve`, which is what makes their outputs identical.
 //!
 //! # Fault domains and the degradation ladder
 //!
@@ -42,7 +46,9 @@
 //!
 //! 1. **Fallback rung** — the cell serves the module's sound fallback
 //!    artifact as both views, with no invariants to monitor (exactly the
-//!    post-switch state of a monitored process).
+//!    post-switch state of a monitored process). On a cache miss it is
+//!    solved like any other fallback solve: warm-started, with its
+//!    snapshot published.
 //! 2. **Steensgaard rung** — if even the fallback solve fails, the cell
 //!    serves the cheap unification-based tier (sound, imprecise, near
 //!    linear time).
@@ -79,12 +85,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use kaleidoscope::{
     analyze, assemble_degraded_fallback, assemble_degraded_steens, assemble_result, ctx_plan_for,
-    try_fallback_analysis_fe, try_fallback_analysis_incr_fe, try_optimistic_analysis_fe,
-    try_optimistic_analysis_incr_fe, KaleidoscopeResult, PolicyConfig,
+    detect_ctx_plan, KaleidoscopeResult, PolicyConfig,
 };
 use kaleidoscope_ir::{parse_module, Module};
 use kaleidoscope_pta::{
-    steens_analysis, CtxPlan, ModuleBlocks, SolveBudget, SolveError, SolveOptions, SolvedState,
+    steens_analysis, Analysis, CtxPlan, ModuleBlocks, NullObserver, SolveBudget, SolveError,
+    SolveOptions, SolvedState, WarmStart,
 };
 
 /// Why a cell's configured pipeline could not produce its artifact. The
@@ -138,11 +144,21 @@ pub struct Executor {
     /// first component (from [`load_frontend`]); solves of that module
     /// replay them instead of re-walking the IR.
     frontend: Option<(u64, Arc<ModuleBlocks>)>,
-    /// Lazily parsed previous-revision module + blocks, shared across the
-    /// solve families of one request (each family otherwise re-parses it).
-    prev_memo: OnceLock<Option<(Arc<Module>, Arc<ModuleBlocks>)>>,
+    /// The previous revision, loaded on first use and shared by the solve
+    /// families of one request.
+    prev: OnceLock<Option<PrevRevision>>,
     #[cfg(feature = "fault-injection")]
     faults: Option<FaultPlan>,
+}
+
+/// The previous revision warm starts read: its module and constraint
+/// blocks, and its context plan, derived the first time a ctx family
+/// warm-starts.
+#[derive(Debug)]
+struct PrevRevision {
+    module: Module,
+    blocks: ModuleBlocks,
+    ctx_plan: OnceLock<CtxPlan>,
 }
 
 impl Default for Executor {
@@ -158,7 +174,9 @@ impl Executor {
     }
 
     /// Executor with a fixed worker count; `0` means available
-    /// parallelism, `1` is the legacy serial path (no pool, no cache).
+    /// parallelism. With `1` and no budget, faults, state store or frontend
+    /// blocks, a matrix runs the legacy serial path (no pool, no cache);
+    /// otherwise the pool runs on one worker.
     pub fn with_jobs(jobs: usize) -> Executor {
         let jobs = if jobs == 0 {
             std::thread::available_parallelism()
@@ -174,13 +192,14 @@ impl Executor {
             state_store: None,
             incremental_from: None,
             frontend: None,
-            prev_memo: OnceLock::new(),
+            prev: OnceLock::new(),
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
     }
 
-    /// The legacy serial executor (`--jobs 1`).
+    /// One worker (`--jobs 1`): the legacy serial reference, unless a
+    /// budget, faults, a state store or frontend blocks need the pool.
     pub fn serial() -> Executor {
         Executor::with_jobs(1)
     }
@@ -191,11 +210,6 @@ impl Executor {
     pub fn with_budget(mut self, budget: SolveBudget) -> Executor {
         self.budget = budget;
         self
-    }
-
-    /// The per-solve budget cells run under.
-    pub fn budget(&self) -> &SolveBudget {
-        &self.budget
     }
 
     /// Attach a shared on-disk store for solved-state snapshots. Every
@@ -215,11 +229,6 @@ impl Executor {
     pub fn with_incremental_from(mut self, prev_fp: u64) -> Executor {
         self.incremental_from = Some(prev_fp);
         self
-    }
-
-    /// The configured previous-revision fingerprint, if any.
-    pub fn incremental_from(&self) -> Option<u64> {
-        self.incremental_from
     }
 
     /// Attach pre-recorded frontend constraint blocks for the module
@@ -265,7 +274,9 @@ impl Executor {
         self.cache.stats()
     }
 
-    fn optimistic_opts(&self, config: PolicyConfig) -> SolveOptions {
+    /// The options of `config`'s optimistic solve under the executor's
+    /// budget. [`PolicyConfig::none`]'s are the fallback solve's.
+    fn opts(&self, config: PolicyConfig) -> SolveOptions {
         SolveOptions {
             budget: self.budget.clone(),
             ..SolveOptions::optimistic(config.pa, config.pwc)
@@ -279,13 +290,11 @@ impl Executor {
         self.run_cell(module, module.fingerprint(), config, None)
     }
 
-    /// The previous revision's parsed module and recorded constraint
-    /// blocks, parsed/built once per executor and shared across all solve
-    /// families of the request (each family used to re-parse it from the
-    /// store). `None` when incremental inputs are absent or the stored
-    /// text does not round-trip to the expected fingerprint.
-    fn prev_module(&self) -> Option<(Arc<Module>, Arc<ModuleBlocks>)> {
-        self.prev_memo
+    /// The previous revision, parsed and recorded once per executor. `None`
+    /// when no previous revision is configured or its stored text does not
+    /// round-trip to its fingerprint.
+    fn prev_revision(&self) -> Option<&PrevRevision> {
+        self.prev
             .get_or_init(|| {
                 let store = self.state_store.as_ref()?;
                 let prev_fp = self.incremental_from?;
@@ -294,38 +303,87 @@ impl Executor {
                     return None;
                 }
                 let blocks = ModuleBlocks::build(&module);
-                Some((Arc::new(module), Arc::new(blocks)))
+                Some(PrevRevision {
+                    module,
+                    blocks,
+                    ctx_plan: OnceLock::new(),
+                })
             })
-            .clone()
+            .as_ref()
     }
 
-    /// The previous revision's module, blocks, and captured fixpoint for
-    /// one solve family, when incremental inputs are configured and present
-    /// in the state store. Any missing, stale, or mismatched piece yields
-    /// `None` (the solve runs cold) — never a wrong warm-start: the
-    /// snapshot and the re-parsed module must both round-trip to the
-    /// stored fingerprint.
-    fn prev_inputs(
+    /// Every Andersen solve the executor runs. `fp` is `module`'s
+    /// fingerprint; `ctx_plan` feeds constraint generation (`None` for the
+    /// solve families without the ctx policy).
+    ///
+    /// With a state store, the solve warm-starts from the previous
+    /// revision's snapshot for the same options and ctx flag. Any missing,
+    /// stale or mismatched piece solves cold, never from a wrong state: the
+    /// snapshot and the re-parsed previous module must both round-trip to
+    /// the previous fingerprint. A converged solve then publishes its own
+    /// snapshot, tagged with `fp`. Publishing is best effort: a failed disk
+    /// write only costs the next edit its warm start.
+    fn solve(
         &self,
-        opts_key: u64,
-        with_ctx: bool,
-    ) -> Option<(Arc<Module>, Arc<ModuleBlocks>, SolvedState)> {
-        let store = self.state_store.as_ref()?;
-        let prev_fp = self.incremental_from?;
-        let state = SolvedState::from_bytes(&store.get_state(prev_fp, opts_key, with_ctx)?)?;
-        if state.fingerprint != prev_fp {
-            return None;
+        module: &Module,
+        fp: u64,
+        opts: &SolveOptions,
+        ctx_plan: Option<&CtxPlan>,
+    ) -> Result<Analysis, SolveError> {
+        let store = self.state_store.as_deref();
+        let (opts_key, with_ctx) = (opts.cache_key(), ctx_plan.is_some());
+        let prev = store
+            .zip(self.incremental_from)
+            .and_then(|(store, prev_fp)| {
+                let state =
+                    SolvedState::from_bytes(&store.get_state(prev_fp, opts_key, with_ctx)?)?;
+                if state.fingerprint != prev_fp {
+                    return None;
+                }
+                Some((self.prev_revision()?, state))
+            });
+        let warm = prev.as_ref().map(|(prev, state)| WarmStart {
+            module: &prev.module,
+            plan: with_ctx.then(|| prev.ctx_plan.get_or_init(|| detect_ctx_plan(&prev.module))),
+            blocks: Some(&prev.blocks),
+            state,
+        });
+        let (analysis, state) = Analysis::try_run(
+            module,
+            opts,
+            ctx_plan,
+            self.frontend_blocks(fp),
+            warm,
+            store.map(|_| fp),
+            &mut NullObserver,
+        )?;
+        if let (Some(store), Some(state)) = (store, state) {
+            let _ = store.put_state(fp, opts_key, with_ctx, &state.to_bytes());
         }
-        let (module, blocks) = self.prev_module()?;
-        Some((module, blocks, state))
+        Ok(analysis)
     }
 
-    /// Publish a converged solve's snapshot to the state store (best
-    /// effort: a failed disk write only costs the next edit its warm
-    /// start).
-    fn publish_state(&self, fp: u64, opts_key: u64, with_ctx: bool, state: Option<&SolvedState>) {
-        if let (Some(store), Some(s)) = (self.state_store.as_ref(), state) {
-            let _ = store.put_state(fp, opts_key, with_ctx, &s.to_bytes());
+    /// The verified artifact-cache fetch of one solve family, solving on a
+    /// miss. Failed solves are never cached.
+    fn fetch(
+        &self,
+        module: &Module,
+        fp: u64,
+        opts: &SolveOptions,
+        ctx_plan: Option<&CtxPlan>,
+    ) -> Result<Arc<Analysis>, FetchError> {
+        self.cache.try_analysis(fp, opts, ctx_plan.is_some(), || {
+            self.solve(module, fp, opts, ctx_plan)
+        })
+    }
+
+    /// The context plan of `config` (empty when the ctx policy is off),
+    /// derived once per module.
+    fn ctx_plan(&self, module: &Module, fp: u64, config: PolicyConfig) -> Arc<CtxPlan> {
+        if config.ctx {
+            self.cache.ctx_plan(fp, || ctx_plan_for(module, config))
+        } else {
+            Arc::new(CtxPlan::new())
         }
     }
 
@@ -361,7 +419,7 @@ impl Executor {
 
     /// The configured (healthy-path) pipeline: cached fallback + context
     /// plan + cached optimistic solve, all under the executor's budget,
-    /// all cache fetches content-verified. Failed solves are never cached.
+    /// all cache fetches content-verified.
     fn configured_cell(
         &self,
         module: &Module,
@@ -386,59 +444,32 @@ impl Executor {
             panic!("injected fault: worker killed mid-solve at {cell:?}");
         }
 
+        let fallback_opts = self.opts(PolicyConfig::none());
+
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::FallbackBudget) {
             // Solve uncached under an exhausted budget: the faulted
-            // attempt must neither publish nor consume shared artifacts.
+            // attempt must neither publish nor consume a cached artifact.
             return Err(CellError::FallbackBudget(synthesize_budget_failure(
-                try_fallback_analysis_fe(module, &SolveBudget::iterations(0), 0, None),
+                self.solve(module, fp, &exhausted(&fallback_opts), None),
             )));
         }
 
-        let blocks = self.frontend_blocks(fp);
         let fallback = self
-            .cache
-            .try_analysis(fp, &SolveOptions::baseline(), false, || {
-                if self.state_store.is_none() {
-                    return try_fallback_analysis_fe(module, &self.budget, 0, blocks);
-                }
-                let key = SolveOptions::baseline().cache_key();
-                let prev = self.prev_inputs(key, false);
-                let (analysis, state) = try_fallback_analysis_incr_fe(
-                    module,
-                    &self.budget,
-                    0,
-                    prev.as_ref().map(|(m, _, s)| (&**m, s)),
-                    prev.as_ref().map(|(_, b, _)| &**b),
-                    blocks,
-                )?;
-                self.publish_state(fp, key, false, state.as_ref());
-                Ok(analysis)
-            })
+            .fetch(module, fp, &fallback_opts, None)
             .map_err(|e| match e {
                 FetchError::Corrupt => CellError::CorruptArtifact,
                 FetchError::Solve(s) => CellError::FallbackBudget(s),
             })?;
 
-        let ctx_plan = if config.ctx {
-            self.cache.ctx_plan(fp, || ctx_plan_for(module, config))
-        } else {
-            Arc::new(CtxPlan::new())
-        };
-
-        let opts = self.optimistic_opts(config);
+        let ctx_plan = self.ctx_plan(module, fp, config);
+        let plan = config.ctx.then_some(&*ctx_plan);
+        let opts = self.opts(config);
 
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::OptimisticBudget) {
             return Err(CellError::OptimisticBudget(synthesize_budget_failure(
-                try_optimistic_analysis_fe(
-                    module,
-                    config,
-                    &ctx_plan,
-                    &SolveBudget::iterations(0),
-                    0,
-                    None,
-                ),
+                self.solve(module, fp, &exhausted(&opts), plan),
             )));
         }
 
@@ -446,44 +477,14 @@ impl Executor {
         if fault == Some(FaultKind::CacheCorruption) {
             // Ensure the artifact exists, then damage its recorded digest;
             // the verified fetch below must reject it.
-            let _ = self.cache.try_analysis(fp, &opts, config.ctx, || {
-                try_optimistic_analysis_fe(module, config, &ctx_plan, &self.budget, 0, None)
-            });
+            let _ = self.fetch(module, fp, &opts, plan);
             self.cache.corrupt_analysis_entry(fp, &opts, config.ctx);
         }
 
-        let optimistic = self
-            .cache
-            .try_analysis(fp, &opts, config.ctx, || {
-                if self.state_store.is_none() {
-                    return try_optimistic_analysis_fe(
-                        module,
-                        config,
-                        &ctx_plan,
-                        &self.budget,
-                        0,
-                        blocks,
-                    );
-                }
-                let key = opts.cache_key();
-                let prev = self.prev_inputs(key, config.ctx);
-                let (analysis, state) = try_optimistic_analysis_incr_fe(
-                    module,
-                    config,
-                    &ctx_plan,
-                    &self.budget,
-                    0,
-                    prev.as_ref().map(|(m, _, s)| (&**m, s)),
-                    prev.as_ref().map(|(_, b, _)| &**b),
-                    blocks,
-                )?;
-                self.publish_state(fp, key, config.ctx, state.as_ref());
-                Ok(analysis)
-            })
-            .map_err(|e| match e {
-                FetchError::Corrupt => CellError::CorruptArtifact,
-                FetchError::Solve(s) => CellError::OptimisticBudget(s),
-            })?;
+        let optimistic = self.fetch(module, fp, &opts, plan).map_err(|e| match e {
+            FetchError::Corrupt => CellError::CorruptArtifact,
+            FetchError::Solve(s) => CellError::OptimisticBudget(s),
+        })?;
 
         Ok(assemble_result(
             module,
@@ -510,16 +511,8 @@ impl Executor {
         // against its own faults so a failure here falls through.
         if !matches!(err, CellError::FallbackBudget(_)) {
             let rung1 = catch_unwind(AssertUnwindSafe(|| {
-                let fallback =
-                    self.cache
-                        .try_analysis(fp, &SolveOptions::baseline(), false, || {
-                            try_fallback_analysis_fe(module, &self.budget, 0, None)
-                        })?;
-                let ctx_plan = if config.ctx {
-                    self.cache.ctx_plan(fp, || ctx_plan_for(module, config))
-                } else {
-                    Arc::new(CtxPlan::new())
-                };
+                let fallback = self.fetch(module, fp, &self.opts(PolicyConfig::none()), None)?;
+                let ctx_plan = self.ctx_plan(module, fp, config);
                 Ok::<_, FetchError>(assemble_degraded_fallback(
                     config,
                     fallback,
@@ -577,27 +570,13 @@ impl Executor {
         let results: Vec<T> = if legacy {
             // Legacy serial path: the original per-cell pipeline, no pool,
             // no cache — the A/B reference for byte-identical output.
-            // Only equivalent to the isolated path under the default
-            // budget with no faults, so it is only taken there.
+            // Budgets, faults, warm starts and frontend blocks need the
+            // pool's fault-isolated cells, so it is only taken without
+            // them; with them, one worker runs the pool.
             let mut out = Vec::with_capacity(n_cells);
             for (mi, module) in modules.iter().enumerate() {
                 for (ci, config) in configs.iter().enumerate() {
                     out.push(f(mi, ci, &analyze(module, *config)));
-                }
-            }
-            out
-        } else if self.jobs <= 1 {
-            // Serial but isolated: budgets, faults, and degradation apply
-            // exactly as on the pooled path.
-            let mut out = Vec::with_capacity(n_cells);
-            for (mi, module) in modules.iter().enumerate() {
-                let fp = module.fingerprint();
-                for (ci, config) in configs.iter().enumerate() {
-                    out.push(f(
-                        mi,
-                        ci,
-                        &self.run_cell(module, fp, *config, Some((mi, ci))),
-                    ));
                 }
             }
             out
@@ -655,13 +634,20 @@ impl Executor {
     }
 }
 
+/// `opts` under a budget of zero pops, for injected budget faults.
+#[cfg(feature = "fault-injection")]
+fn exhausted(opts: &SolveOptions) -> SolveOptions {
+    SolveOptions {
+        budget: SolveBudget::iterations(0),
+        ..opts.clone()
+    }
+}
+
 /// Injected budget faults run a real solve under a zero budget; on the
 /// off-chance the module is trivial enough to finish anyway, synthesize
 /// the error so the fault still fires deterministically.
 #[cfg(feature = "fault-injection")]
-fn synthesize_budget_failure(
-    outcome: Result<kaleidoscope_pta::Analysis, SolveError>,
-) -> SolveError {
+fn synthesize_budget_failure(outcome: Result<Analysis, SolveError>) -> SolveError {
     outcome.err().unwrap_or_else(|| SolveError::BudgetExceeded {
         kind: kaleidoscope_pta::BudgetKind::Iterations,
         stats: Box::new(kaleidoscope_pta::SolveStats::default()),

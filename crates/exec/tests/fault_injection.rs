@@ -9,10 +9,12 @@
 //! byte-identical to a fault-free run.
 #![cfg(feature = "fault-injection")]
 
+use std::sync::Arc;
+
 use kaleidoscope::{CellHealth, DegradedTier, KaleidoscopeResult, PolicyConfig};
-use kaleidoscope_exec::{Executor, FaultKind, FaultPlan};
+use kaleidoscope_exec::{DiskCache, Executor, FaultKind, FaultPlan};
 use kaleidoscope_ir::Module;
-use kaleidoscope_pta::{steens_analysis, Analysis, PtsStats};
+use kaleidoscope_pta::{steens_analysis, Analysis, PtsStats, SolveOptions};
 
 /// Deterministic render of one analysis view: canonical points-to stats
 /// plus the call graph (BTreeMap-backed, so `Debug` order is stable).
@@ -130,7 +132,7 @@ fn faulted_runs_are_deterministic() {
     let b = render(&Executor::with_jobs(2).with_faults(plan.clone()));
     let c = render(&Executor::serial().with_faults(plan));
     assert_eq!(a, b, "fault outcome independent of worker count");
-    assert_eq!(a, c, "fault outcome identical on the serial isolated path");
+    assert_eq!(a, c, "fault outcome identical on one worker");
 }
 
 /// Seed matrix for CI: `KD_FAULT_SEEDS=1,2,3` runs one plan per seed.
@@ -147,4 +149,37 @@ fn seeded_plans_uphold_the_acceptance_property() {
         assert_eq!(plan.len(), 4);
         check_plan(&plan, 3);
     }
+}
+
+/// A cell that panics before it fetches anything degrades to the fallback
+/// rung, which then solves the module's baseline. That solve publishes its
+/// snapshot like every other one, so all eight solve families of the
+/// matrix leave a snapshot for the next revision's warm start.
+#[test]
+fn a_panicking_first_cell_still_publishes_the_baseline_snapshot() {
+    let dir = std::env::temp_dir().join(format!("kd-fault-publish-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(DiskCache::open(&dir).expect("open store"));
+    let module = kaleidoscope_apps::model("TinyDTLS")
+        .expect("bundled model")
+        .module;
+    let configs = PolicyConfig::table3_order();
+    let out = Executor::serial()
+        .with_state_store(Arc::clone(&store))
+        .with_faults(FaultPlan::new().inject(0, 0, FaultKind::CellPanic))
+        .run_matrix(&[&module], &configs);
+    assert!(out[0][0].health.is_degraded());
+    assert!(out[0][1..].iter().all(|r| !r.health.is_degraded()));
+
+    let fp = module.fingerprint();
+    let missing: Vec<&str> = configs
+        .iter()
+        .filter(|c| {
+            let key = SolveOptions::optimistic(c.pa, c.pwc).cache_key();
+            store.get_state(fp, key, c.ctx).is_none()
+        })
+        .map(|c| c.name())
+        .collect();
+    assert!(missing.is_empty(), "no snapshot for {missing:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

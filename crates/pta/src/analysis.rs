@@ -36,6 +36,20 @@ fn _assert_shareable() {
     send_sync::<CtxPlan>();
 }
 
+/// The previous revision a solve warm-starts from.
+#[derive(Debug, Clone, Copy)]
+pub struct WarmStart<'a> {
+    /// The previous revision's module.
+    pub module: &'a Module,
+    /// The context plan its captured solve generated constraints with.
+    pub plan: Option<&'a CtxPlan>,
+    /// Its frontend constraint blocks, spliced when its program is
+    /// regenerated for the diff.
+    pub blocks: Option<&'a ModuleBlocks>,
+    /// Its captured fixpoint.
+    pub state: &'a SolvedState,
+}
+
 impl Analysis {
     /// Generate constraints and solve, without a context plan or observer.
     pub fn run(module: &Module, opts: &SolveOptions) -> Analysis {
@@ -43,83 +57,58 @@ impl Analysis {
     }
 
     /// Generate constraints (honouring `ctx_plan` if given) and solve,
-    /// reporting events to `obs`.
+    /// reporting events to `obs`. Panics if the solve budget is exhausted;
+    /// the default budget is effectively unlimited.
     pub fn run_full(
         module: &Module,
         opts: &SolveOptions,
         ctx_plan: Option<&CtxPlan>,
         obs: &mut dyn SolverObserver,
     ) -> Analysis {
-        let program = generate_spliced(module, ctx_plan, None);
-        let result = Solver::new(module, program, opts.clone()).solve(obs);
-        Analysis { result }
+        Self::try_run(module, opts, ctx_plan, None, None, None, obs)
+            .unwrap_or_else(|e| panic!("likely divergence: {e}"))
+            .0
     }
 
-    /// Fallible variant of [`Analysis::run_full`]: returns the typed budget
-    /// error instead of panicking when the solve budget is exhausted. With
-    /// pre-recorded frontend constraint `blocks`, generation replays them
-    /// for every function the context plan does not affect, producing a
-    /// program identical to one generated without them.
-    pub fn try_run_full_fe(
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-        blocks: Option<&ModuleBlocks>,
-    ) -> Result<Analysis, SolveError> {
-        let program = generate_spliced(module, ctx_plan, blocks);
-        let result = Solver::new(module, program, opts.clone()).try_solve(obs)?;
-        Ok(Analysis { result })
-    }
-
-    /// Like [`Analysis::try_run_full_fe`], but also captures a
-    /// [`SolvedState`] snapshot when the solve converges, for later
-    /// incremental re-solves of edited revisions of the same module.
-    pub fn try_run_captured_fe(
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-        blocks: Option<&ModuleBlocks>,
-    ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-        let program = generate_spliced(module, ctx_plan, blocks);
-        let (result, state) = Solver::new(module, program, opts.clone()).try_solve_captured(obs)?;
-        Ok((Analysis { result }, state))
-    }
-
-    /// Incremental re-solve: warm-start from `prev` (the captured fixpoint
-    /// of `prev_module` under the same options) and seed the worklist with
-    /// only the touched nodes. Any incompatible edit falls back to a sound
-    /// full solve, visible as `stats.incr_fallback_full == 1`. Captures a
-    /// fresh snapshot of the new fixpoint for chained edits.
+    /// Generate constraints and solve: the one fallible solve every other
+    /// entry point calls.
     ///
-    /// `prev_blocks` and `blocks` are the previous and current revisions'
-    /// frontend constraint blocks; both generations (the previous program
-    /// regenerated for diffing, and the new program) splice them when
-    /// given. The previous program is generated only when
-    /// [`ConstraintDiff::precheck`] finds the modules compatible.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_run_incremental_fe(
-        prev_module: &Module,
-        prev_plan: Option<&CtxPlan>,
-        prev: &SolvedState,
+    /// * `ctx_plan` feeds constraint generation.
+    /// * With pre-recorded frontend constraint `blocks`, generation replays
+    ///   them for every function the context plan does not affect,
+    ///   producing a program identical to one generated without them.
+    /// * With `warm`, the solve warm-starts from the previous revision's
+    ///   captured fixpoint and seeds only the touched nodes. Its program is
+    ///   regenerated for the diff only when [`ConstraintDiff::precheck`]
+    ///   finds the two modules compatible. Any incompatible edit falls back
+    ///   to a cold solve, visible as `stats.incr_fallback_full == 1`.
+    /// * With `capture`, a converged solve also returns a [`SolvedState`]
+    ///   snapshot tagged with that fingerprint, which must be `module`'s.
+    ///
+    /// Returns the typed budget error when the solve budget is exhausted.
+    pub fn try_run(
         module: &Module,
         opts: &SolveOptions,
         ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-        prev_blocks: Option<&ModuleBlocks>,
         blocks: Option<&ModuleBlocks>,
+        warm: Option<WarmStart<'_>>,
+        capture: Option<u64>,
+        obs: &mut dyn SolverObserver,
     ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
         let program = generate_spliced(module, ctx_plan, blocks);
-        let diff = ConstraintDiff::precheck(prev_module, module);
-        let diff = if diff.fallback.is_some() {
-            diff
-        } else {
-            let prev_program = generate_spliced(prev_module, prev_plan, prev_blocks);
+        let diff = warm.map(|prev| {
+            let diff = ConstraintDiff::precheck(prev.module, module);
+            if diff.fallback.is_some() {
+                return diff;
+            }
+            let prev_program = generate_spliced(prev.module, prev.plan, prev.blocks);
             diff.check_programs(&prev_program, &program)
-        };
-        let (result, state) = Solver::new(module, program, opts.clone())
-            .try_resolve_incremental_captured(prev, &diff, obs)?;
+        });
+        let warm = warm
+            .zip(diff.as_ref())
+            .map(|(prev, diff)| (prev.state, diff));
+        let (result, state) =
+            Solver::new(module, program, opts.clone()).try_solve(warm, capture, obs)?;
         Ok((Analysis { result }, state))
     }
 

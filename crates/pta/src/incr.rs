@@ -27,15 +27,13 @@
 //! seeded edit scripts, at thread counts 1 and 4.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use kaleidoscope_ir::{BlockId, FuncId, InstLoc, LocalId, Module};
 
-use crate::gen::{ConstraintKind, CopyProvenance, IndirectCall, Program};
+use crate::gen::{ConstraintKind, IndirectCall, Program};
 use crate::node::{NodeId, NodeKind, ObjId, ObjSite};
-use crate::observer::SolverObserver;
 use crate::pts::PtsSet;
-use crate::solver::{PaFilterEvent, PwcEvent, SolveError, SolveResult, Solver};
+use crate::solver::{PaFilterEvent, PwcEvent, Solver};
 
 /// Version of the incremental snapshot layout. Bumped on any change to
 /// [`SolvedState`] serialization or to the restore semantics; stale
@@ -589,18 +587,10 @@ pub struct ConstraintDiff {
     /// `Some(reason)` when incremental reuse is impossible and the solve
     /// must run from scratch (always sound).
     pub fallback: Option<FallbackReason>,
-    /// Functions appended by the edit.
-    pub added_funcs: usize,
     /// Functions removed by the edit (forces fallback).
     pub removed_funcs: usize,
     /// Shared functions whose definition changed (forces fallback).
     pub changed_funcs: usize,
-    /// Constraints appended by the edit.
-    pub added_constraints: usize,
-    /// Indirect callsites appended by the edit.
-    pub added_icalls: usize,
-    /// Generated nodes appended by the edit.
-    pub added_nodes: usize,
     /// Index of the first constraint with no previous counterpart.
     pub first_new_constraint: usize,
     /// Index of the first indirect call with no previous counterpart.
@@ -628,12 +618,8 @@ impl ConstraintDiff {
     pub fn precheck(prev_module: &Module, new_module: &Module) -> ConstraintDiff {
         let mut diff = ConstraintDiff {
             fallback: None,
-            added_funcs: 0,
             removed_funcs: 0,
             changed_funcs: 0,
-            added_constraints: 0,
-            added_icalls: 0,
-            added_nodes: 0,
             first_new_constraint: 0,
             first_new_icall: 0,
             node_map: Vec::new(),
@@ -644,7 +630,6 @@ impl ConstraintDiff {
             diff.removed_funcs = pf - nf;
             return diff.fail(FallbackReason::RemovedFunc);
         }
-        diff.added_funcs = nf - pf;
         diff.changed_funcs = prev_module
             .funcs
             .iter()
@@ -753,9 +738,6 @@ impl ConstraintDiff {
                 return diff.fail(FallbackReason::IcallMismatch);
             }
         }
-        diff.added_constraints = new.constraints.len() - prev.constraints.len();
-        diff.added_icalls = new.icalls.len() - prev.icalls.len();
-        diff.added_nodes = new.nodes.len().saturating_sub(prev.nodes.len());
         diff
     }
 
@@ -822,71 +804,20 @@ impl ConstraintDiff {
 }
 
 impl<'m> Solver<'m> {
-    /// Like [`Solver::try_solve`], but additionally captures a
-    /// [`SolvedState`] snapshot when the solve converges (reaching a true
-    /// fixpoint rather than the `max_passes` valve). The snapshot is tagged
-    /// with the solved module's fingerprint, computed only on capture.
-    pub fn try_solve_captured(
-        mut self,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<(SolveResult, Option<SolvedState>), SolveError> {
-        let start = Instant::now();
-        self.prepare(start);
-        self.init(obs);
-        let converged = self.run_loop(start, obs)?;
-        let state = if converged {
-            SolvedState::capture(&self, self.module.fingerprint())
-        } else {
-            None
-        };
-        Ok((self.finish(), state))
-    }
-
-    /// Warm-start from a previous fixpoint: restore the captured state
-    /// translated onto this solver's arena and seed the worklist with only
-    /// the nodes the edit touched. Falls back to a sound full solve (and
-    /// sets `SolveStats::incr_fallback_full`) when the diff or state is
-    /// incompatible. Captures a snapshot of the *new* fixpoint, for
-    /// chained watch-mode edits, as [`Solver::try_solve_captured`] does.
-    pub fn try_resolve_incremental_captured(
-        mut self,
-        prev: &SolvedState,
-        diff: &ConstraintDiff,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<(SolveResult, Option<SolvedState>), SolveError> {
-        let start = Instant::now();
-        self.prepare(start);
-        let compatible = diff.fallback.is_none()
-            && prev.opts_key == self.opts.cache_key()
-            && prev.gen_len as usize == diff.node_map.len()
-            && self.try_restore(prev, diff).is_ok();
-        if compatible {
-            self.stats.incr_reused = prev.rep_of.len();
-            self.init_incremental(diff, obs);
-            self.stats.incr_seeded_nodes = self.queued.iter().filter(|&&q| q).count();
-        } else {
-            self.stats.incr_fallback_full = 1;
-            // A failed restore may have replayed part of the created-node
-            // suffix. Those nodes carry no constraints or points-to state;
-            // at worst the full solve finds them pre-materialized in the
-            // field memo, which does not change the canonical result.
-            self.ensure_capacity();
-            self.init(obs);
+    /// Warm-start from `prev`: when the diff, the options and the state
+    /// are compatible, restore the previous fixpoint translated onto this
+    /// solver's arena and return `true`; on `false` the caller solves cold.
+    /// All fallible checks and replays run before any derived state
+    /// (points-to sets, copy edges, events) is written, so a `false` leaves
+    /// the solver safe for a cold `init` — the only residue is
+    /// pre-materialized nodes.
+    pub(crate) fn restore(&mut self, prev: &SolvedState, diff: &ConstraintDiff) -> bool {
+        if diff.fallback.is_some()
+            || prev.opts_key != self.opts.cache_key()
+            || prev.gen_len as usize != diff.node_map.len()
+        {
+            return false;
         }
-        let converged = self.run_loop(start, obs)?;
-        let state = if converged {
-            SolvedState::capture(&self, self.module.fingerprint())
-        } else {
-            None
-        };
-        Ok((self.finish(), state))
-    }
-
-    /// Restore the previous fixpoint onto this solver. All fallible checks
-    /// and replays run before any derived state (points-to sets, copy
-    /// edges, events) is written, so an `Err` leaves the solver safe for a
-    /// from-scratch `init` — the only residue is pre-materialized nodes.
-    fn try_restore(&mut self, prev: &SolvedState, diff: &ConstraintDiff) -> Result<(), ()> {
         let gen_len = prev.gen_len as usize;
         let total = gen_len + prev.created.len();
         if prev.rep_of.len() != total
@@ -906,7 +837,7 @@ impl<'m> Solver<'m> {
                 .chain(prev.pa_events.iter().map(|(_, o)| o))
                 .any(|&o| o as usize >= diff.obj_map.len())
         {
-            return Err(());
+            return false;
         }
         // Full previous-node map: the generated prefix comes from the
         // diff, the solver-created suffix is replayed in creation order.
@@ -919,10 +850,10 @@ impl<'m> Solver<'m> {
                 CreatedNode::Ret { func } => self.nodes.ret_node(FuncId(func)),
                 CreatedNode::Field { parent, idx } => {
                     let Some(&p) = map.get(parent as usize) else {
-                        return Err(());
+                        return false;
                     };
                     let Some(sid) = self.nodes.field_struct_of(p) else {
-                        return Err(());
+                        return false;
                     };
                     let field_tys = self.module.types.def(sid.0).fields.clone();
                     self.nodes.field_node_typed(p, idx as usize, &field_tys)
@@ -935,7 +866,7 @@ impl<'m> Solver<'m> {
         for fids in &prev.icall_wired {
             for &f in fids {
                 if self.nodes.object_at(ObjSite::Func(FuncId(f))).is_none() {
-                    return Err(());
+                    return false;
                 }
             }
         }
@@ -1022,97 +953,8 @@ impl<'m> Solver<'m> {
             }
             self.icall_wired.push(wired);
         }
-        Ok(())
-    }
-
-    /// Like `init`, but constraints from the verified prefix only
-    /// *register* (their effects are already part of the restored
-    /// fixpoint), while appended constraints seed the worklist with a full
-    /// re-propagation of their base nodes. Primitive address/copy
-    /// constraints run through the normal path in both cases — against the
-    /// restored state they are exact no-ops (set insertion and copy-edge
-    /// dedup), which doubles as a self-check of the restore.
-    fn init_incremental(&mut self, diff: &ConstraintDiff, obs: &mut dyn SolverObserver) {
-        for i in 0..self.constraints.len() {
-            let c = self.constraints[i].clone();
-            let cid = i as u32;
-            let fresh = i >= diff.first_new_constraint;
-            match c.kind {
-                ConstraintKind::AddrOf { dst, obj } => {
-                    let root = self.nodes.obj_root(obj);
-                    let dst = self.nodes.find(dst);
-                    if self.pts[dst.index()].insert(root) {
-                        obs.pts_grew(&self.nodes, dst, &[root]);
-                        self.push(dst);
-                    }
-                }
-                ConstraintKind::Copy { dst, src } => {
-                    self.add_copy(src, dst, CopyProvenance::Primitive(c.origin), obs);
-                }
-                ConstraintKind::Load { dst, addr } => {
-                    let addr = self.nodes.find(addr);
-                    self.loads[addr.index()].push((dst, cid));
-                    if fresh {
-                        self.seed(addr);
-                    }
-                }
-                ConstraintKind::Store { addr, src } => {
-                    let addr = self.nodes.find(addr);
-                    self.stores[addr.index()].push((src, cid));
-                    if fresh {
-                        self.seed(addr);
-                    }
-                }
-                ConstraintKind::Field { dst, base, idx } => {
-                    let base = self.nodes.find(base);
-                    self.fields[base.index()].push((dst, idx, cid));
-                    if fresh {
-                        self.seed(base);
-                    }
-                }
-                ConstraintKind::PtrArith { dst, base, loc } => {
-                    let base = self.nodes.find(base);
-                    self.ariths[base.index()].push((dst, loc, cid));
-                    if fresh {
-                        self.seed(base);
-                    }
-                }
-                ConstraintKind::Elem { dst, base } => {
-                    let base = self.nodes.find(base);
-                    self.elems[base.index()].push((dst, cid));
-                    if fresh {
-                        self.seed(base);
-                    }
-                }
-            }
-        }
-        for i in 0..self.icalls.len() {
-            let site = self.icalls[i].site;
-            let fnptr = self.nodes.find(self.icalls[i].fnptr);
-            self.icalls_by_fnptr[fnptr.index()].push(i as u32);
-            self.callgraph.add_indirect_site(site);
-            if i >= diff.first_new_icall {
-                self.icall_wired.push(PtsSet::new());
-                self.seed(fnptr);
-            }
-        }
-        for (loc, inst) in self.module.iter_locs() {
-            if let kaleidoscope_ir::Inst::Call { callee, .. } = inst {
-                self.callgraph.add_direct(loc, *callee);
-            }
-        }
-    }
-
-    /// Seed a node for full re-propagation: clearing its propagated
-    /// frontier makes its entire points-to set the next delta, so appended
-    /// constraints observe every *existing* pointee, not just future
-    /// growth. Idempotent effects (copy-edge dedup, wired-callee sets,
-    /// PA/PWC seen-sets) make the redundant reprocessing of the prefix
-    /// constraints registered on the same node harmless.
-    fn seed(&mut self, n: NodeId) {
-        let n = self.nodes.find(n);
-        self.prop[n.index()].clear();
-        self.push(n);
+        self.stats.incr_reused = prev.rep_of.len();
+        true
     }
 }
 
@@ -1121,7 +963,7 @@ mod tests {
     use super::*;
     use crate::gen::generate;
     use crate::observer::NullObserver;
-    use crate::solver::SolveOptions;
+    use crate::solver::{SolveOptions, SolveResult};
     use kaleidoscope_ir::{FunctionBuilder, Operand, Type};
 
     /// v1: a handler, a dispatcher global, and a main that stores the
@@ -1193,7 +1035,7 @@ mod tests {
     fn solve_cold(m: &Module, opts: &SolveOptions) -> (SolveResult, Option<SolvedState>) {
         let program = generate(m, None);
         Solver::new(m, program, opts.clone())
-            .try_solve_captured(&mut NullObserver)
+            .try_solve(None, Some(m.fingerprint()), &mut NullObserver)
             .expect("unbudgeted")
     }
 
@@ -1207,7 +1049,11 @@ mod tests {
         let new_program = generate(new_m, None);
         let diff = ConstraintDiff::compute(prev_m, &prev_program, new_m, &new_program);
         Solver::new(new_m, new_program, opts.clone())
-            .try_resolve_incremental_captured(prev, &diff, &mut NullObserver)
+            .try_solve(
+                Some((prev, &diff)),
+                Some(new_m.fingerprint()),
+                &mut NullObserver,
+            )
             .expect("unbudgeted")
     }
 
@@ -1275,6 +1121,31 @@ mod tests {
         assert_eq!(canon_pts(&v3, &cold3), canon_pts(&v3, &warm3));
     }
 
+    /// A fallen-back solve is a cold solve: every counter but the
+    /// fallback flag (and the wall time) matches, and so does the captured
+    /// snapshot, byte for byte.
+    fn assert_same_solve(
+        fell_back: &SolveResult,
+        fell_back_state: &Option<SolvedState>,
+        cold: &SolveResult,
+        cold_state: &Option<SolvedState>,
+        what: &str,
+    ) {
+        let counters = |r: &SolveResult| {
+            let mut s = r.stats.clone();
+            s.incr_fallback_full = 0;
+            s.duration = std::time::Duration::ZERO;
+            format!("{s:?}")
+        };
+        assert_eq!(counters(fell_back), counters(cold), "{what}: counters");
+        let bytes = |s: &Option<SolvedState>| s.as_ref().expect("converged").to_bytes();
+        assert_eq!(
+            bytes(fell_back_state),
+            bytes(cold_state),
+            "{what}: snapshot"
+        );
+    }
+
     /// `base_module` printed, with `from` replaced by `to` (which must
     /// occur), and parsed back.
     fn edited_base(from: &str, to: &str) -> Module {
@@ -1335,25 +1206,30 @@ mod tests {
             assert_eq!((full.removed_funcs, full.changed_funcs), counts, "{what}");
 
             let (_, state) = solve_cold(&prev_m, &opts);
-            let (warm, _) = crate::Analysis::try_run_incremental_fe(
-                &prev_m,
-                None,
-                &state.expect("converged solve captures"),
+            let warm = crate::WarmStart {
+                module: &prev_m,
+                plan: None,
+                blocks: None,
+                state: &state.expect("converged solve captures"),
+            };
+            let (warm, warm_state) = crate::Analysis::try_run(
                 &new_m,
                 &opts,
                 None,
+                None,
+                Some(warm),
+                Some(new_m.fingerprint()),
                 &mut NullObserver,
-                None,
-                None,
             )
             .expect("unbudgeted");
             assert_eq!(warm.result.stats.incr_fallback_full, 1, "{what}");
-            let (cold, _) = solve_cold(&new_m, &opts);
+            let (cold, cold_state) = solve_cold(&new_m, &opts);
             assert_eq!(
                 canon_pts(&new_m, &cold),
                 canon_pts(&new_m, &warm.result),
                 "{what}"
             );
+            assert_same_solve(&warm.result, &warm_state, &cold, &cold_state, what);
         }
         // An append passes the precheck and the program check.
         let mut appended = base_module();
@@ -1369,14 +1245,12 @@ mod tests {
         let v1 = base_module();
         let mut v2 = base_module();
         append_extra(&mut v2);
+        let opts = SolveOptions::optimistic(true, true);
         let (_, s1) = solve_cold(&v1, &SolveOptions::baseline());
-        let (warm, _) = solve_incr(
-            &v1,
-            &s1.unwrap(),
-            &v2,
-            &SolveOptions::optimistic(true, true),
-        );
+        let (warm, warm_state) = solve_incr(&v1, &s1.unwrap(), &v2, &opts);
         assert_eq!(warm.stats.incr_fallback_full, 1, "cache key mismatch");
+        let (cold, cold_state) = solve_cold(&v2, &opts);
+        assert_same_solve(&warm, &warm_state, &cold, &cold_state, "opts mismatch");
     }
 
     #[test]

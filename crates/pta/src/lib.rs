@@ -55,10 +55,11 @@ pub mod steens;
 
 /// Version of the points-to set representation and propagation order.
 ///
-/// Mixed into the `kaleidoscope-exec` artifact-cache key: any change to the
-/// set representation, delta encoding, or worklist ordering that could shift
-/// discovery-order-dependent output (lazily created field-node ids, PWC
-/// event order) must bump this so stale cached solve artifacts are never
+/// Written into every [`SolvedState`] snapshot and mixed into the
+/// `kaleidoscope-exec` disk cache's report and snapshot names: any change
+/// to the set representation, delta encoding, or worklist ordering that
+/// could shift discovery-order-dependent output (lazily created field-node
+/// ids, PWC event order) must bump this so stale stored artifacts are never
 /// reused across representations.
 ///
 /// v3: adaptive demotion of shrunken bitmap sets back to the inline
@@ -68,7 +69,7 @@ pub mod steens;
 /// locations) and the incremental re-solve counters in [`SolveStats`].
 pub const PTS_REPR_VERSION: u32 = 4;
 
-pub use analysis::Analysis;
+pub use analysis::{Analysis, WarmStart};
 pub use block::{build_func_block, plan_affected, FuncBlock, ModuleBlocks};
 pub use callgraph::CallGraph;
 pub use ctxplan::{ChainStep, CriticalFlow, CtxPlan};

@@ -400,13 +400,6 @@ impl PtsSet {
         added
     }
 
-    /// Union a sorted slice into `self`, returning the elements that were new.
-    pub fn union_slice(&mut self, other: &[NodeId]) -> Vec<NodeId> {
-        let mut added = Vec::new();
-        self.union_slice_from(other, &mut added);
-        added
-    }
-
     /// Append `self \ other` (ascending) to `out`. Returns words touched.
     pub fn diff_into(&self, other: &PtsSet, out: &mut Vec<NodeId>) -> u64 {
         match (&self.repr, &other.repr) {

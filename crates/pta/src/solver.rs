@@ -26,6 +26,7 @@ use kaleidoscope_ir::{InstLoc, Module, Type};
 
 use crate::callgraph::CallGraph;
 use crate::gen::{Constraint, ConstraintKind, CopyProvenance, IndirectCall, Origin, Program};
+use crate::incr::{ConstraintDiff, SolvedState};
 use crate::node::{NodeId, NodeKind, NodeTable, ObjId, ObjSite};
 use crate::observer::{CollapseReason, SolverObserver};
 use crate::pts::PtsSet;
@@ -349,15 +350,14 @@ fn two_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
 /// The Andersen worklist solver.
 ///
 /// Fields are `pub(crate)` so the incremental module (`crate::incr`) can
-/// capture and restore solved state; external callers go through the
-/// public `solve`/`try_solve`/`try_resolve_incremental_captured` entry
-/// points.
+/// capture and restore solved state; external callers go through the one
+/// public entry point, [`Solver::try_solve`].
 #[derive(Debug)]
 pub struct Solver<'m> {
     pub(crate) module: &'m Module,
     pub(crate) opts: SolveOptions,
     pub(crate) nodes: NodeTable,
-    pub(crate) constraints: Vec<Constraint>,
+    constraints: Vec<Constraint>,
     pub(crate) icalls: Vec<IndirectCall>,
     /// Node count of the generated [`Program`] at construction time; nodes
     /// at indices ≥ this were lazily created by the solver itself.
@@ -367,12 +367,12 @@ pub struct Solver<'m> {
     pub(crate) prop: Vec<PtsSet>,
     pub(crate) copy_out: Vec<Vec<NodeId>>,
     pub(crate) copy_set: HashSet<(u32, u32)>,
-    pub(crate) loads: Vec<Vec<(NodeId, u32)>>,
-    pub(crate) stores: Vec<Vec<(NodeId, u32)>>,
-    pub(crate) fields: Vec<Vec<(NodeId, usize, u32)>>,
-    pub(crate) ariths: Vec<Vec<(NodeId, InstLoc, u32)>>,
-    pub(crate) elems: Vec<Vec<(NodeId, u32)>>,
-    pub(crate) icalls_by_fnptr: Vec<Vec<u32>>,
+    loads: Vec<Vec<(NodeId, u32)>>,
+    stores: Vec<Vec<(NodeId, u32)>>,
+    fields: Vec<Vec<(NodeId, usize, u32)>>,
+    ariths: Vec<Vec<(NodeId, InstLoc, u32)>>,
+    elems: Vec<Vec<(NodeId, u32)>>,
+    icalls_by_fnptr: Vec<Vec<u32>>,
     pub(crate) icall_wired: Vec<PtsSet>,
 
     /// Priority worklist: min-heap on `(topological rank, node id)`. Ranks
@@ -386,7 +386,7 @@ pub struct Solver<'m> {
     fifo: VecDeque<NodeId>,
     use_fifo: bool,
     rank: Vec<u32>,
-    pub(crate) queued: Vec<bool>,
+    queued: Vec<bool>,
     scratch: Scratch,
     /// Absolute deadline derived from `opts.budget.deadline` at solve start.
     deadline_at: Option<Instant>,
@@ -475,7 +475,7 @@ impl<'m> Solver<'m> {
         self
     }
 
-    pub(crate) fn push(&mut self, n: NodeId) {
+    fn push(&mut self, n: NodeId) {
         let n = self.nodes.find(n);
         if !self.queued[n.index()] {
             self.queued[n.index()] = true;
@@ -495,33 +495,70 @@ impl<'m> Solver<'m> {
         }
     }
 
-    /// Run the analysis to fixpoint, panicking if the budget is exhausted.
-    ///
-    /// With the default (effectively unlimited) budget this behaves exactly
-    /// like the historic API; callers that thread real budgets should use
-    /// [`Solver::try_solve`] and handle the typed error.
-    pub fn solve(self, obs: &mut dyn SolverObserver) -> SolveResult {
-        self.try_solve(obs)
-            .unwrap_or_else(|e| panic!("likely divergence: {e}"))
+    /// Seed a node for full re-propagation: clearing its propagated
+    /// frontier makes its entire points-to set the next delta, so a fresh
+    /// constraint observes every *existing* pointee, not just future
+    /// growth. Before the first drain every frontier is empty, so seeding
+    /// is exactly a push. Idempotent effects (copy-edge dedup, wired-callee
+    /// sets, PA/PWC seen-sets) make the redundant reprocessing of restored
+    /// constraints registered on the same node harmless.
+    fn seed(&mut self, n: NodeId) {
+        let n = self.nodes.find(n);
+        self.prop[n.index()].clear();
+        self.push(n);
     }
 
     /// Run the analysis to fixpoint, aborting with a typed error when the
     /// [`SolveBudget`] is exhausted.
-    pub fn try_solve(mut self, obs: &mut dyn SolverObserver) -> Result<SolveResult, SolveError> {
+    ///
+    /// With `warm`, the solve starts from a previous revision's fixpoint:
+    /// the captured state is restored onto this solver's arena and only
+    /// the nodes the edit touched are seeded. An incompatible diff or
+    /// state falls back to a cold solve, counted in
+    /// `SolveStats::incr_fallback_full`.
+    ///
+    /// With `capture`, a solve that converges (reaches a true fixpoint
+    /// rather than the `max_passes` valve) also returns a [`SolvedState`]
+    /// snapshot tagged with that module fingerprint, for the next
+    /// revision's warm start.
+    pub fn try_solve(
+        mut self,
+        warm: Option<(&SolvedState, &ConstraintDiff)>,
+        capture: Option<u64>,
+        obs: &mut dyn SolverObserver,
+    ) -> Result<(SolveResult, Option<SolvedState>), SolveError> {
         let start = Instant::now();
-        self.prepare(start);
-        self.init(obs);
-        self.run_loop(start, obs)?;
-        Ok(self.finish())
-    }
-
-    /// Stamp the pre-solve statistics and arm the deadline. Shared by the
-    /// from-scratch and incremental entry points.
-    pub(crate) fn prepare(&mut self, start: Instant) {
         self.deadline_at = self.opts.budget.deadline.map(|d| start + d);
         self.stats.constraint_count = self.constraints.len();
         self.stats.icall_count = self.icalls.len();
         self.stats.obj_count = self.nodes.obj_count();
+        let restored = match warm {
+            Some((prev, diff)) if self.restore(prev, diff) => Some(diff),
+            Some(_) => {
+                self.stats.incr_fallback_full = 1;
+                // A failed restore may have replayed part of the
+                // created-node suffix. Those nodes carry no constraints or
+                // points-to state; at worst the cold solve finds them
+                // pre-materialized in the field memo, which does not change
+                // the canonical result.
+                self.ensure_capacity();
+                None
+            }
+            None => None,
+        };
+        // A cold solve is the case where constraint 0 and indirect call 0
+        // are the first fresh ones.
+        let first_new = restored.map_or((0, 0), |d| (d.first_new_constraint, d.first_new_icall));
+        self.init(first_new.0, first_new.1, obs);
+        if restored.is_some() {
+            self.stats.incr_seeded_nodes = self.queued.iter().filter(|&&q| q).count();
+        }
+        let converged = self.run_loop(start, obs)?;
+        let state = match capture {
+            Some(fingerprint) if converged => SolvedState::capture(&self, fingerprint),
+            _ => None,
+        };
+        Ok((self.finish(), state))
     }
 
     /// Drive the drain/cycle-detect loop to fixpoint. Returns whether the
@@ -529,7 +566,7 @@ impl<'m> Solver<'m> {
     /// nothing left to change) as opposed to hitting the `max_passes`
     /// safety valve — only converged states are safe to snapshot for
     /// incremental reuse. Stamps the final statistics on success.
-    pub(crate) fn run_loop(
+    fn run_loop(
         &mut self,
         start: Instant,
         obs: &mut dyn SolverObserver,
@@ -572,7 +609,7 @@ impl<'m> Solver<'m> {
     }
 
     /// Consume the solver into its result.
-    pub(crate) fn finish(self) -> SolveResult {
+    fn finish(self) -> SolveResult {
         SolveResult {
             nodes: self.nodes,
             pts: self.pts,
@@ -604,10 +641,23 @@ impl<'m> Solver<'m> {
         }
     }
 
-    pub(crate) fn init(&mut self, obs: &mut dyn SolverObserver) {
+    /// Register every constraint and indirect call. Those before
+    /// `first_new_constraint` / `first_new_icall` only register: their
+    /// effects are already part of a restored fixpoint. Fresh ones seed
+    /// their base node for a full re-propagation. Primitive address/copy
+    /// constraints run through the normal path either way; against a
+    /// restored state they are exact no-ops (set insertion and copy-edge
+    /// dedup), which doubles as a self-check of the restore.
+    fn init(
+        &mut self,
+        first_new_constraint: usize,
+        first_new_icall: usize,
+        obs: &mut dyn SolverObserver,
+    ) {
         for i in 0..self.constraints.len() {
             let c = self.constraints[i].clone();
             let cid = i as u32;
+            let fresh = i >= first_new_constraint;
             match c.kind {
                 ConstraintKind::AddrOf { dst, obj } => {
                     let root = self.nodes.obj_root(obj);
@@ -623,27 +673,37 @@ impl<'m> Solver<'m> {
                 ConstraintKind::Load { dst, addr } => {
                     let addr = self.nodes.find(addr);
                     self.loads[addr.index()].push((dst, cid));
-                    self.push(addr);
+                    if fresh {
+                        self.seed(addr);
+                    }
                 }
                 ConstraintKind::Store { addr, src } => {
                     let addr = self.nodes.find(addr);
                     self.stores[addr.index()].push((src, cid));
-                    self.push(addr);
+                    if fresh {
+                        self.seed(addr);
+                    }
                 }
                 ConstraintKind::Field { dst, base, idx } => {
                     let base = self.nodes.find(base);
                     self.fields[base.index()].push((dst, idx, cid));
-                    self.push(base);
+                    if fresh {
+                        self.seed(base);
+                    }
                 }
                 ConstraintKind::PtrArith { dst, base, loc } => {
                     let base = self.nodes.find(base);
                     self.ariths[base.index()].push((dst, loc, cid));
-                    self.push(base);
+                    if fresh {
+                        self.seed(base);
+                    }
                 }
                 ConstraintKind::Elem { dst, base } => {
                     let base = self.nodes.find(base);
                     self.elems[base.index()].push((dst, cid));
-                    self.push(base);
+                    if fresh {
+                        self.seed(base);
+                    }
                 }
             }
         }
@@ -651,9 +711,12 @@ impl<'m> Solver<'m> {
             let site = self.icalls[i].site;
             let fnptr = self.nodes.find(self.icalls[i].fnptr);
             self.icalls_by_fnptr[fnptr.index()].push(i as u32);
-            self.icall_wired.push(PtsSet::new());
             self.callgraph.add_indirect_site(site);
-            self.push(fnptr);
+            // A restore already wired the previous revision's calls.
+            if i >= first_new_icall {
+                self.icall_wired.push(PtsSet::new());
+                self.seed(fnptr);
+            }
         }
         // Direct call edges for the call graph.
         for (loc, inst) in self.module.iter_locs() {
@@ -663,7 +726,7 @@ impl<'m> Solver<'m> {
         }
     }
 
-    pub(crate) fn add_copy(
+    fn add_copy(
         &mut self,
         from: NodeId,
         to: NodeId,
@@ -696,7 +759,7 @@ impl<'m> Solver<'m> {
     fn drain_worklist(&mut self, obs: &mut dyn SolverObserver) -> Result<(), SolveError> {
         // Cooperative budget checks. Iterations are exact (every pop); the
         // deadline is sampled every 1024 pops; live set bytes (an O(nodes)
-        // scan) every 65536 pops plus the pass boundary in `try_solve`. All
+        // scan) every 65536 pops plus the pass boundary in `run_loop`. All
         // but the deadline are deterministic for a fixed schedule, so a
         // given module + budget always degrades (or not) the same way.
         const DEADLINE_MASK: usize = 1024 - 1;
@@ -1337,8 +1400,7 @@ mod tests {
     use kaleidoscope_ir::{FunctionBuilder, LocalId, Module, Operand};
 
     fn solve(m: &Module, opts: SolveOptions) -> SolveResult {
-        let program = generate(m, None);
-        Solver::new(m, program, opts).solve(&mut NullObserver)
+        try_solve(m, opts).expect("unbudgeted solve")
     }
 
     fn local_pts(m: &Module, r: &SolveResult, func: &str, local: u32) -> PtsSet {
@@ -1750,7 +1812,8 @@ mod tests {
 
     fn try_solve(m: &Module, opts: SolveOptions) -> Result<SolveResult, SolveError> {
         let program = generate(m, None);
-        Solver::new(m, program, opts).try_solve(&mut NullObserver)
+        let solver = Solver::new(m, program, opts);
+        Ok(solver.try_solve(None, None, &mut NullObserver)?.0)
     }
 
     /// A module with enough pointer flow to need several worklist pops and

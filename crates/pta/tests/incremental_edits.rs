@@ -16,7 +16,7 @@
 
 use kaleidoscope_fuzz::edit::{edit_script, edit_script_with_removal, EditKind};
 use kaleidoscope_ir::{LocalId, Module};
-use kaleidoscope_pta::{Analysis, NullObserver, SolveOptions, SolvedState};
+use kaleidoscope_pta::{Analysis, NullObserver, SolveOptions, SolvedState, WarmStart};
 
 /// Canonical per-local points-to listing, independent of solve schedule.
 fn canon(m: &Module, a: &Analysis) -> Vec<(String, Vec<String>)> {
@@ -36,8 +36,9 @@ fn canon(m: &Module, a: &Analysis) -> Vec<(String, Vec<String>)> {
 }
 
 fn cold(m: &Module, opts: &SolveOptions) -> (Analysis, SolvedState) {
-    let (a, state) =
-        Analysis::try_run_captured_fe(m, opts, None, &mut NullObserver, None).expect("no budget");
+    let capture = Some(m.fingerprint());
+    let (a, state) = Analysis::try_run(m, opts, None, None, None, capture, &mut NullObserver)
+        .expect("no budget");
     (a, state.expect("converged solve captures"))
 }
 
@@ -48,16 +49,20 @@ fn walk_script(script: &[kaleidoscope_fuzz::edit::EditStep], opts: &SolveOptions
     let (_, mut state) = cold(&script[0].module, opts);
     let mut prev_module = &script[0].module;
     for (i, step) in script.iter().enumerate().skip(1) {
-        let (warm, next_state) = Analysis::try_run_incremental_fe(
-            prev_module,
-            None,
-            &state,
+        let prev = WarmStart {
+            module: prev_module,
+            plan: None,
+            blocks: None,
+            state: &state,
+        };
+        let (warm, next_state) = Analysis::try_run(
             &step.module,
             opts,
             None,
+            None,
+            Some(prev),
+            Some(step.module.fingerprint()),
             &mut NullObserver,
-            None,
-            None,
         )
         .expect("no budget");
         let stats = &warm.result.stats;

@@ -14,16 +14,23 @@
 //! * every top-level pointer's canonical points-to set size.
 //!
 //! It also checks `canonical_len(n) == pts_of(n).len()` for every node.
+//!
+//! Warm starts are one more input set: on each 5k corpus, every one of the
+//! eight solves runs cold, then warm-started after an appended function,
+//! then after an appended leaf function, then back on the base revision (a
+//! removal, which falls back to a full solve). Each step pins its counters,
+//! its incremental counters and a digest of the snapshot it captures.
 
 use std::fmt::{self, Write};
 
 use kaleidoscope_suite::apps;
-use kaleidoscope_suite::fuzz::scale;
-use kaleidoscope_suite::ir::Module;
+use kaleidoscope_suite::fuzz::{edit, scale};
+use kaleidoscope_suite::ir::{fnv1a64, Module};
 use kaleidoscope_suite::kaleidoscope::{
-    ctx_plan_for, fallback_analysis, optimistic_analysis, PolicyConfig,
+    ctx_plan_for, fallback_analysis, optimistic_analysis, try_fallback_analysis_incr_fe,
+    try_optimistic_analysis_incr_fe, PolicyConfig,
 };
-use kaleidoscope_suite::pta::{Analysis, NodeId};
+use kaleidoscope_suite::pta::{Analysis, NodeId, SolveBudget, SolvedState};
 
 /// FNV-1a over everything written to it.
 struct Fnv(u64);
@@ -211,5 +218,144 @@ fn table3_solves_match_golden_digests() {
             .map(|(n, d)| format!("    (\"{n}\", 0x{d:016x}),\n"))
             .collect();
         panic!("solve digests changed; actual table:\n{table}");
+    }
+}
+
+/// The revisions of one warm chain: the base corpus, an appended function,
+/// an appended leaf function, and the base again (removing both).
+fn warm_chain(seed: u64) -> Vec<(&'static str, Module)> {
+    let base = scale::corpus_module(seed, 5_000);
+    let mut appended = base.clone();
+    edit::append_function(&mut appended, seed, 0);
+    let mut leaf = appended.clone();
+    edit::append_leaf_function(&mut leaf, seed, 1);
+    vec![
+        ("cold", base.clone()),
+        ("append", appended),
+        ("leaf", leaf),
+        ("remove", base),
+    ]
+}
+
+/// One solve family of the chain: `None` is the fallback solve.
+fn warm_solve(
+    module: &Module,
+    config: Option<PolicyConfig>,
+    prev: Option<(&Module, &SolvedState)>,
+) -> (Analysis, Option<SolvedState>) {
+    let budget = SolveBudget::default();
+    match config {
+        None => try_fallback_analysis_incr_fe(module, &budget, 0, prev, None, None),
+        Some(config) => {
+            let plan = ctx_plan_for(module, config);
+            try_optimistic_analysis_incr_fe(module, config, &plan, &budget, 0, prev, None, None)
+        }
+    }
+    .expect("unbudgeted solve")
+}
+
+const WARM_GOLDEN: &[&str] = &[
+    "scale-1/fallback/cold 4512 491905 941064 3520 1 0 0 0 a1a33e066572968f",
+    "scale-1/fallback/append 1669 79378 1672056 4893 1 4655 8 0 af8d532b851fa317",
+    "scale-1/fallback/leaf 8 598 879960 4899 1 4667 5 0 5dcde92f601b5bc0",
+    "scale-1/fallback/remove 4512 491905 941064 3520 1 0 0 1 a1a33e066572968f",
+    "scale-1/Kd-Ctx/cold 4512 491905 941064 3520 1 0 0 0 a1a33e066572968f",
+    "scale-1/Kd-Ctx/append 1669 79378 1672056 4893 1 4655 8 0 af8d532b851fa317",
+    "scale-1/Kd-Ctx/leaf 8 598 879960 4899 1 4667 5 0 5dcde92f601b5bc0",
+    "scale-1/Kd-Ctx/remove 4512 491905 941064 3520 1 0 0 1 a1a33e066572968f",
+    "scale-1/Kd-PA/cold 4512 491905 941064 3520 1 0 0 0 7389b46a6ed9d6f2",
+    "scale-1/Kd-PA/append 1669 79378 1672056 4893 1 4655 8 0 c489885f4125602e",
+    "scale-1/Kd-PA/leaf 8 598 879960 4899 1 4667 5 0 9d40eb32d9ffac61",
+    "scale-1/Kd-PA/remove 4512 491905 941064 3520 1 0 0 1 7389b46a6ed9d6f2",
+    "scale-1/Kd-PWC/cold 4512 491905 941064 3520 1 0 0 0 ca74344c0a828921",
+    "scale-1/Kd-PWC/append 1669 79378 1672056 4893 1 4655 8 0 9588ffcf05347f19",
+    "scale-1/Kd-PWC/leaf 8 598 879960 4899 1 4667 5 0 76ebf45e60646a9a",
+    "scale-1/Kd-PWC/remove 4512 491905 941064 3520 1 0 0 1 ca74344c0a828921",
+    "scale-1/Kd-Ctx-PA/cold 4512 491905 941064 3520 1 0 0 0 7389b46a6ed9d6f2",
+    "scale-1/Kd-Ctx-PA/append 1669 79378 1672056 4893 1 4655 8 0 c489885f4125602e",
+    "scale-1/Kd-Ctx-PA/leaf 8 598 879960 4899 1 4667 5 0 9d40eb32d9ffac61",
+    "scale-1/Kd-Ctx-PA/remove 4512 491905 941064 3520 1 0 0 1 7389b46a6ed9d6f2",
+    "scale-1/Kd-Ctx-PWC/cold 4512 491905 941064 3520 1 0 0 0 ca74344c0a828921",
+    "scale-1/Kd-Ctx-PWC/append 1669 79378 1672056 4893 1 4655 8 0 9588ffcf05347f19",
+    "scale-1/Kd-Ctx-PWC/leaf 8 598 879960 4899 1 4667 5 0 76ebf45e60646a9a",
+    "scale-1/Kd-Ctx-PWC/remove 4512 491905 941064 3520 1 0 0 1 ca74344c0a828921",
+    "scale-1/Kd-PA-PWC/cold 4512 491905 941064 3520 1 0 0 0 e3b3165a67036fb4",
+    "scale-1/Kd-PA-PWC/append 1669 79378 1672056 4893 1 4655 8 0 8040de1053a97078",
+    "scale-1/Kd-PA-PWC/leaf 8 598 879960 4899 1 4667 5 0 f839912f61a977d3",
+    "scale-1/Kd-PA-PWC/remove 4512 491905 941064 3520 1 0 0 1 e3b3165a67036fb4",
+    "scale-1/Kaleidoscope/cold 4512 491905 941064 3520 1 0 0 0 e3b3165a67036fb4",
+    "scale-1/Kaleidoscope/append 1669 79378 1672056 4893 1 4655 8 0 8040de1053a97078",
+    "scale-1/Kaleidoscope/leaf 8 598 879960 4899 1 4667 5 0 f839912f61a977d3",
+    "scale-1/Kaleidoscope/remove 4512 491905 941064 3520 1 0 0 1 e3b3165a67036fb4",
+    "scale-7/fallback/cold 4473 481887 941064 3515 1 0 0 0 4130caa0bde616f6",
+    "scale-7/fallback/append 15 762 838332 4853 1 4607 8 0 529b9568d441d7b0",
+    "scale-7/fallback/leaf 8 582 840120 4859 1 4618 5 0 1744807e0e1d2474",
+    "scale-7/fallback/remove 4473 481887 941064 3515 1 0 0 1 4130caa0bde616f6",
+    "scale-7/Kd-Ctx/cold 4473 481887 941064 3515 1 0 0 0 4130caa0bde616f6",
+    "scale-7/Kd-Ctx/append 15 762 838332 4853 1 4607 8 0 529b9568d441d7b0",
+    "scale-7/Kd-Ctx/leaf 8 582 840120 4859 1 4618 5 0 1744807e0e1d2474",
+    "scale-7/Kd-Ctx/remove 4473 481887 941064 3515 1 0 0 1 4130caa0bde616f6",
+    "scale-7/Kd-PA/cold 4473 481887 941064 3515 1 0 0 0 814e0c3a3dbec3af",
+    "scale-7/Kd-PA/append 15 762 838332 4853 1 4607 8 0 46e17bc7be0f82dd",
+    "scale-7/Kd-PA/leaf 8 582 840120 4859 1 4618 5 0 5f967034db573203",
+    "scale-7/Kd-PA/remove 4473 481887 941064 3515 1 0 0 1 814e0c3a3dbec3af",
+    "scale-7/Kd-PWC/cold 4473 481887 941064 3515 1 0 0 0 92f5d2c9ae99c754",
+    "scale-7/Kd-PWC/append 15 762 838332 4853 1 4607 8 0 430c32a0a053772e",
+    "scale-7/Kd-PWC/leaf 8 582 840120 4859 1 4618 5 0 ffe726a066cb8aca",
+    "scale-7/Kd-PWC/remove 4473 481887 941064 3515 1 0 0 1 92f5d2c9ae99c754",
+    "scale-7/Kd-Ctx-PA/cold 4473 481887 941064 3515 1 0 0 0 814e0c3a3dbec3af",
+    "scale-7/Kd-Ctx-PA/append 15 762 838332 4853 1 4607 8 0 46e17bc7be0f82dd",
+    "scale-7/Kd-Ctx-PA/leaf 8 582 840120 4859 1 4618 5 0 5f967034db573203",
+    "scale-7/Kd-Ctx-PA/remove 4473 481887 941064 3515 1 0 0 1 814e0c3a3dbec3af",
+    "scale-7/Kd-Ctx-PWC/cold 4473 481887 941064 3515 1 0 0 0 92f5d2c9ae99c754",
+    "scale-7/Kd-Ctx-PWC/append 15 762 838332 4853 1 4607 8 0 430c32a0a053772e",
+    "scale-7/Kd-Ctx-PWC/leaf 8 582 840120 4859 1 4618 5 0 ffe726a066cb8aca",
+    "scale-7/Kd-Ctx-PWC/remove 4473 481887 941064 3515 1 0 0 1 92f5d2c9ae99c754",
+    "scale-7/Kd-PA-PWC/cold 4473 481887 941064 3515 1 0 0 0 3905180f5adea40d",
+    "scale-7/Kd-PA-PWC/append 15 762 838332 4853 1 4607 8 0 b4793c4e744e2613",
+    "scale-7/Kd-PA-PWC/leaf 8 582 840120 4859 1 4618 5 0 f1806a64ac8879e9",
+    "scale-7/Kd-PA-PWC/remove 4473 481887 941064 3515 1 0 0 1 3905180f5adea40d",
+    "scale-7/Kaleidoscope/cold 4473 481887 941064 3515 1 0 0 0 3905180f5adea40d",
+    "scale-7/Kaleidoscope/append 15 762 838332 4853 1 4607 8 0 b4793c4e744e2613",
+    "scale-7/Kaleidoscope/leaf 8 582 840120 4859 1 4618 5 0 f1806a64ac8879e9",
+    "scale-7/Kaleidoscope/remove 4473 481887 941064 3515 1 0 0 1 3905180f5adea40d",
+];
+
+#[test]
+fn warm_start_chains_match_golden_counters() {
+    let mut families: Vec<(&str, Option<PolicyConfig>)> = vec![("fallback", None)];
+    for config in PolicyConfig::table3_order() {
+        if config.any() {
+            families.push((config.name(), Some(config)));
+        }
+    }
+    let mut actual = Vec::new();
+    for seed in [1u64, 7] {
+        let chain = warm_chain(seed);
+        for &(tag, config) in &families {
+            let mut prev: Option<(&Module, SolvedState)> = None;
+            for (step, module) in &chain {
+                let (a, state) = warm_solve(module, config, prev.as_ref().map(|(m, s)| (*m, s)));
+                let state = state.expect("converged solve captures a snapshot");
+                let s = &a.result.stats;
+                actual.push(format!(
+                    "scale-{seed}/{tag}/{step} {} {} {} {} {} {} {} {} {:016x}",
+                    s.iterations,
+                    s.union_words,
+                    s.peak_pts_bytes,
+                    s.copy_edges,
+                    s.scc_passes,
+                    s.incr_reused,
+                    s.incr_seeded_nodes,
+                    s.incr_fallback_full,
+                    fnv1a64(&[&state.to_bytes()])
+                ));
+                prev = Some((module, state));
+            }
+        }
+    }
+    if actual != WARM_GOLDEN {
+        let table: String = actual.iter().map(|l| format!("    \"{l}\",\n")).collect();
+        panic!("warm-start counters changed; actual table:\n{table}");
     }
 }

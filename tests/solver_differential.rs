@@ -90,9 +90,10 @@ fn solve(module: &Module, opts: &SolveOptions, ctx_plan: Option<&CtxPlan>, fifo:
     if fifo {
         solver = solver.use_fifo_worklist();
     }
-    Analysis {
-        result: solver.solve(&mut NullObserver),
-    }
+    let (result, _) = solver
+        .try_solve(None, None, &mut NullObserver)
+        .expect("unbudgeted solve");
+    Analysis { result }
 }
 
 fn assert_schedules_agree(
