@@ -12,7 +12,10 @@
 //!
 //! Writes `BENCH_serve.json` (cold/warm latency samples plus
 //! admitted/shed counters) to the repository root, next to the other
-//! `BENCH_*.json` trajectories.
+//! `BENCH_*.json` trajectories. `--smoke` runs one iteration per case and
+//! writes nothing, so CI keeps the bench's own assertions (a warm 100k
+//! frontend load hits every `fe/` entry; an edit misses only the edited
+//! function) running without paying for a measurement.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -69,11 +72,14 @@ fn must_ok(resp: Result<Response, String>) -> Response {
 }
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let iters = |n: usize| if smoke { 1 } else { n };
     let models = kaleidoscope_apps::all_models();
     let modules: Vec<String> = models.iter().map(|m| m.module.to_text()).collect();
     println!(
-        "serve daemon benchmarks ({} modules, thread shards, closed loop)",
-        modules.len()
+        "serve daemon benchmarks ({} modules, thread shards, closed loop{})",
+        modules.len(),
+        if smoke { ", smoke" } else { "" }
     );
 
     let mut samples = Vec::new();
@@ -84,7 +90,7 @@ fn main() {
     {
         let mut round = 0u64;
         let module = modules[0].clone();
-        samples.push(bench("serve/request_cold", 3, || {
+        samples.push(bench("serve/request_cold", iters(3), || {
             round += 1;
             let (server, _cache) = start_server(&format!("cold{round}"), 64);
             let addr = server.addr().to_string();
@@ -102,7 +108,7 @@ fn main() {
             &Request::inline(&format!("p{i}"), m),
         ));
     }
-    samples.push(bench("serve/request_warm", 10, || {
+    samples.push(bench("serve/request_warm", iters(10), || {
         must_ok(request_over_tcp(
             &addr,
             &Request::inline("warm", &modules[0]),
@@ -110,7 +116,7 @@ fn main() {
     }));
 
     // Warm sweep: every module once per iteration, round-robin clients.
-    samples.push(bench("serve/warm_sweep_all_modules", 5, || {
+    samples.push(bench("serve/warm_sweep_all_modules", iters(5), || {
         for (i, m) in modules.iter().enumerate() {
             must_ok(request_over_tcp(
                 &addr,
@@ -128,7 +134,7 @@ fn main() {
     // the closed loop never stalls — the shed rate is the measure.
     let (server, _cache) = start_server("overload", 1);
     let addr = server.addr().to_string();
-    samples.push(bench("serve/overloaded_closed_loop", 3, || {
+    samples.push(bench("serve/overloaded_closed_loop", iters(3), || {
         let handles: Vec<_> = (0..8)
             .map(|c| {
                 let addr = addr.clone();
@@ -174,7 +180,7 @@ fn main() {
     let fe_edit_stats;
     {
         use kaleidoscope_exec::load_frontend;
-        samples.push(bench("frontend/parse_cold_100k", 3, || {
+        samples.push(bench("frontend/parse_cold_100k", iters(3), || {
             let loaded = load_frontend(&v1_text, None, 0).expect("cold parse");
             assert!(loaded.stats.funcs > 0);
         }));
@@ -187,7 +193,7 @@ fn main() {
             "first load misses everywhere"
         );
         let mut warm = seeded.stats;
-        samples.push(bench("frontend/load_warm_100k", 3, || {
+        samples.push(bench("frontend/load_warm_100k", iters(3), || {
             warm = load_frontend(&v1_text, Some(&fe_cache), 0)
                 .expect("warm load")
                 .stats;
@@ -195,12 +201,16 @@ fn main() {
         assert_eq!(warm.fe_cache_misses, 0, "warm load must hit every function");
         let mut edit = warm;
         let mut round = 0usize;
-        samples.push(bench("frontend/load_warm_edit_100k", 3, || {
+        samples.push(bench("frontend/load_warm_edit_100k", iters(3), || {
             edit = load_frontend(&edits[round % edits.len()], Some(&fe_cache), 0)
                 .expect("edit load")
                 .stats;
             round += 1;
         }));
+        assert_eq!(
+            edit.fe_cache_misses, 1,
+            "an edit must miss only its new function"
+        );
         fe_warm_stats = warm;
         fe_edit_stats = edit;
     }
@@ -236,7 +246,7 @@ fn main() {
         let addr = server.addr().to_string();
         let mut round = 0usize;
         let mut cold_fe = (0, 0, 0);
-        samples.push(bench("serve/incr/request_cold_100k", 2, || {
+        samples.push(bench("serve/incr/request_cold_100k", iters(2), || {
             let mut req = Request::inline("ic", &edits[round % edits.len()]);
             req.config = Some("baseline".into());
             // A fresh tenant per round keeps the per-tenant head lookup
@@ -255,7 +265,7 @@ fn main() {
         must_ok(request_over_tcp(&addr, &prewarm));
         let mut round = 0usize;
         let mut warm_fe = (0, 0, 0);
-        samples.push(bench("serve/incr/request_warm_edit_100k", 2, || {
+        samples.push(bench("serve/incr/request_warm_edit_100k", iters(2), || {
             let mut req = Request::inline("iw", &edits[round % edits.len()]);
             req.config = Some("baseline".into());
             req.prev_fingerprint = Some(v1_fp);
@@ -300,7 +310,7 @@ fn main() {
         crash.fault = Some("crash".into());
         must_ok(request_over_tcp(&addr, &crash));
     }
-    samples.push(bench("serve/breaker_short_circuit", 10, || {
+    samples.push(bench("serve/breaker_short_circuit", iters(10), || {
         must_ok(request_over_tcp(&addr, &Request::inline("sc", &modules[0])));
     }));
     let breaker_stats = server.router().stats();
@@ -389,8 +399,10 @@ fn main() {
         ("incr_warm_gen_ms", incr_warm_fe.1),
         ("incr_warm_fe_hits", incr_warm_fe.2),
     ];
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, to_json_with_counters(&samples, &counters))
-        .expect("write BENCH_serve.json");
-    println!("wrote {path}");
+    if !smoke {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+        std::fs::write(path, to_json_with_counters(&samples, &counters))
+            .expect("write BENCH_serve.json");
+        println!("wrote {path}");
+    }
 }

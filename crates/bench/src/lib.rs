@@ -74,19 +74,10 @@ pub fn run_config(model: &AppModel, config: PolicyConfig) -> (KaleidoscopeResult
     (result, run)
 }
 
-/// Analyze one app under all eight Table 3 configurations (legacy serial
-/// path; the binaries go through [`run_matrix`]).
-pub fn run_all_configs(model: &AppModel) -> Vec<ConfigRun> {
-    PolicyConfig::table3_order()
-        .iter()
-        .map(|c| run_config(model, *c).1)
-        .collect()
-}
-
 /// Analyze every model under all eight Table 3 configurations through the
 /// batch executor: `out[m][c]` for `models[m]` under config `c`. Results
-/// are identical to [`run_all_configs`] per model regardless of the
-/// executor's worker count.
+/// are identical to [`run_config`] per cell regardless of the executor's
+/// worker count.
 pub fn run_matrix(ex: &Executor, models: &[AppModel]) -> Vec<Vec<ConfigRun>> {
     let modules: Vec<_> = models.iter().map(|m| &m.module).collect();
     ex.run_matrix_map(&modules, &PolicyConfig::table3_order(), |mi, _, r| {

@@ -342,7 +342,7 @@ pub fn try_optimistic_analysis_fe(
 /// and the captured state. See [`try_fallback_analysis_incr_fe`] for the
 /// semantics. Blocks are plan-free: functions the context plan touches are
 /// recorded afresh under the plan during the splice, so the optimistic
-/// program is identical to one generated without cached blocks. Kept for
+/// program is identical to one generated without blocks. Kept for
 /// the benchmark's replay, like [`try_fallback_analysis_fe`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_optimistic_analysis_incr_fe(

@@ -32,10 +32,10 @@
 //! whose line is missing, malformed or wrong (a torn write, a manual edit,
 //! a file written by older code) reads as a miss.
 //!
-//! **Frontend entries** (`fe/`) hold one function's lowered IR plus its
-//! recorded constraint block, keyed by a content hash of the function's
-//! signature and raw body text mixed with [`FE_CACHE_VERSION`] (`v<F>` in
-//! the filename keeps incompatible encodings from ever being fetched).
+//! **Frontend entries** (`fe/`) hold one function's lowered IR, keyed by a
+//! content hash of the function's signature and raw body text mixed with
+//! [`FE_CACHE_VERSION`] (`v<F>` in the filename keeps incompatible
+//! encodings from ever being fetched).
 //! Entries carry an import list validated by the frontend loader against
 //! the current revision's header, so a stale id mapping reads as a miss,
 //! never a wrong splice. One frontend load writes all the entries it
@@ -114,13 +114,16 @@ use kaleidoscope_ir::fnv1a64;
 /// Environment variable naming the shared cache directory.
 pub const CACHE_DIR_ENV: &str = "KD_CACHE_DIR";
 
-/// Version of the per-function frontend cache (`fe/` namespace): the
-/// IR/block byte codec, the key derivation, the import-list layout and
-/// the pack layout. Any change to `kaleidoscope_ir::codec`, the block op
-/// encoding, or the entry or pack framing must bump this so stale entries
-/// are never decoded. The version is part of every key and every pack
-/// name, so an entry in an older layout is never looked up.
-pub const FE_CACHE_VERSION: u32 = 2;
+/// Version of the per-function frontend cache (`fe/` namespace): the IR
+/// byte codec, the key derivation, the import-list layout and the pack
+/// layout. Any change to `kaleidoscope_ir::codec` or to the entry or pack
+/// framing must bump this so stale entries are never decoded. The version
+/// is part of every key and every pack name, so an entry in an older
+/// layout is never looked up.
+///
+/// v3: an entry holds the import list and the lowered function only; v2
+/// entries also carried the function's recorded constraint block.
+pub const FE_CACHE_VERSION: u32 = 3;
 
 /// What an analyze report covered: the whole Table-3 matrix or a single
 /// configuration, with or without solver-stats rows.
@@ -1158,10 +1161,23 @@ mod tests {
 
     #[test]
     fn older_format_entries_read_as_misses_and_are_quarantined() {
-        // What the previous layout left: a body file plus a `.sum`
-        // sidecar per report, snapshot and per-function `fe/` entry.
         let dir = tmpdir("old-format");
         let cache = DiskCache::open(&dir).unwrap();
+        // A pack of the previous entry version: its integrity line and
+        // table verify, but no load lists it.
+        cache.put_fe_pack(&[(0xaa, b"entry".to_vec())]).unwrap();
+        let pack = only_pack(&dir);
+        let name = pack.file_name().unwrap().to_string_lossy();
+        let stale = pack.with_file_name(name.replace(&pack_suffix(), "-v2.pack"));
+        fs::rename(&pack, &stale).unwrap();
+        let bytes = fs::read(&stale).unwrap();
+        let h = verified_header_len(&bytes).expect("integrity line verifies");
+        assert!(
+            pack_table(&bytes[h..], h as u64).is_some(),
+            "table verifies"
+        );
+        // What the layout before packs left: a body file plus a `.sum`
+        // sidecar per report, snapshot and per-function `fe/` entry.
         let scope = ReportScope {
             config: None,
             stats: false,
@@ -1177,9 +1193,15 @@ mod tests {
         old(dir.join("fe").join("00000000000000aa-v1.bin"), b"entry");
         assert_eq!(cache.get_report(1, scope), None);
         assert_eq!(cache.get_state(1, 0, false), None);
-        assert_eq!(cache.stats().verify_failures, 2);
+        assert_eq!(get_fe(&cache, 0xaa), None);
+        assert_eq!(get_fe(&DiskCache::open(&dir).unwrap(), 0xaa), None);
+        assert_eq!(
+            cache.stats().verify_failures,
+            2,
+            "the v2 pack is never read"
+        );
         cache.recover();
-        assert_eq!(cache.stats().quarantined, 6);
+        assert_eq!(cache.stats().quarantined, 7);
         for sub in ["reports", "state", "fe"] {
             assert_eq!(fs::read_dir(dir.join(sub)).unwrap().count(), 0, "{sub}");
         }

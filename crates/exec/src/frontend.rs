@@ -2,16 +2,18 @@
 //!
 //! [`load_frontend`] is the single entry point the CLI and the serve worker
 //! use to turn module text into (a) a parsed [`Module`] and (b) the
-//! per-function constraint [`FuncBlock`]s that `generate_spliced` replays
-//! instead of re-walking the IR. Both halves are cached **per function** in
-//! the [`DiskCache`]'s `fe/` namespace, so a warm revision re-parses and
-//! re-records only the functions whose text actually changed. A load
-//! writes every entry it missed as one pack file.
+//! per-function constraint blocks that `generate_spliced` replays instead
+//! of re-walking the IR. The lowered functions are cached **per function**
+//! in the [`DiskCache`]'s `fe/` namespace, so a warm revision re-parses
+//! only the bodies whose text changed. The blocks are recorded afresh from
+//! the module on every load: recording a function costs about a third of
+//! what decoding its cached block did (DESIGN §5h). A load writes every
+//! entry it missed as one pack file.
 //!
 //! # Entry layout and validity
 //!
 //! A cache entry is keyed by `fnv1a64(FE_CACHE_VERSION ∥ signature text ∥
-//! NUL ∥ body text)` and stores three sections in one buffer:
+//! NUL ∥ body text)` and stores two sections in one buffer:
 //!
 //! 1. **Imports** — every (id, name) the lowered body resolved against the
 //!    module header: referenced functions (with their `param_count` and
@@ -19,15 +21,18 @@
 //!    on), referenced globals, and every struct id embedded in the
 //!    function's types.
 //! 2. The lowered [`Function`] (the `crates/ir` codec).
-//! 3. The recorded [`FuncBlock`] (the `crates/pta` block codec).
 //!
 //! On lookup the imports are re-validated against a fresh header parse: if
 //! any name moved to a different id — a declaration was inserted, removed,
 //! or reordered — the entry *misses* and the function is re-lowered live.
-//! An entry can therefore be stale but never wrong: a hit decodes to
-//! exactly what re-parsing the unchanged text against the current header
-//! would produce. The cache may hold several entries for one key (the same
-//! text under different headers); each is tried until one validates.
+//! The decoded function must reference exactly the ids its imports list,
+//! so an entry that leaves out an id its body uses misses too: the block
+//! recorder, which runs before the module is verified, never looks up a
+//! function the header lacks. An entry can therefore be stale but never
+//! wrong: a hit decodes to exactly what re-parsing the unchanged text
+//! against the current header would produce. The cache may hold several
+//! entries for one key (the same text under different headers); each is
+//! tried until one validates.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -36,9 +41,9 @@ use std::time::Instant;
 use kaleidoscope_ir::codec::{decode_function, encode_function};
 use kaleidoscope_ir::{
     fnv1a64, parse_header, ByteReader, ByteWriter, FuncId, Function, GlobalId, Inst, Module,
-    Operand, ParseError, StructId, Terminator, Type,
+    ModuleShell, Operand, ParseError, StructId, Terminator, Type,
 };
-use kaleidoscope_pta::{build_func_block, FuncBlock, ModuleBlocks};
+use kaleidoscope_pta::ModuleBlocks;
 
 use crate::diskcache::{DiskCache, FE_CACHE_VERSION};
 
@@ -47,17 +52,18 @@ use crate::diskcache::{DiskCache, FE_CACHE_VERSION};
 pub struct FrontendStats {
     /// Number of functions in the module.
     pub funcs: usize,
-    /// Functions served from the `fe/` cache (parse *and* constraint
-    /// recording skipped).
+    /// Functions whose lowered IR was decoded from the `fe/` cache. A hit
+    /// skips only the body parse: every function's constraint block is
+    /// recorded on every load.
     pub fe_cache_hits: usize,
-    /// Functions lowered live (and, when a cache is attached, re-recorded
-    /// into it).
+    /// Functions whose bodies were parsed (and, when a cache is attached,
+    /// written back to it).
     pub fe_cache_misses: usize,
-    /// Wall-clock time of the parse half: header parse, cache lookups, and
-    /// body parsing for misses.
+    /// Wall-clock time of the parse half: header parse, cache lookups and
+    /// decoding for hits, body parsing for misses.
     pub parse_ms: u64,
-    /// Wall-clock time of the constraint-recording half: block building
-    /// for misses and cache write-back.
+    /// Wall-clock time of the constraint-recording half: recording every
+    /// function's block, plus the cache write-back of the misses.
     pub gen_ms: u64,
 }
 
@@ -134,8 +140,8 @@ fn collect_imports(f: &Function) -> (BTreeSet<u32>, BTreeSet<u32>, BTreeSet<u32>
 }
 
 /// Encode one `fe/` cache entry: validated imports, then the lowered
-/// function, then its recorded constraint block.
-fn encode_entry(module: &Module, func: &Function, block: &FuncBlock) -> Vec<u8> {
+/// function.
+fn encode_entry(module: &Module, func: &Function) -> Vec<u8> {
     let (fids, gids, sids) = collect_imports(func);
     let mut w = ByteWriter::new();
     w.uint(fids.len() as u64);
@@ -157,21 +163,22 @@ fn encode_entry(module: &Module, func: &Function, block: &FuncBlock) -> Vec<u8> 
         w.str(&module.types.def(StructId(id)).name);
     }
     encode_function(&mut w, func);
-    w.bytes(&block.to_bytes());
     w.into_bytes()
 }
 
 /// Decode an `fe/` entry, validating its imports against the current
 /// header-only module. Any mismatch — an id out of range, a name now bound
-/// to a different id, a callee whose arity or return-voidness changed —
-/// returns `None` (treated as a miss, never a wrong splice).
+/// to a different id, a callee whose arity or return-voidness changed, a
+/// function referencing an id the imports leave out — returns `None`
+/// (treated as a miss, never a wrong splice).
 fn decode_entry(
     bytes: &[u8],
     header: &Module,
     func_count: usize,
     global_count: usize,
-) -> Option<(Function, FuncBlock)> {
+) -> Option<Function> {
     let mut r = ByteReader::new(bytes);
+    let mut imports = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
     let nf = r.uint().ok()? as usize;
     for _ in 0..nf {
         let id = r.uint().ok()? as usize;
@@ -188,6 +195,7 @@ fn decode_entry(
         {
             return None;
         }
+        imports.0.insert(id as u32);
     }
     let ng = r.uint().ok()? as usize;
     for _ in 0..ng {
@@ -196,6 +204,7 @@ fn decode_entry(
         if id >= global_count || header.global(GlobalId(id as u32)).name != name {
             return None;
         }
+        imports.1.insert(id as u32);
     }
     let ns = r.uint().ok()? as usize;
     for _ in 0..ns {
@@ -209,26 +218,35 @@ fn decode_entry(
         {
             return None;
         }
+        imports.2.insert(id as u32);
     }
     let func = decode_function(&mut r).ok()?;
-    let block = FuncBlock::from_bytes(r.raw_bytes().ok()?).ok()?;
-    if !r.is_at_end() {
-        return None;
-    }
-    Some((func, block))
+    (r.is_at_end() && collect_imports(&func) == imports).then_some(func)
+}
+
+/// The `fe/` key of the `i`-th function of `text`: its signature and body
+/// text under the cache version.
+fn fe_key(text: &str, shell: &ModuleShell<'_>, i: usize) -> u64 {
+    let ((ss, se), (bs, be)) = (shell.sig_span(i), shell.body_span(i));
+    let text = text.as_bytes();
+    fnv1a64(&[
+        &FE_CACHE_VERSION.to_le_bytes(),
+        &text[ss..se],
+        b"\0",
+        &text[bs..be],
+    ])
 }
 
 /// Parse module text into a module plus replayable constraint blocks,
-/// serving unchanged functions from `cache`'s `fe/` namespace. The body
-/// pass runs inline.
+/// serving unchanged functions' lowered IR from `cache`'s `fe/` namespace
+/// and recording every function's block. The body pass runs inline.
 ///
 /// `_threads` is ignored. It sized a work-claiming pool for the body pass
 /// that no caller ran with more than one thread; the parameter stays so
 /// existing callers compile.
 ///
-/// The returned module and blocks are byte-identical to a cold
-/// `parse_module` + `ModuleBlocks::build`, whatever mix of hits and misses
-/// produced them.
+/// The returned module and blocks are identical to a cold `parse_module` +
+/// `ModuleBlocks::build`, whatever mix of hits and misses produced them.
 pub fn load_frontend(
     text: &str,
     cache: Option<&DiskCache>,
@@ -240,62 +258,42 @@ pub fn load_frontend(
     let header = shell.module();
     let global_count = header.iter_globals().count();
 
-    // Per function: its `fe/` key (with a cache), the lowered body, and its
-    // id with the block decoded from a hit (`None` on a miss, recorded
-    // below).
-    let mut keys = Vec::new();
+    // Per function: the lowered body, decoded from a hit or parsed. With a
+    // cache, each miss's key and id are kept for the write-back below.
     let mut bodies = Vec::with_capacity(n);
-    let mut blocks: Vec<(FuncId, Option<FuncBlock>)> = Vec::with_capacity(n);
+    let mut missed = Vec::new();
+    let mut hits = 0;
     let mut reader = cache.map(DiskCache::fe_reader);
     for i in 0..n {
-        let id = shell.func_id(i);
         if let Some(r) = reader.as_mut() {
-            let (ss, se) = shell.sig_span(i);
-            let (bs, be) = shell.body_span(i);
-            let key = fnv1a64(&[
-                &FE_CACHE_VERSION.to_le_bytes(),
-                &text.as_bytes()[ss..se],
-                b"\0",
-                &text.as_bytes()[bs..be],
-            ]);
-            keys.push(key);
-            if let Some((f, b)) = r.get(key, |bytes| decode_entry(bytes, header, n, global_count)) {
+            let key = fe_key(text, &shell, i);
+            if let Some(f) = r.get(key, |bytes| decode_entry(bytes, header, n, global_count)) {
                 bodies.push(f);
-                blocks.push((id, Some(b)));
+                hits += 1;
                 continue;
             }
+            missed.push((key, shell.func_id(i)));
         }
         bodies.push(shell.parse_body(i)?);
-        blocks.push((id, None));
     }
-    let hits = blocks.iter().filter(|(_, b)| b.is_some()).count();
     let module = shell.finish(bodies);
     let parse_ms = t0.elapsed().as_millis() as u64;
 
     let t1 = Instant::now();
-    let mut missed = Vec::new();
-    let funcs = blocks
-        .into_iter()
-        .enumerate()
-        .map(|(i, (id, b))| {
-            b.unwrap_or_else(|| {
-                let fb = build_func_block(&module, id);
-                if cache.is_some() {
-                    missed.push((keys[i], encode_entry(&module, module.func(id), &fb)));
-                }
-                fb
-            })
-        })
-        .collect();
+    let blocks = ModuleBlocks::build(&module);
     if let Some(c) = cache {
+        let entries: Vec<_> = missed
+            .into_iter()
+            .map(|(key, id)| (key, encode_entry(&module, module.func(id))))
+            .collect();
         // Write-back is best-effort: a full disk never fails the load.
-        let _ = c.put_fe_pack(&missed);
+        let _ = c.put_fe_pack(&entries);
     }
     let gen_ms = t1.elapsed().as_millis() as u64;
 
     Ok(LoadedFrontend {
         module,
-        blocks: Arc::new(ModuleBlocks { funcs }),
+        blocks: Arc::new(blocks),
         stats: FrontendStats {
             funcs: n,
             fe_cache_hits: hits,
@@ -364,11 +362,7 @@ mod tests {
         assert_eq!(lf.stats.funcs, 2);
         assert_eq!(lf.stats.fe_cache_hits, 0);
         assert_eq!(lf.stats.fe_cache_misses, 2);
-        let fresh = ModuleBlocks::build(&direct);
-        assert_eq!(lf.blocks.funcs.len(), fresh.funcs.len());
-        for (a, b) in lf.blocks.funcs.iter().zip(&fresh.funcs) {
-            assert_eq!(a.to_bytes(), b.to_bytes());
-        }
+        assert_eq!(*lf.blocks, ModuleBlocks::build(&direct));
     }
 
     #[test]
@@ -382,9 +376,7 @@ mod tests {
         assert_eq!(warm.stats.fe_cache_misses, 0);
         assert_eq!(warm.module.to_text(), cold.module.to_text());
         assert_eq!(warm.module.fingerprint(), cold.module.fingerprint());
-        for (a, b) in warm.blocks.funcs.iter().zip(&cold.blocks.funcs) {
-            assert_eq!(a.to_bytes(), b.to_bytes());
-        }
+        assert_eq!(warm.blocks, cold.blocks);
     }
 
     #[test]
@@ -436,10 +428,57 @@ mod tests {
         let warm = load_frontend(&shifted_text, Some(&cache), 1).unwrap();
         let direct = parse_module(&shifted_text).unwrap();
         assert_eq!(warm.module.to_text(), direct.to_text());
-        let fresh = ModuleBlocks::build(&direct);
-        for (a, b) in warm.blocks.funcs.iter().zip(&fresh.funcs) {
-            assert_eq!(a.to_bytes(), b.to_bytes());
+        assert_eq!(*warm.blocks, ModuleBlocks::build(&direct));
+    }
+
+    #[test]
+    fn entry_hiding_a_callee_from_its_imports_is_a_miss() {
+        // `main`'s entry with its call redirected past the last function,
+        // and the import list of the real `main`, which does not name that
+        // callee. Recording its block would look the callee up and panic.
+        let text = sample_text();
+        let direct = parse_module(&text).unwrap();
+        let main_id = direct.func_by_name("main").unwrap();
+        let main = direct.func(main_id);
+        let mut rogue = main.clone();
+        for inst in rogue.blocks.iter_mut().flat_map(|b| &mut b.insts) {
+            if let Inst::Call { callee, .. } = inst {
+                *callee = FuncId(direct.funcs.len() as u32);
+            }
         }
+        let real = encode_entry(&direct, main);
+        let mut w = ByteWriter::new();
+        encode_function(&mut w, main);
+        let imports = &real[..real.len() - w.len()];
+        let mut w = ByteWriter::new();
+        encode_function(&mut w, &rogue);
+        let crafted = [imports, &w.into_bytes()].concat();
+
+        let shell = parse_header(&text).unwrap();
+        let (n, header) = (shell.func_count(), shell.module());
+        let globals = header.iter_globals().count();
+        assert!(decode_entry(&real, header, n, globals).is_some());
+        assert!(decode_entry(&crafted, header, n, globals).is_none());
+
+        // Stored under `main`'s key in a real pack, beside `callee`'s
+        // genuine entry: only `callee` hits.
+        let cache = DiskCache::open(tmpdir("hidden-callee")).unwrap();
+        let key = |id: FuncId| fe_key(&text, &shell, id.index());
+        let callee_id = direct.func_by_name("callee").unwrap();
+        let entries = [
+            (
+                key(callee_id),
+                encode_entry(&direct, direct.func(callee_id)),
+            ),
+            (key(main_id), crafted),
+        ];
+        cache.put_fe_pack(&entries).unwrap();
+        let warm = load_frontend(&text, Some(&cache), 1).unwrap();
+        assert_eq!(warm.stats.fe_cache_hits, 1);
+        assert_eq!(warm.stats.fe_cache_misses, 1);
+        let cold = load_frontend(&text, None, 1).unwrap();
+        assert_eq!(warm.module.to_text(), cold.module.to_text());
+        assert_eq!(warm.blocks, cold.blocks);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Compact binary codec for lowered IR.
 //!
 //! The per-function frontend cache stores each function's lowered
-//! [`Function`] (and, one layer up, its generated constraint block) as
-//! bytes in the disk cache. Decoding one of these entries must be much
-//! cheaper than re-parsing the body text — the format is therefore a flat
-//! tag+varint stream with no framing beyond length prefixes, decoded in a
-//! single forward pass with no intermediate allocation beyond the values
-//! themselves.
+//! [`Function`] as bytes in the disk cache, next to an import list the
+//! loader validates. The format is a flat tag+varint stream with no
+//! framing beyond length prefixes, decoded in a single forward pass with
+//! no intermediate allocation beyond the values themselves.
+//!
+//! Decoding takes untrusted bytes: a malformed entry is a [`CodecError`],
+//! never a panic. Pre-allocations are capped at the bytes left in the
+//! input, and type nesting is bounded, so a crafted count or a run of
+//! nested type tags cannot exhaust memory or the stack.
 //!
 //! The format is *not* a stability surface: entries embed a cache version
 //! key and are simply regenerated when the encoding changes.
@@ -156,6 +159,12 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| bad("invalid utf-8"))
     }
 
+    /// A pre-allocation for `n` items of at least one byte each: never
+    /// more than the bytes left, whatever count the input claims.
+    fn capacity_for(&self, n: usize) -> usize {
+        n.min(self.buf.len().saturating_sub(self.pos))
+    }
+
     /// Read length-prefixed raw bytes.
     pub fn raw_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.uint()? as usize;
@@ -170,8 +179,12 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Encode a [`Type`].
-pub fn encode_type(w: &mut ByteWriter, ty: &Type) {
+/// Deepest type the decoder accepts, counted in nested `Ptr`, `Array` and
+/// `Func` tags. Decoding recurses once per level, so this bounds the
+/// stack a crafted entry can claim; a deeper type is a [`CodecError`].
+const MAX_TYPE_DEPTH: usize = 256;
+
+fn encode_type(w: &mut ByteWriter, ty: &Type) {
     match ty {
         Type::Void => w.u8(0),
         Type::Int => w.u8(1),
@@ -199,25 +212,28 @@ pub fn encode_type(w: &mut ByteWriter, ty: &Type) {
     }
 }
 
-/// Decode a [`Type`].
-pub fn decode_type(r: &mut ByteReader<'_>) -> Result<Type, CodecError> {
+/// Decode a [`Type`] enclosed by `depth` type tags.
+fn decode_type(r: &mut ByteReader<'_>, depth: usize) -> Result<Type, CodecError> {
+    if depth > MAX_TYPE_DEPTH {
+        return Err(bad("type nested too deeply"));
+    }
     Ok(match r.u8()? {
         0 => Type::Void,
         1 => Type::Int,
-        2 => Type::ptr(decode_type(r)?),
+        2 => Type::ptr(decode_type(r, depth + 1)?),
         3 => Type::Struct(StructId(r.u32()?)),
         4 => {
-            let elem = decode_type(r)?;
+            let elem = decode_type(r, depth + 1)?;
             let len = r.uint()? as usize;
             Type::array(elem, len)
         }
         5 => {
             let n = r.uint()? as usize;
-            let mut params = Vec::with_capacity(n);
+            let mut params = Vec::with_capacity(r.capacity_for(n));
             for _ in 0..n {
-                params.push(decode_type(r)?);
+                params.push(decode_type(r, depth + 1)?);
             }
-            let ret = decode_type(r)?;
+            let ret = decode_type(r, depth + 1)?;
             Type::Func(FuncSig::new(params, ret))
         }
         t => return Err(bad(format!("bad type tag {t}"))),
@@ -297,7 +313,7 @@ fn encode_args(w: &mut ByteWriter, args: &[Operand]) {
 
 fn decode_args(r: &mut ByteReader<'_>) -> Result<Vec<Operand>, CodecError> {
     let n = r.uint()? as usize;
-    let mut args = Vec::with_capacity(n);
+    let mut args = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         args.push(decode_operand(r)?);
     }
@@ -407,13 +423,13 @@ fn decode_inst(r: &mut ByteReader<'_>) -> Result<Inst, CodecError> {
     Ok(match r.u8()? {
         0 => Inst::Alloca {
             dst: LocalId(r.u32()?),
-            ty: decode_type(r)?,
+            ty: decode_type(r, 0)?,
         },
         1 => {
             let dst = LocalId(r.u32()?);
             let ty = match r.u8()? {
                 0 => None,
-                1 => Some(decode_type(r)?),
+                1 => Some(decode_type(r, 0)?),
                 t => return Err(bad(format!("bad option tag {t}"))),
             };
             Inst::HeapAlloc { dst, ty }
@@ -541,20 +557,20 @@ pub fn encode_function(w: &mut ByteWriter, f: &Function) {
 pub fn decode_function(r: &mut ByteReader<'_>) -> Result<Function, CodecError> {
     let name = r.str()?;
     let param_count = r.uint()? as usize;
-    let ret_ty = decode_type(r)?;
+    let ret_ty = decode_type(r, 0)?;
     let n_locals = r.uint()? as usize;
-    let mut locals = Vec::with_capacity(n_locals);
+    let mut locals = Vec::with_capacity(r.capacity_for(n_locals));
     for _ in 0..n_locals {
         locals.push(LocalDecl {
             name: r.str()?,
-            ty: decode_type(r)?,
+            ty: decode_type(r, 0)?,
         });
     }
     let n_blocks = r.uint()? as usize;
-    let mut blocks = Vec::with_capacity(n_blocks);
+    let mut blocks = Vec::with_capacity(r.capacity_for(n_blocks));
     for _ in 0..n_blocks {
         let n_insts = r.uint()? as usize;
-        let mut insts = Vec::with_capacity(n_insts);
+        let mut insts = Vec::with_capacity(r.capacity_for(n_insts));
         for _ in 0..n_insts {
             insts.push(decode_inst(r)?);
         }
@@ -657,6 +673,40 @@ mod tests {
         for cut in 0..bytes.len() {
             let mut r = ByteReader::new(&bytes[..cut]);
             assert!(decode_function(&mut r).is_err(), "cut at {cut}");
+        }
+
+        let decode = |bytes: &[u8]| decode_function(&mut ByteReader::new(bytes));
+        // Crafted counts: 2^62 locals, and a return type of 2^62 params.
+        for ty_tag in [1u8, 5] {
+            let mut w = ByteWriter::new();
+            w.str("f");
+            w.uint(0);
+            w.u8(ty_tag);
+            w.uint(1 << 62);
+            assert!(decode(&w.into_bytes()).is_err(), "type tag {ty_tag}");
+        }
+        // An unnamed function whose return type is 4M nested pointers.
+        let mut deep = vec![0u8, 0];
+        deep.resize(4 << 20, 2);
+        assert!(decode(&deep).is_err());
+        // Seeded single-bit flips of every function of the nine models.
+        // The models are built against this crate's non-test copy, so
+        // they cross over as text.
+        let mut rng = kaleidoscope_prng::Rng::seed_from_u64(0xf11b);
+        for app in kaleidoscope_apps::all_models() {
+            let m = crate::parse_module(&app.module.to_text()).expect("model parses");
+            for (_, f) in m.iter_funcs() {
+                let mut w = ByteWriter::new();
+                encode_function(&mut w, f);
+                let intact = w.into_bytes();
+                for _ in 0..64 {
+                    let bit = rng.gen_range(0..intact.len() * 8);
+                    let mut flipped = intact.clone();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    // `Ok` or `Err`; a panic fails the test.
+                    let _ = decode(&flipped);
+                }
+            }
         }
     }
 }

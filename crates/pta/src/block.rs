@@ -1,8 +1,8 @@
 //! Per-function constraint blocks: the one place IR instructions are mapped
 //! to the primitive constraints of Table 1 (paper §2.1).
 //!
-//! [`build_func_block`] records one function as a [`FuncBlock`]: the exact
-//! sequence of node-table resolutions and constraint emissions that
+//! [`ModuleBlocks::build`] records each function as a [`FuncBlock`]: the
+//! exact sequence of node-table resolutions and constraint emissions that
 //! generating it performs. Every module-position-dependent value is
 //! symbolic: locals of the function itself become [`SymRef::SelfLocal`],
 //! its allocation sites and callsites become self-relative [`SelfLoc`]s,
@@ -10,24 +10,25 @@
 //! globals) remain absolute. [`generate_spliced`](crate::gen::generate_spliced)
 //! replays blocks against one fresh node table to build the
 //! [`Program`](crate::gen::Program). The op order is the order node ids are
-//! assigned in, so a block yields the same program whether it was just
-//! recorded or decoded from the frontend cache.
+//! assigned in, so replaying a module's blocks yields the program that
+//! generating it directly would.
 //!
-//! Under a [`CtxPlan`] (the §4.4 context-sensitivity bypass) recording
-//! differs in exactly the functions [`plan_affected`] names: a planned
-//! function skips its critical stores and returns, and each direct caller
-//! replicates them per callsite through fresh [`SymRef::CtxDummy`] nodes.
-//! The frontend caches *plan-free* blocks; the generator re-records the
-//! affected functions under the plan and replays the cached blocks of all
-//! others. With an empty plan — the baseline every cached solve family
-//! starts from — the affected set is empty and every cached block replays.
+//! Blocks live in memory only: the frontend loader records every function
+//! of every module it loads, whether its lowered IR was parsed or decoded
+//! from the `fe/` cache. Under a [`CtxPlan`] (the §4.4
+//! context-sensitivity bypass) recording differs in exactly the functions
+//! [`plan_affected`] names: a planned function skips its critical stores
+//! and returns, and each direct caller replicates them per callsite
+//! through fresh [`SymRef::CtxDummy`] nodes. The loader records
+//! *plan-free* blocks; the generator re-records the affected functions
+//! under the plan and replays the blocks of all others. With an empty
+//! plan — the baseline every solve family starts from — the affected set
+//! is empty and every block replays.
 
 use std::collections::HashSet;
 
-use kaleidoscope_ir::codec::{decode_type, encode_type};
 use kaleidoscope_ir::{
-    BlockId, ByteReader, ByteWriter, CodecError, FuncId, GlobalId, Inst, InstLoc, LocalId, Module,
-    Operand, Terminator, Type,
+    BlockId, FuncId, GlobalId, Inst, InstLoc, LocalId, Module, Operand, Terminator, Type,
 };
 
 use crate::ctxplan::{ChainStep, CriticalFlow, CtxPlan, FuncCtxPlan};
@@ -215,25 +216,6 @@ pub struct FuncBlock {
     pub ops: Vec<BlockOp>,
 }
 
-impl FuncBlock {
-    /// Encode to bytes for the frontend cache.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        encode_block(&mut w, self);
-        w.into_bytes()
-    }
-
-    /// Decode a block previously produced by [`FuncBlock::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<FuncBlock, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        let b = decode_block(&mut r)?;
-        if !r.is_at_end() {
-            return Err(CodecError("trailing bytes after block".into()));
-        }
-        Ok(b)
-    }
-}
-
 /// Blocks for every function of a module, indexed like `Module::iter_funcs`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ModuleBlocks {
@@ -301,11 +283,12 @@ fn sym_op(op: Operand) -> Option<SymRef> {
     }
 }
 
-/// Record the plan-free generation trace of one function (the form the
-/// frontend cache stores).
-pub fn build_func_block(module: &Module, fid: FuncId) -> FuncBlock {
+/// Record the plan-free generation trace of one function, trimmed to its
+/// length: the executor holds a module's blocks across all of its solves.
+pub(crate) fn build_func_block(module: &Module, fid: FuncId) -> FuncBlock {
     let mut ops = Vec::new();
     record_func(module, fid, None, &mut ops);
+    ops.shrink_to_fit();
     FuncBlock { ops }
 }
 
@@ -574,326 +557,6 @@ fn rec_store_replicas(ops: &mut Vec<BlockOp>, site: SelfLoc, args: &[Operand], p
     }
 }
 
-// ---------------------------------------------------------------------------
-// Codec
-// ---------------------------------------------------------------------------
-
-fn bad(msg: &str) -> CodecError {
-    CodecError(msg.into())
-}
-
-fn encode_loc(w: &mut ByteWriter, loc: SelfLoc) {
-    w.uint(loc.block as u64);
-    w.uint(loc.inst as u64);
-}
-
-fn decode_loc(r: &mut ByteReader<'_>) -> Result<SelfLoc, CodecError> {
-    Ok(SelfLoc {
-        block: r.u32()?,
-        inst: r.u32()?,
-    })
-}
-
-fn encode_site(w: &mut ByteWriter, site: SymSite) {
-    match site {
-        SymSite::Stack(l) => {
-            w.u8(0);
-            encode_loc(w, l);
-        }
-        SymSite::Heap(l) => {
-            w.u8(1);
-            encode_loc(w, l);
-        }
-    }
-}
-
-fn decode_site(r: &mut ByteReader<'_>) -> Result<SymSite, CodecError> {
-    Ok(match r.u8()? {
-        0 => SymSite::Stack(decode_loc(r)?),
-        1 => SymSite::Heap(decode_loc(r)?),
-        _ => return Err(bad("bad site tag")),
-    })
-}
-
-fn encode_ref(w: &mut ByteWriter, r: SymRef) {
-    match r {
-        SymRef::SelfLocal(l) => {
-            w.u8(0);
-            w.uint(l.0 as u64);
-        }
-        SymRef::SelfRet => w.u8(1),
-        SymRef::CalleeLocal(f, l) => {
-            w.u8(2);
-            w.uint(f.0 as u64);
-            w.uint(l.0 as u64);
-        }
-        SymRef::CalleeRet(f) => {
-            w.u8(3);
-            w.uint(f.0 as u64);
-        }
-        SymRef::GlobalAddr(g) => {
-            w.u8(4);
-            w.uint(g.0 as u64);
-        }
-        SymRef::FuncAddr(f) => {
-            w.u8(5);
-            w.uint(f.0 as u64);
-        }
-        SymRef::CtxDummy { site, seq } => {
-            w.u8(6);
-            encode_loc(w, site);
-            w.uint(seq as u64);
-        }
-    }
-}
-
-fn decode_ref(r: &mut ByteReader<'_>) -> Result<SymRef, CodecError> {
-    Ok(match r.u8()? {
-        0 => SymRef::SelfLocal(LocalId(r.u32()?)),
-        1 => SymRef::SelfRet,
-        2 => SymRef::CalleeLocal(FuncId(r.u32()?), LocalId(r.u32()?)),
-        3 => SymRef::CalleeRet(FuncId(r.u32()?)),
-        4 => SymRef::GlobalAddr(GlobalId(r.u32()?)),
-        5 => SymRef::FuncAddr(FuncId(r.u32()?)),
-        6 => SymRef::CtxDummy {
-            site: decode_loc(r)?,
-            seq: r.u32()?,
-        },
-        _ => return Err(bad("bad ref tag")),
-    })
-}
-
-fn encode_origin(w: &mut ByteWriter, o: SymOrigin) {
-    match o {
-        SymOrigin::Inst(l) => {
-            w.u8(0);
-            encode_loc(w, l);
-        }
-        SymOrigin::CallArg { site, idx } => {
-            w.u8(1);
-            encode_loc(w, site);
-            w.uint(idx as u64);
-        }
-        SymOrigin::CallRet { site } => {
-            w.u8(2);
-            encode_loc(w, site);
-        }
-        SymOrigin::CtxBypass { site } => {
-            w.u8(3);
-            encode_loc(w, site);
-        }
-    }
-}
-
-fn decode_origin(r: &mut ByteReader<'_>) -> Result<SymOrigin, CodecError> {
-    Ok(match r.u8()? {
-        0 => SymOrigin::Inst(decode_loc(r)?),
-        1 => SymOrigin::CallArg {
-            site: decode_loc(r)?,
-            idx: r.uint()? as usize,
-        },
-        2 => SymOrigin::CallRet {
-            site: decode_loc(r)?,
-        },
-        3 => SymOrigin::CtxBypass {
-            site: decode_loc(r)?,
-        },
-        _ => return Err(bad("bad origin tag")),
-    })
-}
-
-fn encode_kind(w: &mut ByteWriter, k: &SymConstraintKind) {
-    match k {
-        SymConstraintKind::AddrOf { dst, obj } => {
-            w.u8(0);
-            encode_ref(w, *dst);
-            encode_site(w, *obj);
-        }
-        SymConstraintKind::Copy { dst, src } => {
-            w.u8(1);
-            encode_ref(w, *dst);
-            encode_ref(w, *src);
-        }
-        SymConstraintKind::Load { dst, addr } => {
-            w.u8(2);
-            encode_ref(w, *dst);
-            encode_ref(w, *addr);
-        }
-        SymConstraintKind::Store { addr, src } => {
-            w.u8(3);
-            encode_ref(w, *addr);
-            encode_ref(w, *src);
-        }
-        SymConstraintKind::Field { dst, base, idx } => {
-            w.u8(4);
-            encode_ref(w, *dst);
-            encode_ref(w, *base);
-            w.uint(*idx as u64);
-        }
-        SymConstraintKind::PtrArith { dst, base, loc } => {
-            w.u8(5);
-            encode_ref(w, *dst);
-            encode_ref(w, *base);
-            encode_loc(w, *loc);
-        }
-        SymConstraintKind::Elem { dst, base } => {
-            w.u8(6);
-            encode_ref(w, *dst);
-            encode_ref(w, *base);
-        }
-    }
-}
-
-fn decode_kind(r: &mut ByteReader<'_>) -> Result<SymConstraintKind, CodecError> {
-    Ok(match r.u8()? {
-        0 => SymConstraintKind::AddrOf {
-            dst: decode_ref(r)?,
-            obj: decode_site(r)?,
-        },
-        1 => SymConstraintKind::Copy {
-            dst: decode_ref(r)?,
-            src: decode_ref(r)?,
-        },
-        2 => SymConstraintKind::Load {
-            dst: decode_ref(r)?,
-            addr: decode_ref(r)?,
-        },
-        3 => SymConstraintKind::Store {
-            addr: decode_ref(r)?,
-            src: decode_ref(r)?,
-        },
-        4 => SymConstraintKind::Field {
-            dst: decode_ref(r)?,
-            base: decode_ref(r)?,
-            idx: r.uint()? as usize,
-        },
-        5 => SymConstraintKind::PtrArith {
-            dst: decode_ref(r)?,
-            base: decode_ref(r)?,
-            loc: decode_loc(r)?,
-        },
-        6 => SymConstraintKind::Elem {
-            dst: decode_ref(r)?,
-            base: decode_ref(r)?,
-        },
-        _ => return Err(bad("bad constraint tag")),
-    })
-}
-
-fn encode_opt_ty(w: &mut ByteWriter, ty: &Option<Type>) {
-    match ty {
-        None => w.u8(0),
-        Some(t) => {
-            w.u8(1);
-            encode_type(w, t);
-        }
-    }
-}
-
-fn decode_opt_ty(r: &mut ByteReader<'_>) -> Result<Option<Type>, CodecError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(decode_type(r)?),
-        _ => return Err(bad("bad option tag")),
-    })
-}
-
-/// Encode a [`FuncBlock`].
-pub fn encode_block(w: &mut ByteWriter, b: &FuncBlock) {
-    w.uint(b.ops.len() as u64);
-    for op in &b.ops {
-        match op {
-            BlockOp::Obj { site, ty } => {
-                w.u8(0);
-                encode_site(w, *site);
-                encode_opt_ty(w, ty);
-            }
-            BlockOp::Touch(r) => {
-                w.u8(1);
-                encode_ref(w, *r);
-            }
-            BlockOp::Push { kind, origin } => {
-                w.u8(2);
-                encode_kind(w, kind);
-                encode_origin(w, *origin);
-            }
-            BlockOp::ICall {
-                site,
-                fnptr,
-                args,
-                dst,
-            } => {
-                w.u8(3);
-                encode_loc(w, *site);
-                encode_ref(w, *fnptr);
-                w.uint(args.len() as u64);
-                for a in args {
-                    match a {
-                        None => w.u8(0),
-                        Some(r) => {
-                            w.u8(1);
-                            encode_ref(w, *r);
-                        }
-                    }
-                }
-                match dst {
-                    None => w.u8(0),
-                    Some(r) => {
-                        w.u8(1);
-                        encode_ref(w, *r);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Decode a [`FuncBlock`] previously written by [`encode_block`].
-pub fn decode_block(r: &mut ByteReader<'_>) -> Result<FuncBlock, CodecError> {
-    let n = r.uint()? as usize;
-    let mut ops = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let op = match r.u8()? {
-            0 => BlockOp::Obj {
-                site: decode_site(r)?,
-                ty: decode_opt_ty(r)?,
-            },
-            1 => BlockOp::Touch(decode_ref(r)?),
-            2 => BlockOp::Push {
-                kind: decode_kind(r)?,
-                origin: decode_origin(r)?,
-            },
-            3 => {
-                let site = decode_loc(r)?;
-                let fnptr = decode_ref(r)?;
-                let na = r.uint()? as usize;
-                let mut args = Vec::with_capacity(na.min(1 << 16));
-                for _ in 0..na {
-                    args.push(match r.u8()? {
-                        0 => None,
-                        1 => Some(decode_ref(r)?),
-                        _ => return Err(bad("bad option tag")),
-                    });
-                }
-                let dst = match r.u8()? {
-                    0 => None,
-                    1 => Some(decode_ref(r)?),
-                    _ => return Err(bad("bad option tag")),
-                };
-                BlockOp::ICall {
-                    site,
-                    fnptr,
-                    args,
-                    dst,
-                }
-            }
-            _ => return Err(bad("bad op tag")),
-        };
-        ops.push(op);
-    }
-    Ok(FuncBlock { ops })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -947,34 +610,6 @@ mod tests {
         let mut ops = Vec::new();
         record_func(m, fid, plan, &mut ops);
         FuncBlock { ops }
-    }
-
-    #[test]
-    fn block_round_trips_through_codec() {
-        let m = sample_module();
-        let plan = sample_plan();
-        for plan in [None, Some(&plan)] {
-            for (fid, _) in m.iter_funcs() {
-                let block = record(&m, fid, plan);
-                let bytes = block.to_bytes();
-                assert_eq!(FuncBlock::from_bytes(&bytes).unwrap(), block);
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_block_bytes_are_an_error() {
-        let m = sample_module();
-        let plan = sample_plan();
-        for plan in [None, Some(&plan)] {
-            let bytes = record(&m, FuncId(1), plan).to_bytes();
-            for cut in 0..bytes.len() {
-                assert!(
-                    FuncBlock::from_bytes(&bytes[..cut]).is_err(),
-                    "cut at {cut} decoded"
-                );
-            }
-        }
     }
 
     #[test]

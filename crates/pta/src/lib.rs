@@ -70,12 +70,12 @@ pub mod steens;
 pub const PTS_REPR_VERSION: u32 = 4;
 
 pub use analysis::{Analysis, WarmStart};
-pub use block::{build_func_block, plan_affected, FuncBlock, ModuleBlocks};
+pub use block::{plan_affected, FuncBlock, ModuleBlocks};
 pub use callgraph::CallGraph;
 pub use ctxplan::{ChainStep, CriticalFlow, CtxPlan};
 pub use incr::{ConstraintDiff, FallbackReason, SolvedState, INCR_STATE_VERSION};
 pub use node::{NodeId, NodeKind, NodeTable, ObjId, ObjInfo, ObjSite};
-pub use observer::{NullObserver, SolveEvent, SolverObserver};
+pub use observer::{NullObserver, SolverObserver};
 pub use pts::{PtsSet, DEMOTE_AT, SMALL_MAX};
 pub use solver::{
     BudgetKind, PaFilterEvent, PwcEvent, SolveBudget, SolveError, SolveOptions, SolveResult,

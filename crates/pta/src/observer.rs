@@ -23,38 +23,6 @@ pub enum CollapseReason {
     Pwc,
 }
 
-/// A solver event, for logging-style observers.
-#[derive(Debug, Clone)]
-pub enum SolveEvent {
-    /// `target`'s points-to set grew by `added` elements.
-    PtsGrow {
-        /// Node whose set grew.
-        target: NodeId,
-        /// Number of newly added objects.
-        added: usize,
-    },
-    /// A derived copy edge was added.
-    DerivedCopy {
-        /// Source node.
-        from: NodeId,
-        /// Destination node.
-        to: NodeId,
-    },
-    /// A cycle was collapsed (`pwc` tells whether it contained a Field-Of
-    /// edge).
-    CycleCollapse {
-        /// Number of merged nodes.
-        size: usize,
-        /// Whether the cycle was a positive weight cycle.
-        pwc: bool,
-    },
-    /// An object was turned field-insensitive.
-    ObjectCollapse {
-        /// The collapsed object.
-        obj: ObjId,
-    },
-}
-
 /// Instrumentation surface of the Andersen solver.
 ///
 /// All methods have empty default bodies, so an observer only implements
@@ -89,66 +57,9 @@ pub struct NullObserver;
 
 impl SolverObserver for NullObserver {}
 
-/// An observer that counts events (useful in tests and stats).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountingObserver {
-    /// Total objects added across all points-to growths.
-    pub objects_added: usize,
-    /// Number of derived copy edges.
-    pub derived_copies: usize,
-    /// Number of collapsed cycles.
-    pub cycles: usize,
-    /// Number of collapsed cycles that were PWCs.
-    pub pwc_cycles: usize,
-    /// Number of objects turned field-insensitive.
-    pub collapsed_objects: usize,
-}
-
-impl SolverObserver for CountingObserver {
-    fn pts_grew(&mut self, _nodes: &NodeTable, _target: NodeId, added: &[NodeId]) {
-        self.objects_added += added.len();
-    }
-
-    fn derived_copy(
-        &mut self,
-        _nodes: &NodeTable,
-        _from: NodeId,
-        _to: NodeId,
-        _why: &CopyProvenance,
-    ) {
-        self.derived_copies += 1;
-    }
-
-    fn cycle_collapsed(&mut self, _nodes: &NodeTable, members: &[NodeId], pwc: bool) {
-        let _ = members;
-        self.cycles += 1;
-        if pwc {
-            self.pwc_cycles += 1;
-        }
-    }
-
-    fn object_collapsed(&mut self, _nodes: &NodeTable, _obj: ObjId, _why: CollapseReason) {
-        self.collapsed_objects += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counting_observer_accumulates() {
-        let nodes = NodeTable::new();
-        let mut c = CountingObserver::default();
-        c.pts_grew(&nodes, NodeId(0), &[NodeId(1), NodeId(2)]);
-        c.cycle_collapsed(&nodes, &[NodeId(0), NodeId(1)], true);
-        c.cycle_collapsed(&nodes, &[NodeId(2), NodeId(3)], false);
-        c.object_collapsed(&nodes, ObjId(0), CollapseReason::Pwc);
-        assert_eq!(c.objects_added, 2);
-        assert_eq!(c.cycles, 2);
-        assert_eq!(c.pwc_cycles, 1);
-        assert_eq!(c.collapsed_objects, 1);
-    }
 
     #[test]
     fn null_observer_is_a_noop() {
