@@ -175,7 +175,7 @@ fn main() {
     // Frontend: cold parse + constraint generation of the corpus, the
     // same load served from a pre-populated per-function `fe/` cache
     // (every body hits), and a single-function edit against that cache
-    // (everything but the edited function splices from disk).
+    // (everything but the edited function decodes from disk).
     let fe_warm_stats;
     let fe_edit_stats;
     {

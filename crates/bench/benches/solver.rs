@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the pointer-analysis solver hot path: one baseline
 //! and one fully-optimistic Andersen solve per application model, plus
-//! Steensgaard on the two largest models as the fast/imprecise reference.
+//! Steensgaard on the two largest models as the fast/imprecise reference,
+//! and constraint generation on the `scale` corpora (`gen/*`).
 //!
 //! Uses the in-repo harness in `kaleidoscope_bench::timing` (criterion is
 //! unavailable offline). A counting global allocator measures the heap
@@ -17,7 +18,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use kaleidoscope_bench::timing::{bench, Sample};
 use kaleidoscope_ir::Module;
-use kaleidoscope_pta::{steensgaard, Analysis, NullObserver, SolveOptions, WarmStart};
+use kaleidoscope_pta::gen::{generate, stored_or_generated, Program};
+use kaleidoscope_pta::{
+    steensgaard, Analysis, ModuleBlocks, NullObserver, SolveOptions, WarmStart,
+};
 
 /// System allocator wrapped with monotonic allocation counters, so a bench
 /// case can report "bytes allocated per solve" — a direct, variance-free
@@ -165,6 +169,39 @@ fn main() {
         });
     }
 
+    // Constraint generation: a corpus's plan-free program generated from
+    // the IR, which a frontend load pays once per module, and one solve's
+    // program cloned from that stored program, which every solve without
+    // a context plan pays.
+    {
+        let mut program_case = |label: &str, make: &dyn Fn() -> Program| {
+            let sample = bench(label, iters, || {
+                let _ = make();
+            });
+            let mut total_nodes = 0;
+            let (alloc_bytes, alloc_calls) = alloc_traffic(|| total_nodes = make().nodes.len());
+            cases.push(Case {
+                sample,
+                alloc_bytes,
+                alloc_calls,
+                pops: 0,
+                union_words: 0,
+                peak_pts_bytes: 0,
+                seeded_nodes: 0,
+                total_nodes,
+            });
+        };
+        for (tag, n) in [("3k", 3_000), ("10k", 10_000)] {
+            let module = kaleidoscope_fuzz::scale::corpus_module(0xca1e, n);
+            program_case(&format!("gen/scale-{tag}"), &|| generate(&module, None));
+        }
+        program_case("gen/scale-100k", &|| generate(&scale, None));
+        let stored = ModuleBlocks::build(&scale);
+        program_case("gen/scale-100k/clone", &|| {
+            stored_or_generated(&scale, None, Some(&stored)).into_owned()
+        });
+    }
+
     // Incremental re-solve: a 1-function watch edit on the same 100k
     // corpus, warm-started from the pre-edit snapshot, vs solving the
     // edited module from scratch. The warm number is end-to-end honest:
@@ -295,7 +332,7 @@ fn main() {
     let total_median: f64 = cases.iter().map(|c| c.sample.median_ms).sum();
     let total_bytes: u64 = cases.iter().map(|c| c.alloc_bytes).sum();
     println!(
-        "total: {total_median:.1} ms median across {} solves, {:.1} MiB allocated",
+        "total: {total_median:.1} ms median across {} cases, {:.1} MiB allocated",
         cases.len(),
         total_bytes as f64 / (1024.0 * 1024.0)
     );

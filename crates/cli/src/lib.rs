@@ -184,9 +184,9 @@ fn source_text(source: &Source) -> Result<String, CliError> {
 ///
 /// Every source is passed as text to
 /// [`kaleidoscope_exec::analyze_request`], the request function the serve
-/// daemon answers through too: per-function lowered IR and constraint
-/// blocks are cached in the disk cache's `fe/` namespace, and the blocks
-/// are spliced into every solve.
+/// daemon answers through too: per-function lowered IR is cached in the
+/// disk cache's `fe/` namespace, and the module's plan-free program is
+/// generated once and cloned by every solve without a context plan.
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_analyze_full(
     source: &Source,
@@ -942,13 +942,13 @@ mod tests {
         assert_eq!(fe2.funcs, fe1.funcs + 1);
         assert_eq!(
             fe2.fe_cache_hits, fe1.funcs,
-            "shared bodies splice from fe/"
+            "shared bodies decode from fe/"
         );
         assert_eq!(fe2.fe_cache_misses, 1, "only the new function regenerates");
-        // The spliced run's report is byte-identical to the cacheless one.
+        // The cached run's report is byte-identical to the cacheless one.
         assert_eq!(second.report, cold);
         // Models and C sources load through the same frontend: a second
-        // cached run of each splices every function from fe/.
+        // cached run of each decodes every function from fe/.
         for src in [
             Source::Model("Curl".into()),
             Source::File(format!("{}/samples/fig7.c", env!("CARGO_MANIFEST_DIR"))),

@@ -238,10 +238,10 @@ pub fn fallback_analysis(module: &Module) -> Analysis {
 }
 
 /// Budgeted variant of [`fallback_analysis`]: a typed error instead of a
-/// panic when the budget is exhausted. With `blocks`, constraint
-/// generation replays the pre-recorded frontend constraint blocks instead
-/// of re-walking the IR; the generated program — and hence the analysis —
-/// is identical either way.
+/// panic when the budget is exhausted. With `blocks`, the module's stored
+/// plan-free program, the solve clones it instead of generating
+/// constraints from the IR; the program — and hence the analysis — is
+/// identical either way.
 ///
 /// This and the three other `try_*_fe` functions are kept, with unchanged
 /// signatures, for the benchmark's replay of the executor; each is one call
@@ -264,7 +264,8 @@ pub fn try_fallback_analysis_fe(
 /// incompatible edit); either way a fresh [`SolvedState`] snapshot of the
 /// new fixpoint, tagged with `module`'s fingerprint, is captured when the
 /// solve converges. `prev_blocks` and `blocks` are the previous and current
-/// revisions' frontend constraint blocks.
+/// revisions' stored plan-free programs: the solve clones the current one,
+/// and the warm-start diff borrows the previous one.
 pub fn try_fallback_analysis_incr_fe(
     module: &Module,
     budget: &SolveBudget,
@@ -315,10 +316,10 @@ pub fn optimistic_analysis(module: &Module, config: PolicyConfig, ctx_plan: &Ctx
     )
 }
 
-/// Budgeted variant of [`optimistic_analysis`], with optional
-/// pre-recorded frontend constraint blocks. Blocks are plan-free:
-/// functions the context plan touches are recorded afresh under the plan
-/// during the splice. Kept for the benchmark's replay, like
+/// Budgeted variant of [`optimistic_analysis`], with the module's optional
+/// stored plan-free program. The solve clones it when the context policy is
+/// off or its plan is empty, and generates constraints under a non-empty
+/// plan. Kept for the benchmark's replay, like
 /// [`try_fallback_analysis_fe`].
 pub fn try_optimistic_analysis_fe(
     module: &Module,
@@ -340,10 +341,11 @@ pub fn try_optimistic_analysis_fe(
 /// previous revision's context plan is derived from its module here (plan
 /// detection is deterministic), so callers only have to thread the module
 /// and the captured state. See [`try_fallback_analysis_incr_fe`] for the
-/// semantics. Blocks are plan-free: functions the context plan touches are
-/// recorded afresh under the plan during the splice, so the optimistic
-/// program is identical to one generated without blocks. Kept for
-/// the benchmark's replay, like [`try_fallback_analysis_fe`].
+/// semantics. The stored programs are plan-free: under a non-empty plan the
+/// solve, and the diff against the previous revision, generate constraints
+/// instead, so the optimistic program is identical to one generated
+/// without them. Kept for the benchmark's replay, like
+/// [`try_fallback_analysis_fe`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_optimistic_analysis_incr_fe(
     module: &Module,

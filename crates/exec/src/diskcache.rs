@@ -7,7 +7,10 @@
 //!
 //! * **Modules** — canonical textual IR keyed by its content
 //!   [`fingerprint`](kaleidoscope_ir::Module::fingerprint), so a client can
-//!   submit a module once and query by fingerprint afterwards.
+//!   submit a module once and query by fingerprint afterwards. Canonical
+//!   text hashes to its own name, so a module file needs no integrity
+//!   line: a fetch returns the text only when `fnv1a64(text)` is the
+//!   fingerprint asked for, and quarantines the file otherwise.
 //! * **Reports** — rendered `analyze` reports keyed by
 //!   `(fingerprint, config scope, stats flag, PTS_REPR_VERSION)`. Only
 //!   *healthy* reports are stored: a degraded report depends on the budget
@@ -38,7 +41,7 @@
 //! encodings from ever being fetched).
 //! Entries carry an import list validated by the frontend loader against
 //! the current revision's header, so a stale id mapping reads as a miss,
-//! never a wrong splice. One frontend load writes all the entries it
+//! never a wrong function. One frontend load writes all the entries it
 //! missed as a single **pack**:
 //!
 //! ```text
@@ -88,12 +91,13 @@
 //!
 //! [`DiskCache::recover`] is the crash-recovery sweep: `.tmp*` orphans
 //! from publishes that died before their rename are deleted, and checked
-//! artifacts that fail verification (or are not in the current format)
-//! are moved into `quarantine/` (counted in [`DiskCacheStats`]) instead
-//! of silently re-missing on every fetch forever. Opening a store does
-//! not sweep: a sweep deletes every `.tmp*` file, including the live
-//! publish of another process sharing the directory, so only the owner
-//! of the directory (the serve daemon, at start and at drain) runs it.
+//! artifacts that fail verification (or are not in the current format),
+//! and module files whose text does not hash to their name, are moved
+//! into `quarantine/` (counted in [`DiskCacheStats`]) instead of silently
+//! re-missing on every fetch forever. Opening a store does not sweep: a
+//! sweep deletes every `.tmp*` file, including the live publish of
+//! another process sharing the directory, so only the owner of the
+//! directory (the serve daemon, at start and at drain) runs it.
 //!
 //! The directory is chosen by `--cache-dir`, falling back to the
 //! `KD_CACHE_DIR` environment variable; with neither, callers run without
@@ -169,8 +173,8 @@ pub struct DiskCacheStats {
     pub fe_lookups: u64,
     /// Frontend entry lookups served from disk (verified).
     pub fe_hits: u64,
-    /// Artifacts and `fe/` packs or entries rejected by integrity
-    /// verification.
+    /// Artifacts, module files and `fe/` packs or entries rejected by
+    /// integrity verification.
     pub verify_failures: u64,
     /// `.tmp` publish orphans removed by recovery sweeps.
     pub tmp_swept: u64,
@@ -310,6 +314,15 @@ fn pack_table(body: &[u8], base: u64) -> Option<Vec<(u64, FeSlot)>> {
     (offset == base + body.len() as u64).then_some(out)
 }
 
+/// Whether `bytes`, read from the module file at `path`, hash to the
+/// fingerprint the file is named by.
+fn module_name_matches(path: &Path, bytes: &[u8]) -> bool {
+    path.file_stem()
+        .and_then(|s| s.to_str())
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .is_some_and(|fp| fnv1a64(&[bytes]) == fp)
+}
+
 /// Whether `path` is a publish's temp file (`*.tmp<pid>-<seq>`).
 fn is_tmp(path: &Path) -> bool {
     path.extension()
@@ -353,7 +366,8 @@ impl DiskCache {
     /// 2. Every file in `reports/`, `state/` and `fe/` that is not a
     ///    current-format checked artifact whose integrity line verifies —
     ///    a torn or edited file, a pack whose table does not fit, or a
-    ///    file written by older code — is moved into `quarantine/`
+    ///    file written by older code — and every `modules/` file whose
+    ///    text does not hash to its name is moved into `quarantine/`
     ///    (preserved for inspection, out of the fetch path), so it stops
     ///    costing a failed verify on every fetch.
     pub fn recover(&self) {
@@ -369,18 +383,20 @@ impl DiskCache {
                     }
                     continue;
                 }
-                // Modules and heads carry no integrity line.
+                // Heads carry no integrity line; a module's is its name.
                 let current_format = match sub {
+                    "modules" => path.extension().is_some_and(|e| e == "kir"),
                     "reports" => path.extension().is_some_and(|e| e == "txt"),
                     "state" => path.extension().is_some_and(|e| e == "bin"),
                     "fe" => path.to_string_lossy().ends_with(&pack_suffix()),
                     _ => continue,
                 };
                 let healthy = current_format
-                    && fs::read(&path).is_ok_and(|bytes| {
-                        verified_header_len(&bytes).is_some_and(|h| {
+                    && fs::read(&path).is_ok_and(|bytes| match sub {
+                        "modules" => module_name_matches(&path, &bytes),
+                        _ => verified_header_len(&bytes).is_some_and(|h| {
                             sub != "fe" || pack_table(&bytes[h..], h as u64).is_some()
-                        })
+                        }),
                     });
                 if !healthy {
                     self.quarantine(&path);
@@ -569,9 +585,21 @@ impl DiskCache {
         Ok(())
     }
 
-    /// Fetch a module's canonical text by fingerprint.
+    /// Fetch a module's canonical text by fingerprint. The text is
+    /// returned only when it hashes to `fp`. A file whose content does not
+    /// is counted as a verify failure and quarantined, so the next inline
+    /// submission of the module stores it again.
     pub fn get_module(&self, fp: u64) -> Option<String> {
-        fs::read_to_string(self.module_path(fp)).ok()
+        let path = self.module_path(fp);
+        let bytes = fs::read(&path).ok()?;
+        if fnv1a64(&[&bytes]) == fp {
+            if let Ok(text) = String::from_utf8(bytes) {
+                return Some(text);
+            }
+        }
+        self.verify_failures.fetch_add(1, Ordering::Relaxed);
+        self.quarantine(&path);
+        None
     }
 
     /// Publish `bytes` at `path` behind its integrity line, then enforce
@@ -838,12 +866,38 @@ mod tests {
     #[test]
     fn module_round_trip_by_fingerprint() {
         let cache = DiskCache::open(tmpdir("mod")).unwrap();
-        assert_eq!(cache.get_module(0xBEEF), None);
-        cache.put_module(0xBEEF, "module \"m\" {\n}\n").unwrap();
-        assert_eq!(
-            cache.get_module(0xBEEF).as_deref(),
-            Some("module \"m\" {\n}\n")
-        );
+        let text = "module \"m\"\n";
+        let fp = fnv1a64(&[text.as_bytes()]);
+        assert_eq!(cache.get_module(fp), None);
+        cache.put_module(fp, text).unwrap();
+        assert_eq!(cache.get_module(fp).as_deref(), Some(text));
+        assert_eq!(cache.stats().verify_failures, 0);
+    }
+
+    #[test]
+    fn module_under_another_fingerprint_is_quarantined_not_served() {
+        let dir = tmpdir("mod-wrong");
+        let cache = DiskCache::open(&dir).unwrap();
+        let (text, other) = ("module \"m\"\n", "module \"other\"\n");
+        let fp = fnv1a64(&[text.as_bytes()]);
+        cache.put_module(fp, text).unwrap();
+        fs::write(cache.module_path(fp), other).unwrap();
+        assert_eq!(cache.get_module(fp), None, "another module's text");
+        assert_eq!(cache.stats().verify_failures, 1);
+        assert_eq!(cache.stats().quarantined, 1);
+        // The slot is free again: resubmitting the module repairs it.
+        cache.put_module(fp, text).unwrap();
+        assert_eq!(cache.get_module(fp).as_deref(), Some(text));
+
+        // The recovery sweep parks a mismatched file before any fetch.
+        let other_fp = fnv1a64(&[other.as_bytes()]);
+        cache.put_module(other_fp, other).unwrap();
+        fs::write(cache.module_path(other_fp), text).unwrap();
+        cache.recover();
+        assert_eq!(cache.stats().quarantined, 2);
+        assert!(!cache.module_path(other_fp).exists());
+        assert_eq!(cache.get_module(fp).as_deref(), Some(text), "healthy kept");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

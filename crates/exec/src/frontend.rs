@@ -1,14 +1,13 @@
-//! Cached analysis frontend: text → module + constraint blocks.
+//! Cached analysis frontend: text → module + plan-free program.
 //!
 //! [`load_frontend`] is the single entry point the CLI and the serve worker
-//! use to turn module text into (a) a parsed [`Module`] and (b) the
-//! per-function constraint blocks that `generate_spliced` replays instead
-//! of re-walking the IR. The lowered functions are cached **per function**
-//! in the [`DiskCache`]'s `fe/` namespace, so a warm revision re-parses
-//! only the bodies whose text changed. The blocks are recorded afresh from
-//! the module on every load: recording a function costs about a third of
-//! what decoding its cached block did (DESIGN §5h). A load writes every
-//! entry it missed as one pack file.
+//! use to turn module text into (a) a parsed [`Module`] and (b) its
+//! plan-free constraint program, which every solve without a context plan
+//! clones instead of generating constraints again. The lowered functions
+//! are cached **per function** in the [`DiskCache`]'s `fe/` namespace, so a
+//! warm revision re-parses only the bodies whose text changed. The program
+//! is generated afresh from the module on every load (DESIGN §5h). A load
+//! writes every entry it missed as one pack file.
 //!
 //! # Entry layout and validity
 //!
@@ -17,7 +16,7 @@
 //!
 //! 1. **Imports** — every (id, name) the lowered body resolved against the
 //!    module header: referenced functions (with their `param_count` and
-//!    return-void flag, which the constraint block's call wiring depends
+//!    return-void flag, which constraint generation's call wiring depends
 //!    on), referenced globals, and every struct id embedded in the
 //!    function's types.
 //! 2. The lowered [`Function`] (the `crates/ir` codec).
@@ -26,8 +25,8 @@
 //! any name moved to a different id — a declaration was inserted, removed,
 //! or reordered — the entry *misses* and the function is re-lowered live.
 //! The decoded function must reference exactly the ids its imports list,
-//! so an entry that leaves out an id its body uses misses too: the block
-//! recorder, which runs before the module is verified, never looks up a
+//! so an entry that leaves out an id its body uses misses too: constraint
+//! generation, which runs before the module is verified, never looks up a
 //! function the header lacks. An entry can therefore be stale but never
 //! wrong: a hit decodes to exactly what re-parsing the unchanged text
 //! against the current header would produce. The cache may hold several
@@ -53,8 +52,8 @@ pub struct FrontendStats {
     /// Number of functions in the module.
     pub funcs: usize,
     /// Functions whose lowered IR was decoded from the `fe/` cache. A hit
-    /// skips only the body parse: every function's constraint block is
-    /// recorded on every load.
+    /// skips only the body parse: the whole plan-free program is generated
+    /// on every load.
     pub fe_cache_hits: usize,
     /// Functions whose bodies were parsed (and, when a cache is attached,
     /// written back to it).
@@ -62,18 +61,20 @@ pub struct FrontendStats {
     /// Wall-clock time of the parse half: header parse, cache lookups and
     /// decoding for hits, body parsing for misses.
     pub parse_ms: u64,
-    /// Wall-clock time of the constraint-recording half: recording every
-    /// function's block, plus the cache write-back of the misses.
+    /// Wall-clock time of the generation half: generating the module's
+    /// plan-free constraint program, plus the cache write-back of the
+    /// misses.
     pub gen_ms: u64,
 }
 
-/// A loaded frontend: the parsed module plus its replayable constraint
-/// blocks and the counters describing how it was produced.
+/// A loaded frontend: the parsed module plus its plan-free constraint
+/// program and the counters describing how it was produced.
 #[derive(Debug)]
 pub struct LoadedFrontend {
     /// The parsed module.
     pub module: Module,
-    /// One recorded constraint block per function, in function-id order.
+    /// The module's plan-free program (`generate(&module, None)`), shared
+    /// by every solve without a context plan.
     pub blocks: Arc<ModuleBlocks>,
     /// Load counters.
     pub stats: FrontendStats,
@@ -170,7 +171,7 @@ fn encode_entry(module: &Module, func: &Function) -> Vec<u8> {
 /// header-only module. Any mismatch — an id out of range, a name now bound
 /// to a different id, a callee whose arity or return-voidness changed, a
 /// function referencing an id the imports leave out — returns `None`
-/// (treated as a miss, never a wrong splice).
+/// (treated as a miss, never a wrong function).
 fn decode_entry(
     bytes: &[u8],
     header: &Module,
@@ -237,16 +238,17 @@ fn fe_key(text: &str, shell: &ModuleShell<'_>, i: usize) -> u64 {
     ])
 }
 
-/// Parse module text into a module plus replayable constraint blocks,
+/// Parse module text into a module plus its plan-free constraint program,
 /// serving unchanged functions' lowered IR from `cache`'s `fe/` namespace
-/// and recording every function's block. The body pass runs inline.
+/// and generating the program from the whole module. The body pass runs
+/// inline.
 ///
 /// `_threads` is ignored. It sized a work-claiming pool for the body pass
 /// that no caller ran with more than one thread; the parameter stays so
 /// existing callers compile.
 ///
-/// The returned module and blocks are identical to a cold `parse_module` +
-/// `ModuleBlocks::build`, whatever mix of hits and misses produced them.
+/// The returned module and program are identical to a cold `parse_module`
+/// + `ModuleBlocks::build`, whatever mix of hits and misses produced them.
 pub fn load_frontend(
     text: &str,
     cache: Option<&DiskCache>,
@@ -398,7 +400,7 @@ mod tests {
     fn reordered_declarations_invalidate_stale_ids() {
         // Same function text, but a new function inserted *before* the old
         // ones shifts every id. Import validation must reject the stale
-        // entries rather than splice blocks wired to the wrong callee ids.
+        // entries rather than decode calls wired to the wrong callee ids.
         let text = sample_text();
         let cache = DiskCache::open(tmpdir("reorder")).unwrap();
         load_frontend(&text, Some(&cache), 1).unwrap();
@@ -435,7 +437,8 @@ mod tests {
     fn entry_hiding_a_callee_from_its_imports_is_a_miss() {
         // `main`'s entry with its call redirected past the last function,
         // and the import list of the real `main`, which does not name that
-        // callee. Recording its block would look the callee up and panic.
+        // callee. Generating its constraints would look the callee up and
+        // panic.
         let text = sample_text();
         let direct = parse_module(&text).unwrap();
         let main_id = direct.func_by_name("main").unwrap();

@@ -21,11 +21,15 @@
 //!   seven optimistic configurations reuse them. Each artifact key is
 //!   computed once: workers racing on a cold key wait for the first one's
 //!   artifact instead of solving again.
+//! * **Shared generation** — with a module's stored plan-free program
+//!   from [`load_frontend`] attached ([`Executor::with_frontend`]), every
+//!   solve without a context plan clones that program instead of
+//!   generating constraints again; a non-empty plan generates afresh.
 //! * **A/B checking** — one worker ([`Executor::serial`], `--jobs 1`)
 //!   bypasses both the pool and the cache and runs the legacy
 //!   [`kaleidoscope::analyze`] per cell, as the reference for the
 //!   determinism guarantee. It is taken only under the default budget
-//!   with no fault plan, state store or frontend blocks; otherwise one
+//!   with no fault plan, state store or stored program; otherwise one
 //!   worker runs the pooled loop.
 //!
 //! The legacy path composes the stage functions of `core::pipeline`
@@ -140,9 +144,9 @@ pub struct Executor {
     budget: SolveBudget,
     state_store: Option<Arc<DiskCache>>,
     incremental_from: Option<u64>,
-    /// Pre-recorded constraint blocks for the module fingerprinted by the
-    /// first component (from [`load_frontend`]); solves of that module
-    /// replay them instead of re-walking the IR.
+    /// The stored plan-free program of the module fingerprinted by the
+    /// first component (from [`load_frontend`]); plan-free solves of that
+    /// module clone it instead of generating constraints.
     frontend: Option<(u64, Arc<ModuleBlocks>)>,
     /// The previous revision, loaded on first use and shared by the solve
     /// families of one request.
@@ -151,9 +155,9 @@ pub struct Executor {
     faults: Option<FaultPlan>,
 }
 
-/// The previous revision warm starts read: its module and constraint
-/// blocks, and its context plan, derived the first time a ctx family
-/// warm-starts.
+/// The previous revision warm starts read: its module and stored
+/// plan-free program, and its context plan, derived the first time a ctx
+/// family warm-starts.
 #[derive(Debug)]
 struct PrevRevision {
     module: Module,
@@ -174,8 +178,8 @@ impl Executor {
     }
 
     /// Executor with a fixed worker count; `0` means available
-    /// parallelism. With `1` and no budget, faults, state store or frontend
-    /// blocks, a matrix runs the legacy serial path (no pool, no cache);
+    /// parallelism. With `1` and no budget, faults, state store or stored
+    /// program, a matrix runs the legacy serial path (no pool, no cache);
     /// otherwise the pool runs on one worker.
     pub fn with_jobs(jobs: usize) -> Executor {
         let jobs = if jobs == 0 {
@@ -199,7 +203,7 @@ impl Executor {
     }
 
     /// One worker (`--jobs 1`): the legacy serial reference, unless a
-    /// budget, faults, a state store or frontend blocks need the pool.
+    /// budget, faults, a state store or a stored program need the pool.
     pub fn serial() -> Executor {
         Executor::with_jobs(1)
     }
@@ -231,17 +235,17 @@ impl Executor {
         self
     }
 
-    /// Attach pre-recorded frontend constraint blocks for the module
-    /// fingerprinted `fp` (from [`load_frontend`]). Solves of that exact
-    /// module splice the blocks instead of regenerating constraints from
-    /// the IR; any other module ignores them. Output is byte-identical
-    /// either way.
+    /// Attach the stored plan-free program of the module fingerprinted
+    /// `fp` (from [`load_frontend`]). Solves of that exact module without
+    /// a context plan, or with an empty one, clone it instead of
+    /// generating constraints from the IR; any other module ignores it.
+    /// Output is byte-identical either way.
     pub fn with_frontend(mut self, fp: u64, blocks: Arc<ModuleBlocks>) -> Executor {
         self.frontend = Some((fp, blocks));
         self
     }
 
-    /// The attached frontend blocks, when they belong to `module`.
+    /// The attached stored program, when it belongs to `module`.
     fn frontend_blocks(&self, fp: u64) -> Option<&ModuleBlocks> {
         self.frontend
             .as_ref()
@@ -290,18 +294,17 @@ impl Executor {
         self.run_cell(module, module.fingerprint(), config, None)
     }
 
-    /// The previous revision, parsed and recorded once per executor. `None`
-    /// when no previous revision is configured or its stored text does not
-    /// round-trip to its fingerprint.
+    /// The previous revision, parsed and its plan-free program generated
+    /// once per executor. `None` when no previous revision is configured
+    /// or the store holds no text that hashes to its fingerprint.
     fn prev_revision(&self) -> Option<&PrevRevision> {
         self.prev
             .get_or_init(|| {
                 let store = self.state_store.as_ref()?;
                 let prev_fp = self.incremental_from?;
+                // `get_module` returns only text that hashes to `prev_fp`,
+                // and canonical text re-parses to the module it prints.
                 let module = parse_module(&store.get_module(prev_fp)?).ok()?;
-                if module.fingerprint() != prev_fp {
-                    return None;
-                }
                 let blocks = ModuleBlocks::build(&module);
                 Some(PrevRevision {
                     module,
@@ -319,10 +322,10 @@ impl Executor {
     /// With a state store, the solve warm-starts from the previous
     /// revision's snapshot for the same options and ctx flag. Any missing,
     /// stale or mismatched piece solves cold, never from a wrong state: the
-    /// snapshot and the re-parsed previous module must both round-trip to
-    /// the previous fingerprint. A converged solve then publishes its own
-    /// snapshot, tagged with `fp`. Publishing is best effort: a failed disk
-    /// write only costs the next edit its warm start.
+    /// snapshot must carry the previous fingerprint, and the previous
+    /// module's stored text must hash to it. A converged solve then
+    /// publishes its own snapshot, tagged with `fp`. Publishing is best
+    /// effort: a failed disk write only costs the next edit its warm start.
     fn solve(
         &self,
         module: &Module,
@@ -570,7 +573,7 @@ impl Executor {
         let results: Vec<T> = if legacy {
             // Legacy serial path: the original per-cell pipeline, no pool,
             // no cache — the A/B reference for byte-identical output.
-            // Budgets, faults, warm starts and frontend blocks need the
+            // Budgets, faults, warm starts and a stored program need the
             // pool's fault-isolated cells, so it is only taken without
             // them; with them, one worker runs the pool.
             let mut out = Vec::with_capacity(n_cells);
@@ -820,8 +823,8 @@ mod tests {
         let configs = PolicyConfig::table3_order();
         let plain = Executor::with_jobs(2).run_matrix(&[&m], &configs);
         let ex = Executor::with_jobs(2).with_frontend(lf.module.fingerprint(), lf.blocks);
-        let spliced = ex.run_matrix(&[&lf.module], &configs);
-        for (p, s) in plain[0].iter().zip(&spliced[0]) {
+        let stored = ex.run_matrix(&[&lf.module], &configs);
+        for (p, s) in plain[0].iter().zip(&stored[0]) {
             assert_eq!(s.health, CellHealth::Healthy);
             assert_eq!(
                 PtsStats::collect(&p.optimistic, &m).sizes,
@@ -830,7 +833,7 @@ mod tests {
             assert_eq!(format!("{:?}", p.invariants), format!("{:?}", s.invariants));
         }
 
-        // Blocks for a *different* module are ignored, not misapplied.
+        // A *different* module's program is ignored, not misapplied.
         let other = small_module("fe-other-name");
         let ex = Executor::serial().with_frontend(m.fingerprint(), ModuleBlocks::build(&m).into());
         let r = ex.run_one(&other, PolicyConfig::all());

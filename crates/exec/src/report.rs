@@ -237,14 +237,15 @@ impl std::error::Error for AnalyzeError {}
 ///
 /// 1. Load the program through [`load_frontend`] (`fe/` entries) and
 ///    verify it. Print its canonical text once; the fingerprint is the
-///    hash of that text.
+///    hash of that text. A program named by fingerprint is answered only
+///    when the stored text is that fingerprint's module.
 /// 2. Store the canonical text, so fetch-by-fingerprint re-parses to the
 ///    same fingerprint whatever the submission's formatting.
 /// 3. Look up the report. A hit moves the tenant head and returns.
-/// 4. On a miss, solve on an [`Executor`] with the frontend's blocks, the
-///    budget, the cache as state store, and a warm start from
-///    `prev_fingerprint` or else the tenant's head. Render, move the
-///    head, and publish the report if it is healthy.
+/// 4. On a miss, solve on an [`Executor`] with the frontend's stored
+///    plan-free program, the budget, the cache as state store, and a warm
+///    start from `prev_fingerprint` or else the tenant's head. Render,
+///    move the head, and publish the report if it is healthy.
 ///
 /// A healthy report is the full fixpoint whatever the budget, so budgeted
 /// answers are stored too; a degraded one never is.
@@ -270,6 +271,12 @@ pub fn analyze_request(
     }
     let canonical = loaded.module.to_text();
     let fp = fnv1a64(&[canonical.as_bytes()]);
+    // A stored text answers only for the fingerprint it was fetched by.
+    if let ModuleSource::Stored(asked) = req.module {
+        if asked != fp {
+            return Err(AnalyzeError::UnknownFingerprint(asked));
+        }
+    }
     if let Some(c) = cache {
         let _ = c.put_module(fp, &canonical);
     }

@@ -93,11 +93,11 @@ fn incremental_reports_match_cold_bytes_at_every_step() {
 }
 
 /// The frontend-cache differential: loading a revision through the
-/// per-function `fe/` cache (spliced constraint blocks, skipped body
-/// parses) must leave the rendered report byte-identical to a plain
-/// parse-everything run, at every step of the edit script. This is the
-/// gate that lets the cache be a pure performance feature: any splice bug
-/// shows up here as a byte diff.
+/// per-function `fe/` cache (decoded functions, skipped body parses) must
+/// leave the rendered report byte-identical to a plain parse-everything
+/// run, at every step of the edit script. This is the gate that lets the
+/// cache be a pure performance feature: any decoding bug shows up here as
+/// a byte diff.
 #[test]
 fn frontend_cache_reports_match_cacheless_bytes_at_every_step() {
     let seeds = env_list("KD_EDIT_SEEDS", &[1, 2]);
@@ -113,7 +113,7 @@ fn frontend_cache_reports_match_cacheless_bytes_at_every_step() {
         for (i, step) in script.iter().enumerate() {
             let text = step.module.to_text();
             // Cache-on: per-function entries from earlier revisions
-            // splice in; the blocks feed the executor directly.
+            // decode; the stored program feeds the executor directly.
             let loaded = load_frontend(&text, Some(&store), 1).expect("frontend load");
             if i > 0 {
                 assert!(
@@ -124,7 +124,7 @@ fn frontend_cache_reports_match_cacheless_bytes_at_every_step() {
             let fp = loaded.module.fingerprint();
             let on_ex = Executor::with_jobs(2).with_frontend(fp, Arc::clone(&loaded.blocks));
             let on = render_analyze(&loaded.module, &configs, &on_ex, false).text;
-            // Cache-off: plain parse, no pre-built blocks.
+            // Cache-off: plain parse, no stored program.
             let plain = load_frontend(&text, None, 1).expect("plain load");
             assert_eq!(plain.stats.fe_cache_hits, 0);
             let off = render_analyze(&plain.module, &configs, &Executor::with_jobs(2), false).text;

@@ -7,9 +7,8 @@
 
 use kaleidoscope_ir::{FuncId, InstLoc, LocalId, Module};
 
-use crate::block::ModuleBlocks;
 use crate::ctxplan::CtxPlan;
-use crate::gen::generate_spliced;
+use crate::gen::{stored_or_generated, ModuleBlocks};
 use crate::incr::{ConstraintDiff, SolvedState};
 use crate::node::{NodeId, ObjSite};
 use crate::observer::{NullObserver, SolverObserver};
@@ -43,8 +42,8 @@ pub struct WarmStart<'a> {
     pub module: &'a Module,
     /// The context plan its captured solve generated constraints with.
     pub plan: Option<&'a CtxPlan>,
-    /// Its frontend constraint blocks, spliced when its program is
-    /// regenerated for the diff.
+    /// Its stored plan-free program, which the diff borrows when `plan`
+    /// is absent or empty instead of generating the program again.
     pub blocks: Option<&'a ModuleBlocks>,
     /// Its captured fixpoint.
     pub state: &'a SolvedState,
@@ -74,14 +73,17 @@ impl Analysis {
     /// entry point calls.
     ///
     /// * `ctx_plan` feeds constraint generation.
-    /// * With pre-recorded frontend constraint `blocks`, generation replays
-    ///   them for every function the context plan does not affect,
-    ///   producing a program identical to one generated without them.
+    /// * With `blocks`, the module's stored plan-free program, a solve whose
+    ///   plan is absent or empty clones that program instead of generating
+    ///   it. The program is the same either way (see
+    ///   [`stored_or_generated`]).
     /// * With `warm`, the solve warm-starts from the previous revision's
-    ///   captured fixpoint and seeds only the touched nodes. Its program is
-    ///   regenerated for the diff only when [`ConstraintDiff::precheck`]
-    ///   finds the two modules compatible. Any incompatible edit falls back
-    ///   to a cold solve, visible as `stats.incr_fallback_full == 1`.
+    ///   captured fixpoint and seeds only the touched nodes. The diff reads
+    ///   the previous revision's program only when
+    ///   [`ConstraintDiff::precheck`] finds the two modules compatible, and
+    ///   borrows its stored program under the same rule. Any incompatible
+    ///   edit falls back to a cold solve, visible as
+    ///   `stats.incr_fallback_full == 1`.
     /// * With `capture`, a converged solve also returns a [`SolvedState`]
     ///   snapshot tagged with that fingerprint, which must be `module`'s.
     ///
@@ -95,13 +97,13 @@ impl Analysis {
         capture: Option<u64>,
         obs: &mut dyn SolverObserver,
     ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-        let program = generate_spliced(module, ctx_plan, blocks);
+        let program = stored_or_generated(module, ctx_plan, blocks).into_owned();
         let diff = warm.map(|prev| {
             let diff = ConstraintDiff::precheck(prev.module, module);
             if diff.fallback.is_some() {
                 return diff;
             }
-            let prev_program = generate_spliced(prev.module, prev.plan, prev.blocks);
+            let prev_program = stored_or_generated(prev.module, prev.plan, prev.blocks);
             diff.check_programs(&prev_program, &program)
         });
         let warm = warm

@@ -5,26 +5,24 @@
 //! (arbitrary pointer arithmetic and array element addresses) — and the
 //! indirect-call records resolved on the fly.
 //!
-//! The mapping from instructions to constraints lives in [`crate::block`]
-//! alone: each function is recorded as a self-relative
-//! [`FuncBlock`](crate::block::FuncBlock) trace, and this module replays
-//! the traces in function order against one fresh [`NodeTable`], turning
-//! symbolic references into node ids. A trace is
-//! either a cached plan-free block from the frontend or a fresh recording.
-//! When a [`CtxPlan`] is supplied (the optimistic context-sensitivity
-//! policy), every function it affects is recorded afresh under the plan:
-//! the critical store/return statements it names are skipped and
+//! [`generate`] is the one mapping from instructions to constraints: it
+//! walks each function's IR once, in function order, and emits constraints
+//! over the node ids of one fresh [`NodeTable`]. When a [`CtxPlan`] is
+//! supplied (the optimistic context-sensitivity policy), the critical
+//! store/return statements it names are skipped in their function and
 //! replicated per direct callsite through fresh dummy nodes.
+//!
+//! Most solves run without a context plan, so a module's plan-free
+//! program is generated once and kept in [`ModuleBlocks`];
+//! [`stored_or_generated`] hands a solve that stored program (cloned by
+//! the caller that consumes it) unless a non-empty plan forces a fresh
+//! generation.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
-use kaleidoscope_ir::{FuncId, InstLoc, Module, Type};
+use kaleidoscope_ir::{FuncId, Inst, InstLoc, LocalId, Module, Operand, Terminator, Type};
 
-use crate::block::{
-    plan_affected, record_func, BlockOp, ModuleBlocks, SelfLoc, SymConstraintKind, SymOrigin,
-    SymRef, SymSite,
-};
-use crate::ctxplan::CtxPlan;
+use crate::ctxplan::{ChainStep, CriticalFlow, CtxPlan, FuncCtxPlan};
 use crate::node::{NodeId, NodeTable, ObjId, ObjSite};
 
 /// Why a primitive constraint exists.
@@ -175,7 +173,7 @@ pub struct IndirectCall {
 }
 
 /// The generated constraint program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// The node arena (owned; the solver continues extending it).
     pub nodes: NodeTable,
@@ -185,44 +183,64 @@ pub struct Program {
     pub icalls: Vec<IndirectCall>,
 }
 
-struct Gen {
-    nodes: NodeTable,
-    constraints: Vec<Constraint>,
-    icalls: Vec<IndirectCall>,
-    /// Context dummies of the function being replayed, by callsite and
-    /// sequence number.
-    dummies: HashMap<(SelfLoc, u32), NodeId>,
+/// A module's plan-free constraint program, generated once per module
+/// revision and shared by every solve that runs without a context plan.
+///
+/// Named for the per-function constraint blocks it used to hold; the name
+/// and [`ModuleBlocks::build_parallel`] stay because kdbench builds it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModuleBlocks {
+    /// `generate(module, None)`.
+    pub program: Program,
+}
+
+impl ModuleBlocks {
+    /// Generate `module`'s plan-free program.
+    pub fn build(module: &Module) -> ModuleBlocks {
+        ModuleBlocks {
+            program: generate(module, None),
+        }
+    }
+
+    /// [`ModuleBlocks::build`]. `_threads` is ignored: it sized a
+    /// work-claiming pool that no caller ran with more than one thread;
+    /// the parameter stays so existing callers compile.
+    pub fn build_parallel(module: &Module, _threads: usize) -> ModuleBlocks {
+        ModuleBlocks::build(module)
+    }
+}
+
+/// The program of `module` under `ctx_plan`: `stored`'s plan-free program,
+/// borrowed, when the plan is absent or empty, else a fresh [`generate`].
+///
+/// `stored` must have been built from `module`. An empty plan generates
+/// exactly the plan-free program, so the answer is the same program either
+/// way; a solve takes ownership with [`Cow::into_owned`], which clones a
+/// borrowed program.
+pub fn stored_or_generated<'a>(
+    module: &Module,
+    ctx_plan: Option<&CtxPlan>,
+    stored: Option<&'a ModuleBlocks>,
+) -> Cow<'a, Program> {
+    match stored {
+        Some(s) if ctx_plan.is_none_or(CtxPlan::is_empty) => Cow::Borrowed(&s.program),
+        _ => Cow::Owned(generate(module, ctx_plan)),
+    }
 }
 
 /// Generate the constraint program for a module.
 ///
 /// `ctx_plan` carries the optimistic context-sensitivity bypass; pass
-/// `None` for the baseline analysis.
+/// `None` for the baseline analysis. Node ids follow the order operands
+/// are resolved in: a source before its destination, both store operands
+/// before either is checked, call actuals before callee parameters.
 pub fn generate(module: &Module, ctx_plan: Option<&CtxPlan>) -> Program {
-    generate_spliced(module, ctx_plan, None)
-}
-
-/// Generate the constraint program, replaying pre-recorded plan-free
-/// [`FuncBlock`](crate::block::FuncBlock)s for every function the context
-/// plan does not touch.
-///
-/// `blocks` must be index-aligned with `Module::iter_funcs` (ignored when
-/// the lengths disagree). Functions in [`plan_affected`], and all functions
-/// when `blocks` is absent, are recorded afresh under the plan into one
-/// reused buffer and replayed from there. Recording a function the plan
-/// does not affect yields exactly its plan-free block, so the resulting
-/// [`Program`] is identical — node ids, constraint order, everything —
-/// with or without `blocks`.
-pub fn generate_spliced(
-    module: &Module,
-    ctx_plan: Option<&CtxPlan>,
-    blocks: Option<&ModuleBlocks>,
-) -> Program {
     let mut g = Gen {
+        module,
+        plan: ctx_plan,
         nodes: NodeTable::new(),
         constraints: Vec::new(),
         icalls: Vec::new(),
-        dummies: HashMap::new(),
     };
     // Pre-create objects for globals and functions so their ids are stable
     // regardless of reference order.
@@ -233,19 +251,8 @@ pub fn generate_spliced(
         g.nodes
             .object(ObjSite::Func(fid), Some(Type::Func(f.sig())));
     }
-    let cached = blocks
-        .filter(|bs| bs.funcs.len() == module.iter_funcs().count())
-        .map(|bs| (bs, plan_affected(module, ctx_plan)));
-    let mut ops = Vec::new();
-    for (i, (fid, _)) in module.iter_funcs().enumerate() {
-        match &cached {
-            Some((bs, affected)) if !affected.contains(&fid) => g.replay(fid, &bs.funcs[i].ops),
-            _ => {
-                ops.clear();
-                record_func(module, fid, ctx_plan, &mut ops);
-                g.replay(fid, &ops);
-            }
-        }
+    for (fid, _) in module.iter_funcs() {
+        g.func(fid);
     }
     Program {
         nodes: g.nodes,
@@ -254,137 +261,151 @@ pub fn generate_spliced(
     }
 }
 
-/// The concrete allocation site of a self-relative one in function `fid`.
-fn obj_site(fid: FuncId, site: SymSite) -> ObjSite {
-    match site {
-        SymSite::Stack(l) => ObjSite::Stack(l.rebase(fid)),
-        SymSite::Heap(l) => ObjSite::Heap(l.rebase(fid)),
-    }
+struct Gen<'m> {
+    module: &'m Module,
+    plan: Option<&'m CtxPlan>,
+    nodes: NodeTable,
+    constraints: Vec<Constraint>,
+    icalls: Vec<IndirectCall>,
 }
 
-impl Gen {
+impl Gen<'_> {
+    fn push(&mut self, kind: ConstraintKind, origin: Origin) {
+        self.constraints.push(Constraint { kind, origin });
+    }
+
     fn addr_const(&mut self, obj: ObjId) -> NodeId {
         let existed = self.nodes.len();
         let n = self.nodes.addr_node(obj);
         if self.nodes.len() != existed {
             // Newly created: seed it with the object.
-            self.constraints.push(Constraint {
-                kind: ConstraintKind::AddrOf { dst: n, obj },
-                origin: Origin::Init,
-            });
+            self.push(ConstraintKind::AddrOf { dst: n, obj }, Origin::Init);
         }
         n
     }
 
-    /// Resolve a self-relative reference, creating the node if needed.
-    fn resolve_ref(&mut self, fid: FuncId, r: SymRef) -> NodeId {
-        match r {
-            SymRef::SelfLocal(l) => self.nodes.local_node(fid, l),
-            SymRef::SelfRet => self.nodes.ret_node(fid),
-            SymRef::CalleeLocal(f, l) => self.nodes.local_node(f, l),
-            SymRef::CalleeRet(f) => self.nodes.ret_node(f),
-            SymRef::GlobalAddr(g) => {
-                let obj = self
-                    .nodes
-                    .object_at(ObjSite::Global(g))
-                    .expect("globals pre-created");
-                self.addr_const(obj)
+    /// The node of an operand of function `fid`, created if needed; `None`
+    /// for constants.
+    fn operand(&mut self, fid: FuncId, op: Operand) -> Option<NodeId> {
+        let site = match op {
+            Operand::Local(l) => return Some(self.nodes.local_node(fid, l)),
+            Operand::Global(g) => ObjSite::Global(g),
+            Operand::Func(f) => ObjSite::Func(f),
+            Operand::ConstInt(_) | Operand::Null => return None,
+        };
+        let obj = self
+            .nodes
+            .object_at(site)
+            .expect("globals and functions are pre-created");
+        Some(self.addr_const(obj))
+    }
+
+    fn func(&mut self, fid: FuncId) {
+        let module = self.module;
+        let own = self.plan.and_then(|p| p.for_func(fid));
+        // A bypassed store or return emits nothing here, not even its
+        // operands' nodes: every direct callsite replicates it instead.
+        let bypass_ret = own.is_some_and(FuncCtxPlan::bypasses_ret);
+        for (bid, block) in module.func(fid).iter_blocks() {
+            for (i, inst) in block.insts.iter().enumerate() {
+                let loc = InstLoc::new(fid, bid, i as u32);
+                if matches!(inst, Inst::Store { .. })
+                    && own.is_some_and(|p| p.bypassed_stores().any(|l| l == loc))
+                {
+                    continue;
+                }
+                self.inst(fid, loc, inst);
             }
-            SymRef::FuncAddr(f) => {
-                let obj = self
-                    .nodes
-                    .object_at(ObjSite::Func(f))
-                    .expect("functions pre-created");
-                self.addr_const(obj)
+            // Return-value flow: the terminator's location is one past the
+            // last instruction of its block.
+            match &block.term {
+                Terminator::Ret(Some(op)) if !bypass_ret => {
+                    if let Some(src) = self.operand(fid, *op) {
+                        let dst = self.nodes.ret_node(fid);
+                        let loc = InstLoc::new(fid, bid, block.insts.len() as u32);
+                        self.push(ConstraintKind::Copy { dst, src }, Origin::Inst(loc));
+                    }
+                }
+                _ => {}
             }
-            SymRef::CtxDummy { site, seq } => *self
-                .dummies
-                .entry((site, seq))
-                .or_insert_with(|| self.nodes.ctx_dummy(site.rebase(fid), seq, None)),
         }
     }
 
-    fn site_obj(&mut self, fid: FuncId, site: SymSite) -> ObjId {
-        self.nodes
-            .object_at(obj_site(fid, site))
-            .expect("block Obj op precedes uses")
+    /// A one-source instruction: resolve the source, then the destination
+    /// local, then emit.
+    fn flow(
+        &mut self,
+        fid: FuncId,
+        loc: InstLoc,
+        src: Operand,
+        dst: LocalId,
+        mk: impl FnOnce(NodeId, NodeId) -> ConstraintKind,
+    ) {
+        if let Some(src) = self.operand(fid, src) {
+            let dst = self.nodes.local_node(fid, dst);
+            self.push(mk(dst, src), Origin::Inst(loc));
+        }
     }
 
-    /// Replay the recorded trace of function `fid`.
-    fn replay(&mut self, fid: FuncId, ops: &[BlockOp]) {
-        self.dummies.clear();
-        for op in ops {
-            match op {
-                BlockOp::Obj { site, ty } => {
-                    self.nodes.object(obj_site(fid, *site), ty.clone());
-                }
-                BlockOp::Touch(r) => {
-                    self.resolve_ref(fid, *r);
-                }
-                BlockOp::Push { kind, origin } => {
-                    let kind = match kind {
-                        SymConstraintKind::AddrOf { dst, obj } => ConstraintKind::AddrOf {
-                            dst: self.resolve_ref(fid, *dst),
-                            obj: self.site_obj(fid, *obj),
-                        },
-                        SymConstraintKind::Copy { dst, src } => ConstraintKind::Copy {
-                            dst: self.resolve_ref(fid, *dst),
-                            src: self.resolve_ref(fid, *src),
-                        },
-                        SymConstraintKind::Load { dst, addr } => ConstraintKind::Load {
-                            dst: self.resolve_ref(fid, *dst),
-                            addr: self.resolve_ref(fid, *addr),
-                        },
-                        SymConstraintKind::Store { addr, src } => ConstraintKind::Store {
-                            addr: self.resolve_ref(fid, *addr),
-                            src: self.resolve_ref(fid, *src),
-                        },
-                        SymConstraintKind::Field { dst, base, idx } => ConstraintKind::Field {
-                            dst: self.resolve_ref(fid, *dst),
-                            base: self.resolve_ref(fid, *base),
-                            idx: *idx,
-                        },
-                        SymConstraintKind::PtrArith { dst, base, loc } => {
-                            ConstraintKind::PtrArith {
-                                dst: self.resolve_ref(fid, *dst),
-                                base: self.resolve_ref(fid, *base),
-                                loc: loc.rebase(fid),
-                            }
-                        }
-                        SymConstraintKind::Elem { dst, base } => ConstraintKind::Elem {
-                            dst: self.resolve_ref(fid, *dst),
-                            base: self.resolve_ref(fid, *base),
-                        },
-                    };
-                    let origin = match origin {
-                        SymOrigin::Inst(l) => Origin::Inst(l.rebase(fid)),
-                        SymOrigin::CallArg { site, idx } => Origin::CallArg {
-                            site: site.rebase(fid),
-                            idx: *idx,
-                        },
-                        SymOrigin::CallRet { site } => Origin::CallRet {
-                            site: site.rebase(fid),
-                        },
-                        SymOrigin::CtxBypass { site } => Origin::CtxBypass {
-                            site: site.rebase(fid),
-                        },
-                    };
-                    self.constraints.push(Constraint { kind, origin });
-                }
-                BlockOp::ICall {
-                    site,
-                    fnptr,
-                    args,
+    fn inst(&mut self, fid: FuncId, loc: InstLoc, inst: &Inst) {
+        match inst {
+            Inst::Alloca { dst, ty } => {
+                let obj = self.nodes.object(ObjSite::Stack(loc), Some(ty.clone()));
+                let dst = self.nodes.local_node(fid, *dst);
+                self.push(ConstraintKind::AddrOf { dst, obj }, Origin::Inst(loc));
+            }
+            Inst::HeapAlloc { dst, ty } => {
+                let obj = self.nodes.object(ObjSite::Heap(loc), ty.clone());
+                let dst = self.nodes.local_node(fid, *dst);
+                self.push(ConstraintKind::AddrOf { dst, obj }, Origin::Inst(loc));
+            }
+            Inst::Copy { dst, src } => {
+                self.flow(fid, loc, *src, *dst, |dst, src| ConstraintKind::Copy {
                     dst,
-                } => {
-                    let fnptr = self.resolve_ref(fid, *fnptr);
-                    let args = args
-                        .iter()
-                        .map(|a| a.map(|r| self.resolve_ref(fid, r)))
-                        .collect();
-                    let dst = dst.map(|r| self.resolve_ref(fid, r));
+                    src,
+                });
+            }
+            Inst::Load { dst, src } => {
+                self.flow(fid, loc, *src, *dst, |dst, addr| ConstraintKind::Load {
+                    dst,
+                    addr,
+                });
+            }
+            Inst::Store { dst, src } => {
+                // Both operands are resolved before either is checked.
+                let addr = self.operand(fid, *dst);
+                let src = self.operand(fid, *src);
+                if let (Some(addr), Some(src)) = (addr, src) {
+                    self.push(ConstraintKind::Store { addr, src }, Origin::Inst(loc));
+                }
+            }
+            Inst::FieldAddr { dst, base, field } => {
+                let idx = *field;
+                self.flow(fid, loc, *base, *dst, |dst, base| ConstraintKind::Field {
+                    dst,
+                    base,
+                    idx,
+                });
+            }
+            Inst::PtrArith { dst, base, .. } => {
+                self.flow(fid, loc, *base, *dst, |dst, base| {
+                    ConstraintKind::PtrArith { dst, base, loc }
+                });
+            }
+            Inst::ElemAddr { dst, base, .. } => {
+                self.flow(fid, loc, *base, *dst, |dst, base| ConstraintKind::Elem {
+                    dst,
+                    base,
+                });
+            }
+            Inst::BinOp { .. } | Inst::Input { .. } | Inst::Output { .. } => {}
+            Inst::Call { dst, callee, args } => self.direct_call(fid, loc, *dst, *callee, args),
+            Inst::CallInd { dst, callee, args } => {
+                if let Some(fnptr) = self.operand(fid, *callee) {
+                    let args = args.iter().map(|a| self.operand(fid, *a)).collect();
+                    let dst = dst.map(|d| self.nodes.local_node(fid, d));
                     self.icalls.push(IndirectCall {
-                        site: site.rebase(fid),
+                        site: loc,
                         fnptr,
                         args,
                         dst,
@@ -393,13 +414,106 @@ impl Gen {
             }
         }
     }
+
+    fn direct_call(
+        &mut self,
+        fid: FuncId,
+        site: InstLoc,
+        dst: Option<LocalId>,
+        callee: FuncId,
+        args: &[Operand],
+    ) {
+        let callee_func = self.module.func(callee);
+        let n = args.len().min(callee_func.param_count);
+        for (idx, arg) in args.iter().take(n).enumerate() {
+            if let Some(src) = self.operand(fid, *arg) {
+                let dst = self.nodes.local_node(callee, LocalId(idx as u32));
+                self.push(
+                    ConstraintKind::Copy { dst, src },
+                    Origin::CallArg { site, idx },
+                );
+            }
+        }
+        let planned = self.plan.and_then(|p| p.for_func(callee));
+        if let Some(dst) = dst {
+            // The destination local is resolved even when nothing flows
+            // into it (a void callee, constant actuals).
+            let dst = self.nodes.local_node(fid, dst);
+            match planned.filter(|p| p.bypasses_ret()) {
+                // The callee's return edge is bypassed: copy each returned
+                // actual straight into the destination.
+                Some(p) => {
+                    for flow in &p.flows {
+                        let CriticalFlow::Ret { param } = flow else {
+                            continue;
+                        };
+                        if let Some(src) = args.get(*param).and_then(|a| self.operand(fid, *a)) {
+                            self.push(
+                                ConstraintKind::Copy { dst, src },
+                                Origin::CtxBypass { site },
+                            );
+                        }
+                    }
+                }
+                None if callee_func.ret_ty != Type::Void => {
+                    let src = self.nodes.ret_node(callee);
+                    self.push(ConstraintKind::Copy { dst, src }, Origin::CallRet { site });
+                }
+                None => {}
+            }
+        }
+        if let Some(p) = planned {
+            self.store_replicas(fid, site, args, p);
+        }
+    }
+
+    /// Replicate a planned callee's critical stores at one callsite: rebuild
+    /// each address chain from the *actual* base argument through fresh
+    /// per-callsite dummies (numbered across the callsite's chains), then
+    /// store the actual source argument through it.
+    fn store_replicas(&mut self, fid: FuncId, site: InstLoc, args: &[Operand], plan: &FuncCtxPlan) {
+        let origin = Origin::CtxBypass { site };
+        let mut seq = 0u32;
+        for flow in &plan.flows {
+            let CriticalFlow::Store {
+                base_param,
+                addr_chain,
+                src_param,
+                ..
+            } = flow
+            else {
+                continue;
+            };
+            // Both actuals are resolved before either is checked.
+            let base = args.get(*base_param).and_then(|a| self.operand(fid, *a));
+            let src = args.get(*src_param).and_then(|a| self.operand(fid, *a));
+            let (Some(mut cur), Some(src)) = (base, src) else {
+                continue;
+            };
+            for step in addr_chain {
+                let dst = self.nodes.ctx_dummy(site, seq, None);
+                seq += 1;
+                let kind = match *step {
+                    ChainStep::Field(idx) => ConstraintKind::Field {
+                        dst,
+                        base: cur,
+                        idx,
+                    },
+                    ChainStep::Load => ConstraintKind::Load { dst, addr: cur },
+                    ChainStep::Elem => ConstraintKind::Elem { dst, base: cur },
+                };
+                self.push(kind, origin);
+                cur = dst;
+            }
+            self.push(ConstraintKind::Store { addr: cur, src }, origin);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctxplan::{ChainStep, CriticalFlow, FuncCtxPlan};
-    use kaleidoscope_ir::{FunctionBuilder, GlobalId, LocalId, Operand};
+    use kaleidoscope_ir::{FunctionBuilder, GlobalId};
 
     fn count_kind(p: &Program, pred: impl Fn(&ConstraintKind) -> bool) -> usize {
         p.constraints.iter().filter(|c| pred(&c.kind)).count()
@@ -559,11 +673,10 @@ mod tests {
     }
 
     #[test]
-    fn ctx_plan_bypasses_returns_through_the_splice() {
+    fn ctx_plan_bypasses_returns_at_each_callsite() {
         // `id` is planned with a Ret flow. `sink` is a void callee, called
         // with a destination, whose Ret flow names an out-of-range
-        // parameter. `other` is not plan-affected, so its plan-free block
-        // replays.
+        // parameter. `other` is not planned and calls nothing planned.
         let m = kaleidoscope_ir::parse_module(
             "module \"ret\"\nglobal g: int\n\
              func id(%0 p: int*) -> int* {\nbb0:\n  ret %0\n}\n\
@@ -582,8 +695,6 @@ mod tests {
         }
 
         let p = generate(&m, Some(&plan));
-        let blocks = crate::block::ModuleBlocks::build(&m);
-        assert_programs_identical(&p, &generate_spliced(&m, Some(&plan), Some(&blocks)));
         // `id`'s own `ret %0` is bypassed and no callsite reads a return
         // slot: each `id` call copies its actual into its result, and the
         // void call's resolved destination receives nothing.
@@ -641,29 +752,10 @@ mod tests {
         Operand::Global(b.module().global_by_name("g").unwrap())
     }
 
-    /// Assert two programs are identical down to node ids and order.
-    fn assert_programs_identical(a: &Program, b: &Program) {
-        assert_eq!(a.constraints, b.constraints);
-        assert_eq!(a.icalls, b.icalls);
-        assert_eq!(a.nodes.len(), b.nodes.len());
-        assert_eq!(a.nodes.obj_count(), b.nodes.obj_count());
-        for n in a.nodes.iter_ids() {
-            assert_eq!(a.nodes.kind(n), b.nodes.kind(n), "kind of {n}");
-            assert_eq!(a.nodes.ty(n), b.nodes.ty(n), "type of {n}");
-        }
-        for o in 0..a.nodes.obj_count() {
-            let o = crate::node::ObjId(o as u32);
-            assert_eq!(a.nodes.obj_info(o).site, b.nodes.obj_info(o).site);
-            assert_eq!(a.nodes.obj_info(o).ty, b.nodes.obj_info(o).ty);
-        }
-    }
-
-    fn exercise_module() -> Module {
-        let mut m = Module::new("splice");
-        let s = m
-            .types
-            .declare("pair", vec![Type::ptr(Type::Int), Type::Int]);
-        let s = s.unwrap();
+    /// A callee `callee(p) -> p` and a `main` with one direct and one
+    /// indirect call of it.
+    fn call_module() -> Module {
+        let mut m = Module::new("calls");
         m.add_global("g", Type::ptr(Type::Int)).unwrap();
         let callee = {
             let mut b = FunctionBuilder::new(
@@ -679,54 +771,64 @@ mod tests {
         let mut b = FunctionBuilder::new(&mut m, "main", vec![], Type::Void);
         let x = b.alloca("x", Type::Int);
         let h = b.heap_alloc("h", Type::Int);
-        let pr = b.alloca("pr", Type::Struct(s));
         let q = b.alloca("q", Type::ptr(Type::Int));
         b.store(q, x);
         let l = b.load("l", q);
-        let f0 = b.field_addr("f0", pr, 0);
-        b.store(f0, h);
-        let pa = b.ptr_arith("pa", q, Operand::ConstInt(1));
-        let ar = b.alloca("ar", Type::Array(Box::new(Type::Int), 4));
-        let el = b.elem_addr("el", ar, Operand::ConstInt(2));
-        let _ = (pa, el);
-        b.call("r", callee, vec![l.into()]);
+        let c = b.copy("c", l);
+        b.call("r", callee, vec![c.into()]);
         let fp = b.copy("fp", Operand::Func(callee));
-        b.call_ind(
-            "ri",
-            fp,
-            vec![x.into(), Operand::ConstInt(3)],
-            Type::ptr(Type::Int),
-        );
-        let gv = b.load("gv", m_op(&b));
-        let _ = gv;
+        b.call_ind("ri", fp, vec![h.into()], Type::ptr(Type::Int));
         b.ret(None);
         b.finish();
         m
     }
 
     #[test]
-    fn spliced_blocks_reproduce_fresh_recording_exactly() {
-        let m = exercise_module();
-        let fresh = generate(&m, None);
-        let blocks = crate::block::ModuleBlocks::build(&m);
-        let spliced = generate_spliced(&m, None, Some(&blocks));
-        assert_programs_identical(&fresh, &spliced);
+    fn planned_callsite_generates_the_bypass() {
+        // `callee` planned with a three-step Store chain from its parameter
+        // into itself, and its return bypassed.
+        let m = call_module();
+        let callee = m.func_by_name("callee").unwrap();
+        let store = CriticalFlow::Store {
+            loc: InstLoc::new(callee, kaleidoscope_ir::BlockId(0), 0),
+            base_param: 0,
+            addr_chain: vec![ChainStep::Field(0), ChainStep::Load, ChainStep::Elem],
+            src_param: 0,
+        };
+        let mut plan = CtxPlan::new();
+        let flows = vec![store, CriticalFlow::Ret { param: 0 }];
+        plan.funcs.insert(callee, FuncCtxPlan { flows });
+
+        let p = generate(&m, Some(&plan));
+        let dummies = p
+            .nodes
+            .iter_ids()
+            .filter(|&n| matches!(p.nodes.kind(n), crate::node::NodeKind::CtxDummy { .. }))
+            .count();
+        assert_eq!(dummies, 3, "one dummy per chain step");
+        let bypass = p
+            .constraints
+            .iter()
+            .filter(|c| matches!(c.origin, Origin::CtxBypass { .. }))
+            .count();
+        assert_eq!(bypass, 5, "three chain steps, the store, the return copy");
+        assert!(p.nodes.ret_node_opt(callee).is_none(), "no return edge");
     }
 
     #[test]
-    fn spliced_generation_with_ctx_plan_rerecords_affected() {
+    fn stored_program_answers_only_plan_free_solves() {
         let (m, plan) = store_flow_module();
-        let blocks = crate::block::ModuleBlocks::build(&m);
-        // Baseline plan-free splice matches fresh recording.
-        assert_programs_identical(
-            &generate(&m, None),
-            &generate_spliced(&m, None, Some(&blocks)),
-        );
-        // With the plan, affected funcs are re-recorded under it; the
-        // result still matches recording every function under the plan.
-        assert_programs_identical(
-            &generate(&m, Some(&plan)),
-            &generate_spliced(&m, Some(&plan), Some(&blocks)),
-        );
+        let stored = ModuleBlocks::build(&m);
+        assert_eq!(stored.program, generate(&m, None));
+        let empty = CtxPlan::new();
+        for p in [None, Some(&empty)] {
+            let program = stored_or_generated(&m, p, Some(&stored));
+            assert!(matches!(program, Cow::Borrowed(b) if std::ptr::eq(b, &stored.program)));
+        }
+        let planned = stored_or_generated(&m, Some(&plan), Some(&stored));
+        assert!(matches!(planned, Cow::Owned(_)));
+        assert_eq!(*planned, generate(&m, Some(&plan)));
+        assert_ne!(*planned, stored.program);
+        assert!(matches!(stored_or_generated(&m, None, None), Cow::Owned(_)));
     }
 }

@@ -40,7 +40,6 @@
 
 pub mod analysis;
 pub mod bitvec;
-pub mod block;
 pub mod callgraph;
 pub mod ctxplan;
 pub mod gen;
@@ -70,9 +69,9 @@ pub mod steens;
 pub const PTS_REPR_VERSION: u32 = 4;
 
 pub use analysis::{Analysis, WarmStart};
-pub use block::{plan_affected, FuncBlock, ModuleBlocks};
 pub use callgraph::CallGraph;
 pub use ctxplan::{ChainStep, CriticalFlow, CtxPlan};
+pub use gen::ModuleBlocks;
 pub use incr::{ConstraintDiff, FallbackReason, SolvedState, INCR_STATE_VERSION};
 pub use node::{NodeId, NodeKind, NodeTable, ObjId, ObjInfo, ObjSite};
 pub use observer::{NullObserver, SolverObserver};

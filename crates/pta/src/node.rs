@@ -76,7 +76,7 @@ impl fmt::Display for ObjSite {
 }
 
 /// Metadata about an abstract object.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjInfo {
     /// The allocation site.
     pub site: ObjSite,
@@ -125,7 +125,7 @@ pub enum NodeKind {
 pub struct StructIdOfNode(pub kaleidoscope_ir::StructId);
 
 /// Arena of nodes + objects with an embedded union-find.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeTable {
     kinds: Vec<NodeKind>,
     /// Type of the *slot* the node denotes, where known. For object nodes,

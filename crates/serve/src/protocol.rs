@@ -353,6 +353,16 @@ fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
         }
     }
 
+    /// The four hex digits of a `\u` escape.
+    fn hex4(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<u32, ParseError> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let d = chars.next().ok_or_else(|| bad("truncated \\u escape"))?;
+            code = code * 16 + d.to_digit(16).ok_or_else(|| bad("bad \\u escape digit"))?;
+        }
+        Ok(code)
+    }
+
     fn parse_string(
         chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
     ) -> Result<String, ParseError> {
@@ -372,11 +382,19 @@ fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
                     Some('r') => s.push('\r'),
                     Some('t') => s.push('\t'),
                     Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = chars.next().ok_or_else(|| bad("truncated \\u escape"))?;
-                            code = code * 16
-                                + d.to_digit(16).ok_or_else(|| bad("bad \\u escape digit"))?;
+                        let mut code = hex4(chars)?;
+                        // A character outside the BMP arrives as a UTF-16
+                        // surrogate pair: a high surrogate escape, then
+                        // the low one. A lone half stays an error.
+                        if (0xD800..0xDC00).contains(&code) {
+                            let low = match (chars.next(), chars.next()) {
+                                (Some('\\'), Some('u')) => hex4(chars)?,
+                                _ => return Err(bad("unpaired \\u surrogate")),
+                            };
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err(bad("unpaired \\u surrogate"));
+                            }
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                         }
                         s.push(char::from_u32(code).ok_or_else(|| bad("bad \\u code point"))?);
                     }
@@ -769,5 +787,27 @@ mod tests {
     fn control_characters_survive_the_wire() {
         let r = Request::inline("c", "weird\u{1}\t\r\nbytes");
         assert_eq!(decode_request(&encode_request(&r)).unwrap(), r);
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_character() {
+        // What standard encoders (Python's `json.dumps`) write for a
+        // character outside the BMP, beside one inside it.
+        let line = r#"{"id": "x", "tenant": "\ud83e\udd80 caf\u00e9", "module": "m"}"#;
+        assert_eq!(decode_request(line).unwrap().tenant, "\u{1f980} café");
+        for lone in [
+            r#""\ud83e""#,
+            r#""\ud83e x""#,
+            r#""\ud83e\u0041""#,
+            r#""\udd80""#,
+            r#""\udd80\ud83e""#,
+        ] {
+            let line = format!(r#"{{"id": "x", "tenant": {lone}, "module": "m"}}"#);
+            let e = decode_request(&line).expect_err(&line);
+            assert!(
+                e.0.contains("surrogate") || e.0.contains("code point"),
+                "{line}: {e}"
+            );
+        }
     }
 }

@@ -141,6 +141,70 @@ fn warm_repeat_is_a_cache_hit_with_identical_bytes() {
 }
 
 #[test]
+fn fingerprint_request_never_answers_for_another_module() {
+    let (server, cache) = start("fp-swap", 1, TenantQuota::default());
+    let addr = server.addr().to_string();
+    let fp_only = |fp: u64| Request {
+        id: "by-fp".into(),
+        tenant: "default".into(),
+        op: None,
+        module: None,
+        fingerprint: Some(fp),
+        prev_fingerprint: None,
+        config: None,
+        stats: false,
+        budget: None,
+        solver_threads: None,
+        fault: None,
+    };
+    let solve = |text: &str| match request_over_tcp(&addr, &Request::inline("in", text)) {
+        Ok(Response::Ok {
+            report,
+            fingerprint,
+            ..
+        }) => (report, fingerprint),
+        other => panic!("inline: {other:?}"),
+    };
+    let wget = kaleidoscope_apps::model("Wget")
+        .expect("model")
+        .module
+        .to_text();
+    let (tiny_report, tiny_fp) = solve(&module_text());
+    let (_, wget_fp) = solve(&wget);
+    assert_ne!(tiny_fp, wget_fp);
+
+    // TinyDTLS's stored text replaced by Wget's canonical text.
+    let stored = cache
+        .dir()
+        .join("modules")
+        .join(format!("{tiny_fp:016x}.kir"));
+    std::fs::write(&stored, &wget).expect("overwrite module file");
+    let swapped = request_over_tcp(&addr, &fp_only(tiny_fp)).expect("swapped");
+    let Response::Error { error, .. } = &swapped else {
+        panic!("another module's answer for {tiny_fp:016x}: {swapped:?}");
+    };
+    assert!(error.contains("unknown fingerprint"), "{error}");
+    assert!(cache.stats().verify_failures >= 1);
+
+    // Resubmitting TinyDTLS inline stores its text again.
+    assert_eq!(solve(&module_text()), (tiny_report.clone(), tiny_fp));
+    match request_over_tcp(&addr, &fp_only(tiny_fp)).expect("repaired") {
+        Response::Ok {
+            report,
+            fingerprint,
+            cache: disp,
+            ..
+        } => {
+            assert_eq!(fingerprint, tiny_fp);
+            assert_eq!(disp, CacheDisposition::Hit);
+            assert_eq!(report, tiny_report);
+        }
+        other => panic!("repaired: {other:?}"),
+    }
+    server.stop();
+}
+
+#[test]
 fn over_quota_requests_shed_to_a_tagged_cheaper_tier_never_dropped() {
     // max_concurrent = 0: every request sheds, deterministically.
     let (server, _cache) = start(

@@ -1,21 +1,24 @@
 //! Golden digests of generated constraint programs.
 //!
-//! Constraint generation must be reproducible down to the byte: reports,
-//! KDIS snapshots and frontend cache entries all depend on node ids, node
-//! kinds and types, constraint order and origins, and the indirect-call
-//! list. This test pins an FNV-1a digest of every [`Program`] generated for
-//! the 9 application models and two seeded `scale` corpora, each without a
-//! context plan and under the plan [`detect_ctx_plan`] finds. Both the
-//! plain generator and the block splice (every function's plan-free block
-//! recorded up front) must reproduce the pinned digest.
+//! Constraint generation must be reproducible down to the byte: reports
+//! and KDIS snapshots depend on node ids, node kinds and types, constraint
+//! order and origins, and the indirect-call list. This test pins an FNV-1a
+//! digest of every [`Program`] for the 9 application models and two seeded
+//! `scale` corpora, each without a context plan and under the plan
+//! [`detect_ctx_plan`] finds. Each program is the one a solve gets from
+//! [`stored_or_generated`]: the module's stored plan-free program for every
+//! `none` row and every empty plan (Wget's and the `scale` corpora's),
+//! checked against [`generate`] under the row's plan, and a fresh
+//! generation for every other row.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write};
 
 use kaleidoscope_suite::apps;
 use kaleidoscope_suite::fuzz::scale;
 use kaleidoscope_suite::ir::Module;
 use kaleidoscope_suite::kaleidoscope::detect_ctx_plan;
-use kaleidoscope_suite::pta::gen::{generate, generate_spliced, Origin, Program};
+use kaleidoscope_suite::pta::gen::{generate, stored_or_generated, Origin, Program};
 use kaleidoscope_suite::pta::{CtxPlan, ModuleBlocks, ObjId};
 
 /// FNV-1a over everything written to it.
@@ -89,19 +92,23 @@ const GOLDEN: &[(&str, u64)] = &[
 #[test]
 fn generated_programs_match_golden_digests() {
     let mut actual: Vec<(String, u64)> = Vec::new();
+    let mut stored_rows = Vec::new();
     let mut bypass_edges = 0;
     for (name, module) in corpus() {
-        let blocks = ModuleBlocks::build(&module);
+        let stored = ModuleBlocks::build(&module);
         let plan = detect_ctx_plan(&module);
         let plans: [(&str, Option<&CtxPlan>); 2] = [("none", None), ("ctx", Some(&plan))];
         for (tag, plan) in plans {
-            let program = generate(&module, plan);
+            let program = stored_or_generated(&module, plan, Some(&stored));
             let d = digest(&program);
-            assert_eq!(
-                digest(&generate_spliced(&module, plan, Some(&blocks))),
-                d,
-                "{name}/{tag}: block splice diverges from generation"
-            );
+            if matches!(program, Cow::Borrowed(_)) {
+                stored_rows.push(format!("{name}/{tag}"));
+                assert_eq!(
+                    digest(&generate(&module, plan)),
+                    d,
+                    "{name}/{tag}: the stored program differs from generation"
+                );
+            }
             bypass_edges += program
                 .constraints
                 .iter()
@@ -110,6 +117,16 @@ fn generated_programs_match_golden_digests() {
             actual.push((format!("{name}/{tag}"), d));
         }
     }
+    let plan_free = ["Wget/ctx", "scale-1/ctx", "scale-7/ctx"];
+    let expected_stored: Vec<&str> = GOLDEN
+        .iter()
+        .map(|(n, _)| *n)
+        .filter(|n| n.ends_with("/none") || plan_free.contains(n))
+        .collect();
+    assert_eq!(
+        stored_rows, expected_stored,
+        "rows served by the stored program"
+    );
     assert!(bypass_edges > 0, "no context bypass exercised");
     let expected: Vec<(String, u64)> = GOLDEN.iter().map(|(n, d)| (n.to_string(), *d)).collect();
     if actual != expected {
