@@ -7,7 +7,9 @@
 //! any content change misses. The paper frames fallback and optimistic as
 //! two solves over one constraint program (§3, Figure 4); here that shows
 //! up as the eight `PolicyConfig`s of one module sharing a single baseline
-//! solve and a single context plan.
+//! solve and a single context plan. The executor asks for the options of
+//! each cell's effective key, so cells whose solves cannot differ share
+//! one entry.
 //!
 //! Concurrency: one compute per artifact key. Each key maps to an entry
 //! whose slot lock is held across the compute (the map lock is not), so
@@ -18,7 +20,7 @@
 //! Integrity: every entry carries a content digest taken when the artifact
 //! was stored. Every fetch goes through one path that re-digests on each
 //! hit and reports [`FetchError::Corrupt`] on mismatch, so a damaged entry
-//! degrades the one cell that reads it instead of silently serving a wrong
+//! degrades the cells that read it instead of silently serving a wrong
 //! memory view. Failed solves are never stored — a budget-exhausted
 //! attempt leaves the slot empty for a retry with a bigger budget.
 
@@ -210,9 +212,14 @@ impl ArtifactCache {
     ///   is returned as [`FetchError::Solve`] and **nothing is cached**, so
     ///   a failed budgeted solve never masks a later, better-budgeted one:
     ///   the next waiter computes under its own budget.
+    ///
+    /// `damage` is XORed into this reader's copy of the recorded digest
+    /// (`0` outside fault injection), so a damaged read fails verification
+    /// without touching the entry other readers share.
     fn fetch(
         &self,
         key: Key,
+        damage: u64,
         compute: impl FnOnce() -> Result<Slot, SolveError>,
     ) -> Result<Slot, FetchError> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
@@ -230,16 +237,14 @@ impl ArtifactCache {
             }
         };
         let digest = slot_digest(&stored);
-        match entry
+        // The first fetch to verify an entry records its digest.
+        let recorded = entry
             .digest
             .compare_exchange(0, digest, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => {}
-            Err(recorded) if recorded == digest => {}
-            Err(_) => {
-                self.verify_failures.fetch_add(1, Ordering::Relaxed);
-                return Err(FetchError::Corrupt);
-            }
+            .map_or_else(|recorded| recorded, |_| digest);
+        if recorded ^ damage != digest {
+            self.verify_failures.fetch_add(1, Ordering::Relaxed);
+            return Err(FetchError::Corrupt);
         }
         Ok(stored)
     }
@@ -253,6 +258,32 @@ impl ArtifactCache {
         with_ctx: bool,
         compute: impl FnOnce() -> Result<Analysis, SolveError>,
     ) -> Result<Arc<Analysis>, FetchError> {
+        self.analysis(fingerprint, opts, with_ctx, 0, compute)
+    }
+
+    /// Fault hook: [`ArtifactCache::try_analysis`] through a damaged copy
+    /// of the entry's recorded digest. The entry is computed on a miss as
+    /// usual, then this read alone fails with [`FetchError::Corrupt`]; the
+    /// stored digest stays intact for every other reader of the key.
+    #[cfg(any(test, feature = "fault-injection"))]
+    pub fn try_analysis_damaged(
+        &self,
+        fingerprint: u64,
+        opts: &SolveOptions,
+        with_ctx: bool,
+        compute: impl FnOnce() -> Result<Analysis, SolveError>,
+    ) -> Result<Arc<Analysis>, FetchError> {
+        self.analysis(fingerprint, opts, with_ctx, 0xDEAD_BEEF_DEAD_BEEF, compute)
+    }
+
+    fn analysis(
+        &self,
+        fingerprint: u64,
+        opts: &SolveOptions,
+        with_ctx: bool,
+        damage: u64,
+        compute: impl FnOnce() -> Result<Analysis, SolveError>,
+    ) -> Result<Arc<Analysis>, FetchError> {
         let key = Key::new(
             fingerprint,
             Stage::Solve {
@@ -260,7 +291,7 @@ impl ArtifactCache {
                 with_ctx,
             },
         );
-        match self.fetch(key, || Ok(Slot::Analysis(Arc::new(compute()?))))? {
+        match self.fetch(key, damage, || Ok(Slot::Analysis(Arc::new(compute()?))))? {
             Slot::Analysis(a) => Ok(a),
             Slot::Plan(_) => unreachable!("solve key holds an analysis"),
         }
@@ -271,7 +302,7 @@ impl ArtifactCache {
     /// solve entries can be corrupted.
     pub fn steens(&self, fingerprint: u64, compute: impl FnOnce() -> Analysis) -> Arc<Analysis> {
         let key = Key::new(fingerprint, Stage::Steens);
-        match self.fetch(key, || Ok(Slot::Analysis(Arc::new(compute())))) {
+        match self.fetch(key, 0, || Ok(Slot::Analysis(Arc::new(compute())))) {
             Ok(Slot::Analysis(a)) => a,
             _ => unreachable!("steens key holds a verified analysis"),
         }
@@ -280,39 +311,10 @@ impl ArtifactCache {
     /// The context plan for `fingerprint`, computing it on a miss.
     pub fn ctx_plan(&self, fingerprint: u64, compute: impl FnOnce() -> CtxPlan) -> Arc<CtxPlan> {
         let key = Key::new(fingerprint, Stage::CtxPlan);
-        match self.fetch(key, || Ok(Slot::Plan(Arc::new(compute())))) {
+        match self.fetch(key, 0, || Ok(Slot::Plan(Arc::new(compute())))) {
             Ok(Slot::Plan(p)) => p,
             _ => unreachable!("ctx-plan key holds a verified plan"),
         }
-    }
-
-    /// Fault hook: flip the recorded digest of the solve entry for
-    /// `(fingerprint, opts, with_ctx)`, so the next verified fetch reports
-    /// [`FetchError::Corrupt`]. Returns whether a stored entry existed.
-    #[cfg(any(test, feature = "fault-injection"))]
-    pub fn corrupt_analysis_entry(
-        &self,
-        fingerprint: u64,
-        opts: &SolveOptions,
-        with_ctx: bool,
-    ) -> bool {
-        let key = Key::new(
-            fingerprint,
-            Stage::Solve {
-                opts_key: opts.cache_key(),
-                with_ctx,
-            },
-        );
-        let Some(entry) = self.entries().get(&key).cloned() else {
-            return false;
-        };
-        if entry.slot().is_none() {
-            return false;
-        }
-        entry
-            .digest
-            .fetch_xor(0xDEAD_BEEF_DEAD_BEEF, Ordering::AcqRel);
-        true
     }
 }
 
@@ -441,16 +443,21 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_entry_is_detected_on_fetch() {
+    fn a_damaged_read_fails_alone() {
         let cache = ArtifactCache::new();
         let base = SolveOptions::baseline();
         let m = kaleidoscope_ir::Module::new("empty");
-        let ok = cache.try_analysis(3, &base, false, || Ok(Analysis::run(&m, &base)));
-        assert!(ok.is_ok());
-        assert!(!cache.corrupt_analysis_entry(4, &base, false), "no entry");
-        assert!(cache.corrupt_analysis_entry(3, &base, false));
-        let fetched = cache.try_analysis(3, &base, false, || Ok(Analysis::run(&m, &base)));
-        assert!(matches!(fetched, Err(FetchError::Corrupt)));
-        assert_eq!(cache.stats().verify_failures, 1);
+        let solve = || Ok(Analysis::run(&m, &base));
+        // A damaged read of a missing entry computes it, then rejects it.
+        let damaged = cache.try_analysis_damaged(3, &base, false, solve);
+        assert!(matches!(damaged, Err(FetchError::Corrupt)));
+        assert_eq!(cache.stats().misses, 1);
+        // Every other reader still verifies the shared entry...
+        assert!(cache.try_analysis(3, &base, false, solve).is_ok());
+        // ...and a damaged read of a stored entry fails again.
+        let damaged = cache.try_analysis_damaged(3, &base, false, solve);
+        assert!(matches!(damaged, Err(FetchError::Corrupt)));
+        let s = cache.stats();
+        assert_eq!((s.lookups, s.misses, s.verify_failures), (3, 1, 2));
     }
 }

@@ -25,8 +25,9 @@ pub enum FaultKind {
     /// the cell must degrade past the fallback rung to the Steensgaard
     /// tier.
     FallbackBudget,
-    /// The cell's optimistic cache entry is corrupted before the fetch,
-    /// so content verification rejects it.
+    /// The cell reads its optimistic artifact through a damaged copy of
+    /// the entry's digest, so content verification rejects it. Other
+    /// cells that share the entry still verify it.
     CacheCorruption,
     /// The worker hosting the cell dies mid-solve. In the in-process
     /// executor this is an abrupt unwind out of the solve (caught by
@@ -100,10 +101,10 @@ impl FaultPlan {
 
     /// Inject `kind` at cell `(module_idx, config_idx)`.
     ///
-    /// Avoid `config_idx == 0`: the Baseline configuration's optimistic
-    /// artifact shares its cache key with the module's fallback artifact,
-    /// so corrupting it would damage the degradation ladder's own rung.
-    /// [`FaultPlan::seeded`] never picks column 0 for that reason.
+    /// Any cell may be faulted. A corruption damages only the faulted
+    /// cell's read, so at `config_idx == 0`, where the Baseline
+    /// configuration's optimistic artifact is the module's fallback
+    /// artifact, the ladder's first rung still serves.
     pub fn inject(mut self, module_idx: usize, config_idx: usize, kind: FaultKind) -> FaultPlan {
         self.faults.insert((module_idx, config_idx), kind);
         self
@@ -131,9 +132,9 @@ impl FaultPlan {
 
     /// A seeded plan: `n` faults at distinct cells of a
     /// `modules × configs` matrix, cycling through the fault kinds so
-    /// every plan of `n ≥ 5` exercises every kind. Config column 0 is
-    /// excluded (see [`FaultPlan::inject`]). `n` is clamped to the number
-    /// of eligible cells.
+    /// every plan of `n ≥ 5` exercises every kind. Config column 0
+    /// (Baseline, whose optimistic view is the fallback artifact itself)
+    /// is never picked. `n` is clamped to the number of eligible cells.
     pub fn seeded(seed: u64, modules: usize, configs: usize, n: usize) -> FaultPlan {
         let mut plan = FaultPlan::new();
         if modules == 0 || configs < 2 {

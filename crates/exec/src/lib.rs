@@ -16,11 +16,20 @@
 //!   every printed table and figure — is byte-identical to the serial
 //!   path regardless of worker count or interleaving.
 //! * **Memoization** — per-module work is stored in a content-addressed
-//!   [`ArtifactCache`] keyed by module fingerprint + solve options: the
-//!   baseline solve and the context plan happen once per module, and the
-//!   seven optimistic configurations reuse them. Each artifact key is
-//!   computed once: workers racing on a cold key wait for the first one's
-//!   artifact instead of solving again.
+//!   [`ArtifactCache`] keyed by module fingerprint + solve options. A cell
+//!   asks for the solve of its configuration's *effective key*: the
+//!   configuration without each invariant that cannot act on the module.
+//!   The solver reads each invariant's flag at one decision point, so a
+//!   flag it never reads leaves the artifact unchanged. Ctx is dropped
+//!   when the module's context plan is empty, PA when no instruction is
+//!   pointer arithmetic, and PWC when the solve without it degraded no
+//!   Field-Of constraint (a witness read only from an artifact the matrix
+//!   solves anyway). So the baseline solve and the context plan happen
+//!   once per module, and each distinct configuration is solved once: the
+//!   nine models' 72 cells take 54 solves, a `scale` corpus's eight take
+//!   one. Snapshots are published under the effective key too. Each
+//!   artifact key is computed once: workers racing on a cold key wait for
+//!   the first one's artifact instead of solving again.
 //! * **Shared generation** — with a module's stored plan-free program
 //!   from [`load_frontend`] attached ([`Executor::with_frontend`]), every
 //!   solve without a context plan clones that program instead of
@@ -34,7 +43,7 @@
 //!
 //! The legacy path composes the stage functions of `core::pipeline`
 //! (`fallback_analysis` / `ctx_plan_for` / `optimistic_analysis` /
-//! `assemble_result`). The executor calls `ctx_plan_for` and
+//! `assemble_result`). The executor calls `detect_ctx_plan` and
 //! `assemble_result` itself and runs every solve through one helper that
 //! calls [`kaleidoscope_pta::Analysis::try_run`]. Both paths end in the one
 //! `Solver::try_solve`, which is what makes their outputs identical.
@@ -61,7 +70,9 @@
 //! result, and surface in `kd analyze --stats`, the report dashboard, and
 //! `BENCH_executor.json`. The `fault-injection` cargo feature adds
 //! `FaultPlan` for deterministically injecting panics, budget
-//! exhaustion, and cache corruption at chosen cells.
+//! exhaustion, and cache corruption at chosen cells. Cells that share an
+//! effective key share its artifact, so an injected corruption damages
+//! only the faulted cell's read of it.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -88,13 +99,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use kaleidoscope::{
-    analyze, assemble_degraded_fallback, assemble_degraded_steens, assemble_result, ctx_plan_for,
+    analyze, assemble_degraded_fallback, assemble_degraded_steens, assemble_result,
     detect_ctx_plan, KaleidoscopeResult, PolicyConfig,
 };
-use kaleidoscope_ir::{parse_module, Module};
+use kaleidoscope_ir::{parse_module, Inst, Module};
 use kaleidoscope_pta::{
-    steens_analysis, Analysis, CtxPlan, ModuleBlocks, NullObserver, SolveBudget, SolveError,
-    SolveOptions, SolvedState, WarmStart,
+    steens_analysis, Analysis, ConstraintDiff, CtxPlan, ModuleBlocks, NullObserver, SolveBudget,
+    SolveError, SolveOptions, SolvedState, WarmStart,
 };
 
 /// Why a cell's configured pipeline could not produce its artifact. The
@@ -155,14 +166,89 @@ pub struct Executor {
     faults: Option<FaultPlan>,
 }
 
-/// The previous revision warm starts read: its module and stored
-/// plan-free program, and its context plan, derived the first time a ctx
-/// family warm-starts.
+/// The previous revision warm starts read: its module, and its stored
+/// plan-free program and context plan, each derived on first use.
 #[derive(Debug)]
 struct PrevRevision {
     module: Module,
-    blocks: ModuleBlocks,
+    blocks: OnceLock<ModuleBlocks>,
     ctx_plan: OnceLock<CtxPlan>,
+}
+
+impl PrevRevision {
+    /// The stored plan-free program, when `module` is an edit of this
+    /// revision that [`ConstraintDiff::precheck`] accepts. A rejected edit
+    /// (a cold request warm-starting from an unrelated tenant head) never
+    /// builds it: its solve falls back before the diff reads a program.
+    fn blocks_for(&self, module: &Module) -> Option<&ModuleBlocks> {
+        ConstraintDiff::precheck(&self.module, module)
+            .fallback
+            .is_none()
+            .then(|| {
+                self.blocks
+                    .get_or_init(|| ModuleBlocks::build(&self.module))
+            })
+    }
+}
+
+/// One module of a matrix, as each of its cells sees it.
+#[derive(Debug)]
+struct Row<'a> {
+    module: &'a Module,
+    /// `module`'s fingerprint, computed once per module, not per cell.
+    fp: u64,
+    /// Whether `module` has a `PtrArith` instruction (the solver reads
+    /// `pa_filter` nowhere else); computed only when a cell asks for PA.
+    ptr_arith: bool,
+    /// The configurations the matrix asks of `module`.
+    configs: &'a [PolicyConfig],
+    /// The module's context plan, fetched on first use.
+    plan: OnceLock<Arc<CtxPlan>>,
+}
+
+impl<'a> Row<'a> {
+    fn new(module: &'a Module, fp: u64, configs: &'a [PolicyConfig]) -> Row<'a> {
+        let ptr_arith = configs.iter().any(|c| c.pa)
+            && module
+                .iter_locs()
+                .any(|(_, inst)| matches!(inst, Inst::PtrArith { .. }));
+        Row {
+            module,
+            fp,
+            ptr_arith,
+            configs,
+            plan: OnceLock::new(),
+        }
+    }
+
+    /// The module's context plan, derived once per module through the
+    /// artifact cache.
+    fn plan(&self, ex: &Executor) -> &Arc<CtxPlan> {
+        self.plan
+            .get_or_init(|| ex.cache.ctx_plan(self.fp, || detect_ctx_plan(self.module)))
+    }
+
+    /// The context plan `config` runs with (empty when the ctx policy is
+    /// off).
+    fn plan_of(&self, ex: &Executor, config: PolicyConfig) -> Arc<CtxPlan> {
+        if config.ctx {
+            Arc::clone(self.plan(ex))
+        } else {
+            Arc::new(CtxPlan::new())
+        }
+    }
+
+    /// `config` without the invariants no solve of this module can read:
+    /// `ctx` when the context plan is empty (an empty plan generates the
+    /// plan-free program) and `pa` when no instruction is pointer
+    /// arithmetic.
+    fn statically_effective(&self, ex: &Executor, config: PolicyConfig) -> PolicyConfig {
+        PolicyConfig {
+            ctx: config.ctx && !self.plan(ex).is_empty(),
+            pa: config.pa && self.ptr_arith,
+            pwc: config.pwc,
+        }
+    }
 }
 
 impl Default for Executor {
@@ -291,12 +377,17 @@ impl Executor {
     /// full fault isolation: on panic, budget exhaustion, or artifact
     /// corruption the cell degrades down the ladder instead of failing.
     pub fn run_one(&self, module: &Module, config: PolicyConfig) -> KaleidoscopeResult {
-        self.run_cell(module, module.fingerprint(), config, None)
+        let configs = [config];
+        self.run_cell(
+            &Row::new(module, module.fingerprint(), &configs),
+            config,
+            None,
+        )
     }
 
-    /// The previous revision, parsed and its plan-free program generated
-    /// once per executor. `None` when no previous revision is configured
-    /// or the store holds no text that hashes to its fingerprint.
+    /// The previous revision, parsed once per executor. `None` when no
+    /// previous revision is configured or the store holds no text that
+    /// hashes to its fingerprint.
     fn prev_revision(&self) -> Option<&PrevRevision> {
         self.prev
             .get_or_init(|| {
@@ -305,36 +396,34 @@ impl Executor {
                 // `get_module` returns only text that hashes to `prev_fp`,
                 // and canonical text re-parses to the module it prints.
                 let module = parse_module(&store.get_module(prev_fp)?).ok()?;
-                let blocks = ModuleBlocks::build(&module);
                 Some(PrevRevision {
                     module,
-                    blocks,
+                    blocks: OnceLock::new(),
                     ctx_plan: OnceLock::new(),
                 })
             })
             .as_ref()
     }
 
-    /// Every Andersen solve the executor runs. `fp` is `module`'s
-    /// fingerprint; `ctx_plan` feeds constraint generation (`None` for the
-    /// solve families without the ctx policy).
+    /// Every Andersen solve the executor runs, of `row`'s module under
+    /// `opts`, with its context plan when `with_ctx`.
     ///
     /// With a state store, the solve warm-starts from the previous
     /// revision's snapshot for the same options and ctx flag. Any missing,
     /// stale or mismatched piece solves cold, never from a wrong state: the
     /// snapshot must carry the previous fingerprint, and the previous
     /// module's stored text must hash to it. A converged solve then
-    /// publishes its own snapshot, tagged with `fp`. Publishing is best
-    /// effort: a failed disk write only costs the next edit its warm start.
+    /// publishes its own snapshot, tagged with the module's fingerprint.
+    /// Publishing is best effort: a failed disk write only costs the next
+    /// edit its warm start.
     fn solve(
         &self,
-        module: &Module,
-        fp: u64,
+        row: &Row<'_>,
         opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
+        with_ctx: bool,
     ) -> Result<Analysis, SolveError> {
         let store = self.state_store.as_deref();
-        let (opts_key, with_ctx) = (opts.cache_key(), ctx_plan.is_some());
+        let opts_key = opts.cache_key();
         let prev = store
             .zip(self.incremental_from)
             .and_then(|(store, prev_fp)| {
@@ -348,60 +437,88 @@ impl Executor {
         let warm = prev.as_ref().map(|(prev, state)| WarmStart {
             module: &prev.module,
             plan: with_ctx.then(|| prev.ctx_plan.get_or_init(|| detect_ctx_plan(&prev.module))),
-            blocks: Some(&prev.blocks),
+            blocks: prev.blocks_for(row.module),
             state,
         });
         let (analysis, state) = Analysis::try_run(
-            module,
+            row.module,
             opts,
-            ctx_plan,
-            self.frontend_blocks(fp),
+            with_ctx.then(|| &**row.plan(self)),
+            self.frontend_blocks(row.fp),
             warm,
-            store.map(|_| fp),
+            store.map(|_| row.fp),
             &mut NullObserver,
         )?;
         if let (Some(store), Some(state)) = (store, state) {
-            let _ = store.put_state(fp, opts_key, with_ctx, &state.to_bytes());
+            let _ = store.put_state(row.fp, opts_key, with_ctx, &state.to_bytes());
         }
         Ok(analysis)
     }
 
-    /// The verified artifact-cache fetch of one solve family, solving on a
-    /// miss. Failed solves are never cached.
-    fn fetch(
-        &self,
-        module: &Module,
-        fp: u64,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-    ) -> Result<Arc<Analysis>, FetchError> {
-        self.cache.try_analysis(fp, opts, ctx_plan.is_some(), || {
-            self.solve(module, fp, opts, ctx_plan)
-        })
+    /// The verified artifact-cache fetch of the solve for `key`, an
+    /// effective key, solving on a miss. Failed solves are never cached.
+    fn fetch(&self, row: &Row<'_>, key: PolicyConfig) -> Result<Arc<Analysis>, FetchError> {
+        let opts = self.opts(key);
+        self.cache
+            .try_analysis(row.fp, &opts, key.ctx, || self.solve(row, &opts, key.ctx))
     }
 
-    /// The context plan of `config` (empty when the ctx policy is off),
-    /// derived once per module.
-    fn ctx_plan(&self, module: &Module, fp: u64, config: PolicyConfig) -> Arc<CtxPlan> {
-        if config.ctx {
-            self.cache.ctx_plan(fp, || ctx_plan_for(module, config))
+    /// The effective key of `config` on `row`'s module: the configuration
+    /// whose solve answers for it. The solver reads each invariant's flag
+    /// at one decision point only, and two solves that differ in one flag
+    /// stay identical until its first read. So each flag that is never
+    /// read is dropped:
+    ///
+    /// * `ctx` and `pa` by [`Row::statically_effective`];
+    /// * `pwc` when the solve of the key without it degraded no Field-Of
+    ///   constraint. Without `pwc_defer`, the first read of the flag (a
+    ///   cycle or self-loop with a live Field-Of edge) always degrades one.
+    ///
+    /// The `pwc` witness is read only from an artifact the matrix solves
+    /// anyway: the fallback, or the effective key of another requested
+    /// cell. Without such an artifact, or when its solve fails, `pwc`
+    /// stays.
+    fn effective_key(
+        &self,
+        row: &Row<'_>,
+        config: PolicyConfig,
+        fallback: &Analysis,
+    ) -> PolicyConfig {
+        let key = row.statically_effective(self, config);
+        if !key.pwc {
+            return key;
+        }
+        let witness = PolicyConfig { pwc: false, ..key };
+        let degraded = if witness == PolicyConfig::none() {
+            Some(fallback.result.stats.degraded_fields)
+        } else if row
+            .configs
+            .iter()
+            .any(|&c| !c.pwc && row.statically_effective(self, c) == witness)
+        {
+            self.fetch(row, witness)
+                .ok()
+                .map(|a| a.result.stats.degraded_fields)
         } else {
-            Arc::new(CtxPlan::new())
+            None
+        };
+        if degraded == Some(0) {
+            witness
+        } else {
+            key
         }
     }
 
-    /// One cell of `module`, whose fingerprint `fp` the caller computes
-    /// once per module rather than once per cell.
+    /// One cell of `row`'s module.
     fn run_cell(
         &self,
-        module: &Module,
-        fp: u64,
+        row: &Row<'_>,
         config: PolicyConfig,
         cell: Option<(usize, usize)>,
     ) -> KaleidoscopeResult {
-        match self.run_cell_isolated(module, fp, config, cell) {
+        match self.run_cell_isolated(row, config, cell) {
             Ok(r) => r,
-            Err(e) => self.degrade(module, fp, config, e),
+            Err(e) => self.degrade(row, config, e),
         }
     }
 
@@ -409,24 +526,20 @@ impl Executor {
     /// surfaced as typed errors.
     fn run_cell_isolated(
         &self,
-        module: &Module,
-        fp: u64,
+        row: &Row<'_>,
         config: PolicyConfig,
         cell: Option<(usize, usize)>,
     ) -> Result<KaleidoscopeResult, CellError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            self.configured_cell(module, fp, config, cell)
-        }))
-        .unwrap_or_else(|payload| Err(CellError::Panic(panic_message(payload.as_ref()))))
+        catch_unwind(AssertUnwindSafe(|| self.configured_cell(row, config, cell)))
+            .unwrap_or_else(|payload| Err(CellError::Panic(panic_message(payload.as_ref()))))
     }
 
     /// The configured (healthy-path) pipeline: cached fallback + context
-    /// plan + cached optimistic solve, all under the executor's budget,
-    /// all cache fetches content-verified.
+    /// plan + the cached solve of the cell's effective key, all under the
+    /// executor's budget, all cache fetches content-verified.
     fn configured_cell(
         &self,
-        module: &Module,
-        fp: u64,
+        row: &Row<'_>,
         config: PolicyConfig,
         cell: Option<(usize, usize)>,
     ) -> Result<KaleidoscopeResult, CellError> {
@@ -447,66 +560,57 @@ impl Executor {
             panic!("injected fault: worker killed mid-solve at {cell:?}");
         }
 
-        let fallback_opts = self.opts(PolicyConfig::none());
-
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::FallbackBudget) {
             // Solve uncached under an exhausted budget: the faulted
             // attempt must neither publish nor consume a cached artifact.
+            let opts = exhausted(&self.opts(PolicyConfig::none()));
             return Err(CellError::FallbackBudget(synthesize_budget_failure(
-                self.solve(module, fp, &exhausted(&fallback_opts), None),
+                self.solve(row, &opts, false),
             )));
         }
 
-        let fallback = self
-            .fetch(module, fp, &fallback_opts, None)
-            .map_err(|e| match e {
-                FetchError::Corrupt => CellError::CorruptArtifact,
-                FetchError::Solve(s) => CellError::FallbackBudget(s),
-            })?;
-
-        let ctx_plan = self.ctx_plan(module, fp, config);
-        let plan = config.ctx.then_some(&*ctx_plan);
-        let opts = self.opts(config);
+        let fallback = self.fetch(row, PolicyConfig::none()).map_err(|e| match e {
+            FetchError::Corrupt => CellError::CorruptArtifact,
+            FetchError::Solve(s) => CellError::FallbackBudget(s),
+        })?;
+        let key = self.effective_key(row, config, &fallback);
 
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::OptimisticBudget) {
+            let opts = exhausted(&self.opts(key));
             return Err(CellError::OptimisticBudget(synthesize_budget_failure(
-                self.solve(module, fp, &exhausted(&opts), plan),
+                self.solve(row, &opts, key.ctx),
             )));
         }
 
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::CacheCorruption) {
-            // Ensure the artifact exists, then damage its recorded digest;
-            // the verified fetch below must reject it.
-            let _ = self.fetch(module, fp, &opts, plan);
-            self.cache.corrupt_analysis_entry(fp, &opts, config.ctx);
+            // Read the artifact through a damaged copy of its digest: the
+            // fetch must reject it, while the cells that share the entry
+            // still verify it.
+            let opts = self.opts(key);
+            let damaged = self
+                .cache
+                .try_analysis_damaged(row.fp, &opts, key.ctx, || self.solve(row, &opts, key.ctx));
+            return Err(damaged
+                .err()
+                .map_or(CellError::CorruptArtifact, optimistic_error));
         }
 
-        let optimistic = self.fetch(module, fp, &opts, plan).map_err(|e| match e {
-            FetchError::Corrupt => CellError::CorruptArtifact,
-            FetchError::Solve(s) => CellError::OptimisticBudget(s),
-        })?;
-
+        let optimistic = self.fetch(row, key).map_err(optimistic_error)?;
         Ok(assemble_result(
-            module,
+            row.module,
             config,
             fallback,
             optimistic,
-            (*ctx_plan).clone(),
+            (*row.plan_of(self, config)).clone(),
         ))
     }
 
     /// The degradation ladder — the analysis-time analogue of the paper's
     /// runtime switch to the fallback memory view.
-    fn degrade(
-        &self,
-        module: &Module,
-        fp: u64,
-        config: PolicyConfig,
-        err: CellError,
-    ) -> KaleidoscopeResult {
+    fn degrade(&self, row: &Row<'_>, config: PolicyConfig, err: CellError) -> KaleidoscopeResult {
         let reason = err.to_string();
 
         // Rung 1: the module's sound fallback artifact serves as both
@@ -514,12 +618,11 @@ impl Executor {
         // against its own faults so a failure here falls through.
         if !matches!(err, CellError::FallbackBudget(_)) {
             let rung1 = catch_unwind(AssertUnwindSafe(|| {
-                let fallback = self.fetch(module, fp, &self.opts(PolicyConfig::none()), None)?;
-                let ctx_plan = self.ctx_plan(module, fp, config);
+                let fallback = self.fetch(row, PolicyConfig::none())?;
                 Ok::<_, FetchError>(assemble_degraded_fallback(
                     config,
                     fallback,
-                    (*ctx_plan).clone(),
+                    (*row.plan_of(self, config)).clone(),
                     reason.clone(),
                 ))
             }));
@@ -530,7 +633,7 @@ impl Executor {
 
         // Rung 2: the Steensgaard unification tier — sound, cheap, and
         // independent of the Andersen solver entirely.
-        let steens = self.cache.steens(fp, || steens_analysis(module));
+        let steens = self.cache.steens(row.fp, || steens_analysis(row.module));
         assemble_degraded_steens(config, steens, reason)
     }
 
@@ -553,6 +656,23 @@ impl Executor {
     pub fn run_matrix_map<T, F>(
         &self,
         modules: &[&Module],
+        configs: &[PolicyConfig],
+        f: F,
+    ) -> Vec<Vec<T>>
+    where
+        T: Send,
+        F: Fn(usize, usize, &KaleidoscopeResult) -> T + Sync,
+    {
+        self.run_fingerprinted(modules, None, configs, f)
+    }
+
+    /// [`run_matrix_map`](Executor::run_matrix_map) over modules whose
+    /// fingerprints the caller already holds (`fps[m]` is `modules[m]`'s);
+    /// with `None` the pool fingerprints each module once.
+    pub(crate) fn run_fingerprinted<T, F>(
+        &self,
+        modules: &[&Module],
+        fps: Option<&[u64]>,
         configs: &[PolicyConfig],
         f: F,
     ) -> Vec<Vec<T>>
@@ -591,7 +711,14 @@ impl Executor {
             let cells: Vec<(usize, usize)> = (0..configs.len())
                 .flat_map(|ci| (0..modules.len()).map(move |mi| (mi, ci)))
                 .collect();
-            let fps: Vec<u64> = modules.iter().map(|m| m.fingerprint()).collect();
+            let rows: Vec<Row<'_>> = modules
+                .iter()
+                .enumerate()
+                .map(|(mi, &m)| {
+                    let fp = fps.map_or_else(|| m.fingerprint(), |fps| fps[mi]);
+                    Row::new(m, fp, configs)
+                })
+                .collect();
             let next = AtomicUsize::new(0);
             let slots: Vec<Mutex<Option<T>>> = (0..n_cells).map(|_| Mutex::new(None)).collect();
             std::thread::scope(|scope| {
@@ -599,8 +726,7 @@ impl Executor {
                     scope.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&(mi, ci)) = cells.get(i) else { break };
-                        let result =
-                            self.run_cell(modules[mi], fps[mi], configs[ci], Some((mi, ci)));
+                        let result = self.run_cell(&rows[mi], configs[ci], Some((mi, ci)));
                         let t = f(mi, ci, &result);
                         // A panicking reducer on another worker may poison
                         // a slot lock; recover the data — a slot is only
@@ -634,6 +760,14 @@ impl Executor {
             out.push(it.by_ref().take(configs.len()).collect());
         }
         out
+    }
+}
+
+/// A failed fetch of a cell's optimistic artifact, as the cell's error.
+fn optimistic_error(e: FetchError) -> CellError {
+    match e {
+        FetchError::Corrupt => CellError::CorruptArtifact,
+        FetchError::Solve(s) => CellError::OptimisticBudget(s),
     }
 }
 
@@ -709,10 +843,15 @@ mod tests {
     fn cache_shares_baseline_across_configs() {
         let m = small_module("shared");
         let configs = PolicyConfig::table3_order();
-        // Artifacts actually solved: 1 baseline (shared by the fallback of
-        // all 8 configs and the Baseline optimistic view), 1 ctx plan, and
-        // 7 optimistic solves — never 8 × 2 separate pipeline runs, and
-        // never a second compute of a key two workers race on.
+        // The module has pointer arithmetic, an empty context plan and no
+        // Field-Of constraint, so its eight configurations reduce to two
+        // effective keys. Artifacts actually computed: the baseline (the
+        // fallback of all 8 configs and the optimistic view of the four
+        // without PA), the PA solve (the other four), and the ctx plan —
+        // never 8 × 2 separate pipeline runs, and never a second compute
+        // of a key two workers race on. Lookups: 8 fallback and 8
+        // optimistic fetches, the plan once, and the PWC witness of
+        // Kd-PA-PWC and Kaleidoscope, read from the PA artifact.
         for jobs in [2, 4] {
             for run in 0..20 {
                 let ex = Executor::with_jobs(jobs);
@@ -720,7 +859,7 @@ mod tests {
                 let stats = ex.cache_stats();
                 assert_eq!(
                     (stats.lookups, stats.misses, stats.verify_failures),
-                    (20, 9, 0),
+                    (19, 3, 0),
                     "jobs {jobs} run {run}"
                 );
             }
@@ -787,6 +926,8 @@ mod tests {
             .with_incremental_from(v1.fingerprint());
         let warm = warm_ex.run_matrix(&[&v2], &configs);
         assert!(store.stats().state_hits > 0, "snapshots were fetched");
+        let prev = warm_ex.prev_revision().expect("previous revision loaded");
+        assert!(prev.blocks.get().is_some(), "an append reads the program");
 
         // ...and matches a from-scratch solve of v2 exactly.
         let cold = Executor::with_jobs(2).run_matrix(&[&v2], &configs);
@@ -810,6 +951,37 @@ mod tests {
             .run_one(&v2, PolicyConfig::all());
         assert_eq!(orphan.health, CellHealth::Healthy);
         assert_eq!(orphan.optimistic.result.stats.incr_reused, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rejected_warm_start_never_builds_the_previous_program() {
+        let dir = std::env::temp_dir().join(format!("kd-exec-reject-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(DiskCache::open(&dir).expect("open store"));
+        let model = |name| {
+            kaleidoscope_apps::model(name)
+                .expect("bundled model")
+                .module
+        };
+        let (prev, next) = (model("TinyDTLS"), model("Wget"));
+        store
+            .put_module(prev.fingerprint(), &prev.to_text())
+            .unwrap();
+        let configs = PolicyConfig::table3_order();
+        Executor::with_jobs(2)
+            .with_state_store(Arc::clone(&store))
+            .run_matrix(&[&prev], &configs);
+
+        // An unrelated module fails the precheck: the attempt is counted
+        // as a fallback, and the previous program is never generated.
+        let ex = Executor::with_jobs(2)
+            .with_state_store(Arc::clone(&store))
+            .with_incremental_from(prev.fingerprint());
+        let out = ex.run_matrix(&[&next], &configs);
+        assert_eq!(out[0][0].fallback.result.stats.incr_fallback_full, 1);
+        let loaded = ex.prev_revision().expect("previous revision loaded");
+        assert!(loaded.blocks.get().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use kaleidoscope::{CellHealth, DegradedTier, PolicyConfig};
 use kaleidoscope_ir::{fnv1a64, verify_module, Module, ParseError};
-use kaleidoscope_pta::{PtsStats, SolveBudget};
+use kaleidoscope_pta::{Analysis, PtsStats, SolveBudget};
 
 use crate::{load_frontend, DiskCache, Executor, FrontendStats, ReportScope};
 
@@ -47,6 +47,18 @@ pub fn render_analyze(
     ex: &Executor,
     stats: bool,
 ) -> AnalyzeReport {
+    render(module, None, configs, ex, stats)
+}
+
+/// [`render_analyze`], with `module`'s fingerprint when the caller already
+/// holds it.
+fn render(
+    module: &Module,
+    fp: Option<u64>,
+    configs: &[PolicyConfig],
+    ex: &Executor,
+    stats: bool,
+) -> AnalyzeReport {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -60,12 +72,25 @@ pub fn render_analyze(
         "{:<13} {:>8} {:>8} {:>8} {:>11}",
         "config", "avg-pts", "max-pts", "pointers", "invariants"
     );
-    let results = ex.run_matrix(&[module], configs);
+    let fps = fp.as_ref().map(std::slice::from_ref);
+    let results = ex.run_fingerprinted(&[module], fps, configs, |_, _, r| r.clone());
     let mut degraded = 0usize;
     let mut worst_tier: Option<DegradedTier> = None;
+    // Rows whose cells share an artifact share its statistics.
+    let mut collected: Vec<(&Arc<Analysis>, PtsStats)> = Vec::new();
     for r in &results[0] {
         let c = r.config;
-        let pstats = PtsStats::collect(&r.optimistic, module);
+        let i = match collected
+            .iter()
+            .position(|(a, _)| Arc::ptr_eq(a, &r.optimistic))
+        {
+            Some(i) => i,
+            None => {
+                collected.push((&r.optimistic, PtsStats::collect(&r.optimistic, module)));
+                collected.len() - 1
+            }
+        };
+        let pstats = &collected[i].1;
         let _ = writeln!(
             out,
             "{:<13} {:>8.2} {:>8} {:>8} {:>11}",
@@ -327,7 +352,7 @@ pub fn analyze_request(
             ex = ex.with_incremental_from(prev);
         }
     }
-    let report = render_analyze(&loaded.module, &configs, &ex, req.stats);
+    let report = render(&loaded.module, Some(fp), &configs, &ex, req.stats);
     move_head();
     let disposition = match cache {
         Some(c) if report.all_healthy() => match c.put_report(fp, scope, &report.text) {

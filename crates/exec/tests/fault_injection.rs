@@ -153,8 +153,10 @@ fn seeded_plans_uphold_the_acceptance_property() {
 
 /// A cell that panics before it fetches anything degrades to the fallback
 /// rung, which then solves the module's baseline. That solve publishes its
-/// snapshot like every other one, so all eight solve families of the
-/// matrix leave a snapshot for the next revision's warm start.
+/// snapshot like every other one, so each effective key of the matrix
+/// leaves one snapshot for the next revision's warm start. TinyDTLS has no
+/// pointer arithmetic, so PA cannot act and its eight configurations
+/// reduce to four keys: Baseline, Kd-Ctx, Kd-PWC and Kd-Ctx-PWC.
 #[test]
 fn a_panicking_first_cell_still_publishes_the_baseline_snapshot() {
     let dir = std::env::temp_dir().join(format!("kd-fault-publish-{}", std::process::id()));
@@ -172,14 +174,22 @@ fn a_panicking_first_cell_still_publishes_the_baseline_snapshot() {
     assert!(out[0][1..].iter().all(|r| !r.health.is_degraded()));
 
     let fp = module.fingerprint();
-    let missing: Vec<&str> = configs
+    let published: Vec<&str> = configs
         .iter()
         .filter(|c| {
             let key = SolveOptions::optimistic(c.pa, c.pwc).cache_key();
-            store.get_state(fp, key, c.ctx).is_none()
+            store.get_state(fp, key, c.ctx).is_some()
         })
         .map(|c| c.name())
         .collect();
-    assert!(missing.is_empty(), "no snapshot for {missing:?}");
+    assert_eq!(
+        published,
+        ["Baseline", "Kd-Ctx", "Kd-PWC", "Kd-Ctx-PWC"],
+        "one snapshot per effective key"
+    );
+    let files = std::fs::read_dir(dir.join("state"))
+        .expect("state dir")
+        .count();
+    assert_eq!(files, 4, "no snapshot besides the effective keys'");
     let _ = std::fs::remove_dir_all(&dir);
 }

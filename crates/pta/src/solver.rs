@@ -194,6 +194,12 @@ impl SolveOptions {
     ///
     /// Bit 3 is retired (it once partitioned a second solver schedule);
     /// leaving it clear keeps every existing key unchanged.
+    ///
+    /// Equal keys imply equal results, not the converse: a flag the solve
+    /// never reads leaves the result unchanged. The executor therefore
+    /// clears such flags before taking the key (its *effective* key), so
+    /// configurations whose solves cannot differ on a module share one
+    /// artifact and one snapshot.
     pub fn cache_key(&self) -> u64 {
         (self.pa_filter as u64)
             | (self.pwc_defer as u64) << 1
@@ -267,6 +273,12 @@ pub struct SolveStats {
     /// 1 when an incremental request had to fall back to a sound full
     /// re-solve (removed/changed constraints, version or option mismatch).
     pub incr_fallback_full: usize,
+    /// Field-Of constraints degraded to copies by baseline PWC handling,
+    /// including those a warm start restored. Zero means a solve without
+    /// `pwc_defer` never reached the flag's decision point, whose first
+    /// visit degrades an edge; the executor reads it as that witness. Not
+    /// printed.
+    pub degraded_fields: usize,
     /// Wall-clock solving time.
     pub duration: Duration,
 }
@@ -604,6 +616,7 @@ impl<'m> Solver<'m> {
 
         self.stats.node_count = self.nodes.len();
         self.stats.copy_edges = self.copy_set.len();
+        self.stats.degraded_fields = self.degraded_fields.len();
         self.stats.duration = start.elapsed();
         Ok(converged)
     }

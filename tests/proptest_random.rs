@@ -8,7 +8,12 @@
 //!   callgraph while no invariant is violated (and always inside the
 //!   fallback callgraph);
 //! * invariant violations, if the random program produces any, switch the
-//!   memory view exactly once and execution still completes.
+//!   memory view exactly once and execution still completes;
+//! * an invariant the executor's witnesses call inert changes no solve
+//!   (`support/inert.rs`).
+
+#[path = "support/inert.rs"]
+mod inert;
 
 use kaleidoscope_prng::{check, Rng};
 use kaleidoscope_suite::cfi::harden;
@@ -270,4 +275,14 @@ fn optimistic_subset_and_runtime_soundness() {
             assert_eq!(ex.switcher.switch_count(), 1, "one-way switch");
         }
     });
+}
+
+#[test]
+fn inert_invariants_leave_solves_unchanged() {
+    let mut checked = 0;
+    check(48, 0x1_4E27, |rng| {
+        let m = build_program(&random_ops(rng));
+        checked += inert::check_revision("random", &m, &inert::solve_all(&m, None));
+    });
+    assert!(checked > 0, "no random program had an inert invariant");
 }
