@@ -224,7 +224,7 @@ fn main() {
         .expect("unbudgeted solve");
         let prev_state = prev_state.expect("converged solve captures a snapshot");
         let prev = WarmStart {
-            module: &scale,
+            module: Some(&scale),
             plan: None,
             blocks: None,
             state: &prev_state,

@@ -276,7 +276,7 @@ pub fn try_fallback_analysis_incr_fe(
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
     let opts = SolveOptions::baseline_with_budget(budget.clone());
     let warm = prev.map(|(prev_module, state)| WarmStart {
-        module: prev_module,
+        module: Some(prev_module),
         plan: None,
         blocks: prev_blocks,
         state,
@@ -365,7 +365,7 @@ pub fn try_optimistic_analysis_incr_fe(
         .filter(|_| config.ctx)
         .map(|(m, _)| ctx_plan_for(m, config));
     let warm = prev.map(|(prev_module, state)| WarmStart {
-        module: prev_module,
+        module: Some(prev_module),
         plan: prev_plan.as_ref(),
         blocks: prev_blocks,
         state,

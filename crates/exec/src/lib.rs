@@ -34,6 +34,15 @@
 //!   from [`load_frontend`] attached ([`Executor::with_frontend`]), every
 //!   solve without a context plan clones that program instead of
 //!   generating constraints again; a non-empty plan generates afresh.
+//! * **Warm starts** — with a state store and a previous fingerprint
+//!   ([`Executor::with_incremental_from`]), each solve restores the
+//!   previous revision's snapshot of its key. The previous revision is
+//!   found, never parsed: its stored text is compared with the module's
+//!   canonical text ([`kaleidoscope_ir::revision_prefix`]; the text a
+//!   caller handed over with [`Executor::with_canonical_text`], else
+//!   printed once), and an edit that extends it warm-starts from the
+//!   module cut to the stored revision's counts. Any other edit solves
+//!   cold, counted as a fallback.
 //! * **A/B checking** — one worker ([`Executor::serial`], `--jobs 1`)
 //!   bypasses both the pool and the cache and runs the legacy
 //!   [`kaleidoscope::analyze`] per cell, as the reference for the
@@ -102,10 +111,10 @@ use kaleidoscope::{
     analyze, assemble_degraded_fallback, assemble_degraded_steens, assemble_result,
     detect_ctx_plan, KaleidoscopeResult, PolicyConfig,
 };
-use kaleidoscope_ir::{parse_module, Inst, Module};
+use kaleidoscope_ir::{revision_prefix, Inst, Module};
 use kaleidoscope_pta::{
-    steens_analysis, Analysis, ConstraintDiff, CtxPlan, ModuleBlocks, NullObserver, SolveBudget,
-    SolveError, SolveOptions, SolvedState, WarmStart,
+    steens_analysis, Analysis, CtxPlan, ModuleBlocks, NullObserver, SolveBudget, SolveError,
+    SolveOptions, SolvedState, WarmStart,
 };
 
 /// Why a cell's configured pipeline could not produce its artifact. The
@@ -159,36 +168,23 @@ pub struct Executor {
     /// first component (from [`load_frontend`]); plan-free solves of that
     /// module clone it instead of generating constraints.
     frontend: Option<(u64, Arc<ModuleBlocks>)>,
-    /// The previous revision, loaded on first use and shared by the solve
-    /// families of one request.
-    prev: OnceLock<Option<PrevRevision>>,
+    /// The canonical text of the module fingerprinted by the first
+    /// component, handed over by a caller that printed it; taken by that
+    /// module's first solve that looks for a previous revision.
+    text: Mutex<Option<(u64, String)>>,
     #[cfg(feature = "fault-injection")]
     faults: Option<FaultPlan>,
 }
 
-/// The previous revision warm starts read: its module, and its stored
-/// plan-free program and context plan, each derived on first use.
+/// The previous revision warm starts of one module read: the module cut
+/// to the revision's counts (`None` when the module does not extend it),
+/// and its stored plan-free program and context plan, each derived on
+/// first use.
 #[derive(Debug)]
 struct PrevRevision {
-    module: Module,
+    module: Option<Module>,
     blocks: OnceLock<ModuleBlocks>,
     ctx_plan: OnceLock<CtxPlan>,
-}
-
-impl PrevRevision {
-    /// The stored plan-free program, when `module` is an edit of this
-    /// revision that [`ConstraintDiff::precheck`] accepts. A rejected edit
-    /// (a cold request warm-starting from an unrelated tenant head) never
-    /// builds it: its solve falls back before the diff reads a program.
-    fn blocks_for(&self, module: &Module) -> Option<&ModuleBlocks> {
-        ConstraintDiff::precheck(&self.module, module)
-            .fallback
-            .is_none()
-            .then(|| {
-                self.blocks
-                    .get_or_init(|| ModuleBlocks::build(&self.module))
-            })
-    }
 }
 
 /// One module of a matrix, as each of its cells sees it.
@@ -204,6 +200,8 @@ struct Row<'a> {
     configs: &'a [PolicyConfig],
     /// The module's context plan, fetched on first use.
     plan: OnceLock<Arc<CtxPlan>>,
+    /// The previous revision of `module`, resolved on first use.
+    prev: OnceLock<Option<PrevRevision>>,
 }
 
 impl<'a> Row<'a> {
@@ -218,6 +216,7 @@ impl<'a> Row<'a> {
             ptr_arith,
             configs,
             plan: OnceLock::new(),
+            prev: OnceLock::new(),
         }
     }
 
@@ -282,7 +281,7 @@ impl Executor {
             state_store: None,
             incremental_from: None,
             frontend: None,
-            prev: OnceLock::new(),
+            text: Mutex::new(None),
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -329,6 +328,27 @@ impl Executor {
     pub fn with_frontend(mut self, fp: u64, blocks: Arc<ModuleBlocks>) -> Executor {
         self.frontend = Some((fp, blocks));
         self
+    }
+
+    /// Hand over the canonical text of the module fingerprinted `fp` (what
+    /// [`Module::to_text`] prints), when the caller already printed it:
+    /// resolving that module's previous revision compares against it
+    /// instead of printing the module again. The first solve of the module
+    /// that looks for a previous revision releases it, found or not.
+    /// Output is byte-identical either way.
+    pub fn with_canonical_text(mut self, fp: u64, text: String) -> Executor {
+        self.text = Mutex::new(Some((fp, text)));
+        self
+    }
+
+    /// Take the handed canonical text, when it belongs to the module
+    /// fingerprinted `fp`.
+    fn take_text(&self, fp: u64) -> Option<String> {
+        self.text
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take_if(|(tfp, _)| *tfp == fp)
+            .map(|(_, text)| text)
     }
 
     /// The attached stored program, when it belongs to `module`.
@@ -385,17 +405,28 @@ impl Executor {
         )
     }
 
-    /// The previous revision, parsed once per executor. `None` when no
-    /// previous revision is configured or the store holds no text that
-    /// hashes to its fingerprint.
-    fn prev_revision(&self) -> Option<&PrevRevision> {
-        self.prev
+    /// The previous revision of `row`'s module, resolved once per row.
+    /// `None` when no previous revision is configured or the store holds
+    /// no text that hashes to its fingerprint.
+    ///
+    /// The previous revision is never parsed. Its stored text is compared
+    /// with the module's canonical text ([`revision_prefix`]); when it
+    /// describes a prefix of the module, the revision is the module cut to
+    /// its counts, which is the module the text parses to. Otherwise the
+    /// edit is rejected, and every warm start from it falls back.
+    fn prev_revision<'r>(&self, row: &'r Row<'_>) -> Option<&'r PrevRevision> {
+        row.prev
             .get_or_init(|| {
+                let handed = self.take_text(row.fp);
                 let store = self.state_store.as_ref()?;
                 let prev_fp = self.incremental_from?;
-                // `get_module` returns only text that hashes to `prev_fp`,
-                // and canonical text re-parses to the module it prints.
-                let module = parse_module(&store.get_module(prev_fp)?).ok()?;
+                // `get_module` returns only text that hashes to `prev_fp`.
+                let prev_text = store.get_module(prev_fp)?;
+                let text = handed.unwrap_or_else(|| row.module.to_text());
+                // Text that parses refers only within itself, so a cut
+                // that a kept item refers past is no revision.
+                let module = revision_prefix(&prev_text, &text)
+                    .and_then(|counts| row.module.truncated(counts));
                 Some(PrevRevision {
                     module,
                     blocks: OnceLock::new(),
@@ -412,8 +443,10 @@ impl Executor {
     /// revision's snapshot for the same options and ctx flag. Any missing,
     /// stale or mismatched piece solves cold, never from a wrong state: the
     /// snapshot must carry the previous fingerprint, and the previous
-    /// module's stored text must hash to it. A converged solve then
-    /// publishes its own snapshot, tagged with the module's fingerprint.
+    /// module's stored text must hash to it. An edit that does not extend
+    /// the previous revision solves cold too, counted as a fallback. A
+    /// converged solve then publishes its own snapshot, tagged with the
+    /// module's fingerprint.
     /// Publishing is best effort: a failed disk write only costs the next
     /// edit its warm start.
     fn solve(
@@ -427,18 +460,28 @@ impl Executor {
         let prev = store
             .zip(self.incremental_from)
             .and_then(|(store, prev_fp)| {
-                let state =
-                    SolvedState::from_bytes(&store.get_state(prev_fp, opts_key, with_ctx)?)?;
-                if state.fingerprint != prev_fp {
+                let state = store
+                    .get_state(prev_fp, opts_key, with_ctx)
+                    .and_then(|bytes| SolvedState::from_bytes(&bytes))
+                    .filter(|state| state.fingerprint == prev_fp);
+                let Some(state) = state else {
+                    // This solve reads no previous revision: release the
+                    // handed text rather than hold it through the solve.
+                    drop(self.take_text(row.fp));
                     return None;
-                }
-                Some((self.prev_revision()?, state))
+                };
+                Some((self.prev_revision(row)?, state))
             });
-        let warm = prev.as_ref().map(|(prev, state)| WarmStart {
-            module: &prev.module,
-            plan: with_ctx.then(|| prev.ctx_plan.get_or_init(|| detect_ctx_plan(&prev.module))),
-            blocks: prev.blocks_for(row.module),
-            state,
+        let warm = prev.as_ref().map(|(prev, state)| {
+            let module = prev.module.as_ref();
+            WarmStart {
+                module,
+                plan: module
+                    .filter(|_| with_ctx)
+                    .map(|m| prev.ctx_plan.get_or_init(|| detect_ctx_plan(m))),
+                blocks: module.map(|m| prev.blocks.get_or_init(|| ModuleBlocks::build(m))),
+                state,
+            }
         });
         let (analysis, state) = Analysis::try_run(
             row.module,
@@ -923,15 +966,35 @@ mod tests {
         // Warm solve of v2 from v1's fingerprint reuses them...
         let warm_ex = Executor::with_jobs(2)
             .with_state_store(Arc::clone(&store))
-            .with_incremental_from(v1.fingerprint());
-        let warm = warm_ex.run_matrix(&[&v2], &configs);
+            .with_incremental_from(v1.fingerprint())
+            .with_canonical_text(v2.fingerprint(), v2.to_text());
+        let row = Row::new(&v2, v2.fingerprint(), &configs);
+        let warm: Vec<_> = configs
+            .iter()
+            .map(|&c| warm_ex.run_cell(&row, c, None))
+            .collect();
         assert!(store.stats().state_hits > 0, "snapshots were fetched");
-        let prev = warm_ex.prev_revision().expect("previous revision loaded");
+        assert!(
+            warm_ex.text.lock().unwrap().is_none(),
+            "the handed text is released"
+        );
+        // The previous revision is v2 cut to v1's counts, which is v1, and
+        // the append's warm starts borrowed its program.
+        let prev = row
+            .prev
+            .get()
+            .and_then(Option::as_ref)
+            .expect("previous revision resolved");
+        assert_eq!(
+            prev.module.as_ref().map(Module::to_text),
+            Some(v1.to_text()),
+            "an append extends v1"
+        );
         assert!(prev.blocks.get().is_some(), "an append reads the program");
 
         // ...and matches a from-scratch solve of v2 exactly.
         let cold = Executor::with_jobs(2).run_matrix(&[&v2], &configs);
-        for (w, c) in warm[0].iter().zip(&cold[0]) {
+        for (w, c) in warm.iter().zip(&cold[0]) {
             assert_eq!(w.health, CellHealth::Healthy);
             let ws = &w.optimistic.result.stats;
             assert_eq!(ws.incr_fallback_full, 0, "append edit must warm-start");
@@ -955,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn a_rejected_warm_start_never_builds_the_previous_program() {
+    fn a_rejected_warm_start_has_no_previous_module() {
         let dir = std::env::temp_dir().join(format!("kd-exec-reject-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(DiskCache::open(&dir).expect("open store"));
@@ -973,15 +1036,65 @@ mod tests {
             .with_state_store(Arc::clone(&store))
             .run_matrix(&[&prev], &configs);
 
-        // An unrelated module fails the precheck: the attempt is counted
-        // as a fallback, and the previous program is never generated.
+        // An unrelated module does not extend the stored text: no solve
+        // warm-starts, the attempt on the fallback's key (which has a
+        // snapshot) is counted, and no previous module, program or context
+        // plan is built.
         let ex = Executor::with_jobs(2)
             .with_state_store(Arc::clone(&store))
-            .with_incremental_from(prev.fingerprint());
-        let out = ex.run_matrix(&[&next], &configs);
-        assert_eq!(out[0][0].fallback.result.stats.incr_fallback_full, 1);
-        let loaded = ex.prev_revision().expect("previous revision loaded");
+            .with_incremental_from(prev.fingerprint())
+            .with_canonical_text(next.fingerprint(), next.to_text());
+        let row = Row::new(&next, next.fingerprint(), &configs);
+        for &config in &configs {
+            let r = ex.run_cell(&row, config, None);
+            assert_eq!(r.health, CellHealth::Healthy);
+            assert_eq!(r.fallback.result.stats.incr_fallback_full, 1);
+            assert_eq!(r.optimistic.result.stats.incr_reused, 0);
+        }
+        assert!(
+            ex.text.lock().unwrap().is_none(),
+            "the handed text is released"
+        );
+        let loaded = row
+            .prev
+            .get()
+            .and_then(Option::as_ref)
+            .expect("stored text compared");
+        assert!(loaded.module.is_none());
         assert!(loaded.blocks.get().is_none());
+        assert!(loaded.ctx_plan.get().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_handed_text_is_released_when_no_previous_revision_is_read() {
+        let dir = std::env::temp_dir().join(format!("kd-exec-release-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(DiskCache::open(&dir).expect("open store"));
+        let configs = PolicyConfig::table3_order();
+        // `gone` publishes snapshots but never stores its text.
+        let gone = small_module("gone");
+        Executor::with_jobs(2)
+            .with_state_store(Arc::clone(&store))
+            .run_matrix(&[&gone], &configs);
+        let next = small_module("next");
+
+        // A previous fingerprint with no snapshot, then one whose stored
+        // text is missing: both solve cold without a fallback, and neither
+        // holds the handed text through its solves.
+        for (prev_fp, text_read) in [(0xDEAD_BEEF, false), (gone.fingerprint(), true)] {
+            let ex = Executor::with_jobs(2)
+                .with_state_store(Arc::clone(&store))
+                .with_incremental_from(prev_fp)
+                .with_canonical_text(next.fingerprint(), next.to_text());
+            let row = Row::new(&next, next.fingerprint(), &configs);
+            let r = ex.run_cell(&row, PolicyConfig::none(), None);
+            assert_eq!(r.fallback.result.stats.incr_fallback_full, 0);
+            assert_eq!(r.fallback.result.stats.incr_reused, 0);
+            assert!(ex.text.lock().unwrap().is_none(), "{prev_fp:x}");
+            assert_eq!(row.prev.get().is_some(), text_read, "{prev_fp:x}");
+            assert!(row.prev.get().and_then(Option::as_ref).is_none());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -269,8 +269,9 @@ impl std::error::Error for AnalyzeError {}
 /// 3. Look up the report. A hit moves the tenant head and returns.
 /// 4. On a miss, solve on an [`Executor`] with the frontend's stored
 ///    plan-free program, the budget, the cache as state store, and a warm
-///    start from `prev_fingerprint` or else the tenant's head. Render,
-///    move the head, and publish the report if it is healthy.
+///    start from `prev_fingerprint` or else the tenant's head, found
+///    through the canonical text printed in step 1. Render, move the
+///    head, and publish the report if it is healthy.
 ///
 /// A healthy report is the full fixpoint whatever the budget, so budgeted
 /// answers are stored too; a degraded one never is.
@@ -305,8 +306,6 @@ pub fn analyze_request(
     if let Some(c) = cache {
         let _ = c.put_module(fp, &canonical);
     }
-    // Only the store needs the text; free it before the solve.
-    drop(canonical);
 
     let configs: Vec<PolicyConfig> = match req.config {
         Some(name) => vec![PolicyConfig::parse(name).map_err(AnalyzeError::Config)?],
@@ -340,17 +339,28 @@ pub fn analyze_request(
     if let Some(n) = req.budget {
         ex = ex.with_budget(SolveBudget::iterations(n));
     }
+    // The warm start is advisory: a missing or incompatible snapshot
+    // solves cold, and a self-edge (prev == current) is skipped.
+    let prev = cache
+        .and_then(|store| {
+            req.prev_fingerprint
+                .or_else(|| req.tenant.and_then(|t| store.get_tenant_head(t)))
+        })
+        .filter(|&prev| prev != fp);
     if let Some(store) = cache {
-        // The warm start is advisory: a missing or incompatible snapshot
-        // solves cold, and a self-edge (prev == current) is skipped.
         ex = ex.with_state_store(Arc::clone(store));
-        let prev = req
-            .prev_fingerprint
-            .or_else(|| req.tenant.and_then(|t| store.get_tenant_head(t)))
-            .filter(|&prev| prev != fp);
-        if let Some(prev) = prev {
-            ex = ex.with_incremental_from(prev);
+    }
+    match prev {
+        // The previous revision is found by comparing its stored text with
+        // the canonical text; the first solve that looks for it releases
+        // the text.
+        Some(prev) => {
+            ex = ex
+                .with_incremental_from(prev)
+                .with_canonical_text(fp, canonical)
         }
+        // Only the store needed the text; free it before the solve.
+        None => drop(canonical),
     }
     let report = render(&loaded.module, Some(fp), &configs, &ex, req.stats);
     move_head();

@@ -9,8 +9,11 @@
 //! principle be schedule-sensitive. Comparing the rendered bytes end to
 //! end closes that gap.
 //!
-//! CI runs this over a seed matrix via `KD_EDIT_SEEDS` (comma-separated
-//! integers; default `1,2`) and `KD_EDIT_STEPS` (default 3); locally it
+//! Each seed runs two scripts: `edit_script` (appends and removals) and
+//! `edit_script_with_modify` (which also re-emits appended functions in
+//! place). CI runs this over a seed matrix via `KD_EDIT_SEEDS`
+//! (comma-separated integers; default `1,2`) and `KD_EDIT_STEPS` (default
+//! 3, at least 2 for the modify script); locally it
 //! runs with the defaults as part of the normal suite. Reports are
 //! rendered without `--stats`: stats rows (worklist pops, the `incr[..]`
 //! counters themselves) are *path*-dependent by construction and are the
@@ -20,7 +23,7 @@ use std::sync::Arc;
 
 use kaleidoscope::PolicyConfig;
 use kaleidoscope_exec::{load_frontend, render_analyze, DiskCache, Executor};
-use kaleidoscope_fuzz::edit::{edit_script, EditKind};
+use kaleidoscope_fuzz::edit::{edit_script, edit_script_with_modify, EditKind};
 
 fn env_list(var: &str, default: &[u64]) -> Vec<u64> {
     match std::env::var(var) {
@@ -43,9 +46,17 @@ fn incremental_reports_match_cold_bytes_at_every_step() {
     let steps = env_list("KD_EDIT_STEPS", &[3])[0] as usize;
     let configs = PolicyConfig::table3_order();
 
-    for &seed in &seeds {
-        let script = edit_script(seed, steps);
-        let dir = std::env::temp_dir().join(format!("kd-incr-diff-s{seed}-{}", std::process::id()));
+    let scripts = seeds.iter().flat_map(|&seed| {
+        [
+            ("edit", seed, edit_script(seed, steps)),
+            ("modify", seed, edit_script_with_modify(seed, steps.max(2))),
+        ]
+    });
+    for (name, seed, script) in scripts {
+        let dir = std::env::temp_dir().join(format!(
+            "kd-incr-diff-{name}-s{seed}-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(DiskCache::open(&dir).expect("open store"));
 
@@ -68,7 +79,7 @@ fn incremental_reports_match_cold_bytes_at_every_step() {
             let cold = render_analyze(m, &configs, &Executor::with_jobs(2), false).text;
             assert_eq!(
                 warm, cold,
-                "seed {seed} step {i} ({:?}): report bytes diverged",
+                "{name} seed {seed} step {i} ({:?}): report bytes diverged",
                 step.kind
             );
             // The warm pass must have exercised the intended path: a
@@ -78,11 +89,13 @@ fn incremental_reports_match_cold_bytes_at_every_step() {
             match step.kind {
                 EditKind::Append => assert!(
                     stats_report.contains("incr-fallback-full=0"),
-                    "seed {seed} step {i}: append did not warm-start:\n{stats_report}"
+                    "{name} seed {seed} step {i}: append did not warm-start:\n{stats_report}"
                 ),
-                EditKind::Remove => assert!(
-                    stats_report.contains("incr-fallback-full=1"),
-                    "seed {seed} step {i}: removal did not fall back:\n{stats_report}"
+                EditKind::Remove | EditKind::Modify => assert!(
+                    stats_report.contains("incr-fallback-full=1")
+                        && !stats_report.contains("incr-fallback-full=0"),
+                    "{name} seed {seed} step {i}: {:?} did not fall back:\n{stats_report}",
+                    step.kind
                 ),
                 EditKind::Base => unreachable!(),
             }

@@ -6,7 +6,10 @@
 //! later revision either **appends** one new pointer-heavy function (the
 //! compatible edit the incremental solver warm-starts across) or
 //! **removes** one previously-appended function (the incompatible edit
-//! that must take the sound full-re-solve fallback).
+//! that must take the sound full-re-solve fallback). Scripts from
+//! [`edit_script_with_modify`] also **modify**: they re-emit one
+//! previously-appended function in place from a new seed (a changed
+//! shared function, which falls back too).
 //!
 //! Everything derives from the script seed, so a `(seed, steps)` pair
 //! names one exact revision sequence forever — the CI differential gate
@@ -40,6 +43,10 @@ pub enum EditKind {
     /// One previously-appended function removed; constraints disappeared,
     /// so the solver must take the full fallback (`incr_fallback_full == 1`).
     Remove,
+    /// One previously-appended function re-emitted in place, same name and
+    /// variant, from a new body seed; a shared function changed, so the
+    /// solver must take the full fallback (`incr_fallback_full == 1`).
+    Modify,
 }
 
 /// One revision in an edit script.
@@ -57,7 +64,7 @@ pub struct EditStep {
 /// remove one instead, so every long script exercises the fallback path
 /// alongside the warm path.
 pub fn edit_script(seed: u64, steps: usize) -> Vec<EditStep> {
-    script(seed, steps, false)
+    script(seed, steps, false, false)
 }
 
 /// [`edit_script`], but guaranteed to contain at least one `Remove` step
@@ -66,52 +73,91 @@ pub fn edit_script(seed: u64, steps: usize) -> Vec<EditStep> {
 /// property test runs over these.
 pub fn edit_script_with_removal(seed: u64, steps: usize) -> Vec<EditStep> {
     assert!(steps >= 2, "a removal needs a prior append");
-    script(seed, steps, true)
+    script(seed, steps, true, false)
 }
 
-fn script(seed: u64, steps: usize, force_removal: bool) -> Vec<EditStep> {
+/// [`edit_script`], plus `Modify` edits: once a function has been
+/// appended, about a third of the edits that do not remove (seeded)
+/// re-emit one appended function in place from a new body seed instead of
+/// appending. The last step is forced to a modify if chance produced
+/// none. Needs `steps >= 2` so there is something to modify.
+pub fn edit_script_with_modify(seed: u64, steps: usize) -> Vec<EditStep> {
+    assert!(steps >= 2, "a modify needs a prior append");
+    script(seed, steps, false, true)
+}
+
+/// One appended function of a script: its id, and the seed its body is
+/// generated from (the script seed until a modify re-emits it).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: u64,
+    body_seed: u64,
+}
+
+fn script(seed: u64, steps: usize, force_removal: bool, modify: bool) -> Vec<EditStep> {
     let cfg = ScaleConfig::sized(seed, EDIT_BASE_STMTS);
     let mut rng = Rng::seed_from_u64(seed ^ 0xed17_5c21_97a4_11ee);
-    let build = |live: &[u64]| {
+    let build = |live: &[Slot]| {
         let mut m = scale::synthesize(&cfg);
-        for &id in live {
+        for s in live {
             // Half the edits publish into shared state (the expensive,
             // globally-rippling shape), half are leaf edits that only
             // consume it — chosen from (seed, id) alone so a function's
-            // body never depends on script position.
-            if (seed ^ id) & 1 == 0 {
-                append_function(&mut m, seed, id);
+            // body never depends on script position, and a modify keeps
+            // the variant.
+            if (seed ^ s.id) & 1 == 0 {
+                append_function(&mut m, s.body_seed, s.id);
             } else {
-                append_leaf_function(&mut m, seed, id);
+                append_leaf_function(&mut m, s.body_seed, s.id);
             }
         }
         m
     };
 
-    let mut live: Vec<u64> = Vec::new();
+    let mut live: Vec<Slot> = Vec::new();
     let mut next_id = 0u64;
-    let mut removed_any = false;
+    let (mut removed_any, mut modified_any) = (false, false);
     let mut out = vec![EditStep {
         kind: EditKind::Base,
         module: build(&live),
     }];
     for step in 0..steps {
-        let force_now = force_removal && !removed_any && step + 1 == steps;
-        let remove = !live.is_empty() && (force_now || (live.len() >= 2 && rng.gen_bool(0.25)));
-        let kind = if remove {
+        let last = step + 1 == steps;
+        let force_now = force_removal && !removed_any && last;
+        let force_modify = modify && !modified_any && last;
+        let remove = !force_modify
+            && !live.is_empty()
+            && (force_now || (live.len() >= 2 && rng.gen_bool(0.25)));
+        let modify_now =
+            modify && !remove && !live.is_empty() && (force_modify || rng.gen_bool(1.0 / 3.0));
+        let (kind, module) = if remove {
             let at = rng.gen_range(0..live.len());
             live.remove(at);
             removed_any = true;
-            EditKind::Remove
+            (EditKind::Remove, build(&live))
+        } else if modify_now {
+            // Reseed one slot until its body differs from the current one
+            // (a leaf body has few shapes, so one reseed may repeat it).
+            let at = rng.gen_range(0..live.len());
+            let prev = &out[out.len() - 1].module;
+            let module = (0..64)
+                .find_map(|_| {
+                    live[at].body_seed = rng.next_u64();
+                    let m = build(&live);
+                    (m.funcs != prev.funcs).then_some(m)
+                })
+                .expect("a reseeded edit function gets a new body");
+            modified_any = true;
+            (EditKind::Modify, module)
         } else {
-            live.push(next_id);
+            live.push(Slot {
+                id: next_id,
+                body_seed: seed,
+            });
             next_id += 1;
-            EditKind::Append
+            (EditKind::Append, build(&live))
         };
-        out.push(EditStep {
-            kind,
-            module: build(&live),
-        });
+        out.push(EditStep { kind, module });
     }
     out
 }
@@ -241,10 +287,62 @@ mod tests {
             match next.kind {
                 EditKind::Append => assert_eq!(delta, 1),
                 EditKind::Remove => assert_eq!(delta, -1),
-                EditKind::Base => unreachable!("base only opens a script"),
+                EditKind::Base | EditKind::Modify => unreachable!("no modify in edit_script"),
             }
             assert_ne!(prev.module.fingerprint(), next.module.fingerprint());
         }
+    }
+
+    #[test]
+    fn a_modify_re_emits_one_function_in_place() {
+        let mut variants = (0, 0);
+        for seed in [1u64, 2, 3] {
+            let script = edit_script_with_modify(seed, 5);
+            assert_eq!(script.len(), 6, "base + 5 edits");
+            assert!(script.iter().any(|s| s.kind == EditKind::Modify));
+            for w in script.windows(2) {
+                let (prev, next) = (&w[0].module, &w[1].module);
+                assert!(kaleidoscope_ir::verify_module(next).is_empty());
+                if w[1].kind != EditKind::Modify {
+                    continue;
+                }
+                assert_eq!(prev.funcs.len(), next.funcs.len());
+                let changed: Vec<usize> = (0..prev.funcs.len())
+                    .filter(|&i| prev.funcs[i] != next.funcs[i])
+                    .collect();
+                assert_eq!(changed.len(), 1, "seed {seed}: one function changes");
+                let name = &next.funcs[changed[0]].name;
+                assert_eq!(&prev.funcs[changed[0]].name, name);
+                if name.starts_with("leaf") {
+                    variants.1 += 1;
+                } else {
+                    variants.0 += 1;
+                }
+            }
+        }
+        assert!(variants.0 > 0 && variants.1 > 0, "both variants modified");
+    }
+
+    #[test]
+    fn existing_constructors_produce_their_pinned_scripts() {
+        // The modify draws happen only in `edit_script_with_modify`; the
+        // other constructors keep producing the revisions they always did.
+        let digest = |script: Vec<EditStep>| {
+            let fps: Vec<u64> = script.iter().map(|s| s.module.fingerprint()).collect();
+            let bytes: Vec<u8> = fps.iter().flat_map(|f| f.to_le_bytes()).collect();
+            kaleidoscope_ir::fnv1a64(&[&bytes])
+        };
+        let actual = [
+            digest(edit_script(1, 3)),
+            digest(edit_script(2, 3)),
+            digest(edit_script_with_removal(5, 4)),
+        ];
+        let pinned = [
+            0x497d_851c_2bbc_6f1f,
+            0xe40e_1fc3_3887_14a6,
+            0x9c75_74eb_d538_335d,
+        ];
+        assert_eq!(actual, pinned, "{actual:#018x?}");
     }
 
     #[test]

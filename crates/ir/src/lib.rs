@@ -59,6 +59,7 @@ pub use module::{
     LocalId, Module, Operand, Terminator,
 };
 pub use parser::{parse_header, parse_module, ModuleShell, ParseError};
+pub use printer::{revision_prefix, PrefixCounts};
 pub use transform::{mem2reg, Mem2RegStats};
 pub use types::{FuncSig, StructDef, StructId, Type, TypeRegistry};
 pub use verify::{verify_module, VerifyError};

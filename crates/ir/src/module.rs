@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::loc::InstLoc;
+use crate::printer::PrefixCounts;
 use crate::types::{FuncSig, Type, TypeRegistry};
 
 /// Identifier of a function within a module.
@@ -459,6 +460,57 @@ impl Function {
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
+
+    /// Whether every function, global and struct type the function names
+    /// is among a module's first `funcs`, `globals` and `types`.
+    fn refers_within(&self, funcs: usize, globals: usize, types: usize) -> bool {
+        let op = |o: &Operand| match o {
+            Operand::Global(g) => g.index() < globals,
+            Operand::Func(f) => f.index() < funcs,
+            Operand::Local(_) | Operand::ConstInt(_) | Operand::Null => true,
+        };
+        let inst = |i: &Inst| match i {
+            Inst::Alloca { ty, .. } | Inst::HeapAlloc { ty: Some(ty), .. } => {
+                type_within(ty, types)
+            }
+            Inst::HeapAlloc { ty: None, .. } | Inst::Input { .. } => true,
+            Inst::Copy { src, .. }
+            | Inst::Load { src, .. }
+            | Inst::Output { src }
+            | Inst::FieldAddr { base: src, .. } => op(src),
+            Inst::Store { dst: a, src: b }
+            | Inst::PtrArith {
+                base: a, offset: b, ..
+            }
+            | Inst::ElemAddr {
+                base: a, index: b, ..
+            }
+            | Inst::BinOp { lhs: a, rhs: b, .. } => op(a) && op(b),
+            Inst::Call { callee, args, .. } => callee.index() < funcs && args.iter().all(op),
+            Inst::CallInd { callee, args, .. } => op(callee) && args.iter().all(op),
+        };
+        type_within(&self.ret_ty, types)
+            && self.locals.iter().all(|l| type_within(&l.ty, types))
+            && self.blocks.iter().all(|b| {
+                b.insts.iter().all(inst)
+                    && match &b.term {
+                        Terminator::Jump(_) | Terminator::Ret(None) => true,
+                        Terminator::Branch { cond: v, .. } | Terminator::Ret(Some(v)) => op(v),
+                    }
+            })
+    }
+}
+
+/// Whether every struct type `ty` names is among the first `types`.
+fn type_within(ty: &Type, types: usize) -> bool {
+    match ty {
+        Type::Void | Type::Int => true,
+        Type::Ptr(t) | Type::Array(t, _) => type_within(t, types),
+        Type::Struct(s) => s.index() < types,
+        Type::Func(FuncSig { params, ret }) => {
+            type_within(ret, types) && params.iter().all(|p| type_within(p, types))
+        }
+    }
 }
 
 /// A whole program: types, globals, and functions.
@@ -660,6 +712,43 @@ impl Module {
     /// Lines of the textual form (the "LoC" we report for models, Table 2).
     pub fn loc(&self) -> usize {
         self.to_text().lines().count()
+    }
+
+    /// This module cut to the first `counts.funcs` functions,
+    /// `counts.globals` globals and `counts.types` struct types: the earlier
+    /// revision a [`revision_prefix`](crate::printer::revision_prefix)
+    /// match names, under this module's name. `None` when a count exceeds
+    /// the module's or a kept item refers to one past the cut, which no
+    /// text that parses describes.
+    pub fn truncated(&self, counts: PrefixCounts) -> Option<Module> {
+        let PrefixCounts {
+            funcs,
+            globals,
+            types,
+        } = counts;
+        if funcs > self.funcs.len() || globals > self.globals.len() || types > self.types.len() {
+            return None;
+        }
+        let mut m = Module::new(self.name.clone());
+        for (_, def) in self.types.iter().take(types) {
+            if !def.fields.iter().all(|t| type_within(t, types)) {
+                return None;
+            }
+            m.types.declare(def.name.clone(), def.fields.clone())?;
+        }
+        for g in &self.globals[..globals] {
+            if !type_within(&g.ty, types) {
+                return None;
+            }
+            m.add_global(g.name.clone(), g.ty.clone())?;
+        }
+        for f in &self.funcs[..funcs] {
+            if !f.refers_within(funcs, globals, types) {
+                return None;
+            }
+            m.add_func(f.clone())?;
+        }
+        Some(m)
     }
 
     /// Stable content fingerprint: [`fnv1a64`] over the canonical textual

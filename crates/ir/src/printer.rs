@@ -200,6 +200,72 @@ impl Module {
     }
 }
 
+/// The item counts of an earlier revision whose text is a prefix of the
+/// current module's text (see [`revision_prefix`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrefixCounts {
+    /// Functions of the earlier revision.
+    pub funcs: usize,
+    /// Its globals.
+    pub globals: usize,
+    /// Its struct types.
+    pub types: usize,
+}
+
+/// Compare `prev`, the stored text of an earlier revision, with `current`,
+/// the canonical text of the module being analyzed, both as
+/// [`Module::to_text`] prints them. `prev` describes a prefix of the module
+/// when its struct lines, its global lines and its function chunks (a
+/// blank line, `func`, through the closing `}` line) are the first ones of
+/// `current`'s, in that order, and nothing else follows. The module-name
+/// lines are not compared. Returns `prev`'s counts, from which
+/// [`Module::truncated`] rebuilds the earlier revision without parsing it:
+/// since `parse(print(m)) == m`, that is the module `prev` parses to, up to
+/// its name. `None` when `prev` describes no prefix of the module.
+///
+/// In canonical text a line that is exactly `}` closes a function, so a
+/// chunk of `prev` that starts `current` is one of `current`'s chunks.
+pub fn revision_prefix(prev: &str, current: &str) -> Option<PrefixCounts> {
+    let name_line_end = |t: &str| {
+        let end = t.find('\n').map_or(t.len(), |i| i + 1);
+        (t.starts_with("module \"") && t[..end].trim_end().ends_with('"')).then_some(end)
+    };
+    let (mut p, mut c) = (
+        &prev[name_line_end(prev)?..],
+        &current[name_line_end(current)?..],
+    );
+    let mut counts = PrefixCounts {
+        funcs: 0,
+        globals: 0,
+        types: 0,
+    };
+    for (keyword, count) in [
+        ("struct ", &mut counts.types),
+        ("global ", &mut counts.globals),
+    ] {
+        while p.starts_with(keyword) {
+            let line = &p[..=p.find('\n')?];
+            c = c.strip_prefix(line)?;
+            p = &p[line.len()..];
+            *count += 1;
+        }
+        // The current module's further lines of this section.
+        while c.starts_with(keyword) {
+            c = c.find('\n').map_or("", |i| &c[i + 1..]);
+        }
+    }
+    while !p.is_empty() {
+        if !p.starts_with("\nfunc ") {
+            return None;
+        }
+        let chunk = &p[..p.find("\n}\n")? + 3];
+        c = c.strip_prefix(chunk)?;
+        p = &p[chunk.len()..];
+        counts.funcs += 1;
+    }
+    Some(counts)
+}
+
 /// `dst = ` followed by `rest` (an instruction's mnemonic).
 fn def(out: &mut String, dst: &LocalId, rest: &str) {
     let _ = write!(out, "{dst} = {rest}");
@@ -331,6 +397,77 @@ bb2:
   ret
 }
 "#;
+
+    #[test]
+    fn revision_prefix_compares_sections_and_truncation_rebuilds_the_prefix() {
+        let current = crate::parser::parse_module(ALL_FORMS).expect("parses");
+        let text = current.to_text();
+        let (head, main) = text.split_at(text.find("\nfunc main").expect("main"));
+        let all = PrefixCounts {
+            funcs: 2,
+            globals: 2,
+            types: 3,
+        };
+        assert_eq!(revision_prefix(&text, &text), Some(all));
+        let callee_only = PrefixCounts { funcs: 1, ..all };
+        assert_eq!(revision_prefix(head, &text), Some(callee_only));
+        let renamed = head.replacen("\"pin\"", "\"other\"", 1);
+        assert_eq!(revision_prefix(&renamed, &text), Some(callee_only));
+        let prev = current.truncated(callee_only).expect("closed prefix");
+        assert_eq!(prev.to_text(), head);
+        let empty = "module \"e\"\n";
+        let none = PrefixCounts {
+            funcs: 0,
+            globals: 0,
+            types: 0,
+        };
+        assert_eq!(revision_prefix(empty, &text), Some(none));
+        assert_eq!(
+            current.truncated(none).expect("empty").to_text(),
+            "module \"pin\"\n"
+        );
+
+        // Rejections: a removed function, a changed function, struct or
+        // global, and text that is no module's.
+        let grown = format!("{text}{}", main.replacen("func main", "func main2", 1));
+        let changed = text.replacen("%2 = field %1, 1", "%2 = field %1, 0", 1);
+        let structs = text.replacen("struct empty {  }", "struct empty { int }", 1);
+        let globals = text.replacen("global g: int", "global g: int*", 1);
+        for bad in [
+            grown.as_str(),
+            &changed,
+            &structs,
+            &globals,
+            "",
+            "garbage",
+            "module \"x\"\nbogus\n",
+            &text[..text.len() - 1],
+        ] {
+            assert_eq!(revision_prefix(bad, &text), None, "{bad:?}");
+        }
+
+        // A prefix whose functions name one past the cut is no revision.
+        assert!(current
+            .truncated(PrefixCounts {
+                types: 0,
+                ..callee_only
+            })
+            .is_none());
+        assert!(current
+            .truncated(PrefixCounts { globals: 0, ..all })
+            .is_none());
+        let fwd = "module \"fwd\"\n\nfunc a() -> void {\nbb0:\n  call @b()\n  ret\n}\n\n\
+                   func b() -> void {\nbb0:\n  ret\n}\n";
+        let fwd_module = crate::parser::parse_module(fwd).expect("parses");
+        assert_eq!(fwd_module.to_text(), fwd);
+        let a_only = &fwd[..fwd.find("\nfunc b").expect("b")];
+        let counts = revision_prefix(a_only, fwd).expect("a text prefix");
+        assert!(crate::parser::parse_module(a_only).is_err());
+        assert!(fwd_module.truncated(counts).is_none());
+        assert!(current
+            .truncated(PrefixCounts { funcs: 3, ..all })
+            .is_none());
+    }
 
     #[test]
     fn prints_all_instruction_forms() {

@@ -9,7 +9,7 @@ use kaleidoscope_ir::{FuncId, InstLoc, LocalId, Module};
 
 use crate::ctxplan::CtxPlan;
 use crate::gen::{stored_or_generated, ModuleBlocks};
-use crate::incr::{ConstraintDiff, SolvedState};
+use crate::incr::{ConstraintDiff, FallbackReason, SolvedState};
 use crate::node::{NodeId, ObjSite};
 use crate::observer::{NullObserver, SolverObserver};
 use crate::pts::PtsSet;
@@ -38,8 +38,10 @@ fn _assert_shareable() {
 /// The previous revision a solve warm-starts from.
 #[derive(Debug, Clone, Copy)]
 pub struct WarmStart<'a> {
-    /// The previous revision's module.
-    pub module: &'a Module,
+    /// The previous revision's module; `None` when the caller already
+    /// found that the new module does not extend it (the solve then falls
+    /// back, as for an edit [`ConstraintDiff::precheck`] rejects).
+    pub module: Option<&'a Module>,
     /// The context plan its captured solve generated constraints with.
     pub plan: Option<&'a CtxPlan>,
     /// Its stored plan-free program, which the diff borrows when `plan`
@@ -82,7 +84,8 @@ impl Analysis {
     ///   the previous revision's program only when
     ///   [`ConstraintDiff::precheck`] finds the two modules compatible, and
     ///   borrows its stored program under the same rule. Any incompatible
-    ///   edit falls back to a cold solve, visible as
+    ///   edit, including one the caller rejected before handing over a
+    ///   module, falls back to a cold solve, visible as
     ///   `stats.incr_fallback_full == 1`.
     /// * With `capture`, a converged solve also returns a [`SolvedState`]
     ///   snapshot tagged with that fingerprint, which must be `module`'s.
@@ -99,11 +102,14 @@ impl Analysis {
     ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
         let program = stored_or_generated(module, ctx_plan, blocks).into_owned();
         let diff = warm.map(|prev| {
-            let diff = ConstraintDiff::precheck(prev.module, module);
+            let Some(prev_module) = prev.module else {
+                return ConstraintDiff::rejected(FallbackReason::NotExtended);
+            };
+            let diff = ConstraintDiff::precheck(prev_module, module);
             if diff.fallback.is_some() {
                 return diff;
             }
-            let prev_program = stored_or_generated(prev.module, prev.plan, prev.blocks);
+            let prev_program = stored_or_generated(prev_module, prev.plan, prev.blocks);
             diff.check_programs(&prev_program, &program)
         });
         let warm = warm

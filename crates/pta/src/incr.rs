@@ -561,6 +561,9 @@ pub enum FallbackReason {
     ConstraintMismatch,
     /// The previous indirect calls are not a prefix of the new ones.
     IcallMismatch,
+    /// The caller found, before any module was compared, that the new
+    /// module does not extend the previous revision.
+    NotExtended,
 }
 
 impl std::fmt::Display for FallbackReason {
@@ -573,6 +576,7 @@ impl std::fmt::Display for FallbackReason {
             FallbackReason::NodeMiss => "node has no counterpart",
             FallbackReason::ConstraintMismatch => "constraint prefix mismatch",
             FallbackReason::IcallMismatch => "indirect-call prefix mismatch",
+            FallbackReason::NotExtended => "edit does not extend the previous revision",
         };
         f.write_str(s)
     }
@@ -607,6 +611,25 @@ impl ConstraintDiff {
         self
     }
 
+    /// A diff that compared nothing yet and found no reason to fall back.
+    fn unchecked() -> ConstraintDiff {
+        ConstraintDiff {
+            fallback: None,
+            removed_funcs: 0,
+            changed_funcs: 0,
+            first_new_constraint: 0,
+            first_new_icall: 0,
+            node_map: Vec::new(),
+            obj_map: Vec::new(),
+        }
+    }
+
+    /// A diff that falls back for `reason`, found before any module or
+    /// program was compared.
+    pub(crate) fn rejected(reason: FallbackReason) -> ConstraintDiff {
+        Self::unchecked().fail(reason)
+    }
+
     /// The module-level half of [`ConstraintDiff::compute`], which needs
     /// no constraint program: the shared prefix of the two modules must be
     /// byte-identical (appends only). A removed or changed function, a
@@ -616,15 +639,7 @@ impl ConstraintDiff {
     /// from the translated prefix verification in `compute`. The
     /// program-level fields of the returned diff stay zero.
     pub fn precheck(prev_module: &Module, new_module: &Module) -> ConstraintDiff {
-        let mut diff = ConstraintDiff {
-            fallback: None,
-            removed_funcs: 0,
-            changed_funcs: 0,
-            first_new_constraint: 0,
-            first_new_icall: 0,
-            node_map: Vec::new(),
-            obj_map: Vec::new(),
-        };
+        let mut diff = Self::unchecked();
         let (pf, nf) = (prev_module.funcs.len(), new_module.funcs.len());
         if nf < pf {
             diff.removed_funcs = pf - nf;
@@ -1207,7 +1222,7 @@ mod tests {
 
             let (_, state) = solve_cold(&prev_m, &opts);
             let warm = crate::WarmStart {
-                module: &prev_m,
+                module: Some(&prev_m),
                 plan: None,
                 blocks: None,
                 state: &state.expect("converged solve captures"),

@@ -196,6 +196,11 @@ impl NodeTable {
         NodeId(x)
     }
 
+    /// Whether any node was merged into another.
+    pub(crate) fn any_merged(&self) -> bool {
+        self.rep.iter().enumerate().any(|(i, &r)| r as usize != i)
+    }
+
     /// Make `from`'s representative point at `into`'s representative.
     /// Returns `(winner, loser)` or `None` if already merged.
     pub fn merge(&mut self, from: NodeId, into: NodeId) -> Option<(NodeId, NodeId)> {

@@ -300,11 +300,21 @@ pub struct SolveResult {
     pub pwcs: Vec<PwcEvent>,
     /// Objects turned field-insensitive (baseline collapse events).
     pub collapsed_objects: Vec<ObjId>,
+    /// Whether any node of `nodes` was merged into another (a collapsed
+    /// cycle or object), as found at construction. Without a merge every
+    /// raw set is canonical.
+    pub(crate) merged: bool,
     /// Run statistics.
     pub stats: SolveStats,
 }
 
 impl SolveResult {
+    /// Whether the solve merged any node into another; without a merge
+    /// [`SolveResult::canonical_len`] reads every set's length as stored.
+    pub fn merged(&self) -> bool {
+        self.merged
+    }
+
     /// The canonical points-to set of a node: representative-resolved and
     /// deduplicated.
     pub fn pts_of(&self, n: NodeId) -> PtsSet {
@@ -314,10 +324,11 @@ impl SolveResult {
 
     /// `pts_of(n).len()` without building the set: when every member is
     /// its own representative (no member object was merged away), the raw
-    /// set already is the canonical one.
+    /// set already is the canonical one. Without any merge that holds for
+    /// every set, and the members are not walked.
     pub fn canonical_len(&self, n: NodeId) -> usize {
         let set = &self.pts[self.nodes.find_ref(n).index()];
-        if set.iter().all(|m| self.nodes.find_ref(m) == m) {
+        if !self.merged || set.iter().all(|m| self.nodes.find_ref(m) == m) {
             set.len()
         } else {
             self.pts_of(n).len()
@@ -624,6 +635,7 @@ impl<'m> Solver<'m> {
     /// Consume the solver into its result.
     fn finish(self) -> SolveResult {
         SolveResult {
+            merged: self.nodes.any_merged(),
             nodes: self.nodes,
             pts: self.pts,
             callgraph: self.callgraph,

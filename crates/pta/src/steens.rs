@@ -260,6 +260,7 @@ pub fn steens_analysis(module: &Module) -> Analysis {
 
     Analysis {
         result: SolveResult {
+            merged: res.nodes.any_merged(),
             nodes: res.nodes,
             pts,
             callgraph,

@@ -12,9 +12,13 @@
 //!   (`incr_fallback_full == 1`) and the result still matches
 //!   from-scratch exactly. A removal silently warm-started would be
 //!   unsound (stale points-to facts with no constraint left to justify
-//!   them), so the fallback itself is the property.
+//!   them), so the fallback itself is the property. A *modify* (a
+//!   function re-emitted in place) removes its old constraints too and
+//!   falls back the same way.
 
-use kaleidoscope_fuzz::edit::{edit_script, edit_script_with_removal, EditKind};
+use kaleidoscope_fuzz::edit::{
+    edit_script, edit_script_with_modify, edit_script_with_removal, EditKind,
+};
 use kaleidoscope_ir::{LocalId, Module};
 use kaleidoscope_pta::{Analysis, NullObserver, SolveOptions, SolvedState, WarmStart};
 
@@ -50,7 +54,7 @@ fn walk_script(script: &[kaleidoscope_fuzz::edit::EditStep], opts: &SolveOptions
     let mut prev_module = &script[0].module;
     for (i, step) in script.iter().enumerate().skip(1) {
         let prev = WarmStart {
-            module: prev_module,
+            module: Some(prev_module),
             plan: None,
             blocks: None,
             state: &state,
@@ -80,10 +84,11 @@ fn walk_script(script: &[kaleidoscope_fuzz::edit::EditStep], opts: &SolveOptions
                     stats.node_count
                 );
             }
-            EditKind::Remove => {
+            EditKind::Remove | EditKind::Modify => {
                 assert_eq!(
                     stats.incr_fallback_full, 1,
-                    "seed {seed} step {i}: removal must fall back to a full solve"
+                    "seed {seed} step {i}: {:?} must fall back to a full solve",
+                    step.kind
                 );
                 assert_eq!(stats.incr_reused, 0, "seed {seed} step {i}");
             }
@@ -119,6 +124,17 @@ fn deletion_scripts_fall_back_and_stay_exact() {
         let seed = rng.next_u64();
         let script = edit_script_with_removal(seed, 4);
         assert!(script.iter().any(|s| s.kind == EditKind::Remove));
+        walk_script(&script, &opts, seed);
+    });
+}
+
+#[test]
+fn modify_scripts_fall_back_and_stay_exact() {
+    let opts = SolveOptions::baseline();
+    kaleidoscope_prng::check(3, 0x0d1f_7e5d, |rng| {
+        let seed = rng.next_u64();
+        let script = edit_script_with_modify(seed, 4);
+        assert!(script.iter().any(|s| s.kind == EditKind::Modify));
         walk_script(&script, &opts, seed);
     });
 }

@@ -186,22 +186,32 @@ impl Response {
     }
 }
 
-/// Append `s` to `out` as a JSON string literal.
+/// Append `s` to `out` as a JSON string literal. Every character that
+/// needs an escape is ASCII, so the runs between them are copied whole.
 fn push_json_str(out: &mut String, s: &str) {
+    // Room for an escape every eight bytes: growing a long frame's string
+    // mid-copy would move it to fresh pages.
+    out.reserve(s.len() + s.len() / 8 + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -342,39 +352,68 @@ fn bad(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
 }
 
-/// Parse one flat JSON object into a field map.
-fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = BTreeMap::new();
+/// A position in a frame. Characters are read one at a time, except
+/// inside strings: `"` and `\` are ASCII, so they never occur within a
+/// multi-byte character, and the runs between them are copied whole.
+struct Cursor<'a> {
+    s: &'a str,
+    pos: usize,
+}
 
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-        while matches!(chars.peek(), Some(' ' | '\t')) {
-            chars.next();
+impl Cursor<'_> {
+    fn peek(&self) -> Option<char> {
+        self.s[self.pos..].chars().next()
+    }
+
+    fn next(&mut self) -> Option<char> {
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
+        Some(c)
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(' ' | '\t')) {
+            self.pos += 1;
         }
     }
 
     /// The four hex digits of a `\u` escape.
-    fn hex4(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<u32, ParseError> {
+    fn hex4(&mut self) -> Result<u32, ParseError> {
         let mut code = 0u32;
         for _ in 0..4 {
-            let d = chars.next().ok_or_else(|| bad("truncated \\u escape"))?;
+            let d = self.next().ok_or_else(|| bad("truncated \\u escape"))?;
             code = code * 16 + d.to_digit(16).ok_or_else(|| bad("bad \\u escape digit"))?;
         }
         Ok(code)
     }
 
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    ) -> Result<String, ParseError> {
-        if chars.next() != Some('"') {
+    fn literal(&mut self, word: &str) -> Result<(), ParseError> {
+        for expect in word.chars() {
+            if self.next() != Some(expect) {
+                return Err(bad("bad literal"));
+            }
+        }
+        Ok(())
+    }
+
+    fn string(&mut self) -> Result<String, ParseError> {
+        if self.next() != Some('"') {
             return Err(bad("expected string"));
         }
         let mut s = String::new();
         loop {
-            match chars.next() {
+            let rest = &self.s[self.pos..];
+            let run = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            s.push_str(&rest[..run]);
+            self.pos += run;
+            match self.next() {
                 None => return Err(bad("unterminated string")),
                 Some('"') => return Ok(s),
-                Some('\\') => match chars.next() {
+                // The run stopped at a backslash.
+                Some(_) => match self.next() {
                     Some('"') => s.push('"'),
                     Some('\\') => s.push('\\'),
                     Some('/') => s.push('/'),
@@ -382,13 +421,13 @@ fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
                     Some('r') => s.push('\r'),
                     Some('t') => s.push('\t'),
                     Some('u') => {
-                        let mut code = hex4(chars)?;
+                        let mut code = self.hex4()?;
                         // A character outside the BMP arrives as a UTF-16
                         // surrogate pair: a high surrogate escape, then
                         // the low one. A lone half stays an error.
                         if (0xD800..0xDC00).contains(&code) {
-                            let low = match (chars.next(), chars.next()) {
-                                (Some('\\'), Some('u')) => hex4(chars)?,
+                            let low = match (self.next(), self.next()) {
+                                (Some('\\'), Some('u')) => self.hex4()?,
                                 _ => return Err(bad("unpaired \\u surrogate")),
                             };
                             if !(0xDC00..0xE000).contains(&low) {
@@ -400,62 +439,58 @@ fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
                     }
                     other => return Err(bad(format!("bad escape {other:?}"))),
                 },
-                Some(c) => s.push(c),
             }
         }
     }
+}
 
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
+/// Parse one flat JSON object into a field map.
+fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
+    let mut cur = Cursor {
+        s: line.trim(),
+        pos: 0,
+    };
+    let mut fields = BTreeMap::new();
+
+    cur.skip_ws();
+    if cur.next() != Some('{') {
         return Err(bad("expected `{`"));
     }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
+    cur.skip_ws();
+    if cur.peek() == Some('}') {
+        cur.next();
     } else {
         loop {
-            skip_ws(&mut chars);
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            if chars.next() != Some(':') {
+            cur.skip_ws();
+            let key = cur.string()?;
+            cur.skip_ws();
+            if cur.next() != Some(':') {
                 return Err(bad(format!("expected `:` after key `{key}`")));
             }
-            skip_ws(&mut chars);
-            let value = match chars.peek() {
-                Some('"') => Value::Str(parse_string(&mut chars)?),
+            cur.skip_ws();
+            let value = match cur.peek() {
+                Some('"') => Value::Str(cur.string()?),
                 Some('t') => {
-                    for expect in "true".chars() {
-                        if chars.next() != Some(expect) {
-                            return Err(bad("bad literal"));
-                        }
-                    }
+                    cur.literal("true")?;
                     Value::Bool(true)
                 }
                 Some('f') => {
-                    for expect in "false".chars() {
-                        if chars.next() != Some(expect) {
-                            return Err(bad("bad literal"));
-                        }
-                    }
+                    cur.literal("false")?;
                     Value::Bool(false)
                 }
                 Some('n') => {
-                    for expect in "null".chars() {
-                        if chars.next() != Some(expect) {
-                            return Err(bad("bad literal"));
-                        }
-                    }
+                    cur.literal("null")?;
                     Value::Null
                 }
-                Some(c) if c.is_ascii_digit() || *c == '-' => {
-                    let mut num = String::new();
-                    if chars.peek() == Some(&'-') {
-                        num.push('-');
-                        chars.next();
+                Some(c) if c.is_ascii_digit() || c == '-' => {
+                    let start = cur.pos;
+                    if c == '-' {
+                        cur.pos += 1;
                     }
-                    while matches!(chars.peek(), Some(c) if c.is_ascii_digit()) {
-                        num.push(chars.next().unwrap_or('0'));
+                    while matches!(cur.peek(), Some(c) if c.is_ascii_digit()) {
+                        cur.pos += 1;
                     }
+                    let num = &cur.s[start..cur.pos];
                     Value::Int(
                         num.parse()
                             .map_err(|_| bad(format!("bad integer `{num}`")))?,
@@ -464,16 +499,16 @@ fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
                 other => return Err(bad(format!("unexpected value start {other:?}"))),
             };
             fields.insert(key, value);
-            skip_ws(&mut chars);
-            match chars.next() {
+            cur.skip_ws();
+            match cur.next() {
                 Some(',') => continue,
                 Some('}') => break,
                 other => return Err(bad(format!("expected `,` or `}}`, got {other:?}"))),
             }
         }
     }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
+    cur.skip_ws();
+    if cur.next().is_some() {
         return Err(bad("trailing bytes after object"));
     }
     Ok(fields)
@@ -787,6 +822,107 @@ mod tests {
     fn control_characters_survive_the_wire() {
         let r = Request::inline("c", "weird\u{1}\t\r\nbytes");
         assert_eq!(decode_request(&encode_request(&r)).unwrap(), r);
+    }
+
+    /// The char-by-char encoder `push_json_str` replaced, as the reference
+    /// for its output.
+    fn reference_json_str(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// A seeded string mixing every escape class, plain ASCII runs, DEL
+    /// and characters of two, three and four UTF-8 bytes.
+    fn seeded_string(rng: &mut kaleidoscope_prng::Rng) -> String {
+        const PIECES: &[&str] = &[
+            "\"",
+            "\\",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{1}",
+            "\u{8}",
+            "\u{b}",
+            "\u{c}",
+            "\u{1b}",
+            "\u{1f}",
+            "\u{7f}",
+            "/",
+            "é",
+            "€",
+            "\u{2028}",
+            "\u{fffd}",
+            "🦀",
+            "\u{10ffff}",
+            "module \"m\"",
+            "  %1 = load %0",
+            "{}",
+            ":",
+            ",",
+            "\\u0041",
+        ];
+        let len = rng.gen_range(0..40usize);
+        (0..len)
+            .map(|_| {
+                if rng.gen_bool(0.3) {
+                    "x".repeat(rng.gen_range(1..200usize))
+                } else {
+                    PIECES[rng.gen_range(0..PIECES.len())].to_string()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seeded_strings_encode_like_the_reference_and_round_trip() {
+        let mut rng = kaleidoscope_prng::Rng::seed_from_u64(0x6a73_6f6e);
+        for case in 0..500 {
+            let (a, b) = (seeded_string(&mut rng), seeded_string(&mut rng));
+            let mut out = String::from("prefix ");
+            push_json_str(&mut out, &a);
+            assert_eq!(
+                out,
+                format!("prefix {}", reference_json_str(&a)),
+                "case {case}"
+            );
+
+            let mut req = Request::inline(&a, &b);
+            req.tenant = b.clone();
+            let line = encode_request(&req);
+            assert!(!line.contains('\n'), "case {case}: framing");
+            assert_eq!(
+                line,
+                format!(
+                    "{{\"id\":{},\"tenant\":{},\"module\":{}}}",
+                    reference_json_str(&a),
+                    reference_json_str(&b),
+                    reference_json_str(&b)
+                ),
+                "case {case}"
+            );
+            assert_eq!(decode_request(&line).unwrap(), req, "case {case}");
+            let resp = Response::Error { id: b, error: a };
+            assert_eq!(
+                decode_response(&encode_response(&resp)).unwrap(),
+                resp,
+                "case {case}"
+            );
+        }
     }
 
     #[test]

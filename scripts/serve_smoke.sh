@@ -1,18 +1,26 @@
 #!/usr/bin/env bash
-# Smoke test for the `kd serve` daemon: start it, drive ~20 mixed requests
+# Smoke test for the `kd serve` daemon: start it, drive ~25 mixed requests
 # (cold solves, warm cache repeats, fingerprint queries, over-budget
-# requests, an injected worker kill) through `kd request`, and assert that
-# zero requests are dropped and every response carries the expected tier
-# tag. Used by the `serve-smoke` CI job; runnable locally:
+# requests, an injected worker kill, a watch chain of warm edits) through
+# `kd request`, and assert that zero requests are dropped and every
+# response carries the expected tier tag. Used by the `serve-smoke` CI job;
+# runnable locally:
 #
 #   cargo build --release
-#   scripts/serve_smoke.sh target/release/kd
+#   cargo build --release --example scale_corpus
+#   scripts/serve_smoke.sh target/release/kd [target/release/examples/scale_corpus]
 
 set -euo pipefail
 
 KD="${1:-target/release/kd}"
 if [[ ! -x "$KD" ]]; then
     echo "error: kd binary not found at $KD (build with: cargo build --release)" >&2
+    exit 1
+fi
+CORPUS="${2:-$(dirname "$KD")/examples/scale_corpus}"
+if [[ ! -x "$CORPUS" ]]; then
+    echo "error: scale_corpus example not found at $CORPUS" \
+        "(build with: cargo build --release --example scale_corpus)" >&2
     exit 1
 fi
 
@@ -66,6 +74,7 @@ echo "daemon up at $ADDR (pid $DAEMON_PID)"
 # --- request driver --------------------------------------------------------
 TOTAL=0
 FAILED=0
+LAST_META=""
 
 # send <expected-tier-or-`-`> <expected-cache-or-`-`> <kd request args...>
 send() {
@@ -93,7 +102,14 @@ send() {
         FAILED=$((FAILED + 1))
         return
     fi
+    LAST_META="$meta"
     echo "ok   request #$TOTAL ($*): ${meta#kd request: }"
+}
+
+# fail <message>: count a failed check of the last request.
+fail() {
+    echo "FAIL request #$TOTAL: $1" >&2
+    FAILED=$((FAILED + 1))
 }
 
 MODELS=(TinyDTLS Lighttpd Memcached Curl Wget)
@@ -135,6 +151,38 @@ done
 # Mixed stats-scope requests (distinct cache key, so: solve then hit).
 send full stored --model TinyDTLS --stats
 send full hit --model TinyDTLS --stats
+
+# Watch chain: a 3k `scale` corpus, then two revisions that each append a
+# function, sent with --prev-fingerprint so the worker warm-starts from the
+# previous revision's snapshots. Each served report must be byte-identical
+# to an offline `kd analyze` of the same file, and each append's --stats
+# rows must show the warm start.
+PREV=""
+for n in 0 1 2; do
+    FILE="$WORK/watch$n.kir"
+    "$CORPUS" 3000 1 "$n" >"$FILE"
+    FROM=()
+    [[ -n "$PREV" ]] && FROM=(--prev-fingerprint "$PREV")
+    LAST_META=""
+    send full stored --tenant watch ${FROM[@]+"${FROM[@]}"} "$FILE"
+    "$KD" analyze "$FILE" >"$WORK/offline.out" 2>/dev/null
+    if ! cmp -s "$WORK/report.out" "$WORK/offline.out"; then
+        fail "watch revision $n: served report differs from kd analyze"
+    fi
+    FP="$(grep -o 'fingerprint=[0-9a-f]*' <<<"$LAST_META" | head -n1 | cut -d= -f2 || true)"
+    if [[ -n "$PREV" ]]; then
+        send full stored --tenant watch --prev-fingerprint "$PREV" --stats "$FILE"
+        if ! grep -q 'incr-fallback-full=0' "$WORK/report.out" ||
+            grep -q 'incr-fallback-full=1' "$WORK/report.out"; then
+            fail "watch revision $n: the append did not warm-start"
+        fi
+    fi
+    if [[ -z "$FP" ]]; then
+        fail "watch revision $n: no fingerprint in the response"
+        break
+    fi
+    PREV="$FP"
+done
 
 # --- verdict ---------------------------------------------------------------
 if ! kill -0 "$DAEMON_PID" 2>/dev/null; then

@@ -13,7 +13,9 @@
 //! * the PA filter and PWC events, in emission order;
 //! * every top-level pointer's canonical points-to set size.
 //!
-//! It also checks `canonical_len(n) == pts_of(n).len()` for every node.
+//! It also checks `canonical_len(n) == pts_of(n).len()` for every node,
+//! on these solves and on unmerged `scale` solves, where `canonical_len`
+//! counts raw sets without walking their members.
 //!
 //! Warm starts are one more input set: on each 5k corpus, every one of the
 //! eight solves runs cold, then warm-started after an appended function,
@@ -205,7 +207,12 @@ fn table3_solves_match_golden_digests() {
                     "{name}/{tag}: canonical_len of node {i}"
                 );
                 let raw = &r.pts[r.nodes.find_ref(n).index()];
-                merged += raw.iter().any(|m| r.nodes.find_ref(m) != m) as usize;
+                let merged_member = raw.iter().any(|m| r.nodes.find_ref(m) != m);
+                assert!(
+                    r.merged() || !merged_member,
+                    "{name}/{tag}: node {i} holds a merged member, but the walk is skipped"
+                );
+                merged += merged_member as usize;
             }
             actual.push((format!("{name}/{tag}"), digest(&module, &a)));
         }
@@ -218,6 +225,28 @@ fn table3_solves_match_golden_digests() {
             .map(|(n, d)| format!("    (\"{n}\", 0x{d:016x}),\n"))
             .collect();
         panic!("solve digests changed; actual table:\n{table}");
+    }
+}
+
+#[test]
+fn unmerged_scale_solves_count_raw_sets() {
+    // No `scale` solve merges a node, so report statistics read every
+    // set's length without walking it; the length must still be the
+    // canonical one.
+    for (seed, stmts) in [(1u64, 3_000), (2, 3_000), (1, 10_000)] {
+        let module = scale::corpus_module(seed, stmts);
+        for (tag, a) in solves(&module) {
+            let r = &a.result;
+            assert!(!r.merged(), "scale-{seed}-{stmts}/{tag} merged a node");
+            for i in 0..r.nodes.len() {
+                let n = NodeId(i as u32);
+                assert_eq!(
+                    r.canonical_len(n),
+                    r.pts_of(n).len(),
+                    "scale-{seed}-{stmts}/{tag}: canonical_len of node {i}"
+                );
+            }
+        }
     }
 }
 

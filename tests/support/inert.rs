@@ -35,7 +35,7 @@ pub fn solve_all(module: &Module, prev: Option<(&Module, &Solves)>) -> Solves {
             let warm = prev
                 .zip(prev_plan.as_ref())
                 .map(|((m, solves), p)| WarmStart {
-                    module: m,
+                    module: Some(m),
                     plan: c.ctx.then_some(p),
                     blocks: None,
                     state: &solves[ci].1,
