@@ -34,15 +34,15 @@
 //!   from [`load_frontend`] attached ([`Executor::with_frontend`]), every
 //!   solve without a context plan clones that program instead of
 //!   generating constraints again; a non-empty plan generates afresh.
-//! * **Warm starts** — with a state store and a previous fingerprint
-//!   ([`Executor::with_incremental_from`]), each solve restores the
-//!   previous revision's snapshot of its key. The previous revision is
-//!   found, never parsed: its stored text is compared with the module's
-//!   canonical text ([`kaleidoscope_ir::revision_prefix`]; the text a
-//!   caller handed over with [`Executor::with_canonical_text`], else
-//!   printed once), and an edit that extends it warm-starts from the
-//!   module cut to the stored revision's counts. Any other edit solves
-//!   cold, counted as a fallback.
+//! * **Warm starts** — with a state store and a previous revision
+//!   ([`Executor::with_previous_revision`]), each solve of the module cut
+//!   from that revision restores the revision's snapshot of its key. The
+//!   caller resolves the revision once, before any solve:
+//!   [`analyze_request`] compares the revision's stored text with the
+//!   module's canonical text ([`kaleidoscope_ir::revision_prefix`]) and
+//!   cuts the module to the stored counts ([`Module::truncated`]). An edit
+//!   that extends the revision warm-starts from the cut; any other edit
+//!   solves cold, counted as a fallback.
 //! * **A/B checking** — one worker ([`Executor::serial`], `--jobs 1`)
 //!   bypasses both the pool and the cache and runs the legacy
 //!   [`kaleidoscope::analyze`] per cell, as the reference for the
@@ -111,7 +111,7 @@ use kaleidoscope::{
     analyze, assemble_degraded_fallback, assemble_degraded_steens, assemble_result,
     detect_ctx_plan, KaleidoscopeResult, PolicyConfig,
 };
-use kaleidoscope_ir::{revision_prefix, Inst, Module};
+use kaleidoscope_ir::{Inst, Module};
 use kaleidoscope_pta::{
     steens_analysis, Analysis, CtxPlan, ModuleBlocks, NullObserver, SolveBudget, SolveError,
     SolveOptions, SolvedState, WarmStart,
@@ -163,25 +163,25 @@ pub struct Executor {
     cache: ArtifactCache,
     budget: SolveBudget,
     state_store: Option<Arc<DiskCache>>,
-    incremental_from: Option<u64>,
     /// The stored plan-free program of the module fingerprinted by the
     /// first component (from [`load_frontend`]); plan-free solves of that
     /// module clone it instead of generating constraints.
     frontend: Option<(u64, Arc<ModuleBlocks>)>,
-    /// The canonical text of the module fingerprinted by the first
-    /// component, handed over by a caller that printed it; taken by that
-    /// module's first solve that looks for a previous revision.
-    text: Mutex<Option<(u64, String)>>,
+    /// The previous revision the solves of one module warm-start from.
+    prev: Option<PrevRevision>,
     #[cfg(feature = "fault-injection")]
     faults: Option<FaultPlan>,
 }
 
-/// The previous revision warm starts of one module read: the module cut
-/// to the revision's counts (`None` when the module does not extend it),
-/// and its stored plan-free program and context plan, each derived on
-/// first use.
+/// The previous revision warm starts of one module read: its fingerprint
+/// (its snapshots carry it), the fingerprint of the module it was cut
+/// from, the cut module (`None` when the module does not extend the
+/// revision), and the cut's plan-free program and context plan, each
+/// derived on first use.
 #[derive(Debug)]
 struct PrevRevision {
+    fp: u64,
+    of: u64,
     module: Option<Module>,
     blocks: OnceLock<ModuleBlocks>,
     ctx_plan: OnceLock<CtxPlan>,
@@ -200,8 +200,6 @@ struct Row<'a> {
     configs: &'a [PolicyConfig],
     /// The module's context plan, fetched on first use.
     plan: OnceLock<Arc<CtxPlan>>,
-    /// The previous revision of `module`, resolved on first use.
-    prev: OnceLock<Option<PrevRevision>>,
 }
 
 impl<'a> Row<'a> {
@@ -216,7 +214,6 @@ impl<'a> Row<'a> {
             ptr_arith,
             configs,
             plan: OnceLock::new(),
-            prev: OnceLock::new(),
         }
     }
 
@@ -279,9 +276,8 @@ impl Executor {
             cache: ArtifactCache::new(),
             budget: SolveBudget::default(),
             state_store: None,
-            incremental_from: None,
             frontend: None,
-            text: Mutex::new(None),
+            prev: None,
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -303,20 +299,34 @@ impl Executor {
 
     /// Attach a shared on-disk store for solved-state snapshots. Every
     /// converged solve publishes its captured fixpoint there, and (with
-    /// [`Executor::with_incremental_from`]) the previous revision's
+    /// [`Executor::with_previous_revision`]) the previous revision's
     /// snapshot is fetched from it to warm-start incrementally.
     pub fn with_state_store(mut self, store: Arc<DiskCache>) -> Executor {
         self.state_store = Some(store);
         self
     }
 
-    /// Warm-start every solve from the captured fixpoint of the module
-    /// revision fingerprinted `prev_fp`, when its snapshot and canonical
-    /// text are present in the state store. Missing or incompatible
-    /// snapshots fall back to a sound full solve — output is byte-identical
-    /// either way, only the solve time and the `incr-*` stats change.
-    pub fn with_incremental_from(mut self, prev_fp: u64) -> Executor {
-        self.incremental_from = Some(prev_fp);
+    /// Warm-start the solves of the module fingerprinted `fp` from the
+    /// captured fixpoints of its previous revision, fingerprinted
+    /// `prev_fp`, in the state store. `prev` is the module cut to the
+    /// revision's counts, or `None` when the module does not extend the
+    /// revision: then every solve whose snapshot exists runs cold, counted
+    /// as a fallback. A missing or mismatched snapshot solves cold too, and
+    /// any other module ignores the revision. Output is byte-identical
+    /// either way; only the solve time and the `incr-*` stats change.
+    pub fn with_previous_revision(
+        mut self,
+        prev_fp: u64,
+        fp: u64,
+        prev: Option<Module>,
+    ) -> Executor {
+        self.prev = Some(PrevRevision {
+            fp: prev_fp,
+            of: fp,
+            module: prev,
+            blocks: OnceLock::new(),
+            ctx_plan: OnceLock::new(),
+        });
         self
     }
 
@@ -328,27 +338,6 @@ impl Executor {
     pub fn with_frontend(mut self, fp: u64, blocks: Arc<ModuleBlocks>) -> Executor {
         self.frontend = Some((fp, blocks));
         self
-    }
-
-    /// Hand over the canonical text of the module fingerprinted `fp` (what
-    /// [`Module::to_text`] prints), when the caller already printed it:
-    /// resolving that module's previous revision compares against it
-    /// instead of printing the module again. The first solve of the module
-    /// that looks for a previous revision releases it, found or not.
-    /// Output is byte-identical either way.
-    pub fn with_canonical_text(mut self, fp: u64, text: String) -> Executor {
-        self.text = Mutex::new(Some((fp, text)));
-        self
-    }
-
-    /// Take the handed canonical text, when it belongs to the module
-    /// fingerprinted `fp`.
-    fn take_text(&self, fp: u64) -> Option<String> {
-        self.text
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take_if(|(tfp, _)| *tfp == fp)
-            .map(|(_, text)| text)
     }
 
     /// The attached stored program, when it belongs to `module`.
@@ -405,48 +394,16 @@ impl Executor {
         )
     }
 
-    /// The previous revision of `row`'s module, resolved once per row.
-    /// `None` when no previous revision is configured or the store holds
-    /// no text that hashes to its fingerprint.
-    ///
-    /// The previous revision is never parsed. Its stored text is compared
-    /// with the module's canonical text ([`revision_prefix`]); when it
-    /// describes a prefix of the module, the revision is the module cut to
-    /// its counts, which is the module the text parses to. Otherwise the
-    /// edit is rejected, and every warm start from it falls back.
-    fn prev_revision<'r>(&self, row: &'r Row<'_>) -> Option<&'r PrevRevision> {
-        row.prev
-            .get_or_init(|| {
-                let handed = self.take_text(row.fp);
-                let store = self.state_store.as_ref()?;
-                let prev_fp = self.incremental_from?;
-                // `get_module` returns only text that hashes to `prev_fp`.
-                let prev_text = store.get_module(prev_fp)?;
-                let text = handed.unwrap_or_else(|| row.module.to_text());
-                // Text that parses refers only within itself, so a cut
-                // that a kept item refers past is no revision.
-                let module = revision_prefix(&prev_text, &text)
-                    .and_then(|counts| row.module.truncated(counts));
-                Some(PrevRevision {
-                    module,
-                    blocks: OnceLock::new(),
-                    ctx_plan: OnceLock::new(),
-                })
-            })
-            .as_ref()
-    }
-
     /// Every Andersen solve the executor runs, of `row`'s module under
     /// `opts`, with its context plan when `with_ctx`.
     ///
-    /// With a state store, the solve warm-starts from the previous
-    /// revision's snapshot for the same options and ctx flag. Any missing,
-    /// stale or mismatched piece solves cold, never from a wrong state: the
-    /// snapshot must carry the previous fingerprint, and the previous
-    /// module's stored text must hash to it. An edit that does not extend
-    /// the previous revision solves cold too, counted as a fallback. A
-    /// converged solve then publishes its own snapshot, tagged with the
-    /// module's fingerprint.
+    /// With a state store, a solve of the module the previous revision was
+    /// cut from warm-starts from the revision's snapshot for the same
+    /// options and ctx flag. A missing, stale or mismatched snapshot solves
+    /// cold, never from a wrong state: it must carry the revision's
+    /// fingerprint. An edit that does not extend the revision solves cold
+    /// too, counted as a fallback. A converged solve then publishes its own
+    /// snapshot, tagged with the module's fingerprint.
     /// Publishing is best effort: a failed disk write only costs the next
     /// edit its warm start.
     fn solve(
@@ -458,19 +415,13 @@ impl Executor {
         let store = self.state_store.as_deref();
         let opts_key = opts.cache_key();
         let prev = store
-            .zip(self.incremental_from)
-            .and_then(|(store, prev_fp)| {
+            .zip(self.prev.as_ref().filter(|prev| prev.of == row.fp))
+            .and_then(|(store, prev)| {
                 let state = store
-                    .get_state(prev_fp, opts_key, with_ctx)
+                    .get_state(prev.fp, opts_key, with_ctx)
                     .and_then(|bytes| SolvedState::from_bytes(&bytes))
-                    .filter(|state| state.fingerprint == prev_fp);
-                let Some(state) = state else {
-                    // This solve reads no previous revision: release the
-                    // handed text rather than hold it through the solve.
-                    drop(self.take_text(row.fp));
-                    return None;
-                };
-                Some((self.prev_revision(row)?, state))
+                    .filter(|state| state.fingerprint == prev.fp)?;
+                Some((prev, state))
             });
         let warm = prev.as_ref().map(|(prev, state)| {
             let module = prev.module.as_ref();
@@ -938,6 +889,13 @@ mod tests {
         assert_eq!(ex.cache_stats().misses, misses_before);
     }
 
+    /// `module` cut to the revision whose text is `prev_text`, as
+    /// [`analyze_request`] resolves it.
+    fn cut(prev_text: &str, module: &Module) -> Option<Module> {
+        kaleidoscope_ir::revision_prefix(prev_text, &module.to_text())
+            .and_then(|counts| module.truncated(counts))
+    }
+
     #[test]
     fn incremental_executor_reuses_state_and_matches_cold() {
         let dir = std::env::temp_dir().join(format!("kd-exec-incr-{}", std::process::id()));
@@ -954,7 +912,6 @@ mod tests {
             b.ret(None);
             b.finish();
         }
-        store.put_module(v1.fingerprint(), &v1.to_text()).unwrap();
 
         let configs = PolicyConfig::table3_order();
         // Cold solve of v1 publishes its snapshots.
@@ -963,38 +920,23 @@ mod tests {
             .run_matrix(&[&v1], &configs);
         assert!(store.stats().state_lookups == 0 || store.stats().state_hits == 0);
 
-        // Warm solve of v2 from v1's fingerprint reuses them...
+        // The previous revision is v2 cut to v1's counts, which is v1.
+        let prev = cut(&v1.to_text(), &v2).expect("an append extends v1");
+        assert_eq!(prev.to_text(), v1.to_text());
+
+        // Warm solve of v2 from v1 reuses its snapshots...
         let warm_ex = Executor::with_jobs(2)
             .with_state_store(Arc::clone(&store))
-            .with_incremental_from(v1.fingerprint())
-            .with_canonical_text(v2.fingerprint(), v2.to_text());
-        let row = Row::new(&v2, v2.fingerprint(), &configs);
-        let warm: Vec<_> = configs
-            .iter()
-            .map(|&c| warm_ex.run_cell(&row, c, None))
-            .collect();
+            .with_previous_revision(v1.fingerprint(), v2.fingerprint(), Some(prev));
+        let warm = warm_ex.run_matrix(&[&v2], &configs);
         assert!(store.stats().state_hits > 0, "snapshots were fetched");
-        assert!(
-            warm_ex.text.lock().unwrap().is_none(),
-            "the handed text is released"
-        );
-        // The previous revision is v2 cut to v1's counts, which is v1, and
-        // the append's warm starts borrowed its program.
-        let prev = row
-            .prev
-            .get()
-            .and_then(Option::as_ref)
-            .expect("previous revision resolved");
-        assert_eq!(
-            prev.module.as_ref().map(Module::to_text),
-            Some(v1.to_text()),
-            "an append extends v1"
-        );
+        // ...and the append's warm starts built the revision's program.
+        let prev = warm_ex.prev.as_ref().expect("revision kept");
         assert!(prev.blocks.get().is_some(), "an append reads the program");
 
         // ...and matches a from-scratch solve of v2 exactly.
         let cold = Executor::with_jobs(2).run_matrix(&[&v2], &configs);
-        for (w, c) in warm.iter().zip(&cold[0]) {
+        for (w, c) in warm[0].iter().zip(&cold[0]) {
             assert_eq!(w.health, CellHealth::Healthy);
             let ws = &w.optimistic.result.stats;
             assert_eq!(ws.incr_fallback_full, 0, "append edit must warm-start");
@@ -1007,13 +949,20 @@ mod tests {
             assert_eq!(format!("{:?}", w.invariants), format!("{:?}", c.invariants));
         }
 
-        // An unknown previous fingerprint degrades gracefully to cold.
-        let orphan = Executor::serial()
-            .with_state_store(Arc::clone(&store))
-            .with_incremental_from(0xDEAD_BEEF)
-            .run_one(&v2, PolicyConfig::all());
-        assert_eq!(orphan.health, CellHealth::Healthy);
-        assert_eq!(orphan.optimistic.result.stats.incr_reused, 0);
+        // A revision without snapshots, or one handed for another module,
+        // degrades gracefully to cold.
+        for (prev_fp, of) in [
+            (0xDEAD_BEEF, v2.fingerprint()),
+            (v1.fingerprint(), 0xDEAD_BEEF),
+        ] {
+            let orphan = Executor::serial()
+                .with_state_store(Arc::clone(&store))
+                .with_previous_revision(prev_fp, of, Some(v1.clone()))
+                .run_one(&v2, PolicyConfig::all());
+            assert_eq!(orphan.health, CellHealth::Healthy);
+            let stats = &orphan.optimistic.result.stats;
+            assert_eq!((stats.incr_reused, stats.incr_fallback_full), (0, 0));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1028,9 +977,6 @@ mod tests {
                 .module
         };
         let (prev, next) = (model("TinyDTLS"), model("Wget"));
-        store
-            .put_module(prev.fingerprint(), &prev.to_text())
-            .unwrap();
         let configs = PolicyConfig::table3_order();
         Executor::with_jobs(2)
             .with_state_store(Arc::clone(&store))
@@ -1038,63 +984,21 @@ mod tests {
 
         // An unrelated module does not extend the stored text: no solve
         // warm-starts, the attempt on the fallback's key (which has a
-        // snapshot) is counted, and no previous module, program or context
-        // plan is built.
+        // snapshot) is counted, and no previous program or context plan is
+        // built.
+        assert!(cut(&prev.to_text(), &next).is_none());
         let ex = Executor::with_jobs(2)
             .with_state_store(Arc::clone(&store))
-            .with_incremental_from(prev.fingerprint())
-            .with_canonical_text(next.fingerprint(), next.to_text());
-        let row = Row::new(&next, next.fingerprint(), &configs);
-        for &config in &configs {
-            let r = ex.run_cell(&row, config, None);
+            .with_previous_revision(prev.fingerprint(), next.fingerprint(), None);
+        for r in &ex.run_matrix(&[&next], &configs)[0] {
             assert_eq!(r.health, CellHealth::Healthy);
             assert_eq!(r.fallback.result.stats.incr_fallback_full, 1);
             assert_eq!(r.optimistic.result.stats.incr_reused, 0);
         }
-        assert!(
-            ex.text.lock().unwrap().is_none(),
-            "the handed text is released"
-        );
-        let loaded = row
-            .prev
-            .get()
-            .and_then(Option::as_ref)
-            .expect("stored text compared");
-        assert!(loaded.module.is_none());
-        assert!(loaded.blocks.get().is_none());
-        assert!(loaded.ctx_plan.get().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn the_handed_text_is_released_when_no_previous_revision_is_read() {
-        let dir = std::env::temp_dir().join(format!("kd-exec-release-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(DiskCache::open(&dir).expect("open store"));
-        let configs = PolicyConfig::table3_order();
-        // `gone` publishes snapshots but never stores its text.
-        let gone = small_module("gone");
-        Executor::with_jobs(2)
-            .with_state_store(Arc::clone(&store))
-            .run_matrix(&[&gone], &configs);
-        let next = small_module("next");
-
-        // A previous fingerprint with no snapshot, then one whose stored
-        // text is missing: both solve cold without a fallback, and neither
-        // holds the handed text through its solves.
-        for (prev_fp, text_read) in [(0xDEAD_BEEF, false), (gone.fingerprint(), true)] {
-            let ex = Executor::with_jobs(2)
-                .with_state_store(Arc::clone(&store))
-                .with_incremental_from(prev_fp)
-                .with_canonical_text(next.fingerprint(), next.to_text());
-            let row = Row::new(&next, next.fingerprint(), &configs);
-            let r = ex.run_cell(&row, PolicyConfig::none(), None);
-            assert_eq!(r.fallback.result.stats.incr_fallback_full, 0);
-            assert_eq!(r.fallback.result.stats.incr_reused, 0);
-            assert!(ex.text.lock().unwrap().is_none(), "{prev_fp:x}");
-            assert_eq!(row.prev.get().is_some(), text_read, "{prev_fp:x}");
-            assert!(row.prev.get().and_then(Option::as_ref).is_none());
-        }
+        let rejected = ex.prev.as_ref().expect("revision kept");
+        assert!(rejected.module.is_none());
+        assert!(rejected.blocks.get().is_none());
+        assert!(rejected.ctx_plan.get().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

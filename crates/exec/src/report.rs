@@ -11,7 +11,7 @@ use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use kaleidoscope::{CellHealth, DegradedTier, PolicyConfig};
-use kaleidoscope_ir::{fnv1a64, verify_module, Module, ParseError};
+use kaleidoscope_ir::{fnv1a64, revision_prefix, verify_module, Module, ParseError};
 use kaleidoscope_pta::{Analysis, PtsStats, SolveBudget};
 
 use crate::{load_frontend, DiskCache, Executor, FrontendStats, ReportScope};
@@ -267,11 +267,16 @@ impl std::error::Error for AnalyzeError {}
 /// 2. Store the canonical text, so fetch-by-fingerprint re-parses to the
 ///    same fingerprint whatever the submission's formatting.
 /// 3. Look up the report. A hit moves the tenant head and returns.
-/// 4. On a miss, solve on an [`Executor`] with the frontend's stored
-///    plan-free program, the budget, the cache as state store, and a warm
-///    start from `prev_fingerprint` or else the tenant's head, found
-///    through the canonical text printed in step 1. Render, move the
-///    head, and publish the report if it is healthy.
+/// 4. On a miss, find the previous revision: `prev_fingerprint`, else the
+///    tenant's head, unless it is the module itself. Read its stored text
+///    once, compare it with the canonical text of step 1
+///    ([`revision_prefix`]) and cut the module to the stored counts
+///    ([`Module::truncated`]); an edit that does not extend the revision
+///    has no cut. Then drop both texts.
+/// 5. Solve on an [`Executor`] with the frontend's stored plan-free
+///    program, the budget, the cache as state store, and the revision of
+///    step 4 to warm-start from. Render, move the head, and publish the
+///    report if it is healthy.
 ///
 /// A healthy report is the full fixpoint whatever the budget, so budgeted
 /// answers are stored too; a degraded one never is.
@@ -339,29 +344,28 @@ pub fn analyze_request(
     if let Some(n) = req.budget {
         ex = ex.with_budget(SolveBudget::iterations(n));
     }
-    // The warm start is advisory: a missing or incompatible snapshot
-    // solves cold, and a self-edge (prev == current) is skipped.
-    let prev = cache
-        .and_then(|store| {
-            req.prev_fingerprint
-                .or_else(|| req.tenant.and_then(|t| store.get_tenant_head(t)))
-        })
-        .filter(|&prev| prev != fp);
     if let Some(store) = cache {
+        // The warm start is advisory: a missing text or snapshot solves
+        // cold, and a self-edge (prev == current) is skipped. The previous
+        // revision is never parsed: `get_module` returns only text that
+        // hashes to `prev`, and text that parses refers only within
+        // itself, so a cut that a kept item refers past is no revision.
+        let prev = req
+            .prev_fingerprint
+            .or_else(|| req.tenant.and_then(|t| store.get_tenant_head(t)))
+            .filter(|&prev| prev != fp);
+        if let Some(prev) = prev {
+            if let Some(text) = store.get_module(prev) {
+                let cut = revision_prefix(&text, &canonical)
+                    .and_then(|counts| loaded.module.truncated(counts));
+                ex = ex.with_previous_revision(prev, fp, cut);
+            }
+        }
         ex = ex.with_state_store(Arc::clone(store));
     }
-    match prev {
-        // The previous revision is found by comparing its stored text with
-        // the canonical text; the first solve that looks for it releases
-        // the text.
-        Some(prev) => {
-            ex = ex
-                .with_incremental_from(prev)
-                .with_canonical_text(fp, canonical)
-        }
-        // Only the store needed the text; free it before the solve.
-        None => drop(canonical),
-    }
+    // Only the store and the revision needed the text; free it before the
+    // solve.
+    drop(canonical);
     let report = render(&loaded.module, Some(fp), &configs, &ex, req.stats);
     move_head();
     let disposition = match cache {
@@ -383,15 +387,15 @@ pub fn analyze_request(
 mod tests {
     use super::*;
 
-    fn model() -> Module {
-        kaleidoscope_apps::model("TinyDTLS")
+    fn model(name: &str) -> Module {
+        kaleidoscope_apps::model(name)
             .expect("bundled model")
             .module
     }
 
     #[test]
     fn healthy_report_has_no_tier() {
-        let m = model();
+        let m = model("TinyDTLS");
         let ex = Executor::with_jobs(2);
         let r = render_analyze(&m, &PolicyConfig::table3_order(), &ex, false);
         assert!(r.all_healthy());
@@ -401,11 +405,74 @@ mod tests {
 
     #[test]
     fn exhausted_budget_reports_worst_tier() {
-        let m = model();
+        let m = model("TinyDTLS");
         let ex = Executor::with_jobs(2).with_budget(SolveBudget::iterations(1));
         let r = render_analyze(&m, &PolicyConfig::table3_order(), &ex, false);
         assert_eq!(r.degraded, 8);
         assert_eq!(r.worst_tier, Some(DegradedTier::Steensgaard));
         assert!(r.text.contains("configurations degraded"));
+    }
+
+    #[test]
+    fn a_previous_revision_warm_starts_only_from_its_stored_text() {
+        let (prev, next) = (model("TinyDTLS"), model("Wget"));
+        let next_text = next.to_text();
+        let ask = |prev_fingerprint| AnalyzeRequest {
+            module: ModuleSource::Text(&next_text),
+            config: None,
+            stats: true,
+            budget: None,
+            jobs: 2,
+            prev_fingerprint,
+            tenant: None,
+        };
+        let cold = analyze_request(&ask(None), None)
+            .expect("answers")
+            .report
+            .text;
+        assert!(!cold.contains("incr["), "{cold}");
+
+        // `prev` publishes its snapshots; the third case also stores its
+        // text. An unknown fingerprint and a revision without stored text
+        // solve cold with no `incr[` row, as if none were named. An
+        // unrelated revision's text is read but not extended, so each
+        // solve whose key has a snapshot (the fallback's) falls back.
+        for (case, prev_fp, text_stored) in [
+            ("unknown", 0xDEAD_BEEF, false),
+            ("text missing", prev.fingerprint(), false),
+            ("unrelated", prev.fingerprint(), true),
+        ] {
+            let dir = std::env::temp_dir().join(format!(
+                "kd-report-prev-{}-{}",
+                case.replace(' ', "-"),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = Arc::new(DiskCache::open(&dir).expect("open store"));
+            Executor::with_jobs(2)
+                .with_state_store(Arc::clone(&store))
+                .run_matrix(&[&prev], &PolicyConfig::table3_order());
+            if text_stored {
+                store
+                    .put_module(prev.fingerprint(), &prev.to_text())
+                    .expect("store text");
+            }
+            let answer = analyze_request(&ask(Some(prev_fp)), Some(&store)).expect("answers");
+            assert_eq!(answer.cache, CacheDisposition::Stored, "{case}");
+            let report = answer.report.text;
+            if text_stored {
+                assert!(report.contains("incr-fallback-full=1"), "{case}: {report}");
+                assert!(!report.contains("incr-fallback-full=0"), "{case}: {report}");
+                let rows: String = report
+                    .lines()
+                    .filter(|l| !l.contains("incr["))
+                    .map(|l| format!("{l}\n"))
+                    .collect();
+                assert_eq!(rows, cold, "{case}: a fallback solve is the cold one");
+            } else {
+                assert_eq!(report, cold, "{case}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -24,6 +24,7 @@ use std::sync::Arc;
 use kaleidoscope::PolicyConfig;
 use kaleidoscope_exec::{load_frontend, render_analyze, DiskCache, Executor};
 use kaleidoscope_fuzz::edit::{edit_script, edit_script_with_modify, EditKind};
+use kaleidoscope_ir::revision_prefix;
 
 fn env_list(var: &str, default: &[u64]) -> Vec<u64> {
     match std::env::var(var) {
@@ -71,10 +72,15 @@ fn incremental_reports_match_cold_bytes_at_every_step() {
         let mut prev_fp = base.fingerprint();
         for (i, step) in script.iter().enumerate().skip(1) {
             let m = &step.module;
-            store.put_module(m.fingerprint(), &m.to_text()).unwrap();
+            let text = m.to_text();
+            store.put_module(m.fingerprint(), &text).unwrap();
+            // The previous revision as `analyze_request` resolves it: the
+            // stored text, compared with the canonical text, cuts `m`.
+            let prev_text = store.get_module(prev_fp).expect("stored revision");
+            let cut = revision_prefix(&prev_text, &text).and_then(|counts| m.truncated(counts));
             let warm_ex = Executor::with_jobs(2)
                 .with_state_store(Arc::clone(&store))
-                .with_incremental_from(prev_fp);
+                .with_previous_revision(prev_fp, m.fingerprint(), cut);
             let warm = render_analyze(m, &configs, &warm_ex, false).text;
             let cold = render_analyze(m, &configs, &Executor::with_jobs(2), false).text;
             assert_eq!(

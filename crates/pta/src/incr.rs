@@ -591,10 +591,6 @@ pub struct ConstraintDiff {
     /// `Some(reason)` when incremental reuse is impossible and the solve
     /// must run from scratch (always sound).
     pub fallback: Option<FallbackReason>,
-    /// Functions removed by the edit (forces fallback).
-    pub removed_funcs: usize,
-    /// Shared functions whose definition changed (forces fallback).
-    pub changed_funcs: usize,
     /// Index of the first constraint with no previous counterpart.
     pub first_new_constraint: usize,
     /// Index of the first indirect call with no previous counterpart.
@@ -615,8 +611,6 @@ impl ConstraintDiff {
     fn unchecked() -> ConstraintDiff {
         ConstraintDiff {
             fallback: None,
-            removed_funcs: 0,
-            changed_funcs: 0,
             first_new_constraint: 0,
             first_new_icall: 0,
             node_map: Vec::new(),
@@ -639,19 +633,16 @@ impl ConstraintDiff {
     /// from the translated prefix verification in `compute`. The
     /// program-level fields of the returned diff stay zero.
     pub fn precheck(prev_module: &Module, new_module: &Module) -> ConstraintDiff {
-        let mut diff = Self::unchecked();
-        let (pf, nf) = (prev_module.funcs.len(), new_module.funcs.len());
-        if nf < pf {
-            diff.removed_funcs = pf - nf;
+        let diff = Self::unchecked();
+        if new_module.funcs.len() < prev_module.funcs.len() {
             return diff.fail(FallbackReason::RemovedFunc);
         }
-        diff.changed_funcs = prev_module
+        if prev_module
             .funcs
             .iter()
             .zip(&new_module.funcs)
-            .filter(|(a, b)| a != b)
-            .count();
-        if diff.changed_funcs > 0 {
+            .any(|(a, b)| a != b)
+        {
             return diff.fail(FallbackReason::ChangedFunc);
         }
         if new_module.globals.len() < prev_module.globals.len()
@@ -1180,21 +1171,18 @@ mod tests {
                 with_extra,
                 base_module(),
                 FallbackReason::RemovedFunc,
-                (1, 0),
             ),
             (
                 "changed function",
                 base_module(),
                 edited_base(" fp2: ", " fp3: "),
                 FallbackReason::ChangedFunc,
-                (0, 1),
             ),
             (
                 "changed global",
                 base_module(),
                 edited_base("slot", "slot2"),
                 FallbackReason::ChangedGlobal,
-                (0, 0),
             ),
             (
                 "changed struct",
@@ -1204,10 +1192,9 @@ mod tests {
                     "struct pair { int*, int*, int }",
                 ),
                 FallbackReason::ChangedStruct,
-                (0, 0),
             ),
         ];
-        for (what, prev_m, new_m, reason, counts) in cases {
+        for (what, prev_m, new_m, reason) in cases {
             let pre = ConstraintDiff::precheck(&prev_m, &new_m);
             let full = ConstraintDiff::compute(
                 &prev_m,
@@ -1217,8 +1204,6 @@ mod tests {
             );
             assert_eq!(pre.fallback, Some(reason), "{what}: precheck");
             assert_eq!(full.fallback, Some(reason), "{what}: compute");
-            assert_eq!((pre.removed_funcs, pre.changed_funcs), counts, "{what}");
-            assert_eq!((full.removed_funcs, full.changed_funcs), counts, "{what}");
 
             let (_, state) = solve_cold(&prev_m, &opts);
             let warm = crate::WarmStart {

@@ -2,11 +2,16 @@
 //! daemon lifecycle.
 //!
 //! One connection may carry many requests — each line is routed
-//! independently and answered in order. Routing is three steps:
+//! independently and answered in order. A line is read as bytes, up to a
+//! cap of six times the quota's `max_module_bytes` (the longest module
+//! once escaped) plus 64 KiB for the other fields. Routing is three
+//! steps:
 //!
-//! 1. **Validate** — protocol errors and over-size modules are answered
-//!    with `error` responses (a malformed line never drops a
-//!    connection).
+//! 1. **Validate** — protocol errors, lines that are not UTF-8 and
+//!    over-size modules are answered with `error` responses (a malformed
+//!    line never drops a connection). A line longer than the cap is
+//!    answered as soon as it passes the cap, and the rest of it is
+//!    skipped without being kept.
 //! 2. **Admit** — the tenant's quota decides full service vs shed; the
 //!    per-request budget is clamped to the quota's cap either way.
 //! 3. **Serve** — admitted requests dispatch to a worker shard through
@@ -38,7 +43,7 @@
 //! sweep so a clean exit leaves no `.tmp` litter behind. The same sweep
 //! runs once at start, before any worker exists.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -343,17 +348,30 @@ impl Router {
 
     /// Route one raw line (the per-connection loop's body).
     pub fn handle_line(&self, line: &str) -> String {
-        let response = match decode_request(line) {
-            Ok(req) => self.route(&req),
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                Response::Error {
-                    id: "?".to_string(),
-                    error: e.to_string(),
-                }
-            }
-        };
-        encode_response(&response)
+        match decode_request(line) {
+            Ok(req) => encode_response(&self.route(&req)),
+            Err(e) => self.frame_error(e.to_string()),
+        }
+    }
+
+    /// The longest line a connection reads: the longest module the quota
+    /// admits, escaped (a control character takes six bytes, `\u001f`),
+    /// plus 64 KiB for the other fields.
+    fn frame_cap(&self) -> usize {
+        let quota = self.admission.quota();
+        quota
+            .max_module_bytes
+            .saturating_mul(6)
+            .saturating_add(64 << 10)
+    }
+
+    /// The encoded `error` answer to a line that names no request.
+    fn frame_error(&self, error: String) -> String {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        encode_response(&Response::Error {
+            id: "?".to_string(),
+            error,
+        })
     }
 
     /// Answer without a worker: cached artifact if present, else an
@@ -631,19 +649,61 @@ fn write_frame(w: &mut impl Write, mut frame: String) -> std::io::Result<()> {
     w.write_all(frame.as_bytes())
 }
 
+/// How [`read_frame`] ended.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Frame {
+    /// A whole line, without its `\n`, is in the buffer.
+    Line,
+    /// The line passed the cap; the buffer holds its first `cap + 1` bytes.
+    TooLong,
+    /// The peer closed the connection between lines.
+    End,
+}
+
+/// Read one line into the empty `buf`, reading no more than `cap + 1`
+/// bytes of it. A last line without a `\n` still counts as a line.
+fn read_frame(r: &mut impl BufRead, buf: &mut Vec<u8>, cap: usize) -> std::io::Result<Frame> {
+    let limit = u64::try_from(cap).map_or(u64::MAX, |cap| cap.saturating_add(1));
+    r.take(limit).read_until(b'\n', buf)?;
+    Ok(match buf.last() {
+        None => Frame::End,
+        Some(b'\n') => {
+            buf.pop();
+            Frame::Line
+        }
+        Some(_) if buf.len() > cap => Frame::TooLong,
+        Some(_) => Frame::Line,
+    })
+}
+
 fn serve_connection(router: &Router, stream: TcpStream) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    for line in BufReader::new(stream).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let cap = router.frame_cap();
+    loop {
+        let mut buf = Vec::new();
+        let frame = read_frame(&mut reader, &mut buf, cap)?;
+        if frame == Frame::End {
+            return Ok(());
         }
         // The in-flight guard spans decode→route→write: a drain that
         // observes zero in-flight knows every answer hit the wire.
         let _in_flight = router.begin_request();
-        write_frame(&mut writer, router.handle_line(&line))?;
+        let answer = if frame == Frame::TooLong {
+            router.frame_error(format!("request line exceeds the {cap}-byte frame cap"))
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => router.handle_line(line),
+                Err(e) => router.frame_error(format!("request line is not UTF-8: {e}")),
+            }
+        };
+        write_frame(&mut writer, answer)?;
+        if frame == Frame::TooLong {
+            // Skip the rest of the line without keeping it.
+            reader.skip_until(b'\n')?;
+        }
     }
-    Ok(())
 }
 
 /// Why a client-side request failed.

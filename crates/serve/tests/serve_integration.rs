@@ -389,6 +389,92 @@ fn malformed_and_oversized_requests_get_error_responses_and_serving_continues() 
     server.stop();
 }
 
+/// A raw connection to `addr` whose reads give up after ten seconds, so a
+/// daemon that never answers fails the test instead of hanging it.
+fn raw_connection(addr: &str) -> (std::net::TcpStream, std::io::BufReader<std::net::TcpStream>) {
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+/// The next answer on `reader`, decoded.
+fn next_answer(reader: &mut impl std::io::BufRead) -> Response {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("an answer arrives");
+    kaleidoscope_serve::decode_response(line.trim_end()).expect("decodes")
+}
+
+#[test]
+fn a_line_that_is_not_utf8_is_answered_and_the_connection_keeps_serving() {
+    use std::io::Write;
+    let (server, _cache) = start(
+        "not-utf8",
+        1,
+        TenantQuota {
+            max_module_bytes: 64,
+            ..TenantQuota::default()
+        },
+    );
+    let (mut stream, mut reader) = raw_connection(&server.addr().to_string());
+    stream
+        .write_all(b"\xff\xfe{\"id\":\"x\"}\n{\"id\":\"h\",\"op\":\"health\"}\n")
+        .expect("send");
+    let Response::Error { id, error } = next_answer(&mut reader) else {
+        panic!("expected an error answer");
+    };
+    assert_eq!(id, "?");
+    assert!(error.contains("not UTF-8"), "{error}");
+    let health = next_answer(&mut reader);
+    assert!(
+        matches!(&health, Response::Health { id, .. } if id == "h"),
+        "{health:?}"
+    );
+    assert_eq!(server.router().stats().errors, 1);
+    server.stop();
+}
+
+#[test]
+fn an_over_long_line_is_answered_at_the_cap_and_skipped() {
+    use std::io::Write;
+    let (server, _cache) = start(
+        "over-long",
+        1,
+        TenantQuota {
+            max_module_bytes: 64,
+            ..TenantQuota::default()
+        },
+    );
+    // Six bytes per module byte (`\u001f`), plus 64 KiB for the rest.
+    let cap = 6 * 64 + (64 << 10);
+    let (mut stream, mut reader) = raw_connection(&server.addr().to_string());
+    // One byte past the cap, and no newline yet: the answer must not wait
+    // for the end of the line.
+    let head = b"{\"id\":\"big\",\"module\":\"";
+    let mut line = head.to_vec();
+    line.resize(cap + 1, b'a');
+    stream.write_all(&line).expect("send");
+    let Response::Error { error, .. } = next_answer(&mut reader) else {
+        panic!("expected an error answer");
+    };
+    assert!(error.contains(&format!("{cap}-byte frame cap")), "{error}");
+    // The rest of the line is skipped, however long, and the next line is
+    // served.
+    stream.write_all(&vec![b'a'; 3 * cap]).expect("send rest");
+    stream
+        .write_all(b"\"}\n{\"id\":\"h\",\"op\":\"health\"}\n")
+        .expect("send next");
+    let health = next_answer(&mut reader);
+    assert!(
+        matches!(&health, Response::Health { id, .. } if id == "h"),
+        "{health:?}"
+    );
+    assert_eq!(server.router().stats().errors, 1);
+    server.stop();
+}
+
 #[test]
 fn per_request_budget_degrades_and_matches_offline_bytes() {
     let (server, _cache) = start("budget", 1, TenantQuota::default());

@@ -2,9 +2,9 @@
 # Smoke test for the `kd serve` daemon: start it, drive ~25 mixed requests
 # (cold solves, warm cache repeats, fingerprint queries, over-budget
 # requests, an injected worker kill, a watch chain of warm edits) through
-# `kd request`, and assert that zero requests are dropped and every
-# response carries the expected tier tag. Used by the `serve-smoke` CI job;
-# runnable locally:
+# `kd request`, then a line that is not UTF-8 over a raw socket, and assert
+# that zero requests are dropped and every response carries the expected
+# tier tag. Used by the `serve-smoke` CI job; runnable locally:
 #
 #   cargo build --release
 #   cargo build --release --example scale_corpus
@@ -183,6 +183,25 @@ for n in 0 1 2; do
     fi
     PREV="$FP"
 done
+
+# Raw frames on one connection, through bash's /dev/tcp: a line that is
+# not UTF-8 must get an `error` answer, and the same connection must then
+# answer a health request.
+TOTAL=$((TOTAL + 1))
+ANSWERS=()
+exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+printf '\xff\xfe{"id":"x"}\n{"id":"h","op":"health"}\n' >&3
+for _ in 1 2; do
+    IFS= read -r -t 10 LINE <&3 || break
+    ANSWERS+=("$LINE")
+done
+exec 3<&-
+if [[ ${#ANSWERS[@]} -eq 2 && "${ANSWERS[0]}" == *'"status":"error"'* &&
+    "${ANSWERS[1]}" == *'"status":"health"'* ]]; then
+    echo "ok   request #$TOTAL (a line that is not UTF-8, then health)"
+else
+    fail "a line that is not UTF-8, then health: got ${ANSWERS[*]-no answer}"
+fi
 
 # --- verdict ---------------------------------------------------------------
 if ! kill -0 "$DAEMON_PID" 2>/dev/null; then
