@@ -20,12 +20,17 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use kaleidoscope_bench::timing::{bench, to_json_with_counters};
+use kaleidoscope_bench::timing::{bench, bench_with_setup, to_json_with_counters};
 use kaleidoscope_exec::DiskCache;
 use kaleidoscope_serve::{
     request_over_tcp, BreakerConfig, Request, Response, ServeConfig, Server, ShardMode,
     TenantQuota, WorkerOptions,
 };
+
+/// The cache directory of the server started with `tag`.
+fn cache_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("kd-bench-serve-{tag}-{}", std::process::id()))
+}
 
 fn start_server_with(
     tag: &str,
@@ -33,7 +38,7 @@ fn start_server_with(
     unsafe_faults: bool,
     breaker: BreakerConfig,
 ) -> (Server, Arc<DiskCache>) {
-    let dir = std::env::temp_dir().join(format!("kd-bench-serve-{tag}-{}", std::process::id()));
+    let dir = cache_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
     let cache = Arc::new(DiskCache::open(dir).expect("bench cache"));
     let server = Server::start(ServeConfig {
@@ -158,13 +163,14 @@ fn main() {
 
     // The 100k-statement scale corpus drives both the frontend benches
     // and the incremental watch-mode serve traffic below. Pre-render one
-    // distinct single-function edit per iteration: repeats of one
-    // revision would ride the report cache instead of exercising the
-    // incremental path.
+    // distinct single-function edit per warm request (the warmup and
+    // each iteration): repeats of one revision would ride the report
+    // cache instead of exercising the incremental path.
+    let incr_iters = iters(5);
     let v1 = kaleidoscope_fuzz::scale::corpus_module(0xca1e, 100_000);
     let v1_fp = v1.fingerprint();
     let v1_text = v1.to_text();
-    let edits: Vec<String> = (0..4u64)
+    let edits: Vec<String> = (0..incr_iters as u64 + 1)
         .map(|i| {
             let mut m = v1.clone();
             kaleidoscope_fuzz::edit::append_function(&mut m, 0xca1e, i);
@@ -218,11 +224,13 @@ fn main() {
     // Incremental watch-mode traffic: the corpus edited by one function
     // per request, served warm from the previous revision's snapshot
     // (named explicitly via `prev_fingerprint`, the protocol's watch-mode
-    // field) vs the same edits solved cold on a server that has never
-    // seen the tenant. Single `baseline` config so the numbers measure
-    // the Andersen solve, the tier the re-solve accelerates. The daemon's
-    // frontend counters break each end-to-end number into parse /
-    // constraint-generation time and fe-cache hits.
+    // field) vs the same edit solved cold. Each cold request runs on a
+    // server and cache directory of its own, started outside the timed
+    // region, so no `fe/` entry, report or snapshot of an earlier
+    // iteration answers it. Single `baseline` config so the numbers
+    // measure the Andersen solve, the tier the re-solve accelerates. The
+    // daemon's frontend counters break each end-to-end number into parse
+    // / constraint-generation time and fe-cache hits.
     let incr_cold_fe: (u64, u64, u64);
     let incr_warm_fe: (u64, u64, u64);
     {
@@ -242,21 +250,26 @@ fn main() {
             }
         }
 
-        let (server, _cache) = start_server("incr-cold", 64);
-        let addr = server.addr().to_string();
-        let mut round = 0usize;
+        let mut cold_servers = 0usize;
         let mut cold_fe = (0, 0, 0);
-        samples.push(bench("serve/incr/request_cold_100k", iters(2), || {
-            let mut req = Request::inline("ic", &edits[round % edits.len()]);
-            req.config = Some("baseline".into());
-            // A fresh tenant per round keeps the per-tenant head lookup
-            // from warm-starting what is meant to be the cold number.
-            req.tenant = format!("cold{round}");
-            round += 1;
-            cold_fe = fe_of(&must_ok(request_over_tcp(&addr, &req)));
-        }));
+        samples.push(bench_with_setup(
+            "serve/incr/request_cold_100k",
+            incr_iters,
+            || {
+                cold_servers += 1;
+                start_server(&format!("incr-cold-{cold_servers}"), 64)
+            },
+            |(server, _cache)| {
+                let mut req = Request::inline("ic", &edits[0]);
+                req.config = Some("baseline".into());
+                cold_fe = fe_of(&must_ok(request_over_tcp(&server.addr().to_string(), &req)));
+                assert_eq!(cold_fe.2, 0, "a cold request must hit no fe/ entry");
+            },
+        ));
         incr_cold_fe = cold_fe;
-        server.stop();
+        for i in 1..=cold_servers {
+            let _ = std::fs::remove_dir_all(cache_dir(&format!("incr-cold-{i}")));
+        }
 
         let (server, cache) = start_server("incr-warm", 64);
         let addr = server.addr().to_string();
@@ -265,13 +278,17 @@ fn main() {
         must_ok(request_over_tcp(&addr, &prewarm));
         let mut round = 0usize;
         let mut warm_fe = (0, 0, 0);
-        samples.push(bench("serve/incr/request_warm_edit_100k", iters(2), || {
-            let mut req = Request::inline("iw", &edits[round % edits.len()]);
-            req.config = Some("baseline".into());
-            req.prev_fingerprint = Some(v1_fp);
-            round += 1;
-            warm_fe = fe_of(&must_ok(request_over_tcp(&addr, &req)));
-        }));
+        samples.push(bench(
+            "serve/incr/request_warm_edit_100k",
+            incr_iters,
+            || {
+                let mut req = Request::inline("iw", &edits[round % edits.len()]);
+                req.config = Some("baseline".into());
+                req.prev_fingerprint = Some(v1_fp);
+                round += 1;
+                warm_fe = fe_of(&must_ok(request_over_tcp(&addr, &req)));
+            },
+        ));
         incr_warm_fe = warm_fe;
         let incr_cache_stats = cache.stats();
         println!(

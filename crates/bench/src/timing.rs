@@ -34,11 +34,24 @@ impl Sample {
 
 /// Time `f` for `iters` iterations (plus one untimed warmup).
 pub fn bench(label: &str, iters: usize, mut f: impl FnMut()) -> Sample {
-    f(); // warmup
+    bench_with_setup(label, iters, || (), |()| f())
+}
+
+/// Time `run` for `iters` iterations (plus one untimed warmup), each on a
+/// fresh `setup()`. Only `run` is timed: the setup, and the drop of its
+/// state (a server and its cache, say), happen outside the timed region.
+pub fn bench_with_setup<S>(
+    label: &str,
+    iters: usize,
+    mut setup: impl FnMut() -> S,
+    mut run: impl FnMut(&mut S),
+) -> Sample {
+    run(&mut setup()); // warmup
     let mut times = Vec::with_capacity(iters);
     for _ in 0..iters.max(1) {
+        let mut state = setup();
         let t = Instant::now();
-        f();
+        run(&mut state);
         times.push(t.elapsed().as_secs_f64() * 1000.0);
     }
     times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));

@@ -263,24 +263,21 @@ pub fn try_fallback_analysis_fe(
 /// solve warm-starts from it (falling back to a sound full solve on any
 /// incompatible edit); either way a fresh [`SolvedState`] snapshot of the
 /// new fixpoint, tagged with `module`'s fingerprint, is captured when the
-/// solve converges. `prev_blocks` and `blocks` are the previous and current
-/// revisions' stored plan-free programs: the solve clones the current one,
-/// and the warm-start diff borrows the previous one.
+/// solve converges. The previous module only supplies its item counts
+/// ([`WarmStart::between`]); no program of it is generated. `blocks` is the
+/// current revision's stored plan-free program, which the solve clones.
+/// `_prev_blocks` is ignored, like `_solver_threads`: it was the previous
+/// revision's program, which the warm start no longer reads.
 pub fn try_fallback_analysis_incr_fe(
     module: &Module,
     budget: &SolveBudget,
     _solver_threads: usize,
     prev: Option<(&Module, &SolvedState)>,
-    prev_blocks: Option<&ModuleBlocks>,
+    _prev_blocks: Option<&ModuleBlocks>,
     blocks: Option<&ModuleBlocks>,
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
     let opts = SolveOptions::baseline_with_budget(budget.clone());
-    let warm = prev.map(|(prev_module, state)| WarmStart {
-        module: Some(prev_module),
-        plan: None,
-        blocks: prev_blocks,
-        state,
-    });
+    let warm = prev.map(|(prev_module, state)| WarmStart::between(prev_module, module, state));
     Analysis::try_run(
         module,
         &opts,
@@ -337,15 +334,14 @@ pub fn try_optimistic_analysis_fe(
     Analysis::try_run(module, &opts, plan, blocks, None, None, &mut NullObserver).map(|(a, _)| a)
 }
 
-/// Incremental-aware variant of [`try_optimistic_analysis_fe`]. The
-/// previous revision's context plan is derived from its module here (plan
-/// detection is deterministic), so callers only have to thread the module
-/// and the captured state. See [`try_fallback_analysis_incr_fe`] for the
-/// semantics. The stored programs are plan-free: under a non-empty plan the
-/// solve, and the diff against the previous revision, generate constraints
-/// instead, so the optimistic program is identical to one generated
-/// without them. Kept for the benchmark's replay, like
-/// [`try_fallback_analysis_fe`].
+/// Incremental-aware variant of [`try_optimistic_analysis_fe`]. See
+/// [`try_fallback_analysis_incr_fe`] for the semantics. Under the context
+/// policy the warm start also needs `ctx_plan` to plan the previous
+/// revision's functions as the snapshot's solve did (the snapshot records
+/// a digest of its plan). The stored program is plan-free: under a
+/// non-empty plan the solve generates constraints instead, so the
+/// optimistic program is identical to one generated without it. Kept for
+/// the benchmark's replay, like [`try_fallback_analysis_fe`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_optimistic_analysis_incr_fe(
     module: &Module,
@@ -354,22 +350,14 @@ pub fn try_optimistic_analysis_incr_fe(
     budget: &SolveBudget,
     _solver_threads: usize,
     prev: Option<(&Module, &SolvedState)>,
-    prev_blocks: Option<&ModuleBlocks>,
+    _prev_blocks: Option<&ModuleBlocks>,
     blocks: Option<&ModuleBlocks>,
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
     let opts = SolveOptions {
         budget: budget.clone(),
         ..SolveOptions::optimistic(config.pa, config.pwc)
     };
-    let prev_plan = prev
-        .filter(|_| config.ctx)
-        .map(|(m, _)| ctx_plan_for(m, config));
-    let warm = prev.map(|(prev_module, state)| WarmStart {
-        module: Some(prev_module),
-        plan: prev_plan.as_ref(),
-        blocks: prev_blocks,
-        state,
-    });
+    let warm = prev.map(|(prev_module, state)| WarmStart::between(prev_module, module, state));
     Analysis::try_run(
         module,
         &opts,

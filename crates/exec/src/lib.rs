@@ -35,14 +35,17 @@
 //!   solve without a context plan clones that program instead of
 //!   generating constraints again; a non-empty plan generates afresh.
 //! * **Warm starts** — with a state store and a previous revision
-//!   ([`Executor::with_previous_revision`]), each solve of the module cut
-//!   from that revision restores the revision's snapshot of its key. The
+//!   ([`Executor::with_previous_revision`]), each solve of the module that
+//!   extends that revision restores the revision's snapshot of its key. The
 //!   caller resolves the revision once, before any solve:
 //!   [`analyze_request`] compares the revision's stored text with the
 //!   module's canonical text ([`kaleidoscope_ir::revision_prefix`]) and
-//!   cuts the module to the stored counts ([`Module::truncated`]). An edit
-//!   that extends the revision warm-starts from the cut; any other edit
-//!   solves cold, counted as a fallback.
+//!   checks that the module's first that many items stand alone
+//!   ([`Module::prefix_closed`]). The revision is never parsed, cut or
+//!   generated: an edit that extends it hands over only its counts, from
+//!   which each solve derives the translation onto its own program
+//!   ([`kaleidoscope_pta::ConstraintDiff::derive`]); any other edit solves
+//!   cold, counted as a fallback.
 //! * **A/B checking** — one worker ([`Executor::serial`], `--jobs 1`)
 //!   bypasses both the pool and the cache and runs the legacy
 //!   [`kaleidoscope::analyze`] per cell, as the reference for the
@@ -111,10 +114,10 @@ use kaleidoscope::{
     analyze, assemble_degraded_fallback, assemble_degraded_steens, assemble_result,
     detect_ctx_plan, KaleidoscopeResult, PolicyConfig,
 };
-use kaleidoscope_ir::{Inst, Module};
+use kaleidoscope_ir::{Inst, Module, PrefixCounts};
 use kaleidoscope_pta::{
-    steens_analysis, Analysis, CtxPlan, ModuleBlocks, NullObserver, SolveBudget, SolveError,
-    SolveOptions, SolvedState, WarmStart,
+    steens_analysis, Analysis, CtxPlan, FallbackReason, ModuleBlocks, NullObserver, SolveBudget,
+    SolveError, SolveOptions, SolvedState, WarmStart,
 };
 
 /// Why a cell's configured pipeline could not produce its artifact. The
@@ -174,17 +177,13 @@ pub struct Executor {
 }
 
 /// The previous revision warm starts of one module read: its fingerprint
-/// (its snapshots carry it), the fingerprint of the module it was cut
-/// from, the cut module (`None` when the module does not extend the
-/// revision), and the cut's plan-free program and context plan, each
-/// derived on first use.
+/// (its snapshots carry it), the fingerprint of the module that extends
+/// it, and its item counts (`None` when the module does not extend it).
 #[derive(Debug)]
 struct PrevRevision {
     fp: u64,
     of: u64,
-    module: Option<Module>,
-    blocks: OnceLock<ModuleBlocks>,
-    ctx_plan: OnceLock<CtxPlan>,
+    prefix: Option<PrefixCounts>,
 }
 
 /// One module of a matrix, as each of its cells sees it.
@@ -308,24 +307,25 @@ impl Executor {
 
     /// Warm-start the solves of the module fingerprinted `fp` from the
     /// captured fixpoints of its previous revision, fingerprinted
-    /// `prev_fp`, in the state store. `prev` is the module cut to the
-    /// revision's counts, or `None` when the module does not extend the
-    /// revision: then every solve whose snapshot exists runs cold, counted
-    /// as a fallback. A missing or mismatched snapshot solves cold too, and
-    /// any other module ignores the revision. Output is byte-identical
-    /// either way; only the solve time and the `incr-*` stats change.
+    /// `prev_fp`, in the state store. `prefix` is the revision's item
+    /// counts, when the caller has shown that the module's first that many
+    /// items are the revision's (see [`analyze_request`]), or `None` when
+    /// the module does not extend the revision: then every solve whose
+    /// snapshot exists runs cold, counted as a fallback. A missing or
+    /// mismatched snapshot, or a changed context plan of a kept function,
+    /// solves cold too, and any other module ignores the revision. Output
+    /// is byte-identical either way; only the solve time and the `incr-*`
+    /// stats change.
     pub fn with_previous_revision(
         mut self,
         prev_fp: u64,
         fp: u64,
-        prev: Option<Module>,
+        prefix: Option<PrefixCounts>,
     ) -> Executor {
         self.prev = Some(PrevRevision {
             fp: prev_fp,
             of: fp,
-            module: prev,
-            blocks: OnceLock::new(),
-            ctx_plan: OnceLock::new(),
+            prefix,
         });
         self
     }
@@ -397,8 +397,8 @@ impl Executor {
     /// Every Andersen solve the executor runs, of `row`'s module under
     /// `opts`, with its context plan when `with_ctx`.
     ///
-    /// With a state store, a solve of the module the previous revision was
-    /// cut from warm-starts from the revision's snapshot for the same
+    /// With a state store, a solve of the module that extends the previous
+    /// revision warm-starts from the revision's snapshot for the same
     /// options and ctx flag. A missing, stale or mismatched snapshot solves
     /// cold, never from a wrong state: it must carry the revision's
     /// fingerprint. An edit that does not extend the revision solves cold
@@ -423,16 +423,9 @@ impl Executor {
                     .filter(|state| state.fingerprint == prev.fp)?;
                 Some((prev, state))
             });
-        let warm = prev.as_ref().map(|(prev, state)| {
-            let module = prev.module.as_ref();
-            WarmStart {
-                module,
-                plan: module
-                    .filter(|_| with_ctx)
-                    .map(|m| prev.ctx_plan.get_or_init(|| detect_ctx_plan(m))),
-                blocks: module.map(|m| prev.blocks.get_or_init(|| ModuleBlocks::build(m))),
-                state,
-            }
+        let warm = prev.as_ref().map(|(prev, state)| WarmStart {
+            prefix: prev.prefix.ok_or(FallbackReason::NotExtended),
+            state,
         });
         let (analysis, state) = Analysis::try_run(
             row.module,
@@ -889,11 +882,11 @@ mod tests {
         assert_eq!(ex.cache_stats().misses, misses_before);
     }
 
-    /// `module` cut to the revision whose text is `prev_text`, as
-    /// [`analyze_request`] resolves it.
-    fn cut(prev_text: &str, module: &Module) -> Option<Module> {
+    /// The counts of the revision whose text is `prev_text`, when `module`
+    /// extends it, as [`analyze_request`] resolves them.
+    fn prefix(prev_text: &str, module: &Module) -> Option<PrefixCounts> {
         kaleidoscope_ir::revision_prefix(prev_text, &module.to_text())
-            .and_then(|counts| module.truncated(counts))
+            .filter(|&counts| module.prefix_closed(counts))
     }
 
     #[test]
@@ -920,19 +913,19 @@ mod tests {
             .run_matrix(&[&v1], &configs);
         assert!(store.stats().state_lookups == 0 || store.stats().state_hits == 0);
 
-        // The previous revision is v2 cut to v1's counts, which is v1.
-        let prev = cut(&v1.to_text(), &v2).expect("an append extends v1");
-        assert_eq!(prev.to_text(), v1.to_text());
+        // The previous revision is v2's first v1-many items.
+        let counts = prefix(&v1.to_text(), &v2).expect("an append extends v1");
+        assert_eq!(
+            (counts.funcs, counts.globals, counts.types),
+            (v1.funcs.len(), v1.globals.len(), v1.types.len())
+        );
 
         // Warm solve of v2 from v1 reuses its snapshots...
         let warm_ex = Executor::with_jobs(2)
             .with_state_store(Arc::clone(&store))
-            .with_previous_revision(v1.fingerprint(), v2.fingerprint(), Some(prev));
+            .with_previous_revision(v1.fingerprint(), v2.fingerprint(), Some(counts));
         let warm = warm_ex.run_matrix(&[&v2], &configs);
         assert!(store.stats().state_hits > 0, "snapshots were fetched");
-        // ...and the append's warm starts built the revision's program.
-        let prev = warm_ex.prev.as_ref().expect("revision kept");
-        assert!(prev.blocks.get().is_some(), "an append reads the program");
 
         // ...and matches a from-scratch solve of v2 exactly.
         let cold = Executor::with_jobs(2).run_matrix(&[&v2], &configs);
@@ -957,7 +950,7 @@ mod tests {
         ] {
             let orphan = Executor::serial()
                 .with_state_store(Arc::clone(&store))
-                .with_previous_revision(prev_fp, of, Some(v1.clone()))
+                .with_previous_revision(prev_fp, of, Some(counts))
                 .run_one(&v2, PolicyConfig::all());
             assert_eq!(orphan.health, CellHealth::Healthy);
             let stats = &orphan.optimistic.result.stats;
@@ -967,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn a_rejected_warm_start_has_no_previous_module() {
+    fn a_rejected_warm_start_has_no_prefix() {
         let dir = std::env::temp_dir().join(format!("kd-exec-reject-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(DiskCache::open(&dir).expect("open store"));
@@ -983,10 +976,9 @@ mod tests {
             .run_matrix(&[&prev], &configs);
 
         // An unrelated module does not extend the stored text: no solve
-        // warm-starts, the attempt on the fallback's key (which has a
-        // snapshot) is counted, and no previous program or context plan is
-        // built.
-        assert!(cut(&prev.to_text(), &next).is_none());
+        // warm-starts, and the attempt on the fallback's key (which has a
+        // snapshot) is counted.
+        assert!(prefix(&prev.to_text(), &next).is_none());
         let ex = Executor::with_jobs(2)
             .with_state_store(Arc::clone(&store))
             .with_previous_revision(prev.fingerprint(), next.fingerprint(), None);
@@ -996,9 +988,7 @@ mod tests {
             assert_eq!(r.optimistic.result.stats.incr_reused, 0);
         }
         let rejected = ex.prev.as_ref().expect("revision kept");
-        assert!(rejected.module.is_none());
-        assert!(rejected.blocks.get().is_none());
-        assert!(rejected.ctx_plan.get().is_none());
+        assert!(rejected.prefix.is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -269,10 +269,11 @@ impl std::error::Error for AnalyzeError {}
 /// 3. Look up the report. A hit moves the tenant head and returns.
 /// 4. On a miss, find the previous revision: `prev_fingerprint`, else the
 ///    tenant's head, unless it is the module itself. Read its stored text
-///    once, compare it with the canonical text of step 1
-///    ([`revision_prefix`]) and cut the module to the stored counts
-///    ([`Module::truncated`]); an edit that does not extend the revision
-///    has no cut. Then drop both texts.
+///    once and compare it with the canonical text of step 1
+///    ([`revision_prefix`]); the module extends the revision when the
+///    texts agree and the module's first that many items refer only to
+///    each other ([`Module::prefix_closed`]). Only the revision's counts
+///    are kept; then drop both texts.
 /// 5. Solve on an [`Executor`] with the frontend's stored plan-free
 ///    program, the budget, the cache as state store, and the revision of
 ///    step 4 to warm-start from. Render, move the head, and publish the
@@ -349,16 +350,16 @@ pub fn analyze_request(
         // cold, and a self-edge (prev == current) is skipped. The previous
         // revision is never parsed: `get_module` returns only text that
         // hashes to `prev`, and text that parses refers only within
-        // itself, so a cut that a kept item refers past is no revision.
+        // itself, so a prefix that a kept item refers past is no revision.
         let prev = req
             .prev_fingerprint
             .or_else(|| req.tenant.and_then(|t| store.get_tenant_head(t)))
             .filter(|&prev| prev != fp);
         if let Some(prev) = prev {
             if let Some(text) = store.get_module(prev) {
-                let cut = revision_prefix(&text, &canonical)
-                    .and_then(|counts| loaded.module.truncated(counts));
-                ex = ex.with_previous_revision(prev, fp, cut);
+                let prefix = revision_prefix(&text, &canonical)
+                    .filter(|&counts| loaded.module.prefix_closed(counts));
+                ex = ex.with_previous_revision(prev, fp, prefix);
             }
         }
         ex = ex.with_state_store(Arc::clone(store));

@@ -75,12 +75,14 @@ fn incremental_reports_match_cold_bytes_at_every_step() {
             let text = m.to_text();
             store.put_module(m.fingerprint(), &text).unwrap();
             // The previous revision as `analyze_request` resolves it: the
-            // stored text, compared with the canonical text, cuts `m`.
+            // stored text, compared with the canonical text, gives the
+            // counts of `m`'s prefix that it was.
             let prev_text = store.get_module(prev_fp).expect("stored revision");
-            let cut = revision_prefix(&prev_text, &text).and_then(|counts| m.truncated(counts));
+            let prefix =
+                revision_prefix(&prev_text, &text).filter(|&counts| m.prefix_closed(counts));
             let warm_ex = Executor::with_jobs(2)
                 .with_state_store(Arc::clone(&store))
-                .with_previous_revision(prev_fp, m.fingerprint(), cut);
+                .with_previous_revision(prev_fp, m.fingerprint(), prefix);
             let warm = render_analyze(m, &configs, &warm_ex, false).text;
             let cold = render_analyze(m, &configs, &Executor::with_jobs(2), false).text;
             assert_eq!(

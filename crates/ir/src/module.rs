@@ -714,41 +714,44 @@ impl Module {
         self.to_text().lines().count()
     }
 
-    /// This module cut to the first `counts.funcs` functions,
-    /// `counts.globals` globals and `counts.types` struct types: the earlier
-    /// revision a [`revision_prefix`](crate::printer::revision_prefix)
-    /// match names, under this module's name. `None` when a count exceeds
-    /// the module's or a kept item refers to one past the cut, which no
-    /// text that parses describes.
-    pub fn truncated(&self, counts: PrefixCounts) -> Option<Module> {
+    /// The module's own item counts: what
+    /// [`revision_prefix`](crate::printer::revision_prefix) returns for a
+    /// revision that is this whole module.
+    pub fn item_counts(&self) -> PrefixCounts {
+        PrefixCounts {
+            funcs: self.funcs.len(),
+            globals: self.globals.len(),
+            types: self.types.len(),
+        }
+    }
+
+    /// Whether the first `counts.funcs` functions, `counts.globals` globals
+    /// and `counts.types` struct types of this module form a module of
+    /// their own: the counts are within the module's, and no kept item
+    /// refers to one past them. An earlier revision that a
+    /// [`revision_prefix`](crate::printer::revision_prefix) match names is
+    /// exactly that prefix, under another name; text that parses refers
+    /// only within itself, so a prefix this rejects is no revision's.
+    pub fn prefix_closed(&self, counts: PrefixCounts) -> bool {
         let PrefixCounts {
             funcs,
             globals,
             types,
         } = counts;
-        if funcs > self.funcs.len() || globals > self.globals.len() || types > self.types.len() {
-            return None;
-        }
-        let mut m = Module::new(self.name.clone());
-        for (_, def) in self.types.iter().take(types) {
-            if !def.fields.iter().all(|t| type_within(t, types)) {
-                return None;
-            }
-            m.types.declare(def.name.clone(), def.fields.clone())?;
-        }
-        for g in &self.globals[..globals] {
-            if !type_within(&g.ty, types) {
-                return None;
-            }
-            m.add_global(g.name.clone(), g.ty.clone())?;
-        }
-        for f in &self.funcs[..funcs] {
-            if !f.refers_within(funcs, globals, types) {
-                return None;
-            }
-            m.add_func(f.clone())?;
-        }
-        Some(m)
+        funcs <= self.funcs.len()
+            && globals <= self.globals.len()
+            && types <= self.types.len()
+            && self
+                .types
+                .iter()
+                .take(types)
+                .all(|(_, def)| def.fields.iter().all(|t| type_within(t, types)))
+            && self.globals[..globals]
+                .iter()
+                .all(|g| type_within(&g.ty, types))
+            && self.funcs[..funcs]
+                .iter()
+                .all(|f| f.refers_within(funcs, globals, types))
     }
 
     /// Stable content fingerprint: [`fnv1a64`] over the canonical textual

@@ -218,10 +218,11 @@ pub struct PrefixCounts {
 /// when its struct lines, its global lines and its function chunks (a
 /// blank line, `func`, through the closing `}` line) are the first ones of
 /// `current`'s, in that order, and nothing else follows. The module-name
-/// lines are not compared. Returns `prev`'s counts, from which
-/// [`Module::truncated`] rebuilds the earlier revision without parsing it:
-/// since `parse(print(m)) == m`, that is the module `prev` parses to, up to
-/// its name. `None` when `prev` describes no prefix of the module.
+/// lines are not compared. Returns `prev`'s counts: since
+/// `parse(print(m)) == m`, the module `prev` parses to is the current
+/// module's first that many items, up to its name, whenever
+/// [`Module::prefix_closed`] accepts them. `None` when `prev` describes no
+/// prefix of the module.
 ///
 /// In canonical text a line that is exactly `}` closes a function, so a
 /// chunk of `prev` that starts `current` is one of `current`'s chunks.
@@ -399,7 +400,7 @@ bb2:
 "#;
 
     #[test]
-    fn revision_prefix_compares_sections_and_truncation_rebuilds_the_prefix() {
+    fn revision_prefix_compares_sections_and_the_prefix_scan_guards_the_cut() {
         let current = crate::parser::parse_module(ALL_FORMS).expect("parses");
         let text = current.to_text();
         let (head, main) = text.split_at(text.find("\nfunc main").expect("main"));
@@ -413,8 +414,7 @@ bb2:
         assert_eq!(revision_prefix(head, &text), Some(callee_only));
         let renamed = head.replacen("\"pin\"", "\"other\"", 1);
         assert_eq!(revision_prefix(&renamed, &text), Some(callee_only));
-        let prev = current.truncated(callee_only).expect("closed prefix");
-        assert_eq!(prev.to_text(), head);
+        assert!(current.prefix_closed(callee_only));
         let empty = "module \"e\"\n";
         let none = PrefixCounts {
             funcs: 0,
@@ -422,10 +422,8 @@ bb2:
             types: 0,
         };
         assert_eq!(revision_prefix(empty, &text), Some(none));
-        assert_eq!(
-            current.truncated(none).expect("empty").to_text(),
-            "module \"pin\"\n"
-        );
+        assert!(current.prefix_closed(none));
+        assert!(current.prefix_closed(all));
 
         // Rejections: a removed function, a changed function, struct or
         // global, and text that is no module's.
@@ -446,16 +444,22 @@ bb2:
             assert_eq!(revision_prefix(bad, &text), None, "{bad:?}");
         }
 
-        // A prefix whose functions name one past the cut is no revision.
-        assert!(current
-            .truncated(PrefixCounts {
-                types: 0,
-                ..callee_only
-            })
-            .is_none());
-        assert!(current
-            .truncated(PrefixCounts { globals: 0, ..all })
-            .is_none());
+        // A prefix whose items name one past the cut is no revision: a
+        // kept function's struct types, a kept function's globals, a kept
+        // struct's field type, and a kept function's callee.
+        assert!(!current.prefix_closed(PrefixCounts {
+            types: 0,
+            ..callee_only
+        }));
+        assert!(!current.prefix_closed(PrefixCounts { globals: 0, ..all }));
+        assert!(current.prefix_closed(PrefixCounts { types: 1, ..none }));
+        let mut fwd_struct = Module::new("fwd_struct");
+        let later = crate::types::StructId(1);
+        let ptr_later = Type::ptr(Type::Struct(later));
+        fwd_struct.types.declare("a", vec![ptr_later]).unwrap();
+        fwd_struct.types.declare("b", vec![Type::Int]).unwrap();
+        assert!(!fwd_struct.prefix_closed(PrefixCounts { types: 1, ..none }));
+        assert!(fwd_struct.prefix_closed(PrefixCounts { types: 2, ..none }));
         let fwd = "module \"fwd\"\n\nfunc a() -> void {\nbb0:\n  call @b()\n  ret\n}\n\n\
                    func b() -> void {\nbb0:\n  ret\n}\n";
         let fwd_module = crate::parser::parse_module(fwd).expect("parses");
@@ -463,10 +467,15 @@ bb2:
         let a_only = &fwd[..fwd.find("\nfunc b").expect("b")];
         let counts = revision_prefix(a_only, fwd).expect("a text prefix");
         assert!(crate::parser::parse_module(a_only).is_err());
-        assert!(fwd_module.truncated(counts).is_none());
-        assert!(current
-            .truncated(PrefixCounts { funcs: 3, ..all })
-            .is_none());
+        assert!(!fwd_module.prefix_closed(counts));
+        // Counts beyond the module's.
+        for over in [
+            PrefixCounts { funcs: 3, ..all },
+            PrefixCounts { globals: 3, ..all },
+            PrefixCounts { types: 4, ..all },
+        ] {
+            assert!(!current.prefix_closed(over), "{over:?}");
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! indirect-callsite targets, and the "top-level pointer" enumeration the
 //! paper's Table 3 statistics are computed over.
 
-use kaleidoscope_ir::{FuncId, InstLoc, LocalId, Module};
+use kaleidoscope_ir::{FuncId, InstLoc, LocalId, Module, PrefixCounts};
 
-use crate::ctxplan::CtxPlan;
-use crate::gen::{stored_or_generated, ModuleBlocks};
+use crate::ctxplan::{plan_digest, CtxPlan};
+use crate::gen::{stored_or_generated, ModuleBlocks, Program};
 use crate::incr::{ConstraintDiff, FallbackReason, SolvedState};
 use crate::node::{NodeId, ObjSite};
 use crate::observer::{NullObserver, SolverObserver};
@@ -35,20 +35,64 @@ fn _assert_shareable() {
     send_sync::<CtxPlan>();
 }
 
-/// The previous revision a solve warm-starts from.
+/// The previous revision a solve warm-starts from: how much of the module
+/// it was, and its captured fixpoint. Nothing of the revision itself is
+/// built: the translation onto the module's program is derived from the
+/// counts ([`ConstraintDiff::derive`]).
 #[derive(Debug, Clone, Copy)]
 pub struct WarmStart<'a> {
-    /// The previous revision's module; `None` when the caller already
-    /// found that the new module does not extend it (the solve then falls
-    /// back, as for an edit [`ConstraintDiff::precheck`] rejects).
-    pub module: Option<&'a Module>,
-    /// The context plan its captured solve generated constraints with.
-    pub plan: Option<&'a CtxPlan>,
-    /// Its stored plan-free program, which the diff borrows when `plan`
-    /// is absent or empty instead of generating the program again.
-    pub blocks: Option<&'a ModuleBlocks>,
+    /// The revision's item counts, when the caller has shown the module
+    /// extends it: its first that many structs, globals and functions are
+    /// the revision's, byte for byte. Callers show it from the revision's
+    /// stored text (`kaleidoscope_ir::revision_prefix` and
+    /// [`Module::prefix_closed`]) or from its module
+    /// ([`WarmStart::between`]). `Err` names why the module does not
+    /// extend the revision; the solve then falls back.
+    pub prefix: Result<PrefixCounts, FallbackReason>,
     /// Its captured fixpoint.
     pub state: &'a SolvedState,
+}
+
+impl<'a> WarmStart<'a> {
+    /// The warm start from `prev`, the revision whose solve captured
+    /// `state`, onto `module`: `prev`'s item counts when
+    /// [`ConstraintDiff::precheck`] finds `module` extends it, else the
+    /// precheck's reason.
+    pub fn between(prev: &Module, module: &Module, state: &'a SolvedState) -> WarmStart<'a> {
+        let prefix = match ConstraintDiff::precheck(prev, module).fallback {
+            Some(reason) => Err(reason),
+            None => Ok(prev.item_counts()),
+        };
+        WarmStart { prefix, state }
+    }
+
+    /// The translation of the snapshot onto `program`, `module`'s program
+    /// under `ctx_plan`. It falls back when the module does not extend the
+    /// revision, when the current plan of a kept function differs from the
+    /// one the snapshot's program was generated with
+    /// ([`FallbackReason::PlanChanged`]), and when the snapshot does not
+    /// have the node count the counts derive
+    /// ([`FallbackReason::StateMismatch`]).
+    pub fn diff(
+        &self,
+        module: &Module,
+        ctx_plan: Option<&CtxPlan>,
+        program: &Program,
+    ) -> ConstraintDiff {
+        match self.prefix {
+            Err(reason) => ConstraintDiff::rejected(reason),
+            Ok(prefix) if plan_digest(ctx_plan, prefix.funcs) != self.state.plan_digest => {
+                ConstraintDiff::rejected(FallbackReason::PlanChanged)
+            }
+            Ok(prefix) => {
+                let diff = ConstraintDiff::derive(module, program, prefix);
+                if diff.fallback.is_none() && diff.node_map.len() != self.state.gen_len as usize {
+                    return ConstraintDiff::rejected(FallbackReason::StateMismatch);
+                }
+                diff
+            }
+        }
+    }
 }
 
 impl Analysis {
@@ -80,13 +124,11 @@ impl Analysis {
     ///   it. The program is the same either way (see
     ///   [`stored_or_generated`]).
     /// * With `warm`, the solve warm-starts from the previous revision's
-    ///   captured fixpoint and seeds only the touched nodes. The diff reads
-    ///   the previous revision's program only when
-    ///   [`ConstraintDiff::precheck`] finds the two modules compatible, and
-    ///   borrows its stored program under the same rule. Any incompatible
-    ///   edit, including one the caller rejected before handing over a
-    ///   module, falls back to a cold solve, visible as
-    ///   `stats.incr_fallback_full == 1`.
+    ///   captured fixpoint and seeds only the touched nodes, through the
+    ///   translation [`WarmStart::diff`] derives from the revision's counts
+    ///   and this program. Any incompatible edit, including one the caller
+    ///   rejected before handing over counts, falls back to a cold solve,
+    ///   visible as `stats.incr_fallback_full == 1`.
     /// * With `capture`, a converged solve also returns a [`SolvedState`]
     ///   snapshot tagged with that fingerprint, which must be `module`'s.
     ///
@@ -101,17 +143,7 @@ impl Analysis {
         obs: &mut dyn SolverObserver,
     ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
         let program = stored_or_generated(module, ctx_plan, blocks).into_owned();
-        let diff = warm.map(|prev| {
-            let Some(prev_module) = prev.module else {
-                return ConstraintDiff::rejected(FallbackReason::NotExtended);
-            };
-            let diff = ConstraintDiff::precheck(prev_module, module);
-            if diff.fallback.is_some() {
-                return diff;
-            }
-            let prev_program = stored_or_generated(prev_module, prev.plan, prev.blocks);
-            diff.check_programs(&prev_program, &program)
-        });
+        let diff = warm.map(|prev| prev.diff(module, ctx_plan, &program));
         let warm = warm
             .zip(diff.as_ref())
             .map(|(prev, diff)| (prev.state, diff));

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use kaleidoscope_ir::{FuncId, InstLoc};
+use kaleidoscope_ir::{fnv1a64, FuncId, InstLoc};
 
 /// One step of the address chain from a base parameter to the location a
 /// critical store writes to (e.g. `b->cbs[i]` is `[Field(cbs), Load, Elem]`
@@ -103,6 +103,25 @@ impl CtxPlan {
     }
 }
 
+/// A digest of how `plan` treats the functions `0..funcs`: the plans of
+/// those functions, in function order, over their `Debug` text (stable
+/// within a build; a snapshot another build wrote can at worst fall back).
+/// No plan digests as the empty plan, which generates the same program.
+///
+/// Constraint generation reads a function's plan only while walking that
+/// function and its direct callers, so two plans with equal digests over a
+/// module's first `funcs` functions generate the same walk of those
+/// functions (up to a 64-bit hash collision). A warm start compares the
+/// digest its snapshot was generated with against the current plan's over
+/// the kept functions (see [`crate::SolvedState::plan_digest`]).
+pub fn plan_digest(plan: Option<&CtxPlan>, funcs: usize) -> u64 {
+    let mut kept: Vec<(&FuncId, &FuncCtxPlan)> = plan
+        .map(|p| p.funcs.iter().filter(|(f, _)| f.index() < funcs).collect())
+        .unwrap_or_default();
+    kept.sort_unstable_by_key(|(f, _)| **f);
+    fnv1a64(&[format!("{kept:?}").as_bytes()])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,5 +152,34 @@ mod tests {
         assert_eq!(fp.bypassed_stores().collect::<Vec<_>>(), vec![loc]);
         assert!(fp.bypasses_ret());
         assert!(plan.for_func(FuncId(2)).is_none());
+    }
+
+    #[test]
+    fn plan_digest_covers_only_the_kept_functions() {
+        let ret = |param| FuncCtxPlan {
+            flows: vec![CriticalFlow::Ret { param }],
+        };
+        let empty = plan_digest(None, 9);
+        assert_eq!(plan_digest(Some(&CtxPlan::new()), 9), empty);
+        let mut plan = CtxPlan::new();
+        plan.funcs.insert(FuncId(3), ret(0));
+        // Function 3 is past a three-function prefix.
+        assert_eq!(plan_digest(Some(&plan), 3), empty);
+        let four = plan_digest(Some(&plan), 4);
+        assert_ne!(four, empty);
+        // A plan for an appended function leaves the kept digest alone; a
+        // changed plan of a kept function moves it.
+        plan.funcs.insert(FuncId(7), ret(1));
+        assert_eq!(plan_digest(Some(&plan), 4), four);
+        plan.funcs.insert(FuncId(3), ret(1));
+        assert_ne!(plan_digest(Some(&plan), 4), four);
+        // Insertion order does not matter.
+        let mut a = CtxPlan::new();
+        let mut b = CtxPlan::new();
+        for f in 0..20 {
+            a.funcs.insert(FuncId(f), ret(f as usize));
+            b.funcs.insert(FuncId(19 - f), ret(19 - f as usize));
+        }
+        assert_eq!(plan_digest(Some(&a), 20), plan_digest(Some(&b), 20));
     }
 }

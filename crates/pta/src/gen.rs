@@ -22,7 +22,7 @@ use std::borrow::Cow;
 
 use kaleidoscope_ir::{FuncId, Inst, InstLoc, LocalId, Module, Operand, Terminator, Type};
 
-use crate::ctxplan::{ChainStep, CriticalFlow, CtxPlan, FuncCtxPlan};
+use crate::ctxplan::{plan_digest, ChainStep, CriticalFlow, CtxPlan, FuncCtxPlan};
 use crate::node::{NodeId, NodeTable, ObjId, ObjSite};
 
 /// Why a primitive constraint exists.
@@ -181,6 +181,29 @@ pub struct Program {
     pub constraints: Vec<Constraint>,
     /// Indirect calls.
     pub icalls: Vec<IndirectCall>,
+    /// The program's extent before each function's walk, in function
+    /// order, and after the last one: entry `k` is where the walk of the
+    /// first `k` functions ended.
+    pub walk_marks: Vec<GenMark>,
+    /// [`plan_digest`] of the context plan the program was generated
+    /// with, over all of the module's functions.
+    pub plan_digest: u64,
+}
+
+/// The counts of nodes, objects, constraints and indirect calls generation
+/// had created at a function boundary of its walk ([`Program::walk_marks`];
+/// a warm start reads its translation off them, see
+/// [`crate::ConstraintDiff::derive`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GenMark {
+    /// Nodes created.
+    pub nodes: usize,
+    /// Objects created.
+    pub objs: usize,
+    /// Constraints emitted.
+    pub constraints: usize,
+    /// Indirect calls recorded.
+    pub icalls: usize,
 }
 
 /// A module's plan-free constraint program, generated once per module
@@ -242,6 +265,7 @@ pub fn generate(module: &Module, ctx_plan: Option<&CtxPlan>) -> Program {
         constraints: Vec::new(),
         icalls: Vec::new(),
     };
+    let mut walk_marks = Vec::with_capacity(module.funcs.len() + 1);
     // Pre-create objects for globals and functions so their ids are stable
     // regardless of reference order.
     for (gid, decl) in module.iter_globals() {
@@ -251,13 +275,17 @@ pub fn generate(module: &Module, ctx_plan: Option<&CtxPlan>) -> Program {
         g.nodes
             .object(ObjSite::Func(fid), Some(Type::Func(f.sig())));
     }
+    walk_marks.push(g.mark());
     for (fid, _) in module.iter_funcs() {
         g.func(fid);
+        walk_marks.push(g.mark());
     }
     Program {
         nodes: g.nodes,
         constraints: g.constraints,
         icalls: g.icalls,
+        walk_marks,
+        plan_digest: plan_digest(ctx_plan, module.funcs.len()),
     }
 }
 
@@ -270,6 +298,15 @@ struct Gen<'m> {
 }
 
 impl Gen<'_> {
+    fn mark(&self) -> GenMark {
+        GenMark {
+            nodes: self.nodes.len(),
+            objs: self.nodes.obj_count(),
+            constraints: self.constraints.len(),
+            icalls: self.icalls.len(),
+        }
+    }
+
     fn push(&mut self, kind: ConstraintKind, origin: Origin) {
         self.constraints.push(Constraint { kind, origin });
     }

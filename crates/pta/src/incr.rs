@@ -4,31 +4,35 @@
 //! canonical points-to sets, the union-find condensation, the copy-edge
 //! set, and the invariant/degradation events, all expressed over identities
 //! that survive regeneration (node kinds, [`ObjSite`]s, constraint prefix
-//! indices). When the next revision of a module arrives, a
-//! [`ConstraintDiff`] compares the freshly generated constraint program
-//! against the previous revision's; if the previous program is an exact
-//! *prefix* of the new one (the append-only edit shape watch-mode traffic
-//! overwhelmingly produces: new functions, new globals, new struct defs —
-//! shared definitions byte-identical), the solver warm-starts from the
-//! snapshot and seeds its worklist with only the touched nodes. Anything
-//! else — a removed or edited shared function, a changed global or struct,
-//! mismatched solve options or state versions — triggers a *sound full
-//! re-solve*, counted in `SolveStats::incr_fallback_full`.
+//! indices). When the next revision of a module arrives and its caller has
+//! shown that the previous revision is a byte-identical *prefix* of it (the
+//! append-only edit shape watch-mode traffic overwhelmingly produces: new
+//! functions, new globals, new struct defs — shared definitions unchanged),
+//! a [`ConstraintDiff`] translates the previous program onto the new one
+//! without generating it: [`ConstraintDiff::derive`] reads the translation
+//! off the new program's generation watermarks. The solver then warm-starts
+//! from the snapshot and seeds its worklist with only the touched nodes.
+//! Anything else — a removed or edited shared function, a changed global or
+//! struct, a changed context plan of a kept function, mismatched solve
+//! options or state versions — triggers a *sound full re-solve*, counted
+//! in `SolveStats::incr_fallback_full`.
 //!
 //! # Soundness
 //!
 //! The restored state is the least fixpoint of the previous (sub-)system,
 //! translated onto the new node arena. Because the previous constraints are
-//! a verified prefix of the new ones and every propagation rule is
-//! monotone, the warm-started worklist converges to the least fixpoint of
-//! the *new* system — the same fixpoint a from-scratch solve reaches. The
-//! CI `incremental-differential` job enforces this empirically: report
-//! bytes and canonical identities must match a cold solve at every step of
-//! seeded edit scripts, at thread counts 1 and 4.
+//! a prefix of the new ones under that translation and every propagation
+//! rule is monotone, the warm-started worklist converges to the least
+//! fixpoint of the *new* system — the same fixpoint a from-scratch solve
+//! reaches. [`ConstraintDiff::compute`] verifies the prefix property
+//! constraint by constraint; it is kept as the test oracle that the derived
+//! diff equals. The CI `incremental-differential` job enforces the result
+//! empirically: report bytes and canonical identities must match a cold
+//! solve at every step of seeded edit scripts, at thread counts 1 and 4.
 
 use std::collections::HashMap;
 
-use kaleidoscope_ir::{BlockId, FuncId, InstLoc, LocalId, Module};
+use kaleidoscope_ir::{BlockId, FuncId, InstLoc, LocalId, Module, PrefixCounts};
 
 use crate::gen::{ConstraintKind, IndirectCall, Program};
 use crate::node::{NodeId, NodeKind, ObjId, ObjSite};
@@ -40,7 +44,10 @@ use crate::solver::{PaFilterEvent, PwcEvent, Solver};
 /// snapshots are rejected at decode time and the caller falls back to a
 /// full solve. Composed with [`crate::PTS_REPR_VERSION`] in cache keys —
 /// a snapshot is only meaningful for the representation that produced it.
-pub const INCR_STATE_VERSION: u32 = 2;
+///
+/// v3: the digest of the context plan the snapshot's program was
+/// generated with ([`SolvedState::plan_digest`]).
+pub const INCR_STATE_VERSION: u32 = 3;
 
 const STATE_MAGIC: [u8; 4] = *b"KDIS";
 
@@ -82,6 +89,11 @@ pub struct SolvedState {
     /// snapshot never warms a solve under different result-affecting
     /// options.
     pub opts_key: u64,
+    /// [`crate::ctxplan::plan_digest`] of the context plan the producing
+    /// solve generated its program with, over all of the revision's
+    /// functions. A warm start needs the current plan to digest the same
+    /// over those functions.
+    pub plan_digest: u64,
     /// Node count of the generated program (the gen/solver-created split).
     pub gen_len: u32,
     created: Vec<CreatedNode>,
@@ -222,6 +234,7 @@ impl SolvedState {
         Some(SolvedState {
             fingerprint,
             opts_key: solver.opts.cache_key(),
+            plan_digest: solver.plan_digest,
             gen_len: gen_len as u32,
             created,
             rep_of,
@@ -249,6 +262,7 @@ impl SolvedState {
         put_u32(&mut out, crate::PTS_REPR_VERSION);
         out.extend_from_slice(&self.fingerprint.to_le_bytes());
         out.extend_from_slice(&self.opts_key.to_le_bytes());
+        out.extend_from_slice(&self.plan_digest.to_le_bytes());
         put_u32(&mut out, self.gen_len);
         put_u32(&mut out, self.created.len() as u32);
         for c in &self.created {
@@ -350,6 +364,7 @@ impl SolvedState {
         }
         let fingerprint = r.u64_le()?;
         let opts_key = r.u64_le()?;
+        let plan_digest = r.u64_le()?;
         let gen_len = r.u32()?;
         let ncreated = r.u32()? as usize;
         let mut created = Vec::with_capacity(ncreated.min(1 << 20));
@@ -463,6 +478,7 @@ impl SolvedState {
         Some(SolvedState {
             fingerprint,
             opts_key,
+            plan_digest,
             gen_len,
             created,
             rep_of,
@@ -564,6 +580,12 @@ pub enum FallbackReason {
     /// The caller found, before any module was compared, that the new
     /// module does not extend the previous revision.
     NotExtended,
+    /// The context plan of a kept function changed: the snapshot's plan
+    /// digest is not the current plan's over the kept functions.
+    PlanChanged,
+    /// The snapshot's node count is not the previous node count the kept
+    /// prefix derives (a snapshot handed with another revision's counts).
+    StateMismatch,
 }
 
 impl std::fmt::Display for FallbackReason {
@@ -577,16 +599,23 @@ impl std::fmt::Display for FallbackReason {
             FallbackReason::ConstraintMismatch => "constraint prefix mismatch",
             FallbackReason::IcallMismatch => "indirect-call prefix mismatch",
             FallbackReason::NotExtended => "edit does not extend the previous revision",
+            FallbackReason::PlanChanged => "context plan of a kept function changed",
+            FallbackReason::StateMismatch => "snapshot does not match the kept prefix",
         };
         f.write_str(s)
     }
 }
 
 /// The difference between two generated constraint programs, oriented for
-/// warm-starting: either the previous program is a verified prefix of the
-/// new one (with the node/object translation maps to prove it), or
-/// `fallback` names why a full re-solve is required.
-#[derive(Debug, Clone)]
+/// warm-starting: either the previous program is a prefix of the new one
+/// (with the node/object translation maps onto it), or `fallback` names why
+/// a full re-solve is required.
+///
+/// Warm starts [`derive`](ConstraintDiff::derive) it from the kept
+/// prefix's counts; [`compute`](ConstraintDiff::compute) builds it by
+/// comparing both programs and is the oracle the derivation is tested
+/// against.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstraintDiff {
     /// `Some(reason)` when incremental reuse is impossible and the solve
     /// must run from scratch (always sound).
@@ -618,20 +647,63 @@ impl ConstraintDiff {
         }
     }
 
-    /// A diff that falls back for `reason`, found before any module or
-    /// program was compared.
+    /// A diff that falls back for `reason`, found before any program was
+    /// compared.
     pub(crate) fn rejected(reason: FallbackReason) -> ConstraintDiff {
         Self::unchecked().fail(reason)
+    }
+
+    /// The diff of an edit that keeps the first `prefix.globals` globals
+    /// and `prefix.funcs` functions of `module` as the previous revision
+    /// had them, read off `new`, `module`'s program. `generate` creates
+    /// every global's object, then every function's, then walks the
+    /// functions in order, so the kept walk is the previous one shifted:
+    /// for `G` appended globals and `F` appended functions, both maps are
+    /// +0 below `g`, +G below `g + k`, and +G+F up to the kept walk's end,
+    /// `new.walk_marks[k]`, which also gives the first new constraint and
+    /// indirect call. Struct types are not numbered.
+    ///
+    /// The caller vouches for the prefix and for the kept functions'
+    /// context plan ([`crate::WarmStart::diff`] checks the plan and the
+    /// snapshot's extent; `restore` checks the rest of the snapshot).
+    /// Counts beyond the module's, or a program with another function
+    /// count, fall back as [`FallbackReason::NotExtended`].
+    pub fn derive(module: &Module, new: &Program, prefix: PrefixCounts) -> ConstraintDiff {
+        let (globals, funcs) = (module.globals.len(), module.funcs.len());
+        if prefix.globals > globals || prefix.funcs > funcs || new.walk_marks.len() != funcs + 1 {
+            return Self::rejected(FallbackReason::NotExtended);
+        }
+        let (added_globals, added_funcs) = (globals - prefix.globals, funcs - prefix.funcs);
+        let kept_objects = prefix.globals + prefix.funcs;
+        let shift = |i: usize| {
+            let by = if i < prefix.globals {
+                0
+            } else if i < kept_objects {
+                added_globals
+            } else {
+                added_globals + added_funcs
+            };
+            (i + by) as u32
+        };
+        let end = new.walk_marks[prefix.funcs];
+        let added = added_globals + added_funcs;
+        ConstraintDiff {
+            fallback: None,
+            first_new_constraint: end.constraints,
+            first_new_icall: end.icalls,
+            node_map: (0..end.nodes - added).map(shift).collect(),
+            obj_map: (0..end.objs - added).map(shift).collect(),
+        }
     }
 
     /// The module-level half of [`ConstraintDiff::compute`], which needs
     /// no constraint program: the shared prefix of the two modules must be
     /// byte-identical (appends only). A removed or changed function, a
     /// removed or changed global and a removed or changed struct each set
-    /// `fallback` here, so a caller can skip generating the previous
-    /// revision's program. These are cheap bails; the exact guarantee comes
-    /// from the translated prefix verification in `compute`. The
-    /// program-level fields of the returned diff stay zero.
+    /// `fallback` here; an accepted precheck makes the previous module's
+    /// item counts a prefix [`ConstraintDiff::derive`] can translate (see
+    /// [`crate::WarmStart::between`]). The program-level fields of the
+    /// returned diff stay zero.
     pub fn precheck(prev_module: &Module, new_module: &Module) -> ConstraintDiff {
         let diff = Self::unchecked();
         if new_module.funcs.len() < prev_module.funcs.len() {
@@ -672,19 +744,17 @@ impl ConstraintDiff {
     /// used for their respective solves — any divergence in the shared
     /// prefix (including plan-induced divergence) is detected and reported
     /// as a fallback.
+    ///
+    /// No solve calls this: it is the test oracle for
+    /// [`ConstraintDiff::derive`], which must agree with it on every edit
+    /// it accepts.
     pub fn compute(
         prev_module: &Module,
         prev: &Program,
         new_module: &Module,
         new: &Program,
     ) -> ConstraintDiff {
-        Self::precheck(prev_module, new_module).check_programs(prev, new)
-    }
-
-    /// The program-level half of [`ConstraintDiff::compute`], on a
-    /// prechecked diff.
-    pub(crate) fn check_programs(self, prev: &Program, new: &Program) -> ConstraintDiff {
-        let mut diff = self;
+        let mut diff = Self::precheck(prev_module, new_module);
         diff.first_new_constraint = prev.constraints.len();
         diff.first_new_icall = prev.icalls.len();
         if diff.fallback.is_some() {
@@ -1051,16 +1121,61 @@ mod tests {
         new_m: &Module,
         opts: &SolveOptions,
     ) -> (SolveResult, Option<SolvedState>) {
-        let prev_program = generate(prev_m, None);
-        let new_program = generate(new_m, None);
-        let diff = ConstraintDiff::compute(prev_m, &prev_program, new_m, &new_program);
-        Solver::new(new_m, new_program, opts.clone())
-            .try_solve(
-                Some((prev, &diff)),
-                Some(new_m.fingerprint()),
-                &mut NullObserver,
-            )
-            .expect("unbudgeted")
+        let (a, state) = crate::Analysis::try_run(
+            new_m,
+            opts,
+            None,
+            None,
+            Some(crate::WarmStart::between(prev_m, new_m, prev)),
+            Some(new_m.fingerprint()),
+            &mut NullObserver,
+        )
+        .expect("unbudgeted");
+        (a.result, state)
+    }
+
+    /// `m` with a global appended and a function that stores the shared
+    /// handler's address into it.
+    fn append_global(m: &mut Module) {
+        let handler = m.func_by_name("handler").unwrap();
+        let ty = Type::ptr(Type::Func(m.func(handler).sig()));
+        let g = Operand::Global(m.add_global("spare", ty).unwrap());
+        let mut b = FunctionBuilder::new(m, "publish", vec![], Type::Void);
+        let fp = b.copy("fp", Operand::Func(handler));
+        b.store(g, fp);
+        b.ret(None);
+        b.finish();
+    }
+
+    #[test]
+    fn derived_diff_is_the_computed_one() {
+        let v1 = base_module();
+        let mut v2 = base_module();
+        append_extra(&mut v2);
+        let mut v3 = v2.clone();
+        append_global(&mut v3);
+        let counts = Module::item_counts;
+        for (prev, next) in [(&v1, &v2), (&v1, &v3), (&v2, &v3), (&v3, &v3)] {
+            let (p, n) = (generate(prev, None), generate(next, None));
+            let computed = ConstraintDiff::compute(prev, &p, next, &n);
+            assert_eq!(computed.fallback, None);
+            assert_eq!(ConstraintDiff::derive(next, &n, counts(prev)), computed);
+        }
+        // v3's global shifts the kept functions' objects by one.
+        let derived = ConstraintDiff::derive(&v3, &generate(&v3, None), counts(&v2));
+        assert_eq!(derived.obj_map[..4], [0, 2, 3, 4]);
+        // Counts past the module's, or of another module's program.
+        let over = PrefixCounts {
+            funcs: v2.funcs.len() + 1,
+            ..counts(&v2)
+        };
+        let v1_program = generate(&v1, None);
+        for diff in [
+            ConstraintDiff::derive(&v2, &generate(&v2, None), over),
+            ConstraintDiff::derive(&v2, &v1_program, counts(&v1)),
+        ] {
+            assert_eq!(diff.fallback, Some(FallbackReason::NotExtended));
+        }
     }
 
     #[test]
@@ -1206,12 +1321,9 @@ mod tests {
             assert_eq!(full.fallback, Some(reason), "{what}: compute");
 
             let (_, state) = solve_cold(&prev_m, &opts);
-            let warm = crate::WarmStart {
-                module: Some(&prev_m),
-                plan: None,
-                blocks: None,
-                state: &state.expect("converged solve captures"),
-            };
+            let state = state.expect("converged solve captures");
+            let warm = crate::WarmStart::between(&prev_m, &new_m, &state);
+            assert_eq!(warm.prefix, Err(reason), "{what}");
             let (warm, warm_state) = crate::Analysis::try_run(
                 &new_m,
                 &opts,

@@ -385,6 +385,8 @@ pub struct Solver<'m> {
     /// Node count of the generated [`Program`] at construction time; nodes
     /// at indices ≥ this were lazily created by the solver itself.
     pub(crate) gen_node_len: usize,
+    /// The plan digest of the generated program, recorded in snapshots.
+    pub(crate) plan_digest: u64,
 
     pub(crate) pts: Vec<PtsSet>,
     pub(crate) prop: Vec<PtsSet>,
@@ -432,6 +434,8 @@ impl<'m> Solver<'m> {
             nodes,
             constraints,
             icalls,
+            plan_digest,
+            ..
         } = program;
         let gen_node_len = nodes.len();
         let mut s = Solver {
@@ -441,6 +445,7 @@ impl<'m> Solver<'m> {
             constraints,
             icalls,
             gen_node_len,
+            plan_digest,
             pts: Vec::new(),
             prop: Vec::new(),
             copy_out: Vec::new(),

@@ -53,12 +53,7 @@ fn walk_script(script: &[kaleidoscope_fuzz::edit::EditStep], opts: &SolveOptions
     let (_, mut state) = cold(&script[0].module, opts);
     let mut prev_module = &script[0].module;
     for (i, step) in script.iter().enumerate().skip(1) {
-        let prev = WarmStart {
-            module: Some(prev_module),
-            plan: None,
-            blocks: None,
-            state: &state,
-        };
+        let prev = WarmStart::between(prev_module, &step.module, &state);
         let (warm, next_state) = Analysis::try_run(
             &step.module,
             opts,

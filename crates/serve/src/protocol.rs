@@ -409,36 +409,50 @@ impl Cursor<'_> {
                 .unwrap_or(rest.len());
             s.push_str(&rest[..run]);
             self.pos += run;
-            match self.next() {
+            match self.s.as_bytes().get(self.pos) {
                 None => return Err(bad("unterminated string")),
-                Some('"') => return Ok(s),
-                // The run stopped at a backslash.
-                Some(_) => match self.next() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('/') => s.push('/'),
-                    Some('n') => s.push('\n'),
-                    Some('r') => s.push('\r'),
-                    Some('t') => s.push('\t'),
-                    Some('u') => {
-                        let mut code = self.hex4()?;
-                        // A character outside the BMP arrives as a UTF-16
-                        // surrogate pair: a high surrogate escape, then
-                        // the low one. A lone half stays an error.
-                        if (0xD800..0xDC00).contains(&code) {
-                            let low = match (self.next(), self.next()) {
-                                (Some('\\'), Some('u')) => self.hex4()?,
-                                _ => return Err(bad("unpaired \\u surrogate")),
-                            };
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err(bad("unpaired \\u surrogate"));
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(s);
+                }
+                // The run stopped at a backslash. An escape's letter is one
+                // byte, so dispatch on that byte.
+                Some(_) => {
+                    let letter = self.s.as_bytes().get(self.pos + 1).copied();
+                    self.pos += 2;
+                    let c = match letter {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => {
+                            let mut code = self.hex4()?;
+                            // A character outside the BMP arrives as a
+                            // UTF-16 surrogate pair: a high surrogate
+                            // escape, then the low one. A lone half stays
+                            // an error.
+                            if (0xD800..0xDC00).contains(&code) {
+                                let low = match (self.next(), self.next()) {
+                                    (Some('\\'), Some('u')) => self.hex4()?,
+                                    _ => return Err(bad("unpaired \\u surrogate")),
+                                };
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(bad("unpaired \\u surrogate"));
+                                }
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                             }
-                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            char::from_u32(code).ok_or_else(|| bad("bad \\u code point"))?
                         }
-                        s.push(char::from_u32(code).ok_or_else(|| bad("bad \\u code point"))?);
-                    }
-                    other => return Err(bad(format!("bad escape {other:?}"))),
-                },
+                        // The character after the backslash, whole.
+                        _ => {
+                            let other = self.s.get(self.pos - 1..).and_then(|t| t.chars().next());
+                            return Err(bad(format!("bad escape {other:?}")));
+                        }
+                    };
+                    s.push(c);
+                }
             }
         }
     }

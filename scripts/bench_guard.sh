@@ -2,8 +2,12 @@
 # Guard the committed BENCH_*.json baselines: compare the median_ms of
 # every case in a freshly regenerated bench file against the same label in
 # the committed baseline, and flag cases that got slower by more than the
-# tolerance. Used by the `bench-guard` CI job (non-blocking, diff uploaded
-# as an artifact); runnable locally after a bench run:
+# tolerance. Samples that carry exact solver counters (BENCH_solver's
+# `pops` and `union_words`) must also not rise: those counts do not depend
+# on the machine, so any rise fails the guard on every CPU count, warn-only
+# or not. Used by the `bench-guard` CI job (a counter rise blocks, a median
+# regression only warns; diff uploaded as an artifact); runnable locally
+# after a bench run:
 #
 #   cargo bench -p kaleidoscope-bench --bench solver
 #   scripts/bench_guard.sh BENCH_solver.json
@@ -12,12 +16,14 @@
 #   BENCH_GUARD_REF        baseline git ref          (default: HEAD)
 #   BENCH_GUARD_TOL_PCT    slower-than tolerance, %  (default: 25)
 #   BENCH_GUARD_OUT        diff report path          (default: bench_guard_diff.txt)
-#   BENCH_GUARD_WARN_ONLY  1 = never fail            (default: 1 on a 1-CPU
-#                          machine, where medians measure scheduler noise,
-#                          else 0)
+#   BENCH_GUARD_WARN_ONLY  1 = median regressions     (default: 1 on a 1-CPU
+#                          never fail                machine, where medians
+#                                                    measure scheduler noise,
+#                                                    else 0)
 #
-# Exit code: 0 when clean or warn-only; 1 when a regression exceeds the
-# tolerance and warn-only is off; 2 on usage errors.
+# Exit code: 0 when clean or warn-only; 1 when a solver counter rose, or a
+# median regression exceeds the tolerance and warn-only is off; 2 on usage
+# errors.
 
 set -euo pipefail
 
@@ -53,8 +59,15 @@ counters() {
     sed -n '/"counters"/,/}/s/^ *"\([a-z_]*\)": \([0-9]*\),\{0,1\}$/\1 \2/p'
 }
 
+# One "label pops union_words" triple per sample line that carries the
+# solver's exact work counters.
+work() {
+    sed -n 's/.*"label": "\([^"]*\)".*"pops": \([0-9]*\), "union_words": \([0-9]*\).*/\1 \2 \3/p'
+}
+
 : >"$OUT"
 status=0
+counter_status=0
 for f in "$@"; do
     if [[ ! -f "$f" ]]; then
         echo "error: $f does not exist (run the bench first)" >&2
@@ -97,7 +110,24 @@ for f in "$@"; do
                 printf "%-11s %-46s %23s %10d\n", "counter-new", $1, "", $2
         }
     ' <(git show "$REF:$f" | counters) <(counters <"$f") | tee -a "$OUT"
+    # Exact solver counters: any rise fails, whatever the CPU count.
+    if ! awk '
+        NR == FNR { pops[$1] = $2; words[$1] = $3; next }
+        ($1 in pops) && ($2 > pops[$1] || $3 > words[$1]) {
+            printf "%-11s %-46s pops %d -> %d, union_words %d -> %d\n", \
+                "COUNTER-RISE", $1, pops[$1], $2, words[$1], $3
+            bad = 1
+        }
+        END { exit bad }
+    ' <(git show "$REF:$f" | work) <(work <"$f") | tee -a "$OUT"; then
+        counter_status=1
+    fi
 done
+
+if [[ "$counter_status" -ne 0 ]]; then
+    echo "bench_guard: exact solver counters rose — see $OUT" >&2
+    exit 1
+fi
 
 if [[ "$status" -ne 0 ]]; then
     if [[ "$BENCH_GUARD_WARN_ONLY" -eq 1 ]]; then

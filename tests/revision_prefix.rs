@@ -1,46 +1,43 @@
 //! The previous revision of a warm start is derived, not parsed: the
 //! stored text is compared with the current module's canonical text
-//! (`revision_prefix`), and an accepted edit's previous module is the
-//! current module cut to the stored revision's counts (`truncated`).
+//! (`revision_prefix`), the current module's first that many items must
+//! stand alone (`prefix_closed`), and each solve derives its translation
+//! from those counts and its own program (`ConstraintDiff::derive`, through
+//! `WarmStart::diff`).
 //!
-//! This property pins that derivation to the check it replaces. Over pairs
-//! of modules, the text comparison accepts exactly when
-//! `ConstraintDiff::precheck(parse(prev), next)` does, and an accepted
-//! pair's truncated module equals `parse(prev)`, up to the module name
-//! (which the precheck ignores too). The pairs:
+//! This property pins that derivation to the checks it replaces. Over pairs
+//! of modules:
+//!
+//! * the text comparison accepts exactly when
+//!   `ConstraintDiff::precheck(parse(prev), next)` does, and an accepted
+//!   pair's counts are `parse(prev)`'s and pass the prefix scan;
+//! * plan-free and under the full context plan, the derived diff accepts
+//!   exactly when the oracle `ConstraintDiff::compute` over both generated
+//!   programs does, and then equals it: node and object maps, first new
+//!   constraint and first new indirect call. The derivation's snapshot is
+//!   a cold solve of `prev` under its own plan.
+//!
+//! The pairs:
 //!
 //! * consecutive revisions of seeded edit scripts: appends (publishing and
 //!   leaf), removals and modifies;
 //! * the nine application models against each other, against renamed
 //!   copies (another module name: accepted; a renamed function:
-//!   rejected), and against themselves plus an appended function.
+//!   rejected), and against themselves plus an appended function, plus an
+//!   appended global and function.
 
 use kaleidoscope_suite::apps;
 use kaleidoscope_suite::fuzz::edit::{
     edit_script, edit_script_with_modify, edit_script_with_removal, EditKind,
 };
 use kaleidoscope_suite::ir::{
-    parse_module, revision_prefix, FunctionBuilder, Module, StructDef, Type,
+    parse_module, revision_prefix, FunctionBuilder, Module, Operand, PrefixCounts, Type,
 };
-use kaleidoscope_suite::pta::ConstraintDiff;
-
-/// Whether `a` and `b` hold the same types, globals and functions (their
-/// names may differ), with the same name lookups.
-fn same_but_name(a: &Module, b: &Module) -> bool {
-    let types = |m: &Module| -> Vec<StructDef> { m.types.iter().map(|(_, d)| d.clone()).collect() };
-    types(a) == types(b)
-        && a.globals == b.globals
-        && a.funcs == b.funcs
-        && a.funcs
-            .iter()
-            .all(|f| a.func_by_name(&f.name) == b.func_by_name(&f.name))
-        && a.globals
-            .iter()
-            .all(|g| a.global_by_name(&g.name) == b.global_by_name(&g.name))
-        && a.types
-            .iter()
-            .all(|(_, d)| a.types.by_name(&d.name) == b.types.by_name(&d.name))
-}
+use kaleidoscope_suite::kaleidoscope::detect_ctx_plan;
+use kaleidoscope_suite::pta::gen::generate;
+use kaleidoscope_suite::pta::{
+    Analysis, ConstraintDiff, CtxPlan, FallbackReason, NullObserver, SolveOptions, WarmStart,
+};
 
 /// Check one pair; returns whether the edit was accepted.
 fn check(what: &str, prev: &Module, next: &Module) -> bool {
@@ -54,16 +51,80 @@ fn check(what: &str, prev: &Module, next: &Module) -> bool {
         "{what}: text comparison {text:?}, precheck accepts: {precheck}"
     );
     if let Some(counts) = text {
-        let derived = next
-            .truncated(counts)
-            .unwrap_or_else(|| panic!("{what}: accepted prefix refers past its cut"));
         assert!(
-            same_but_name(&derived, &parsed),
-            "{what}: the truncated module is not the parsed previous revision"
+            next.prefix_closed(counts),
+            "{what}: accepted prefix refers past its counts"
         );
-        assert_eq!(derived.name, next.name);
+        let parsed_counts = PrefixCounts {
+            funcs: parsed.funcs.len(),
+            globals: parsed.globals.len(),
+            types: parsed.types.len(),
+        };
+        assert_eq!(
+            counts, parsed_counts,
+            "{what}: counts are not the revision's"
+        );
+    }
+    let prefix = text.ok_or(FallbackReason::NotExtended);
+    for planned in [false, true] {
+        let plan = |m: &Module| planned.then(|| detect_ctx_plan(m));
+        check_derived(
+            &format!("{what}, planned {planned}"),
+            (&parsed, plan(&parsed)),
+            (next, plan(next)),
+            prefix,
+        );
     }
     precheck
+}
+
+/// The derived diff of `prev → next` (each with its context plan) against
+/// the oracle's.
+fn check_derived(
+    what: &str,
+    (prev, prev_plan): (&Module, Option<CtxPlan>),
+    (next, next_plan): (&Module, Option<CtxPlan>),
+    prefix: Result<PrefixCounts, FallbackReason>,
+) {
+    let prev_program = generate(prev, prev_plan.as_ref());
+    let next_program = generate(next, next_plan.as_ref());
+    let oracle = ConstraintDiff::compute(prev, &prev_program, next, &next_program);
+    let derived = match prefix {
+        // The snapshot a rejected edit would restore is never read.
+        Err(reason) => Err(reason),
+        Ok(_) => {
+            let (_, state) = Analysis::try_run(
+                prev,
+                &SolveOptions::baseline(),
+                prev_plan.as_ref(),
+                None,
+                None,
+                Some(prev.fingerprint()),
+                &mut NullObserver,
+            )
+            .expect("unbudgeted solve");
+            let state = state.expect("a converged solve captures its state");
+            let warm = WarmStart {
+                prefix,
+                state: &state,
+            };
+            Ok(warm.diff(next, next_plan.as_ref(), &next_program))
+        }
+    };
+    match derived {
+        Ok(derived) if derived.fallback.is_none() => {
+            assert_eq!(derived, oracle, "{what}: derived diff is not the oracle's")
+        }
+        Ok(derived) => assert!(
+            oracle.fallback.is_some(),
+            "{what}: derivation rejects ({:?}) an edit the oracle accepts",
+            derived.fallback
+        ),
+        Err(_) => assert!(
+            oracle.fallback.is_some(),
+            "{what}: text comparison rejects an edit the oracle accepts"
+        ),
+    }
 }
 
 #[test]
@@ -128,7 +189,8 @@ fn text_comparison_accepts_exactly_the_prechecked_model_pairs() {
             &func_renamed
         ));
 
-        // The model plus one function extends the model.
+        // The model plus one function extends the model, and so does the
+        // model plus a global and a function that publishes into it.
         let mut grown = a.module.clone();
         let mut f = FunctionBuilder::new(&mut grown, "appended_fn", vec![], Type::Void);
         let o = f.alloca("o", Type::Int);
@@ -138,5 +200,25 @@ fn text_comparison_accepts_exactly_the_prechecked_model_pairs() {
         f.finish();
         assert!(check(&format!("{} appended", a.name), &a.module, &grown));
         assert!(!check(&format!("{} shrunk", a.name), &grown, &a.module));
+        let mut with_global = grown.clone();
+        let g = with_global
+            .add_global("appended_global", Type::ptr(Type::Int))
+            .expect("a fresh global name");
+        let mut f = FunctionBuilder::new(&mut with_global, "publishes", vec![], Type::Void);
+        let o = f.alloca("o", Type::Int);
+        f.store(Operand::Global(g), o);
+        f.ret(None);
+        f.finish();
+        let with_global = parse_module(&with_global.to_text()).expect("reparses");
+        assert!(check(
+            &format!("{} appended a global", a.name),
+            &a.module,
+            &with_global
+        ));
+        assert!(check(
+            &format!("{} appended a global to the grown", a.name),
+            &grown,
+            &with_global
+        ));
     }
 }

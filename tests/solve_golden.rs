@@ -308,70 +308,70 @@ fn warm_solve(
 }
 
 const WARM_GOLDEN: &[&str] = &[
-    "scale-1/fallback/cold 946e0568b3eb98f2 eb098a2c65d1a92f",
-    "scale-1/fallback/append de85ee0c2e64c265 dab11270b95bdab6",
-    "scale-1/fallback/leaf f01f3879e573d47f 5daa5128ea45bad3",
-    "scale-1/fallback/remove 946e0568b3eb98f2 c7dd54abcc09f602",
-    "scale-1/Kd-Ctx/cold 946e0568b3eb98f2 eb098a2c65d1a92f",
-    "scale-1/Kd-Ctx/append de85ee0c2e64c265 dab11270b95bdab6",
-    "scale-1/Kd-Ctx/leaf f01f3879e573d47f 5daa5128ea45bad3",
-    "scale-1/Kd-Ctx/remove 946e0568b3eb98f2 c7dd54abcc09f602",
-    "scale-1/Kd-PA/cold 946e0568b3eb98f2 f6676c3dece26a12",
-    "scale-1/Kd-PA/append de85ee0c2e64c265 405821942dd1441f",
-    "scale-1/Kd-PA/leaf f01f3879e573d47f dc5cb457e900ad9a",
-    "scale-1/Kd-PA/remove 946e0568b3eb98f2 ea6c8b056897439f",
-    "scale-1/Kd-PWC/cold 946e0568b3eb98f2 679287757207f2c1",
-    "scale-1/Kd-PWC/append de85ee0c2e64c265 02aa246a7e4a1d60",
-    "scale-1/Kd-PWC/leaf f01f3879e573d47f 02b1ab2c629bef61",
-    "scale-1/Kd-PWC/remove 946e0568b3eb98f2 d44a3e77bddf6a04",
-    "scale-1/Kd-Ctx-PA/cold 946e0568b3eb98f2 f6676c3dece26a12",
-    "scale-1/Kd-Ctx-PA/append de85ee0c2e64c265 405821942dd1441f",
-    "scale-1/Kd-Ctx-PA/leaf f01f3879e573d47f dc5cb457e900ad9a",
-    "scale-1/Kd-Ctx-PA/remove 946e0568b3eb98f2 ea6c8b056897439f",
-    "scale-1/Kd-Ctx-PWC/cold 946e0568b3eb98f2 679287757207f2c1",
-    "scale-1/Kd-Ctx-PWC/append de85ee0c2e64c265 02aa246a7e4a1d60",
-    "scale-1/Kd-Ctx-PWC/leaf f01f3879e573d47f 02b1ab2c629bef61",
-    "scale-1/Kd-Ctx-PWC/remove 946e0568b3eb98f2 d44a3e77bddf6a04",
-    "scale-1/Kd-PA-PWC/cold 946e0568b3eb98f2 351ab741c406ba54",
-    "scale-1/Kd-PA-PWC/append de85ee0c2e64c265 0cbbedbe91f95741",
-    "scale-1/Kd-PA-PWC/leaf f01f3879e573d47f c33ea928e8b79ec0",
-    "scale-1/Kd-PA-PWC/remove 946e0568b3eb98f2 2d18e2a2bb330bb1",
-    "scale-1/Kaleidoscope/cold 946e0568b3eb98f2 351ab741c406ba54",
-    "scale-1/Kaleidoscope/append de85ee0c2e64c265 0cbbedbe91f95741",
-    "scale-1/Kaleidoscope/leaf f01f3879e573d47f c33ea928e8b79ec0",
-    "scale-1/Kaleidoscope/remove 946e0568b3eb98f2 2d18e2a2bb330bb1",
-    "scale-7/fallback/cold e9ec3d2bc0c3afd2 c3814dbc5517a74e",
-    "scale-7/fallback/append eb1959863506552c 5948a9bbf8468795",
-    "scale-7/fallback/leaf fa18474daadc1af6 54e3ad5a61109cc0",
-    "scale-7/fallback/remove e9ec3d2bc0c3afd2 35a12db8700a353b",
-    "scale-7/Kd-Ctx/cold e9ec3d2bc0c3afd2 c3814dbc5517a74e",
-    "scale-7/Kd-Ctx/append eb1959863506552c 5948a9bbf8468795",
-    "scale-7/Kd-Ctx/leaf fa18474daadc1af6 54e3ad5a61109cc0",
-    "scale-7/Kd-Ctx/remove e9ec3d2bc0c3afd2 35a12db8700a353b",
-    "scale-7/Kd-PA/cold e9ec3d2bc0c3afd2 e215c7d9c2bc9f87",
-    "scale-7/Kd-PA/append eb1959863506552c 7799a4897801a168",
-    "scale-7/Kd-PA/leaf fa18474daadc1af6 eb34e6cd48e1135f",
-    "scale-7/Kd-PA/remove e9ec3d2bc0c3afd2 f4ef022b95f8eb42",
-    "scale-7/Kd-PWC/cold e9ec3d2bc0c3afd2 3f807b6c064b928c",
-    "scale-7/Kd-PWC/append eb1959863506552c e78894409a3c4b8b",
-    "scale-7/Kd-PWC/leaf fa18474daadc1af6 c1ff1a8f98387a26",
-    "scale-7/Kd-PWC/remove e9ec3d2bc0c3afd2 a20b298e61119ee9",
-    "scale-7/Kd-Ctx-PA/cold e9ec3d2bc0c3afd2 e215c7d9c2bc9f87",
-    "scale-7/Kd-Ctx-PA/append eb1959863506552c 7799a4897801a168",
-    "scale-7/Kd-Ctx-PA/leaf fa18474daadc1af6 eb34e6cd48e1135f",
-    "scale-7/Kd-Ctx-PA/remove e9ec3d2bc0c3afd2 f4ef022b95f8eb42",
-    "scale-7/Kd-Ctx-PWC/cold e9ec3d2bc0c3afd2 3f807b6c064b928c",
-    "scale-7/Kd-Ctx-PWC/append eb1959863506552c e78894409a3c4b8b",
-    "scale-7/Kd-Ctx-PWC/leaf fa18474daadc1af6 c1ff1a8f98387a26",
-    "scale-7/Kd-Ctx-PWC/remove e9ec3d2bc0c3afd2 a20b298e61119ee9",
-    "scale-7/Kd-PA-PWC/cold e9ec3d2bc0c3afd2 cc04fca6c57d3f65",
-    "scale-7/Kd-PA-PWC/append eb1959863506552c c5c37ed453c40c86",
-    "scale-7/Kd-PA-PWC/leaf fa18474daadc1af6 3898cb7752fc9f65",
-    "scale-7/Kd-PA-PWC/remove e9ec3d2bc0c3afd2 0b2804d530e44090",
-    "scale-7/Kaleidoscope/cold e9ec3d2bc0c3afd2 cc04fca6c57d3f65",
-    "scale-7/Kaleidoscope/append eb1959863506552c c5c37ed453c40c86",
-    "scale-7/Kaleidoscope/leaf fa18474daadc1af6 3898cb7752fc9f65",
-    "scale-7/Kaleidoscope/remove e9ec3d2bc0c3afd2 0b2804d530e44090",
+    "scale-1/fallback/cold 946e0568b3eb98f2 1266b04fc15a1f37",
+    "scale-1/fallback/append de85ee0c2e64c265 c18ed94df36f1fd6",
+    "scale-1/fallback/leaf f01f3879e573d47f 28d76c4c2bbb8cfb",
+    "scale-1/fallback/remove 946e0568b3eb98f2 d405195c6c860eb6",
+    "scale-1/Kd-Ctx/cold 946e0568b3eb98f2 1266b04fc15a1f37",
+    "scale-1/Kd-Ctx/append de85ee0c2e64c265 c18ed94df36f1fd6",
+    "scale-1/Kd-Ctx/leaf f01f3879e573d47f 28d76c4c2bbb8cfb",
+    "scale-1/Kd-Ctx/remove 946e0568b3eb98f2 d405195c6c860eb6",
+    "scale-1/Kd-PA/cold 946e0568b3eb98f2 047c4539ecac324e",
+    "scale-1/Kd-PA/append de85ee0c2e64c265 3f31d5b3fb488e7b",
+    "scale-1/Kd-PA/leaf f01f3879e573d47f 697f67965a2d2b86",
+    "scale-1/Kd-PA/remove 946e0568b3eb98f2 b347da2d899a825f",
+    "scale-1/Kd-PWC/cold 946e0568b3eb98f2 00ed5877b57b2269",
+    "scale-1/Kd-PWC/append de85ee0c2e64c265 2579a503edbbe820",
+    "scale-1/Kd-PWC/leaf f01f3879e573d47f 038eee6f19aab629",
+    "scale-1/Kd-PWC/remove 946e0568b3eb98f2 7775354efcdba310",
+    "scale-1/Kd-Ctx-PA/cold 946e0568b3eb98f2 047c4539ecac324e",
+    "scale-1/Kd-Ctx-PA/append de85ee0c2e64c265 3f31d5b3fb488e7b",
+    "scale-1/Kd-Ctx-PA/leaf f01f3879e573d47f 697f67965a2d2b86",
+    "scale-1/Kd-Ctx-PA/remove 946e0568b3eb98f2 b347da2d899a825f",
+    "scale-1/Kd-Ctx-PWC/cold 946e0568b3eb98f2 00ed5877b57b2269",
+    "scale-1/Kd-Ctx-PWC/append de85ee0c2e64c265 2579a503edbbe820",
+    "scale-1/Kd-Ctx-PWC/leaf f01f3879e573d47f 038eee6f19aab629",
+    "scale-1/Kd-Ctx-PWC/remove 946e0568b3eb98f2 7775354efcdba310",
+    "scale-1/Kd-PA-PWC/cold 946e0568b3eb98f2 6a50c99211239908",
+    "scale-1/Kd-PA-PWC/append de85ee0c2e64c265 95e321925d319ec5",
+    "scale-1/Kd-PA-PWC/leaf f01f3879e573d47f 6919d0197332c994",
+    "scale-1/Kd-PA-PWC/remove 946e0568b3eb98f2 c143b8d9d595eb71",
+    "scale-1/Kaleidoscope/cold 946e0568b3eb98f2 6a50c99211239908",
+    "scale-1/Kaleidoscope/append de85ee0c2e64c265 95e321925d319ec5",
+    "scale-1/Kaleidoscope/leaf f01f3879e573d47f 6919d0197332c994",
+    "scale-1/Kaleidoscope/remove 946e0568b3eb98f2 c143b8d9d595eb71",
+    "scale-7/fallback/cold e9ec3d2bc0c3afd2 7af0c51c34af9c92",
+    "scale-7/fallback/append eb1959863506552c a8b3999dc411d2b5",
+    "scale-7/fallback/leaf fa18474daadc1af6 4227ad15bd02d56c",
+    "scale-7/fallback/remove e9ec3d2bc0c3afd2 905c5a66fdb8b33b",
+    "scale-7/Kd-Ctx/cold e9ec3d2bc0c3afd2 7af0c51c34af9c92",
+    "scale-7/Kd-Ctx/append eb1959863506552c a8b3999dc411d2b5",
+    "scale-7/Kd-Ctx/leaf fa18474daadc1af6 4227ad15bd02d56c",
+    "scale-7/Kd-Ctx/remove e9ec3d2bc0c3afd2 905c5a66fdb8b33b",
+    "scale-7/Kd-PA/cold e9ec3d2bc0c3afd2 14676f585260d5ff",
+    "scale-7/Kd-PA/append eb1959863506552c addddf5cd13f2ebc",
+    "scale-7/Kd-PA/leaf fa18474daadc1af6 938d192b94331dc7",
+    "scale-7/Kd-PA/remove e9ec3d2bc0c3afd2 870e324a59cc5fce",
+    "scale-7/Kd-PWC/cold e9ec3d2bc0c3afd2 387127fa4ea6e440",
+    "scale-7/Kd-PWC/append eb1959863506552c 249b6939730e6d0b",
+    "scale-7/Kd-PWC/leaf fa18474daadc1af6 f60cbfde30708fc2",
+    "scale-7/Kd-PWC/remove e9ec3d2bc0c3afd2 6dc88219817b4af1",
+    "scale-7/Kd-Ctx-PA/cold e9ec3d2bc0c3afd2 14676f585260d5ff",
+    "scale-7/Kd-Ctx-PA/append eb1959863506552c addddf5cd13f2ebc",
+    "scale-7/Kd-Ctx-PA/leaf fa18474daadc1af6 938d192b94331dc7",
+    "scale-7/Kd-Ctx-PA/remove e9ec3d2bc0c3afd2 870e324a59cc5fce",
+    "scale-7/Kd-Ctx-PWC/cold e9ec3d2bc0c3afd2 387127fa4ea6e440",
+    "scale-7/Kd-Ctx-PWC/append eb1959863506552c 249b6939730e6d0b",
+    "scale-7/Kd-Ctx-PWC/leaf fa18474daadc1af6 f60cbfde30708fc2",
+    "scale-7/Kd-Ctx-PWC/remove e9ec3d2bc0c3afd2 6dc88219817b4af1",
+    "scale-7/Kd-PA-PWC/cold e9ec3d2bc0c3afd2 e06349321363a1b5",
+    "scale-7/Kd-PA-PWC/append eb1959863506552c 48d5bf0cde250882",
+    "scale-7/Kd-PA-PWC/leaf fa18474daadc1af6 0257da5c19de33d5",
+    "scale-7/Kd-PA-PWC/remove e9ec3d2bc0c3afd2 e97b675c626b747c",
+    "scale-7/Kaleidoscope/cold e9ec3d2bc0c3afd2 e06349321363a1b5",
+    "scale-7/Kaleidoscope/append eb1959863506552c 48d5bf0cde250882",
+    "scale-7/Kaleidoscope/leaf fa18474daadc1af6 0257da5c19de33d5",
+    "scale-7/Kaleidoscope/remove e9ec3d2bc0c3afd2 e97b675c626b747c",
 ];
 
 #[test]

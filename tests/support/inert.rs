@@ -27,19 +27,11 @@ pub type Solves = Vec<(Analysis, SolvedState)>;
 /// the same configuration's snapshot of `prev` when given.
 pub fn solve_all(module: &Module, prev: Option<(&Module, &Solves)>) -> Solves {
     let plan = detect_ctx_plan(module);
-    let prev_plan = prev.map(|(m, _)| detect_ctx_plan(m));
     PolicyConfig::table3_order()
         .iter()
         .enumerate()
         .map(|(ci, c)| {
-            let warm = prev
-                .zip(prev_plan.as_ref())
-                .map(|((m, solves), p)| WarmStart {
-                    module: Some(m),
-                    plan: c.ctx.then_some(p),
-                    blocks: None,
-                    state: &solves[ci].1,
-                });
+            let warm = prev.map(|(m, solves)| WarmStart::between(m, module, &solves[ci].1));
             let (a, state) = Analysis::try_run(
                 module,
                 &SolveOptions::optimistic(c.pa, c.pwc),
