@@ -1,8 +1,9 @@
 //! Benchmarks the `kaleidoscope-exec` matrix executor: the full
-//! 9 apps × 8 configs analysis matrix run serially (legacy path), in
-//! parallel with a cold artifact cache, and in parallel with a warm cache.
-//! Writes a `BENCH_executor.json` snapshot to the repository root so the
-//! performance trajectory is tracked across changes.
+//! 9 apps × 8 configs analysis matrix run serially (legacy path, two
+//! solves per cell) and on the pool (one solve per effective key). Writes
+//! a `BENCH_executor.json` snapshot to the repository root so the
+//! performance trajectory is tracked across changes, and exits non-zero
+//! if any cell degraded.
 
 use kaleidoscope::{CellHealth, PolicyConfig};
 use kaleidoscope_bench::jobs_from_args;
@@ -15,8 +16,8 @@ fn main() {
     let models = kaleidoscope_apps::all_models();
     let modules: Vec<_> = models.iter().map(|m| &m.module).collect();
     let configs = PolicyConfig::table3_order();
-    // At least two workers even on a single-CPU host, so the pooled +
-    // cached path (not the legacy serial fallback) is what gets measured.
+    // At least two workers even on a single-CPU host, so the pooled path
+    // (not the legacy serial fallback) is what gets measured.
     let jobs = match jobs_from_args() {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -31,9 +32,9 @@ fn main() {
     );
 
     // Reduce each cell to its stats inside the worker so the benchmark
-    // measures analysis + caching, not result cloning. Degraded cells are
-    // counted on the side: a nonzero count in the snapshot means some cell
-    // fell down the fault-domain ladder during the measured runs.
+    // measures analysis, not result cloning. Degraded cells are counted on
+    // the side: a nonzero count means some cell fell down the fault-domain
+    // ladder during the measured runs, and fails the bench.
     let degraded = AtomicU64::new(0);
     let run = |ex: &Executor| {
         ex.run_matrix_map(&modules, &configs, |mi, _, r| {
@@ -44,46 +45,31 @@ fn main() {
         })
     };
 
-    let mut samples = Vec::new();
-    samples.push(bench("executor/matrix_serial_legacy", 3, || {
-        let ex = Executor::serial();
-        let _ = run(&ex);
-    }));
-    samples.push(bench("executor/matrix_parallel_cold", 3, || {
-        let ex = Executor::with_jobs(jobs);
-        let _ = run(&ex);
-    }));
-    let warm = Executor::with_jobs(jobs);
-    let _ = run(&warm); // populate the artifact cache
-    samples.push(bench("executor/matrix_parallel_warm", 5, || {
-        let _ = run(&warm);
-    }));
-
-    let serial = samples[0].median_ms;
-    for s in &samples[1..] {
-        println!(
-            "speedup vs serial: {:<32} {:>6.2}x",
-            s.label,
-            serial / s.median_ms
-        );
-    }
-    let stats = warm.cache_stats();
+    let samples = [
+        bench("executor/matrix_serial_legacy", 3, || {
+            let _ = run(&Executor::serial());
+        }),
+        bench("executor/matrix_parallel_cold", 3, || {
+            let _ = run(&Executor::with_jobs(jobs));
+        }),
+    ];
     println!(
-        "warm cache: {} lookups, {} misses, {} hits, {} verify failures",
-        stats.lookups,
-        stats.misses,
-        stats.hits(),
-        stats.verify_failures
+        "speedup vs serial: {:<32} {:>6.2}x",
+        samples[1].label,
+        samples[0].median_ms / samples[1].median_ms
     );
     let degraded = degraded.load(Ordering::Relaxed);
     println!("degraded cells across all runs: {degraded}");
 
-    let counters = [
-        ("degraded_cells", degraded),
-        ("cache_verify_failures", stats.verify_failures),
-    ];
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_executor.json");
-    std::fs::write(path, to_json_with_counters(&samples, &counters))
-        .expect("write BENCH_executor.json");
+    std::fs::write(
+        path,
+        to_json_with_counters(&samples, &[("degraded_cells", degraded)]),
+    )
+    .expect("write BENCH_executor.json");
     println!("wrote {path}");
+    if degraded > 0 {
+        eprintln!("error: {degraded} degraded cells; a healthy matrix degrades none");
+        std::process::exit(1);
+    }
 }

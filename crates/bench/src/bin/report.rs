@@ -152,7 +152,7 @@ fn main() {
         })
         .collect();
     if degraded_rows.is_empty() {
-        report.paragraph("All matrix cells healthy: no budget exhaustion, panics, or cache corruption encountered.");
+        report.paragraph("All matrix cells healthy: no budget exhaustion or panics encountered.");
     } else {
         report.table(
             &format!("{} of 72 cells degraded", degraded_rows.len()),
@@ -166,11 +166,10 @@ fn main() {
         );
     }
 
-    // Executor speedup: the legacy serial path vs the pooled + cached
-    // executor, cold and warm. On a single-CPU host the parallel gain is
-    // nil by construction, but the artifact cache still collapses the 72
-    // pipeline runs to ~25 distinct solves, so the warm run is the
-    // headline number.
+    // Executor speedup: the legacy serial path (two solves per cell, 144
+    // in all) vs the pooled executor, which solves each effective key of
+    // a module once (54 solves). On a single-CPU host the parallel gain
+    // is nil by construction, so the saved solves are the headline.
     report.heading("Parallel execution — kaleidoscope-exec");
     let time = |f: &dyn Fn()| {
         let t = Instant::now();
@@ -182,17 +181,12 @@ fn main() {
         let _ = run_matrix(&ex, &models);
     });
     let pool = Executor::with_jobs(executor_from_args().jobs().max(2));
-    let cold_ms = time(&|| {
+    let pool_ms = time(&|| {
         let _ = run_matrix(&pool, &models);
     });
-    let warm_ms = time(&|| {
-        let _ = run_matrix(&pool, &models);
-    });
-    let stats = pool.cache_stats();
     let speedup_rows: Vec<Vec<String>> = [
         ("serial legacy (--jobs 1)", serial_ms),
-        ("executor, cold cache", cold_ms),
-        ("executor, warm cache", warm_ms),
+        ("pooled executor", pool_ms),
     ]
     .iter()
     .map(|(label, ms)| {
@@ -205,27 +199,17 @@ fn main() {
     .collect();
     report.table(
         &format!(
-            "Full 9x8 analysis matrix wall clock ({} workers; warm cache: {} lookups, {} misses, {} hits)",
-            pool.jobs(),
-            stats.lookups,
-            stats.misses,
-            stats.hits()
+            "Full 9x8 analysis matrix wall clock ({} workers)",
+            pool.jobs()
         ),
         vec!["Path".into(), "Wall ms".into(), "Speedup".into()],
         speedup_rows,
     );
     println!("report body matrix: {body_ms:.1} ms");
     println!(
-        "executor speedup over serial legacy ({} workers): cold {:.2}x ({cold_ms:.1} ms), warm {:.2}x ({warm_ms:.1} ms vs {serial_ms:.1} ms serial)",
+        "executor speedup over serial legacy ({} workers): {:.2}x ({pool_ms:.1} ms vs {serial_ms:.1} ms serial)",
         pool.jobs(),
-        serial_ms / cold_ms,
-        serial_ms / warm_ms
-    );
-    println!(
-        "warm cache traffic: {} lookups, {} misses, {} hits",
-        stats.lookups,
-        stats.misses,
-        stats.hits()
+        serial_ms / pool_ms,
     );
 
     // Solver hot path: the per-solve cost counters behind BENCH_solver.json,

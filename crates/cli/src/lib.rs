@@ -105,7 +105,7 @@ pub fn parse_config(name: &str) -> Result<PolicyConfig, CliError> {
 /// `jobs` sets the executor's worker count (`0` = available parallelism;
 /// `1` runs the cells serially). The printed report is identical either
 /// way — configurations of one module share the baseline solve and
-/// context plan through the executor's artifact cache.
+/// context plan, each solved once in the module's row of the executor.
 ///
 /// With `stats` set, each configuration row is followed by the solver's
 /// internal counters for the fallback and optimistic solves (worklist pops,

@@ -214,9 +214,9 @@ impl KaleidoscopeResult {
 /// With [`PolicyConfig::none`], both views are the same baseline analysis
 /// and no invariants are produced.
 ///
-/// This is a composition of the cacheable stages below. The parallel
-/// executor (`kaleidoscope-exec`) runs the same stages, memoized per module
-/// in its content-addressed artifact cache: [`ctx_plan_for`] and
+/// This is a composition of the stages below. The parallel executor
+/// (`kaleidoscope-exec`) runs the same stages, each once per module and
+/// effective key in the module's row: [`ctx_plan_for`]'s detection and
 /// [`assemble_result`] themselves, and the two solves through
 /// [`Analysis::try_run`], which [`fallback_analysis`] and
 /// [`optimistic_analysis`] call too. Every solve ends in the one

@@ -1,9 +1,8 @@
 //! Content-addressed **on-disk** artifact store shared by the CLI and the
 //! serve daemon.
 //!
-//! The in-memory [`ArtifactCache`](crate::ArtifactCache) memoizes solve
-//! artifacts within one process; this store persists the two artifacts
-//! worth sharing *across* processes:
+//! Within one matrix run, the executor's rows hold each solve once; this
+//! store persists what is worth sharing *across* processes:
 //!
 //! * **Modules** — canonical textual IR keyed by its content
 //!   [`fingerprint`](kaleidoscope_ir::Module::fingerprint), so a client can
@@ -15,8 +14,8 @@
 //!   `(fingerprint, config scope, stats flag, PTS_REPR_VERSION)`. Only
 //!   *healthy* reports are stored: a degraded report depends on the budget
 //!   that tripped it, and budgets are excluded from cache keys by the same
-//!   argument as the in-memory cache (the fixpoint is unique, so any solve
-//!   that completes produces the same bytes).
+//!   argument as the executor's effective keys (the fixpoint is unique, so
+//!   any solve that completes produces the same bytes).
 //!
 //! # Layout
 //!

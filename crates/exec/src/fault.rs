@@ -25,10 +25,6 @@ pub enum FaultKind {
     /// the cell must degrade past the fallback rung to the Steensgaard
     /// tier.
     FallbackBudget,
-    /// The cell reads its optimistic artifact through a damaged copy of
-    /// the entry's digest, so content verification rejects it. Other
-    /// cells that share the entry still verify it.
-    CacheCorruption,
     /// The worker hosting the cell dies mid-solve. In the in-process
     /// executor this is an abrupt unwind out of the solve (caught by
     /// cell isolation, degrading to the fallback rung); the serve
@@ -58,10 +54,9 @@ impl FaultKind {
     /// The matrix-cell faults [`FaultPlan::seeded`] cycles through. The
     /// serve-lifecycle kinds ([`FaultKind::SERVE`]) are excluded: they
     /// target the request/process/disk lifecycle, not a matrix cell.
-    const ALL: [FaultKind; 5] = [
+    const ALL: [FaultKind; 4] = [
         FaultKind::CellPanic,
         FaultKind::OptimisticBudget,
-        FaultKind::CacheCorruption,
         FaultKind::FallbackBudget,
         FaultKind::WorkerKill,
     ];
@@ -99,12 +94,8 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Inject `kind` at cell `(module_idx, config_idx)`.
-    ///
-    /// Any cell may be faulted. A corruption damages only the faulted
-    /// cell's read, so at `config_idx == 0`, where the Baseline
-    /// configuration's optimistic artifact is the module's fallback
-    /// artifact, the ladder's first rung still serves.
+    /// Inject `kind` at cell `(module_idx, config_idx)`. Any cell may be
+    /// faulted.
     pub fn inject(mut self, module_idx: usize, config_idx: usize, kind: FaultKind) -> FaultPlan {
         self.faults.insert((module_idx, config_idx), kind);
         self
@@ -132,7 +123,7 @@ impl FaultPlan {
 
     /// A seeded plan: `n` faults at distinct cells of a
     /// `modules × configs` matrix, cycling through the fault kinds so
-    /// every plan of `n ≥ 5` exercises every kind. Config column 0
+    /// every plan of `n ≥ 4` exercises every kind. Config column 0
     /// (Baseline, whose optimistic view is the fallback artifact itself)
     /// is never picked. `n` is clamped to the number of eligible cells.
     pub fn seeded(seed: u64, modules: usize, configs: usize, n: usize) -> FaultPlan {
@@ -186,10 +177,10 @@ mod tests {
 
     #[test]
     fn seeded_plan_covers_all_kinds_and_clamps() {
-        let p = FaultPlan::seeded(7, 9, 8, 5);
+        let p = FaultPlan::seeded(7, 9, 8, 4);
         let kinds: Vec<FaultKind> = p.iter().map(|(_, k)| k).collect();
         for k in FaultKind::ALL {
-            assert!(kinds.contains(&k), "{k:?} missing from a 5-fault plan");
+            assert!(kinds.contains(&k), "{k:?} missing from a 4-fault plan");
         }
         assert_eq!(FaultPlan::seeded(7, 2, 8, 100).len(), 14, "clamped");
         assert!(FaultPlan::seeded(7, 0, 8, 3).is_empty());
@@ -198,13 +189,12 @@ mod tests {
 
     #[test]
     fn explicit_injection_round_trips() {
-        let p = FaultPlan::new().inject(2, 3, FaultKind::CellPanic).inject(
-            4,
-            1,
-            FaultKind::CacheCorruption,
-        );
+        let p =
+            FaultPlan::new()
+                .inject(2, 3, FaultKind::CellPanic)
+                .inject(4, 1, FaultKind::WorkerKill);
         assert_eq!(p.fault_at(2, 3), Some(FaultKind::CellPanic));
-        assert_eq!(p.fault_at(4, 1), Some(FaultKind::CacheCorruption));
+        assert_eq!(p.fault_at(4, 1), Some(FaultKind::WorkerKill));
         assert_eq!(p.fault_at(0, 0), None);
         assert_eq!(p.len(), 2);
     }

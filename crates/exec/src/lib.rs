@@ -15,21 +15,22 @@
 //!   Results are collected by cell index, so output order — and therefore
 //!   every printed table and figure — is byte-identical to the serial
 //!   path regardless of worker count or interleaving.
-//! * **Memoization** — per-module work is stored in a content-addressed
-//!   [`ArtifactCache`] keyed by module fingerprint + solve options. A cell
-//!   asks for the solve of its configuration's *effective key*: the
+//! * **One solve per effective key** — each module of a matrix is a
+//!   row, and the row holds one slot per *effective key*: a cell's
 //!   configuration without each invariant that cannot act on the module.
 //!   The solver reads each invariant's flag at one decision point, so a
-//!   flag it never reads leaves the artifact unchanged. Ctx is dropped
-//!   when the module's context plan is empty, PA when no instruction is
-//!   pointer arithmetic, and PWC when the solve without it degraded no
-//!   Field-Of constraint (a witness read only from an artifact the matrix
-//!   solves anyway). So the baseline solve and the context plan happen
-//!   once per module, and each distinct configuration is solved once: the
-//!   nine models' 72 cells take 54 solves, a `scale` corpus's eight take
-//!   one. Snapshots are published under the effective key too. Each
-//!   artifact key is computed once: workers racing on a cold key wait for
-//!   the first one's artifact instead of solving again.
+//!   flag it never reads leaves the solve unchanged. Ctx is dropped when
+//!   the module's context plan is empty, PA when no instruction is pointer
+//!   arithmetic, and PWC when the solve without it degraded no Field-Of
+//!   constraint (a witness read only from a solve the matrix runs anyway).
+//!   The first cell to ask for a key solves it in the slot; cells racing on
+//!   it wait for that solve, and later cells read it. So the baseline solve
+//!   and the context plan happen once per module, and each distinct
+//!   configuration is solved once: the nine models' 72 cells take 54
+//!   solves, a `scale` corpus's eight take one. Snapshots are published
+//!   under the effective key too. A row lives for one matrix run, and
+//!   every production caller runs one matrix per executor, so nothing is
+//!   kept across runs.
 //! * **Shared generation** — with a module's stored plan-free program
 //!   from [`load_frontend`] attached ([`Executor::with_frontend`]), every
 //!   solve without a context plan clones that program instead of
@@ -47,7 +48,7 @@
 //!   ([`kaleidoscope_pta::ConstraintDiff::derive`]); any other edit solves
 //!   cold, counted as a fallback.
 //! * **A/B checking** — one worker ([`Executor::serial`], `--jobs 1`)
-//!   bypasses both the pool and the cache and runs the legacy
+//!   bypasses both the pool and the row slots and runs the legacy
 //!   [`kaleidoscope::analyze`] per cell, as the reference for the
 //!   determinism guarantee. It is taken only under the default budget
 //!   with no fault plan, state store or stored program; otherwise one
@@ -63,43 +64,43 @@
 //! # Fault domains and the degradation ladder
 //!
 //! Each cell is a fault domain: its pipeline runs under
-//! [`std::panic::catch_unwind`], its solves run under the executor's
-//! [`SolveBudget`], and its cached artifacts are content-verified on
-//! fetch. A cell that panics, exhausts its budget, or reads a corrupt
-//! artifact does not abort the matrix — it *degrades*, mirroring the
-//! paper's runtime memory-view switch (§5):
+//! [`std::panic::catch_unwind`] and its solves run under the executor's
+//! [`SolveBudget`]. A cell that panics or exhausts its budget does not
+//! abort the matrix — it *degrades*, mirroring the paper's runtime
+//! memory-view switch (§5):
 //!
 //! 1. **Fallback rung** — the cell serves the module's sound fallback
-//!    artifact as both views, with no invariants to monitor (exactly the
-//!    post-switch state of a monitored process). On a cache miss it is
-//!    solved like any other fallback solve: warm-started, with its
-//!    snapshot published.
+//!    solve as both views, with no invariants to monitor (exactly the
+//!    post-switch state of a monitored process). If no cell has solved it
+//!    yet, it is solved like any other fallback solve: warm-started, with
+//!    its snapshot published.
 //! 2. **Steensgaard rung** — if even the fallback solve fails, the cell
 //!    serves the cheap unification-based tier (sound, imprecise, near
-//!    linear time).
+//!    linear time), solved once per row.
 //!
-//! Degraded cells are tagged via [`kaleidoscope::CellHealth`] on the
-//! result, and surface in `kd analyze --stats`, the report dashboard, and
-//! `BENCH_executor.json`. The `fault-injection` cargo feature adds
-//! `FaultPlan` for deterministically injecting panics, budget
-//! exhaustion, and cache corruption at chosen cells. Cells that share an
-//! effective key share its artifact, so an injected corruption damages
-//! only the faulted cell's read of it.
+//! A failed solve stays in its slot: every reader runs under the same
+//! budget, so a retry could only fail again. Degraded cells are tagged via
+//! [`kaleidoscope::CellHealth`] on the result, and surface in
+//! `kd analyze --stats`, the report dashboard, and the executor bench. The
+//! `fault-injection` cargo feature adds `FaultPlan` for deterministically
+//! injecting panics, budget exhaustion and worker deaths at chosen cells.
+//! An injected budget fault solves outside the slots, so cells that share
+//! the faulted cell's effective key stay healthy.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-mod cache;
 mod diskcache;
 #[cfg(feature = "fault-injection")]
 mod fault;
 mod frontend;
+mod memo;
 mod report;
 
-pub use cache::{ArtifactCache, CacheStats, FetchError};
 pub use diskcache::{DiskCache, DiskCacheStats, ReportScope, CACHE_DIR_ENV, FE_CACHE_VERSION};
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultKind, FaultPlan};
 pub use frontend::{load_frontend, FrontendStats, LoadedFrontend};
+pub use memo::ArtifactCache;
 pub use report::{
     analyze_request, render_analyze, AnalyzeAnswer, AnalyzeError, AnalyzeReport, AnalyzeRequest,
     CacheDisposition, ModuleSource,
@@ -130,8 +131,6 @@ pub enum CellError {
     FallbackBudget(SolveError),
     /// The cell's pipeline panicked; the payload is preserved.
     Panic(String),
-    /// A cached artifact failed content verification.
-    CorruptArtifact,
 }
 
 impl fmt::Display for CellError {
@@ -140,9 +139,6 @@ impl fmt::Display for CellError {
             CellError::OptimisticBudget(e) => write!(f, "optimistic solve failed: {e}"),
             CellError::FallbackBudget(e) => write!(f, "fallback solve failed: {e}"),
             CellError::Panic(msg) => write!(f, "cell panicked: {msg}"),
-            CellError::CorruptArtifact => {
-                f.write_str("cached artifact failed content verification")
-            }
         }
     }
 }
@@ -163,7 +159,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Debug)]
 pub struct Executor {
     jobs: usize,
-    cache: ArtifactCache,
     budget: SolveBudget,
     state_store: Option<Arc<DiskCache>>,
     /// The stored plan-free program of the module fingerprinted by the
@@ -186,7 +181,8 @@ struct PrevRevision {
     prefix: Option<PrefixCounts>,
 }
 
-/// One module of a matrix, as each of its cells sees it.
+/// One module of a matrix, as each of its cells sees it. A row exists once
+/// per module per matrix run and holds that run's solves of the module.
 #[derive(Debug)]
 struct Row<'a> {
     module: &'a Module,
@@ -197,8 +193,18 @@ struct Row<'a> {
     ptr_arith: bool,
     /// The configurations the matrix asks of `module`.
     configs: &'a [PolicyConfig],
-    /// The module's context plan, fetched on first use.
-    plan: OnceLock<Arc<CtxPlan>>,
+    /// The module's context plan, detected on first use.
+    plan: OnceLock<CtxPlan>,
+    /// The solve of each effective key, indexed by [`slot`]: the first
+    /// reader solves it, and every other reader gets the same outcome.
+    solves: [OnceLock<Result<Arc<Analysis>, SolveError>>; 8],
+    /// The Steensgaard tier, solved for the first cell that needs it.
+    steens: OnceLock<Arc<Analysis>>,
+}
+
+/// The index of effective key `key` in [`Row::solves`].
+fn slot(key: PolicyConfig) -> usize {
+    usize::from(key.ctx) << 2 | usize::from(key.pa) << 1 | usize::from(key.pwc)
 }
 
 impl<'a> Row<'a> {
@@ -213,23 +219,23 @@ impl<'a> Row<'a> {
             ptr_arith,
             configs,
             plan: OnceLock::new(),
+            solves: Default::default(),
+            steens: OnceLock::new(),
         }
     }
 
-    /// The module's context plan, derived once per module through the
-    /// artifact cache.
-    fn plan(&self, ex: &Executor) -> &Arc<CtxPlan> {
-        self.plan
-            .get_or_init(|| ex.cache.ctx_plan(self.fp, || detect_ctx_plan(self.module)))
+    /// The module's context plan, detected once per row.
+    fn plan(&self) -> &CtxPlan {
+        self.plan.get_or_init(|| detect_ctx_plan(self.module))
     }
 
     /// The context plan `config` runs with (empty when the ctx policy is
     /// off).
-    fn plan_of(&self, ex: &Executor, config: PolicyConfig) -> Arc<CtxPlan> {
+    fn plan_of(&self, config: PolicyConfig) -> CtxPlan {
         if config.ctx {
-            Arc::clone(self.plan(ex))
+            self.plan().clone()
         } else {
-            Arc::new(CtxPlan::new())
+            CtxPlan::new()
         }
     }
 
@@ -237,9 +243,9 @@ impl<'a> Row<'a> {
     /// `ctx` when the context plan is empty (an empty plan generates the
     /// plan-free program) and `pa` when no instruction is pointer
     /// arithmetic.
-    fn statically_effective(&self, ex: &Executor, config: PolicyConfig) -> PolicyConfig {
+    fn statically_effective(&self, config: PolicyConfig) -> PolicyConfig {
         PolicyConfig {
-            ctx: config.ctx && !self.plan(ex).is_empty(),
+            ctx: config.ctx && !self.plan().is_empty(),
             pa: config.pa && self.ptr_arith,
             pwc: config.pwc,
         }
@@ -260,7 +266,7 @@ impl Executor {
 
     /// Executor with a fixed worker count; `0` means available
     /// parallelism. With `1` and no budget, faults, state store or stored
-    /// program, a matrix runs the legacy serial path (no pool, no cache);
+    /// program, a matrix runs the legacy serial path (no pool, no slots);
     /// otherwise the pool runs on one worker.
     pub fn with_jobs(jobs: usize) -> Executor {
         let jobs = if jobs == 0 {
@@ -272,7 +278,6 @@ impl Executor {
         };
         Executor {
             jobs,
-            cache: ArtifactCache::new(),
             budget: SolveBudget::default(),
             state_store: None,
             frontend: None,
@@ -289,8 +294,9 @@ impl Executor {
     }
 
     /// Set the per-solve budget every cell runs under. Budgets do not
-    /// change artifact content (the fixpoint is unique), only whether a
-    /// cell completes or degrades, so they are excluded from cache keys.
+    /// change a solve's result (the fixpoint is unique), only whether a
+    /// cell completes or degrades, so they are excluded from effective keys
+    /// and snapshot names.
     pub fn with_budget(mut self, budget: SolveBudget) -> Executor {
         self.budget = budget;
         self
@@ -368,11 +374,6 @@ impl Executor {
         self.jobs
     }
 
-    /// Traffic counters of the artifact cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// The options of `config`'s optimistic solve under the executor's
     /// budget. [`PolicyConfig::none`]'s are the fallback solve's.
     fn opts(&self, config: PolicyConfig) -> SolveOptions {
@@ -382,9 +383,9 @@ impl Executor {
         }
     }
 
-    /// Run the IGO pipeline for one cell through the artifact cache, with
-    /// full fault isolation: on panic, budget exhaustion, or artifact
-    /// corruption the cell degrades down the ladder instead of failing.
+    /// Run the IGO pipeline for one cell, with full fault isolation: on
+    /// panic or budget exhaustion the cell degrades down the ladder instead
+    /// of failing.
     pub fn run_one(&self, module: &Module, config: PolicyConfig) -> KaleidoscopeResult {
         let configs = [config];
         self.run_cell(
@@ -430,7 +431,7 @@ impl Executor {
         let (analysis, state) = Analysis::try_run(
             row.module,
             opts,
-            with_ctx.then(|| &**row.plan(self)),
+            with_ctx.then(|| row.plan()),
             self.frontend_blocks(row.fp),
             warm,
             store.map(|_| row.fp),
@@ -442,12 +443,14 @@ impl Executor {
         Ok(analysis)
     }
 
-    /// The verified artifact-cache fetch of the solve for `key`, an
-    /// effective key, solving on a miss. Failed solves are never cached.
-    fn fetch(&self, row: &Row<'_>, key: PolicyConfig) -> Result<Arc<Analysis>, FetchError> {
-        let opts = self.opts(key);
-        self.cache
-            .try_analysis(row.fp, &opts, key.ctx, || self.solve(row, &opts, key.ctx))
+    /// The solve of `key`, an effective key, from `row`'s slot, solving it
+    /// there if no cell has. Racing cells wait for one solve. A failed
+    /// solve stays in the slot: every reader runs under the same budget, so
+    /// under a pop-count budget a retry could only fail again.
+    fn fetch(&self, row: &Row<'_>, key: PolicyConfig) -> Result<Arc<Analysis>, SolveError> {
+        row.solves[slot(key)]
+            .get_or_init(|| self.solve(row, &self.opts(key), key.ctx).map(Arc::new))
+            .clone()
     }
 
     /// The effective key of `config` on `row`'s module: the configuration
@@ -461,17 +464,16 @@ impl Executor {
     ///   constraint. Without `pwc_defer`, the first read of the flag (a
     ///   cycle or self-loop with a live Field-Of edge) always degrades one.
     ///
-    /// The `pwc` witness is read only from an artifact the matrix solves
-    /// anyway: the fallback, or the effective key of another requested
-    /// cell. Without such an artifact, or when its solve fails, `pwc`
-    /// stays.
+    /// The `pwc` witness is read only from a solve the matrix runs anyway:
+    /// the fallback, or the effective key of another requested cell.
+    /// Without such a solve, or when it fails, `pwc` stays.
     fn effective_key(
         &self,
         row: &Row<'_>,
         config: PolicyConfig,
         fallback: &Analysis,
     ) -> PolicyConfig {
-        let key = row.statically_effective(self, config);
+        let key = row.statically_effective(config);
         if !key.pwc {
             return key;
         }
@@ -481,7 +483,7 @@ impl Executor {
         } else if row
             .configs
             .iter()
-            .any(|&c| !c.pwc && row.statically_effective(self, c) == witness)
+            .any(|&c| !c.pwc && row.statically_effective(c) == witness)
         {
             self.fetch(row, witness)
                 .ok()
@@ -521,9 +523,9 @@ impl Executor {
             .unwrap_or_else(|payload| Err(CellError::Panic(panic_message(payload.as_ref()))))
     }
 
-    /// The configured (healthy-path) pipeline: cached fallback + context
-    /// plan + the cached solve of the cell's effective key, all under the
-    /// executor's budget, all cache fetches content-verified.
+    /// The configured (healthy-path) pipeline: the row's fallback solve,
+    /// context plan and solve of the cell's effective key, all under the
+    /// executor's budget.
     fn configured_cell(
         &self,
         row: &Row<'_>,
@@ -549,18 +551,17 @@ impl Executor {
 
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::FallbackBudget) {
-            // Solve uncached under an exhausted budget: the faulted
-            // attempt must neither publish nor consume a cached artifact.
+            // Solve outside the slots under an exhausted budget: the
+            // faulted attempt must neither fill nor read the row's solve.
             let opts = exhausted(&self.opts(PolicyConfig::none()));
             return Err(CellError::FallbackBudget(synthesize_budget_failure(
                 self.solve(row, &opts, false),
             )));
         }
 
-        let fallback = self.fetch(row, PolicyConfig::none()).map_err(|e| match e {
-            FetchError::Corrupt => CellError::CorruptArtifact,
-            FetchError::Solve(s) => CellError::FallbackBudget(s),
-        })?;
+        let fallback = self
+            .fetch(row, PolicyConfig::none())
+            .map_err(CellError::FallbackBudget)?;
         let key = self.effective_key(row, config, &fallback);
 
         #[cfg(feature = "fault-injection")]
@@ -571,27 +572,13 @@ impl Executor {
             )));
         }
 
-        #[cfg(feature = "fault-injection")]
-        if fault == Some(FaultKind::CacheCorruption) {
-            // Read the artifact through a damaged copy of its digest: the
-            // fetch must reject it, while the cells that share the entry
-            // still verify it.
-            let opts = self.opts(key);
-            let damaged = self
-                .cache
-                .try_analysis_damaged(row.fp, &opts, key.ctx, || self.solve(row, &opts, key.ctx));
-            return Err(damaged
-                .err()
-                .map_or(CellError::CorruptArtifact, optimistic_error));
-        }
-
-        let optimistic = self.fetch(row, key).map_err(optimistic_error)?;
+        let optimistic = self.fetch(row, key).map_err(CellError::OptimisticBudget)?;
         Ok(assemble_result(
             row.module,
             config,
             fallback,
             optimistic,
-            (*row.plan_of(self, config)).clone(),
+            row.plan_of(config),
         ))
     }
 
@@ -600,16 +587,16 @@ impl Executor {
     fn degrade(&self, row: &Row<'_>, config: PolicyConfig, err: CellError) -> KaleidoscopeResult {
         let reason = err.to_string();
 
-        // Rung 1: the module's sound fallback artifact serves as both
-        // views. Skipped when the fallback stage itself failed; guarded
-        // against its own faults so a failure here falls through.
+        // Rung 1: the module's sound fallback solve serves as both views.
+        // Skipped when the fallback stage itself failed; guarded against
+        // its own faults so a failure here falls through.
         if !matches!(err, CellError::FallbackBudget(_)) {
             let rung1 = catch_unwind(AssertUnwindSafe(|| {
                 let fallback = self.fetch(row, PolicyConfig::none())?;
-                Ok::<_, FetchError>(assemble_degraded_fallback(
+                Ok::<_, SolveError>(assemble_degraded_fallback(
                     config,
                     fallback,
-                    (*row.plan_of(self, config)).clone(),
+                    row.plan_of(config),
                     reason.clone(),
                 ))
             }));
@@ -620,8 +607,10 @@ impl Executor {
 
         // Rung 2: the Steensgaard unification tier — sound, cheap, and
         // independent of the Andersen solver entirely.
-        let steens = self.cache.steens(row.fp, || steens_analysis(row.module));
-        assemble_degraded_steens(config, steens, reason)
+        let steens = row
+            .steens
+            .get_or_init(|| Arc::new(steens_analysis(row.module)));
+        assemble_degraded_steens(config, Arc::clone(steens), reason)
     }
 
     /// Run the full `modules × configs` matrix and return results in
@@ -679,7 +668,7 @@ impl Executor {
             && self.frontend.is_none();
         let results: Vec<T> = if legacy {
             // Legacy serial path: the original per-cell pipeline, no pool,
-            // no cache — the A/B reference for byte-identical output.
+            // no slots — the A/B reference for byte-identical output.
             // Budgets, faults, warm starts and a stored program need the
             // pool's fault-isolated cells, so it is only taken without
             // them; with them, one worker runs the pool.
@@ -694,7 +683,7 @@ impl Executor {
             // Cells are claimed config-major (all modules under config 0
             // first), so early on the workers solve *different* modules'
             // baselines in parallel instead of blocking on one module's
-            // shared artifacts.
+            // shared solves.
             let cells: Vec<(usize, usize)> = (0..configs.len())
                 .flat_map(|ci| (0..modules.len()).map(move |mi| (mi, ci)))
                 .collect();
@@ -747,14 +736,6 @@ impl Executor {
             out.push(it.by_ref().take(configs.len()).collect());
         }
         out
-    }
-}
-
-/// A failed fetch of a cell's optimistic artifact, as the cell's error.
-fn optimistic_error(e: FetchError) -> CellError {
-    match e {
-        FetchError::Corrupt => CellError::CorruptArtifact,
-        FetchError::Solve(s) => CellError::OptimisticBudget(s),
     }
 }
 
@@ -826,31 +807,52 @@ mod tests {
         }
     }
 
+    /// The solves `ex` attempts over `m`'s eight configurations. With a
+    /// state store and a named previous revision, each attempt looks up
+    /// the revision's snapshot once.
+    fn solve_attempts(ex: Executor, m: &Module, store: &Arc<DiskCache>) -> u64 {
+        let before = store.stats().state_lookups;
+        ex.with_state_store(Arc::clone(store))
+            .with_previous_revision(0xDEAD_BEEF, m.fingerprint(), None)
+            .run_matrix(&[m], &PolicyConfig::table3_order());
+        store.stats().state_lookups - before
+    }
+
+    fn temp_store(tag: &str) -> (std::path::PathBuf, Arc<DiskCache>) {
+        let dir = std::env::temp_dir().join(format!("kd-exec-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(DiskCache::open(&dir).expect("open store"));
+        (dir, store)
+    }
+
     #[test]
     fn cache_shares_baseline_across_configs() {
-        let m = small_module("shared");
-        let configs = PolicyConfig::table3_order();
         // The module has pointer arithmetic, an empty context plan and no
         // Field-Of constraint, so its eight configurations reduce to two
-        // effective keys. Artifacts actually computed: the baseline (the
-        // fallback of all 8 configs and the optimistic view of the four
-        // without PA), the PA solve (the other four), and the ctx plan —
-        // never 8 × 2 separate pipeline runs, and never a second compute
-        // of a key two workers race on. Lookups: 8 fallback and 8
-        // optimistic fetches, the plan once, and the PWC witness of
-        // Kd-PA-PWC and Kaleidoscope, read from the PA artifact.
+        // effective keys: the baseline (the fallback of all 8 configs and
+        // the optimistic view of the four without PA) and the PA solve
+        // (the other four). Never 8 × 2 separate pipeline runs, and never
+        // a second solve of a key two workers race on.
+        let m = small_module("shared");
+        let (dir, store) = temp_store("shared");
         for jobs in [2, 4] {
             for run in 0..20 {
-                let ex = Executor::with_jobs(jobs);
-                ex.run_matrix(&[&m], &configs);
-                let stats = ex.cache_stats();
-                assert_eq!(
-                    (stats.lookups, stats.misses, stats.verify_failures),
-                    (19, 3, 0),
-                    "jobs {jobs} run {run}"
-                );
+                let attempts = solve_attempts(Executor::with_jobs(jobs), &m, &store);
+                assert_eq!(attempts, 2, "jobs {jobs} run {run}");
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_solve_is_attempted_once_per_row() {
+        // Under one pop every cell's fallback solve fails; the eight cells
+        // read the one failed attempt from the row's slot.
+        let m = small_module("failed-once");
+        let (dir, store) = temp_store("failed-once");
+        let ex = Executor::with_jobs(2).with_budget(SolveBudget::iterations(1));
+        assert_eq!(solve_attempts(ex, &m, &store), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -867,19 +869,6 @@ mod tests {
             assert_eq!(s.health, CellHealth::Healthy);
             assert_eq!(p.health, CellHealth::Healthy);
         }
-    }
-
-    #[test]
-    fn identical_content_shares_artifacts_across_modules() {
-        // Two separately built but identical modules: content addressing
-        // means the second contributes zero additional misses.
-        let m1 = small_module("twin");
-        let m2 = small_module("twin");
-        let ex = Executor::with_jobs(2);
-        ex.run_matrix(&[&m1], &PolicyConfig::table3_order());
-        let misses_before = ex.cache_stats().misses;
-        ex.run_matrix(&[&m2], &PolicyConfig::table3_order());
-        assert_eq!(ex.cache_stats().misses, misses_before);
     }
 
     /// The counts of the revision whose text is `prev_text`, when `module`

@@ -1,9 +1,8 @@
-//! Cache-correctness property: an artifact served from the
-//! content-addressed cache is indistinguishable from a fresh solve.
+//! Executor-correctness property: a cell the executor answers from the
+//! solve of its effective key is indistinguishable from a fresh solve.
 //!
 //! Random `(module, config)` cells are run through one shared executor
-//! (so later cases hit artifacts cached by earlier ones) and compared
-//! against an uncached `kaleidoscope::analyze` of the same cell.
+//! and compared against a plain `kaleidoscope::analyze` of the same cell.
 
 use kaleidoscope::{analyze, KaleidoscopeResult, PolicyConfig};
 use kaleidoscope_cfi::CfiPolicy;
@@ -54,17 +53,12 @@ fn cached_artifact_equals_fresh_solve() {
             config.name()
         );
     });
-    let stats = ex.cache_stats();
-    assert!(
-        stats.hits() > 0,
-        "property run never exercised a cache hit ({stats:?})"
-    );
 }
 
 #[test]
 fn content_addressing_survives_rebuilt_modules() {
     // The stress model is rebuilt from scratch per call; identical scale
-    // must share every artifact, different scales must share none.
+    // must give identical cells.
     let ex = Executor::with_jobs(2);
     check(16, 0x5ca1e, |rng| {
         let scale = rng.gen_range(1usize..4);
@@ -72,13 +66,7 @@ fn content_addressing_survives_rebuilt_modules() {
         let b = kaleidoscope_apps::stress_model(scale);
         let config = random_config(rng);
         let first = ex.run_one(&a, config);
-        let misses_before = ex.cache_stats().misses;
         let second = ex.run_one(&b, config);
-        assert_eq!(
-            ex.cache_stats().misses,
-            misses_before,
-            "identical content at scale {scale} must not recompute"
-        );
         assert_eq!(cell_summary(&a, &first), cell_summary(&b, &second));
         assert_eq!(
             cell_summary(&b, &second),

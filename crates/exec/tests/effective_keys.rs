@@ -1,8 +1,10 @@
 //! Each distinct configuration is solved once: a cell is answered by the
 //! artifact of its effective key, its configuration without the
 //! invariants that cannot act on the module (see the crate docs). These
-//! tests pin how many solves a matrix runs. Each solve is one artifact, so
-//! a matrix's solves are the distinct artifacts its cells hold.
+//! tests pin how many solves a matrix runs, twice: as the distinct
+//! artifacts its cells hold, and as the solves it attempts. With a state
+//! store and a named previous revision, each attempt looks the revision's
+//! snapshot up once, so `state_lookups` counts attempts.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -20,6 +22,25 @@ fn solves(row: &[KaleidoscopeResult]) -> usize {
         .flat_map(|r| [Arc::as_ptr(&r.fallback), Arc::as_ptr(&r.optimistic)])
         .collect::<HashSet<_>>()
         .len()
+}
+
+/// The solves one executor attempts over the matrix of `module` under
+/// `configs`, counted by the snapshot lookups it makes.
+fn attempts(module: &Module, configs: &[PolicyConfig], jobs: usize) -> u64 {
+    let dir = std::env::temp_dir().join(format!(
+        "kd-attempts-{:016x}-{}-{jobs}-{}",
+        module.fingerprint(),
+        configs.len(),
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(DiskCache::open(&dir).expect("open store"));
+    Executor::with_jobs(jobs)
+        .with_state_store(Arc::clone(&store))
+        .with_previous_revision(0xDEAD_BEEF, module.fingerprint(), None)
+        .run_matrix(&[module], configs);
+    let _ = std::fs::remove_dir_all(&dir);
+    store.stats().state_lookups
 }
 
 fn model(name: &str) -> Module {
@@ -59,8 +80,17 @@ fn the_model_matrix_runs_54_solves() {
             "jobs {jobs}"
         );
         assert_eq!(per_model.iter().map(|(_, n)| n).sum::<usize>(), 54);
-        // Nothing else is computed but each module's context plan.
-        assert_eq!(ex.cache_stats().misses, 54 + 9, "jobs {jobs}");
+        // Each artifact is solved once: no key is attempted twice.
+        let attempted: Vec<(&str, usize)> = models
+            .iter()
+            .map(|m| {
+                (
+                    m.name,
+                    attempts(&m.module, &PolicyConfig::table3_order(), jobs) as usize,
+                )
+            })
+            .collect();
+        assert_eq!(attempted, per_model, "jobs {jobs}");
     }
 }
 
@@ -68,10 +98,13 @@ fn the_model_matrix_runs_54_solves() {
 fn a_scale_matrix_runs_one_solve() {
     for seed in [1u64, 7] {
         let m = scale::corpus_module(seed, 3_000);
-        let ex = Executor::with_jobs(2);
-        let out = ex.run_matrix(&[&m], &PolicyConfig::table3_order());
+        let out = Executor::with_jobs(2).run_matrix(&[&m], &PolicyConfig::table3_order());
         assert_eq!(solves(&out[0]), 1, "scale-{seed}");
-        assert_eq!(ex.cache_stats().misses, 1 + 1, "one solve and the plan");
+        assert_eq!(
+            attempts(&m, &PolicyConfig::table3_order(), 2),
+            1,
+            "scale-{seed}"
+        );
     }
 }
 
@@ -83,6 +116,7 @@ fn config_all_runs_two_solves_on_mbedtls_and_one_on_a_scale_corpus() {
     // PWC stays in the key.
     let out = Executor::with_jobs(2).run_matrix(&[&mbedtls], &all);
     assert_eq!(solves(&out[0]), 2);
+    assert_eq!(attempts(&mbedtls, &all, 2), 2);
     let corpus = scale::corpus_module(1, 3_000);
     let out = Executor::with_jobs(2).run_matrix(&[&corpus], &all);
     assert_eq!(solves(&out[0]), 1);

@@ -2,8 +2,8 @@
 //! (requires `--features fault-injection`).
 //!
 //! The acceptance property of the fault-domain layer: with a plan
-//! injecting a panic, a budget exhaustion, and a corrupted cache entry
-//! into three distinct cells, `run_matrix` over all nine models completes,
+//! injecting a panic, a budget exhaustion, and a worker death into three
+//! distinct cells, `run_matrix` over all nine models completes,
 //! the three cells come back degraded with artifacts byte-identical to
 //! the genuine fallback (or Steensgaard) outputs, and every other cell is
 //! byte-identical to a fault-free run.
@@ -102,12 +102,15 @@ fn check_plan(plan: &FaultPlan, jobs: usize) {
     }
 }
 
+/// Wget's Kd-PWC cell (7, 3) has the fallback's effective key, so the
+/// worker death there must leave the other cells of that key (Baseline,
+/// Kd-Ctx and Kd-Ctx-PWC) healthy.
 #[test]
-fn acceptance_panic_budget_and_corruption_in_three_cells() {
+fn acceptance_panic_budget_and_worker_kill_in_three_cells() {
     let plan = FaultPlan::new()
         .inject(1, 2, FaultKind::CellPanic)
         .inject(4, 5, FaultKind::OptimisticBudget)
-        .inject(7, 3, FaultKind::CacheCorruption);
+        .inject(7, 3, FaultKind::WorkerKill);
     check_plan(&plan, 4);
 }
 

@@ -759,7 +759,7 @@ impl Module {
     ///
     /// Two modules with the same printed IR (names, types, instructions)
     /// fingerprint identically, across processes and runs — this keys the
-    /// executor's content-addressed artifact cache, so it must not depend
+    /// disk cache's modules, reports and snapshots, so it must not depend
     /// on allocation order, hash-map iteration, or anything non-canonical.
     pub fn fingerprint(&self) -> u64 {
         fnv1a64(&[self.to_text().as_bytes()])

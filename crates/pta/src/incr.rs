@@ -97,9 +97,12 @@ pub struct SolvedState {
     /// Node count of the generated program (the gen/solver-created split).
     pub gen_len: u32,
     created: Vec<CreatedNode>,
-    /// Final representative of every node (union-find at fixpoint,
-    /// flattened: losers point directly at their final representative).
-    rep_of: Vec<u32>,
+    /// Total node count: `gen_len` plus the created nodes.
+    node_count: u32,
+    /// Union-find at fixpoint, flattened: each merged-away node with its
+    /// final representative, in ascending node order. Kept sparse, so a
+    /// decoded snapshot is never sized by the node count it claims.
+    merged: Vec<(u32, u32)>,
     /// Per live representative: index into `pts_sets`. Watch-mode corpora
     /// show heavy set sharing at the fixpoint (copy meshes converge many
     /// nodes onto identical sets), so sets are interned — capture,
@@ -215,6 +218,12 @@ impl SolvedState {
             })
             .collect();
         let collapsed = solver.collapsed_objects.iter().map(|o| o.0).collect();
+        let merged = rep_of
+            .iter()
+            .enumerate()
+            .filter(|&(i, &r)| i as u32 != r)
+            .map(|(i, &r)| (i as u32, r))
+            .collect();
         let mut icall_wired = Vec::with_capacity(solver.icall_wired.len());
         for wired in &solver.icall_wired {
             let mut fids: Vec<u32> = wired
@@ -237,7 +246,8 @@ impl SolvedState {
             plan_digest: solver.plan_digest,
             gen_len: gen_len as u32,
             created,
-            rep_of,
+            node_count: n as u32,
+            merged,
             pts,
             pts_sets,
             copy_edges,
@@ -251,12 +261,13 @@ impl SolvedState {
 
     /// Total node count of the captured arena.
     pub fn node_count(&self) -> usize {
-        self.rep_of.len()
+        self.node_count as usize
     }
 
     /// Serialize to a stable binary blob (for the on-disk snapshot store).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.rep_of.len() * 2);
+        let items = self.created.len() + self.merged.len() + self.pts.len() + self.copy_edges.len();
+        let mut out = Vec::with_capacity(64 + items * 4);
         out.extend_from_slice(&STATE_MAGIC);
         put_u32(&mut out, INCR_STATE_VERSION);
         put_u32(&mut out, crate::PTS_REPR_VERSION);
@@ -284,16 +295,9 @@ impl SolvedState {
             }
         }
         // Union-find: only the non-trivial entries.
-        let losers: Vec<(u32, u32)> = self
-            .rep_of
-            .iter()
-            .enumerate()
-            .filter(|&(i, &r)| i as u32 != r)
-            .map(|(i, &r)| (i as u32, r))
-            .collect();
-        put_u32(&mut out, self.rep_of.len() as u32);
-        put_u32(&mut out, losers.len() as u32);
-        for (i, r) in losers {
+        put_u32(&mut out, self.node_count);
+        put_u32(&mut out, self.merged.len() as u32);
+        for &(i, r) in &self.merged {
             put_u32(&mut out, i);
             put_u32(&mut out, r);
         }
@@ -353,7 +357,10 @@ impl SolvedState {
 
     /// Decode a snapshot. Returns `None` on truncation, version skew, or
     /// structurally invalid indices — the caller treats all three as "no
-    /// previous state" and solves from scratch.
+    /// previous state" and solves from scratch. Memory is bounded by the
+    /// input: no count read from it sizes anything beyond the bytes left,
+    /// and the claimed node count is checked against the program's extent
+    /// only at the warm start ([`crate::WarmStart::diff`]).
     pub fn from_bytes(bytes: &[u8]) -> Option<SolvedState> {
         let mut r = Reader { buf: bytes, pos: 0 };
         if r.take(4)? != STATE_MAGIC {
@@ -367,7 +374,7 @@ impl SolvedState {
         let plan_digest = r.u64_le()?;
         let gen_len = r.u32()?;
         let ncreated = r.u32()? as usize;
-        let mut created = Vec::with_capacity(ncreated.min(1 << 20));
+        let mut created = Vec::with_capacity(r.cap(ncreated));
         for _ in 0..ncreated {
             created.push(match r.byte()? {
                 0 => CreatedNode::Field {
@@ -382,24 +389,27 @@ impl SolvedState {
                 _ => return None,
             });
         }
-        let total = r.u32()? as usize;
+        let node_count = r.u32()?;
+        let total = node_count as usize;
         if total != gen_len as usize + created.len() {
             return None;
         }
-        let mut rep_of: Vec<u32> = (0..total as u32).collect();
-        for _ in 0..r.u32()? {
-            let i = r.u32()? as usize;
+        let nmerged = r.u32()? as usize;
+        let mut merged: Vec<(u32, u32)> = Vec::with_capacity(r.cap(nmerged));
+        for _ in 0..nmerged {
+            let i = r.u32()?;
             let rep = r.u32()?;
-            if i >= total || rep as usize >= total {
+            // Written in ascending node order, never as an identity.
+            if i.max(rep) >= node_count || i == rep || merged.last().is_some_and(|&(l, _)| l >= i) {
                 return None;
             }
-            rep_of[i] = rep;
+            merged.push((i, rep));
         }
         let nsets = r.u32()? as usize;
-        let mut pts_sets = Vec::with_capacity(nsets.min(1 << 20));
+        let mut pts_sets = Vec::with_capacity(r.cap(nsets));
         for _ in 0..nsets {
             let nm = r.u32()? as usize;
-            let mut members = Vec::with_capacity(nm.min(1 << 20));
+            let mut members = Vec::with_capacity(r.cap(nm));
             let mut prev = 0u32;
             for _ in 0..nm {
                 prev = prev.wrapping_add(r.u32()?);
@@ -411,7 +421,7 @@ impl SolvedState {
             pts_sets.push(members);
         }
         let npts = r.u32()? as usize;
-        let mut pts = Vec::with_capacity(npts.min(1 << 20));
+        let mut pts = Vec::with_capacity(r.cap(npts));
         for _ in 0..npts {
             let rep = r.u32()?;
             let set = r.u32()?;
@@ -421,7 +431,7 @@ impl SolvedState {
             pts.push((rep, set));
         }
         let nce = r.u32()? as usize;
-        let mut copy_edges = Vec::with_capacity(nce.min(1 << 20));
+        let mut copy_edges = Vec::with_capacity(r.cap(nce));
         for _ in 0..nce {
             let a = r.u32()?;
             let b = r.u32()?;
@@ -431,21 +441,21 @@ impl SolvedState {
             copy_edges.push((a, b));
         }
         let nd = r.u32()? as usize;
-        let mut degraded = Vec::with_capacity(nd.min(1 << 20));
+        let mut degraded = Vec::with_capacity(r.cap(nd));
         for _ in 0..nd {
             degraded.push(r.u32()?);
         }
         let npa = r.u32()? as usize;
-        let mut pa_events = Vec::with_capacity(npa.min(1 << 20));
+        let mut pa_events = Vec::with_capacity(r.cap(npa));
         for _ in 0..npa {
             let loc = r.loc()?;
             pa_events.push((loc, r.u32()?));
         }
         let npwc = r.u32()? as usize;
-        let mut pwc_events = Vec::with_capacity(npwc.min(1 << 20));
+        let mut pwc_events = Vec::with_capacity(r.cap(npwc));
         for _ in 0..npwc {
             let nm = r.u32()? as usize;
-            let mut members = Vec::with_capacity(nm.min(1 << 20));
+            let mut members = Vec::with_capacity(r.cap(nm));
             for _ in 0..nm {
                 let m = r.u32()?;
                 if m as usize >= total {
@@ -454,22 +464,22 @@ impl SolvedState {
                 members.push(m);
             }
             let nl = r.u32()? as usize;
-            let mut locs = Vec::with_capacity(nl.min(1 << 20));
+            let mut locs = Vec::with_capacity(r.cap(nl));
             for _ in 0..nl {
                 locs.push(r.loc()?);
             }
             pwc_events.push((members, locs));
         }
         let nco = r.u32()? as usize;
-        let mut collapsed = Vec::with_capacity(nco.min(1 << 20));
+        let mut collapsed = Vec::with_capacity(r.cap(nco));
         for _ in 0..nco {
             collapsed.push(r.u32()?);
         }
         let nic = r.u32()? as usize;
-        let mut icall_wired = Vec::with_capacity(nic.min(1 << 20));
+        let mut icall_wired = Vec::with_capacity(r.cap(nic));
         for _ in 0..nic {
             let nf = r.u32()? as usize;
-            let mut fids = Vec::with_capacity(nf.min(1 << 20));
+            let mut fids = Vec::with_capacity(r.cap(nf));
             for _ in 0..nf {
                 fids.push(r.u32()?);
             }
@@ -481,7 +491,8 @@ impl SolvedState {
             plan_digest,
             gen_len,
             created,
-            rep_of,
+            node_count,
+            merged,
             pts,
             pts_sets,
             copy_edges,
@@ -518,6 +529,12 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// A capacity for `n` items still to read: every item takes at least
+    /// one byte, so no more than the bytes left.
+    fn cap(&self, n: usize) -> usize {
+        n.min(self.buf.len() - self.pos)
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let s = self.buf.get(self.pos..self.pos + n)?;
         self.pos += n;
@@ -896,8 +913,8 @@ impl<'m> Solver<'m> {
         }
         let gen_len = prev.gen_len as usize;
         let total = gen_len + prev.created.len();
-        if prev.rep_of.len() != total
-            || prev.rep_of.iter().any(|&r| r as usize >= total)
+        if prev.node_count() != total
+            || prev.merged.iter().any(|&(i, r)| i.max(r) as usize >= total)
             || prev
                 .pts
                 .iter()
@@ -952,10 +969,8 @@ impl<'m> Solver<'m> {
         // Union-find merges: every loser was captured pointing directly at
         // its final representative, so one merge each replays the exact
         // condensation (representatives never lose).
-        for (i, &r) in prev.rep_of.iter().enumerate() {
-            if r as usize != i {
-                self.nodes.merge(map[i], map[r as usize]);
-            }
+        for &(i, r) in &prev.merged {
+            self.nodes.merge(map[i as usize], map[r as usize]);
         }
         // Collapsed-object flags and events.
         for &po in &prev.collapsed {
@@ -1029,7 +1044,7 @@ impl<'m> Solver<'m> {
             }
             self.icall_wired.push(wired);
         }
-        self.stats.incr_reused = prev.rep_of.len();
+        self.stats.incr_reused = prev.node_count();
         true
     }
 }
@@ -1378,5 +1393,15 @@ mod tests {
             assert!(SolvedState::from_bytes(&bytes[..cut]).is_none());
         }
         assert!(SolvedState::from_bytes(b"XXXX").is_none());
+        // Nor do bit flips, whatever they decode to.
+        let mut rng = kaleidoscope_prng::Rng::seed_from_u64(0x5eed_f11b);
+        for _ in 0..64 {
+            let bit = rng.gen_range(0..bytes.len() * 8);
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Some(state) = SolvedState::from_bytes(&flipped) {
+                assert_ne!(state, s1, "bit {bit} flipped");
+            }
+        }
     }
 }

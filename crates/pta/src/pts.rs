@@ -133,28 +133,6 @@ impl PtsSet {
         }
     }
 
-    /// Fold this set's raw representation into a rolling digest: inline
-    /// slots or bitmap words, never decoded members, so it costs one pass
-    /// over the backing words (~64x cheaper than member iteration for
-    /// bitmap sets). Deterministic for a given in-memory set, but
-    /// **representation-sensitive**: two content-equal sets in different
-    /// representations digest differently. Suitable for re-verifying an
-    /// immutable artifact against a digest recorded from the same object,
-    /// not for cross-run content addressing.
-    pub fn fold_digest(&self, mut h: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        match &self.repr {
-            Repr::Small { len, buf } => {
-                h = (h ^ (*len as u64 | 1 << 32)).wrapping_mul(PRIME);
-                for m in &buf[..*len as usize] {
-                    h = (h ^ m.0 as u64).wrapping_mul(PRIME);
-                }
-                h
-            }
-            Repr::Bits(b) => b.repr_hash((h ^ (2 << 32)).wrapping_mul(PRIME)),
-        }
-    }
-
     /// Create a set from an iterator (sorted and deduplicated).
     pub fn from_iter_unsorted(iter: impl IntoIterator<Item = NodeId>) -> Self {
         let mut items: Vec<NodeId> = iter.into_iter().collect();

@@ -183,14 +183,15 @@ impl SolveOptions {
         }
     }
 
-    /// Stable key distinguishing solve configurations, for content-addressed
-    /// artifact caches: equal *result-affecting* options ⇔ equal key. Packs
-    /// the flags into the low bits and `max_passes` above them.
+    /// Stable key distinguishing solve configurations, for snapshot names
+    /// and the snapshots themselves: equal *result-affecting* options ⇔
+    /// equal key. Packs the flags into the low bits and `max_passes` above
+    /// them.
     ///
     /// [`SolveOptions::budget`] is deliberately excluded: the fixpoint is
     /// unique, so a solve that *succeeds* produces the same result under any
-    /// budget, and budget-exceeded solves are never cached — a cached
-    /// artifact therefore satisfies a request under any budget.
+    /// budget, and budget-exceeded solves publish no snapshot — a stored
+    /// snapshot therefore satisfies a request under any budget.
     ///
     /// Bit 3 is retired (it once partitioned a second solver schedule);
     /// leaving it clear keeps every existing key unchanged.
