@@ -20,7 +20,7 @@ use kaleidoscope_bench::timing::{bench, Sample};
 use kaleidoscope_ir::Module;
 use kaleidoscope_pta::gen::{generate, stored_or_generated, Program};
 use kaleidoscope_pta::{
-    steensgaard, Analysis, ModuleBlocks, NullObserver, SolveOptions, WarmStart,
+    steens_analysis, Analysis, ModuleBlocks, NullObserver, SolveOptions, WarmStart,
 };
 
 /// System allocator wrapped with monotonic allocation counters, so a bench
@@ -322,7 +322,7 @@ fn main() {
     for name in ["MbedTLS", "TinyDTLS"] {
         let model = kaleidoscope_apps::model(name).expect("model");
         bench(&format!("solver/steensgaard/{name}"), iters, || {
-            let _ = steensgaard(&model.module);
+            let _ = steens_analysis(&model.module);
         });
     }
 

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use kaleidoscope::{analyze, infer_heap_types, PolicyConfig};
 use kaleidoscope_bench::row;
-use kaleidoscope_pta::{steensgaard, Analysis, PtsStats, SolveOptions};
+use kaleidoscope_pta::{steens_analysis, Analysis, PtsStats, SolveOptions};
 
 fn main() {
     let widths = [11usize, 26, 11, 10, 10];
@@ -82,17 +82,17 @@ fn main() {
         }
         // 3. Steensgaard.
         let t = Instant::now();
-        let st = steensgaard(&model.module);
+        let st = steens_analysis(&model.module);
         let ms = t.elapsed().as_secs_f64() * 1000.0;
-        let avg = kaleidoscope_pta::steens::avg_pts_size(&model.module, &st);
+        let s = PtsStats::collect(&st, &model.module);
         println!(
             "{}",
             row(
                 &[
                     model.name.into(),
                     "steensgaard".into(),
-                    format!("{avg:.2}"),
-                    "-".into(),
+                    format!("{:.2}", s.avg),
+                    s.max.to_string(),
                     format!("{ms:.1}"),
                 ],
                 &widths

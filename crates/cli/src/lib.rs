@@ -409,20 +409,30 @@ pub struct ServeArgs {
 }
 
 impl Default for ServeArgs {
+    /// The serve crate's defaults ([`ServeConfig`], [`TenantQuota`],
+    /// `BreakerConfig`), with no cache directory and auto jobs.
     fn default() -> ServeArgs {
+        let ServeConfig {
+            addr,
+            shards_per_tenant,
+            quota,
+            breaker,
+            drain,
+            ..
+        } = ServeConfig::default();
         ServeArgs {
-            addr: "127.0.0.1:0".into(),
+            addr,
             cache_dir: None,
-            shards: 2,
+            shards: shards_per_tenant,
             jobs: 0,
             cache_max_bytes: None,
-            max_concurrent: 4,
-            deadline_ms: 30_000,
-            tenant_budget: None,
+            max_concurrent: quota.max_concurrent,
+            deadline_ms: quota.deadline_ms,
+            tenant_budget: quota.budget,
             unsafe_faults: false,
-            drain_ms: 5_000,
-            breaker_strikes: 3,
-            breaker_cooldown_ms: 5_000,
+            drain_ms: drain.as_millis() as u64,
+            breaker_strikes: breaker.strike_threshold,
+            breaker_cooldown_ms: breaker.cooldown.as_millis() as u64,
         }
     }
 }
@@ -503,8 +513,8 @@ pub fn cmd_serve(args: &ServeArgs) -> Result<(), CliError> {
         quota: TenantQuota {
             max_concurrent: args.max_concurrent,
             deadline_ms: args.deadline_ms,
-            max_module_bytes: TenantQuota::default().max_module_bytes,
             budget: args.tenant_budget,
+            ..TenantQuota::default()
         },
         breaker: kaleidoscope_serve::BreakerConfig {
             strike_threshold: args.breaker_strikes.max(1),

@@ -22,19 +22,15 @@ struct Args {
     cache_dir: Option<String>,
     cache_max_bytes: Option<u64>,
     addr: Option<String>,
-    shards: usize,
-    max_concurrent: usize,
-    deadline_ms: u64,
-    tenant_budget: Option<usize>,
+    /// The serve-only knobs; `addr`, `cache_dir`, `cache_max_bytes`,
+    /// `jobs` and `unsafe_faults` are shared with other commands.
+    serve: ServeArgs,
     tenant: String,
     fingerprint: Option<String>,
     incremental_from: Option<String>,
     prev_fingerprint: Option<String>,
     fault: Option<String>,
     unsafe_faults: bool,
-    drain_ms: u64,
-    breaker_strikes: u32,
-    breaker_cooldown_ms: u64,
     timeout_ms: Option<u64>,
     retries: u32,
 }
@@ -57,19 +53,13 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
         cache_dir: None,
         cache_max_bytes: None,
         addr: None,
-        shards: 2,
-        max_concurrent: 4,
-        deadline_ms: 30_000,
-        tenant_budget: None,
+        serve: ServeArgs::default(),
         tenant: "default".into(),
         fingerprint: None,
         incremental_from: None,
         prev_fingerprint: None,
         fault: None,
         unsafe_faults: false,
-        drain_ms: 5_000,
-        breaker_strikes: 3,
-        breaker_cooldown_ms: 5_000,
         timeout_ms: None,
         retries: 0,
     };
@@ -110,12 +100,16 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
                 args.cache_max_bytes = Some(number(&mut argv, "--cache-max-bytes")? as u64);
             }
             "--addr" => args.addr = Some(need(&mut argv, "--addr")?),
-            "--shards" => args.shards = number(&mut argv, "--shards")?,
-            "--max-concurrent" => args.max_concurrent = number(&mut argv, "--max-concurrent")?,
-            "--deadline-ms" => {
-                args.deadline_ms = number(&mut argv, "--deadline-ms")? as u64;
+            "--shards" => args.serve.shards = number(&mut argv, "--shards")?,
+            "--max-concurrent" => {
+                args.serve.max_concurrent = number(&mut argv, "--max-concurrent")?;
             }
-            "--tenant-budget" => args.tenant_budget = Some(number(&mut argv, "--tenant-budget")?),
+            "--deadline-ms" => {
+                args.serve.deadline_ms = number(&mut argv, "--deadline-ms")? as u64;
+            }
+            "--tenant-budget" => {
+                args.serve.tenant_budget = Some(number(&mut argv, "--tenant-budget")?);
+            }
             "--tenant" => args.tenant = need(&mut argv, "--tenant")?,
             "--fingerprint" => args.fingerprint = Some(need(&mut argv, "--fingerprint")?),
             "--incremental-from" => {
@@ -126,12 +120,12 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
             }
             "--fault" => args.fault = Some(need(&mut argv, "--fault")?),
             "--unsafe-faults" => args.unsafe_faults = true,
-            "--drain-ms" => args.drain_ms = number(&mut argv, "--drain-ms")? as u64,
+            "--drain-ms" => args.serve.drain_ms = number(&mut argv, "--drain-ms")? as u64,
             "--breaker-strikes" => {
-                args.breaker_strikes = number(&mut argv, "--breaker-strikes")? as u32;
+                args.serve.breaker_strikes = number(&mut argv, "--breaker-strikes")? as u32;
             }
             "--breaker-cooldown-ms" => {
-                args.breaker_cooldown_ms = number(&mut argv, "--breaker-cooldown-ms")? as u64;
+                args.serve.breaker_cooldown_ms = number(&mut argv, "--breaker-cooldown-ms")? as u64;
             }
             "--timeout-ms" => args.timeout_ms = Some(number(&mut argv, "--timeout-ms")? as u64),
             "--retries" => args.retries = number(&mut argv, "--retries")? as u32,
@@ -150,18 +144,12 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
     match cmd {
         "serve" => {
             return cmd_serve(&ServeArgs {
-                addr: args.addr.clone().unwrap_or_else(|| "127.0.0.1:0".into()),
+                addr: args.addr.clone().unwrap_or_else(|| args.serve.addr.clone()),
                 cache_dir: args.cache_dir.clone(),
-                shards: args.shards,
                 jobs: args.jobs,
                 cache_max_bytes: args.cache_max_bytes,
-                max_concurrent: args.max_concurrent,
-                deadline_ms: args.deadline_ms,
-                tenant_budget: args.tenant_budget,
                 unsafe_faults: args.unsafe_faults,
-                drain_ms: args.drain_ms,
-                breaker_strikes: args.breaker_strikes,
-                breaker_cooldown_ms: args.breaker_cooldown_ms,
+                ..args.serve.clone()
             })
             .map(|()| String::new());
         }

@@ -57,7 +57,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("Libtiff/budget1", 0x7a0cb0f89b290a1b, 0xcbf29ce484222325),
     ("Curl/matrix", 0x63573fd90dd10832, 0xcbf29ce484222325),
     ("Curl/stats", 0x63573fd90dd10832, 0x8abb62d79d22de4d),
-    ("Curl/budget1", 0x14ea714b2f5c6f26, 0xcbf29ce484222325),
+    ("Curl/budget1", 0x68236b516cfea56e, 0xcbf29ce484222325),
     ("Lighttpd/matrix", 0x0b83ba53d5f40ac3, 0xcbf29ce484222325),
     ("Lighttpd/stats", 0x0b83ba53d5f40ac3, 0x308555d478669937),
     ("Lighttpd/budget1", 0x79214a726111936d, 0xcbf29ce484222325),

@@ -103,6 +103,45 @@ fn ret_flow_through_multiple_copies() {
 }
 
 #[test]
+fn function_returned_by_address_is_never_planned() {
+    // `id` is called directly twice, so its return flow would be
+    // precision-critical; but its address escapes through `get`'s `ret`,
+    // so an indirect call reaches it and it must not be replicated.
+    let mut m = Module::new("retaddr");
+    let ptr = Type::ptr(Type::Int);
+    let id = {
+        let mut b = FunctionBuilder::new(&mut m, "id", vec![("p", ptr.clone())], ptr.clone());
+        let p = b.param(0);
+        b.ret(Some(p.into()));
+        b.finish()
+    };
+    let get = {
+        let fn_ty = Type::fn_ptr(vec![ptr.clone()], ptr.clone());
+        let mut b = FunctionBuilder::new(&mut m, "get", vec![], fn_ty);
+        b.ret(Some(Operand::Func(id)));
+        b.finish()
+    };
+    let mut b = FunctionBuilder::new(&mut m, "main", vec![], Type::Void);
+    let x = b.alloca("x", Type::Int);
+    let y = b.alloca("y", Type::Int);
+    b.call("r1", id, vec![x.into()]);
+    b.call("r2", id, vec![y.into()]);
+    let o1 = b.alloca("o1", Type::Int);
+    let fp = b.call("fp", get, vec![]).unwrap();
+    let r3 = b.call_ind("r3", fp, vec![o1.into()], ptr).unwrap();
+    b.ret(None);
+    let main = b.finish();
+    assert_eq!(m.address_taken_funcs(), vec![id]);
+    assert!(detect_ctx_plan(&m).for_func(id).is_none());
+    for config in [PolicyConfig::all(), PolicyConfig::parse("kd-ctx").unwrap()] {
+        let r = analyze(&m, config);
+        let optimistic = r.optimistic.pts_of_local(main, r3);
+        assert!(!optimistic.is_empty(), "{}", config.name());
+        assert_eq!(optimistic, r.fallback.pts_of_local(main, r3));
+    }
+}
+
+#[test]
 fn non_pointer_params_never_critical() {
     let mut m = Module::new("ints");
     let f = {

@@ -415,7 +415,7 @@ impl DiskCache {
         }
     }
 
-    /// Test hook for the `TornPublish` fault: leave exactly the debris a
+    /// Test hook for the `torn` fault directive: leave exactly the debris a
     /// publish that died mid-flight leaves — a `.tmp<pid>` orphan, and a
     /// report whose integrity line was cut short. The next
     /// [`DiskCache::recover`] sweep must delete the one and quarantine the

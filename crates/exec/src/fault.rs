@@ -31,55 +31,18 @@ pub enum FaultKind {
     /// daemon's process shards reproduce the same class of failure with
     /// a real `exit()` via the request-level `fault:"kill"` directive.
     WorkerKill,
-    /// The serving side accepts a request and never replies (a hung
-    /// solve or a stalled connection). Reproduced by the request-level
-    /// `fault:"stall"` directive; the shard deadline (server side) and
-    /// the read timeout (client side) are the defenses under test.
-    ConnStall,
-    /// The worker is killed while the daemon is draining — the in-flight
-    /// request must still be retried-or-degraded and counted in the
-    /// drain, never dropped. Reproduced in the chaos soak by mixing
-    /// `fault:"kill"` traffic with a mid-burst SIGTERM.
-    KillDuringDrain,
-    /// A cache publish is cut short, leaving a `.tmp` orphan and a
-    /// report whose integrity line is truncated. Reproduced by the
-    /// request-level `fault:"torn"` directive (and
-    /// `DiskCache::inject_torn_publish`); `DiskCache::recover`, the sweep
-    /// the serve daemon runs at start and at drain, is the defense under
-    /// test.
-    TornPublish,
 }
 
 impl FaultKind {
-    /// The matrix-cell faults [`FaultPlan::seeded`] cycles through. The
-    /// serve-lifecycle kinds ([`FaultKind::SERVE`]) are excluded: they
-    /// target the request/process/disk lifecycle, not a matrix cell.
+    /// The faults [`FaultPlan::seeded`] cycles through. The daemon's own
+    /// faults (`kill`, `stall`, `torn`) are request directives handled by
+    /// its workers, not matrix-cell faults.
     const ALL: [FaultKind; 4] = [
         FaultKind::CellPanic,
         FaultKind::OptimisticBudget,
         FaultKind::FallbackBudget,
         FaultKind::WorkerKill,
     ];
-
-    /// The serve-lifecycle faults, exercised by the daemon chaos soak
-    /// and the serve integration tests rather than by matrix plans.
-    pub const SERVE: [FaultKind; 3] = [
-        FaultKind::ConnStall,
-        FaultKind::KillDuringDrain,
-        FaultKind::TornPublish,
-    ];
-
-    /// The request-level fault directive (`fault:"..."`) that reproduces
-    /// this kind against a live daemon, if one exists.
-    pub fn directive(self) -> Option<&'static str> {
-        match self {
-            FaultKind::WorkerKill => Some("kill"),
-            FaultKind::ConnStall => Some("stall"),
-            FaultKind::KillDuringDrain => Some("kill"),
-            FaultKind::TornPublish => Some("torn"),
-            _ => None,
-        }
-    }
 }
 
 /// A deterministic set of cell faults for one matrix run.

@@ -39,8 +39,8 @@ use std::time::Instant;
 
 use kaleidoscope_ir::codec::{decode_function, encode_function};
 use kaleidoscope_ir::{
-    fnv1a64, parse_header, ByteReader, ByteWriter, FuncId, Function, GlobalId, Inst, Module,
-    ModuleShell, Operand, ParseError, StructId, Terminator, Type,
+    fnv1a64, parse_header, ByteReader, ByteWriter, FuncId, Function, GlobalId, ItemRef, Module,
+    ModuleShell, ParseError, StructId, Type,
 };
 use kaleidoscope_pta::ModuleBlocks;
 
@@ -80,64 +80,19 @@ pub struct LoadedFrontend {
     pub stats: FrontendStats,
 }
 
-/// Collect every struct id embedded in `ty`, recursively.
-fn collect_struct_ids(ty: &Type, out: &mut BTreeSet<u32>) {
-    match ty {
-        Type::Ptr(t) => collect_struct_ids(t, out),
-        Type::Array(t, _) => collect_struct_ids(t, out),
-        Type::Struct(s) => {
-            out.insert(s.index() as u32);
-        }
-        Type::Func(sig) => {
-            for p in &sig.params {
-                collect_struct_ids(p, out);
-            }
-            collect_struct_ids(&sig.ret, out);
-        }
-        _ => {}
-    }
-}
-
 /// Everything a lowered function resolved against the module header:
-/// referenced function ids, global ids, and struct ids.
+/// referenced function ids (callees and taken addresses alike), global ids,
+/// and struct ids.
 fn collect_imports(f: &Function) -> (BTreeSet<u32>, BTreeSet<u32>, BTreeSet<u32>) {
-    let mut funcs = BTreeSet::new();
-    let mut globals = BTreeSet::new();
-    let mut structs = BTreeSet::new();
-    collect_struct_ids(&f.ret_ty, &mut structs);
-    for l in &f.locals {
-        collect_struct_ids(&l.ty, &mut structs);
-    }
-    let operand = |o: &Operand, funcs: &mut BTreeSet<u32>, globals: &mut BTreeSet<u32>| match o {
-        Operand::Global(g) => {
-            globals.insert(g.index() as u32);
-        }
-        Operand::Func(fi) => {
-            funcs.insert(fi.index() as u32);
-        }
-        _ => {}
-    };
-    for b in &f.blocks {
-        for inst in &b.insts {
-            match inst {
-                Inst::Call { callee, .. } => {
-                    funcs.insert(callee.index() as u32);
-                }
-                Inst::Alloca { ty, .. } => collect_struct_ids(ty, &mut structs),
-                Inst::HeapAlloc { ty: Some(t), .. } => collect_struct_ids(t, &mut structs),
-                _ => {}
-            }
-            for u in inst.uses() {
-                operand(&u, &mut funcs, &mut globals);
-            }
-        }
-        match &b.term {
-            Terminator::Branch { cond, .. } => operand(cond, &mut funcs, &mut globals),
-            Terminator::Ret(Some(o)) => operand(o, &mut funcs, &mut globals),
-            _ => {}
-        }
-    }
-    (funcs, globals, structs)
+    let mut imports = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+    f.for_each_ref(|r| {
+        match r {
+            ItemRef::Callee(g) | ItemRef::FuncAddr(g) => imports.0.insert(g.0),
+            ItemRef::Global(g) => imports.1.insert(g.0),
+            ItemRef::Struct(s) => imports.2.insert(s.0),
+        };
+    });
+    imports
 }
 
 /// Encode one `fe/` cache entry: validated imports, then the lowered
@@ -309,7 +264,7 @@ pub fn load_frontend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kaleidoscope_ir::{parse_module, FunctionBuilder, Type};
+    use kaleidoscope_ir::{parse_module, FunctionBuilder, Inst, Type};
     use std::fs;
     use std::path::PathBuf;
 

@@ -98,11 +98,6 @@ impl<'m> FunctionBuilder<'m> {
         self.module
     }
 
-    /// Mutable access to the module (e.g. to declare globals mid-build).
-    pub fn module_mut(&mut self) -> &mut Module {
-        self.module
-    }
-
     /// Declare a fresh local of type `ty`.
     pub fn local(&mut self, name: &str, ty: Type) -> LocalId {
         let id = LocalId(self.locals.len() as u32);

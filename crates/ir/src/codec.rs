@@ -49,6 +49,13 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// An empty writer with room for `n` bytes.
+    pub fn with_capacity(n: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(n),
+        }
+    }
+
     /// Consume the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -65,11 +72,25 @@ impl ByteWriter {
     }
 
     /// Write one raw byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
+    /// Write raw bytes, with no length prefix (a magic number).
+    #[inline]
+    pub fn raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Write a fixed-width little-endian `u64`.
+    #[inline]
+    pub fn u64_le(&mut self, v: u64) {
+        self.raw(&v.to_le_bytes());
+    }
+
     /// Write an unsigned value as LEB128.
+    #[inline]
     pub fn uint(&mut self, mut v: u64) {
         loop {
             let b = (v & 0x7f) as u8;
@@ -89,14 +110,13 @@ impl ByteWriter {
 
     /// Write a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
-        self.uint(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
     }
 
     /// Write raw bytes with a length prefix.
     pub fn bytes(&mut self, b: &[u8]) {
         self.uint(b.len() as u64);
-        self.buf.extend_from_slice(b);
+        self.raw(b);
     }
 }
 
@@ -119,27 +139,56 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read one raw byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         let b = *self.buf.get(self.pos).ok_or_else(|| bad("truncated"))?;
         self.pos += 1;
         Ok(b)
     }
 
-    /// Read a LEB128 unsigned value.
+    /// Read a LEB128 unsigned value. Only the encoding
+    /// [`ByteWriter::uint`] writes is read: a value with bits past 64, or
+    /// with a trailing zero group, is an error.
+    #[inline]
     pub fn uint(&mut self) -> Result<u64, CodecError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let b = self.u8()?;
-            if shift >= 64 {
+            let group = u64::from(b & 0x7f);
+            if shift > 63 || (shift == 63 && group > 1) {
                 return Err(bad("varint overflow"));
             }
-            v |= ((b & 0x7f) as u64) << shift;
+            v |= group << shift;
             if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(bad("over-long varint"));
+                }
                 return Ok(v);
             }
             shift += 7;
         }
+    }
+
+    /// Read `n` raw bytes (a magic number).
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.buf.len())
+            .ok_or_else(|| bad("truncated bytes"))?;
+        let b = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(b)
+    }
+
+    /// Read a fixed-width little-endian `u64`.
+    #[inline]
+    pub fn u64_le(&mut self) -> Result<u64, CodecError> {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(self.take(8)?);
+        Ok(u64::from_le_bytes(b))
     }
 
     /// Read a zigzag signed value.
@@ -149,6 +198,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a `u32`-sized unsigned value.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         u32::try_from(self.uint()?).map_err(|_| bad("u32 overflow"))
     }
@@ -161,21 +211,15 @@ impl<'a> ByteReader<'a> {
 
     /// A pre-allocation for `n` items of at least one byte each: never
     /// more than the bytes left, whatever count the input claims.
-    fn capacity_for(&self, n: usize) -> usize {
+    #[inline]
+    pub fn capacity_for(&self, n: usize) -> usize {
         n.min(self.buf.len().saturating_sub(self.pos))
     }
 
     /// Read length-prefixed raw bytes.
     pub fn raw_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.uint()? as usize;
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad("truncated bytes"))?;
-        let b = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(b)
+        self.take(n)
     }
 }
 
@@ -614,6 +658,11 @@ mod tests {
         }
         assert_eq!(r.str().unwrap(), "hello");
         assert!(r.is_at_end());
+        // Only what the writer writes is read: no bits past 64, no
+        // trailing zero group.
+        let past_64 = [[0x80u8; 9].as_slice(), &[0x02]].concat();
+        assert!(ByteReader::new(&past_64).uint().is_err());
+        assert!(ByteReader::new(&[0x80, 0x00]).uint().is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 
 use crate::loc::InstLoc;
 use crate::printer::PrefixCounts;
-use crate::types::{FuncSig, Type, TypeRegistry};
+use crate::types::{FuncSig, StructId, Type, TypeRegistry};
 
 /// Identifier of a function within a module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -88,16 +88,6 @@ pub enum Operand {
     ConstInt(i64),
     /// The null pointer.
     Null,
-}
-
-impl Operand {
-    /// The local id, if this operand is a local.
-    pub fn as_local(self) -> Option<LocalId> {
-        match self {
-            Operand::Local(l) => Some(l),
-            _ => None,
-        }
-    }
 }
 
 impl From<LocalId> for Operand {
@@ -313,30 +303,29 @@ impl Inst {
         }
     }
 
-    /// The operands this instruction uses.
-    pub fn uses(&self) -> Vec<Operand> {
-        match self {
-            Inst::Alloca { .. } | Inst::HeapAlloc { .. } | Inst::Input { .. } => vec![],
-            Inst::Copy { src, .. } | Inst::Load { src, .. } | Inst::Output { src } => {
-                vec![*src]
+    /// The operands this instruction uses, in field order. A direct
+    /// call's callee is not an operand.
+    pub fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
+        let (fixed, args): ([Option<&Operand>; 2], &[Operand]) = match self {
+            Inst::Alloca { .. } | Inst::HeapAlloc { .. } | Inst::Input { .. } => {
+                ([None, None], &[])
             }
-            Inst::Store { dst, src } => vec![*dst, *src],
-            Inst::FieldAddr { base, .. } => vec![*base],
-            Inst::PtrArith { base, offset, .. } => vec![*base, *offset],
-            Inst::ElemAddr { base, index, .. } => vec![*base, *index],
-            Inst::BinOp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Call { args, .. } => args.clone(),
-            Inst::CallInd { callee, args, .. } => {
-                let mut v = vec![*callee];
-                v.extend(args.iter().copied());
-                v
+            Inst::Copy { src, .. }
+            | Inst::Load { src, .. }
+            | Inst::Output { src }
+            | Inst::FieldAddr { base: src, .. } => ([Some(src), None], &[]),
+            Inst::Store { dst: a, src: b }
+            | Inst::PtrArith {
+                base: a, offset: b, ..
             }
-        }
-    }
-
-    /// Whether this is a call (direct or indirect).
-    pub fn is_call(&self) -> bool {
-        matches!(self, Inst::Call { .. } | Inst::CallInd { .. })
+            | Inst::ElemAddr {
+                base: a, index: b, ..
+            }
+            | Inst::BinOp { lhs: a, rhs: b, .. } => ([Some(a), Some(b)], &[]),
+            Inst::Call { args, .. } => ([None, None], args),
+            Inst::CallInd { callee, args, .. } => ([Some(callee), None], args),
+        };
+        fixed.into_iter().flatten().chain(args).copied()
     }
 }
 
@@ -367,6 +356,15 @@ impl Terminator {
                 then_bb, else_bb, ..
             } => vec![*then_bb, *else_bb],
             Terminator::Ret(_) => vec![],
+        }
+    }
+
+    /// The operand this terminator uses: a branch condition or a returned
+    /// value.
+    pub fn operand(&self) -> Option<Operand> {
+        match self {
+            Terminator::Branch { cond: op, .. } | Terminator::Ret(Some(op)) => Some(*op),
+            Terminator::Jump(_) | Terminator::Ret(None) => None,
         }
     }
 }
@@ -461,56 +459,59 @@ impl Function {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
-    /// Whether every function, global and struct type the function names
-    /// is among a module's first `funcs`, `globals` and `types`.
-    fn refers_within(&self, funcs: usize, globals: usize, types: usize) -> bool {
-        let op = |o: &Operand| match o {
-            Operand::Global(g) => g.index() < globals,
-            Operand::Func(f) => f.index() < funcs,
-            Operand::Local(_) | Operand::ConstInt(_) | Operand::Null => true,
-        };
-        let inst = |i: &Inst| match i {
-            Inst::Alloca { ty, .. } | Inst::HeapAlloc { ty: Some(ty), .. } => {
-                type_within(ty, types)
+    /// Visit every function, global and struct type the function names,
+    /// in body order: the struct types of its return type and locals, then
+    /// each instruction's allocation type, direct callee and operands, and
+    /// each terminator's operand. An item named twice is visited twice.
+    pub fn for_each_ref(&self, mut visit: impl FnMut(ItemRef)) {
+        fn operand(op: Operand, visit: &mut impl FnMut(ItemRef)) {
+            match op {
+                Operand::Func(f) => visit(ItemRef::FuncAddr(f)),
+                Operand::Global(g) => visit(ItemRef::Global(g)),
+                Operand::Local(_) | Operand::ConstInt(_) | Operand::Null => {}
             }
-            Inst::HeapAlloc { ty: None, .. } | Inst::Input { .. } => true,
-            Inst::Copy { src, .. }
-            | Inst::Load { src, .. }
-            | Inst::Output { src }
-            | Inst::FieldAddr { base: src, .. } => op(src),
-            Inst::Store { dst: a, src: b }
-            | Inst::PtrArith {
-                base: a, offset: b, ..
-            }
-            | Inst::ElemAddr {
-                base: a, index: b, ..
-            }
-            | Inst::BinOp { lhs: a, rhs: b, .. } => op(a) && op(b),
-            Inst::Call { callee, args, .. } => callee.index() < funcs && args.iter().all(op),
-            Inst::CallInd { callee, args, .. } => op(callee) && args.iter().all(op),
-        };
-        type_within(&self.ret_ty, types)
-            && self.locals.iter().all(|l| type_within(&l.ty, types))
-            && self.blocks.iter().all(|b| {
-                b.insts.iter().all(inst)
-                    && match &b.term {
-                        Terminator::Jump(_) | Terminator::Ret(None) => true,
-                        Terminator::Branch { cond: v, .. } | Terminator::Ret(Some(v)) => op(v),
+        }
+        fn ty(t: &Type, visit: &mut impl FnMut(ItemRef)) {
+            t.for_each_struct(&mut |s| visit(ItemRef::Struct(s)));
+        }
+        let visit = &mut visit;
+        ty(&self.ret_ty, visit);
+        for l in &self.locals {
+            ty(&l.ty, visit);
+        }
+        for b in &self.blocks {
+            for inst in &b.insts {
+                match inst {
+                    Inst::Alloca { ty: t, .. } | Inst::HeapAlloc { ty: Some(t), .. } => {
+                        ty(t, visit)
                     }
-            })
+                    Inst::Call { callee, .. } => visit(ItemRef::Callee(*callee)),
+                    _ => {}
+                }
+                inst.operands().for_each(|op| operand(op, visit));
+            }
+            if let Some(op) = b.term.operand() {
+                operand(op, visit);
+            }
+        }
     }
 }
 
-/// Whether every struct type `ty` names is among the first `types`.
-fn type_within(ty: &Type, types: usize) -> bool {
-    match ty {
-        Type::Void | Type::Int => true,
-        Type::Ptr(t) | Type::Array(t, _) => type_within(t, types),
-        Type::Struct(s) => s.index() < types,
-        Type::Func(FuncSig { params, ret }) => {
-            type_within(ret, types) && params.iter().all(|p| type_within(p, types))
-        }
-    }
+/// An item of its module that a function names
+/// ([`Function::for_each_ref`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ItemRef {
+    /// The callee of a direct call: named, not address-taken.
+    Callee(FuncId),
+    /// A function whose address is an operand (of any instruction,
+    /// indirect calls included, or of a terminator): a potential
+    /// indirect-call target.
+    FuncAddr(FuncId),
+    /// A global, whose address is an operand.
+    Global(GlobalId),
+    /// A struct type named by the return type, a local's type or an
+    /// allocation type, at any depth.
+    Struct(StructId),
 }
 
 /// A whole program: types, globals, and functions.
@@ -679,28 +680,22 @@ impl Module {
     }
 
     /// The set of *address-taken* functions: functions whose address appears
-    /// as an operand anywhere (i.e. potential indirect-call targets — the
-    /// universe a coarse CFI policy would allow, cf. Figure 1 of the paper).
+    /// as an operand anywhere, terminators included (i.e. potential
+    /// indirect-call targets — the universe a coarse CFI policy would
+    /// allow, cf. Figure 1 of the paper). A direct call names its callee
+    /// without taking its address.
     pub fn address_taken_funcs(&self) -> Vec<FuncId> {
         let mut taken = vec![false; self.funcs.len()];
-        for (_, inst) in self.iter_locs() {
-            // A direct call mentions its callee as a constant, not by taking
-            // its address; only non-callee uses count as address-taken.
-            let ops = match inst {
-                Inst::Call { args, .. } => args.clone(),
-                other => other.uses(),
-            };
-            for op in ops {
-                if let Operand::Func(f) = op {
-                    taken[f.index()] = true;
+        for f in &self.funcs {
+            f.for_each_ref(|r| {
+                if let ItemRef::FuncAddr(g) = r {
+                    taken[g.index()] = true;
                 }
-            }
+            });
         }
-        taken
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t)
-            .map(|(i, _)| FuncId(i as u32))
+        (0..taken.len() as u32)
+            .map(FuncId)
+            .filter(|f| taken[f.index()])
             .collect()
     }
 
@@ -738,6 +733,16 @@ impl Module {
             globals,
             types,
         } = counts;
+        let within = |r: ItemRef| match r {
+            ItemRef::Callee(f) | ItemRef::FuncAddr(f) => f.index() < funcs,
+            ItemRef::Global(g) => g.index() < globals,
+            ItemRef::Struct(s) => s.index() < types,
+        };
+        let struct_refs_within = |t: &Type| {
+            let mut ok = true;
+            t.for_each_struct(&mut |s| ok &= within(ItemRef::Struct(s)));
+            ok
+        };
         funcs <= self.funcs.len()
             && globals <= self.globals.len()
             && types <= self.types.len()
@@ -745,13 +750,15 @@ impl Module {
                 .types
                 .iter()
                 .take(types)
-                .all(|(_, def)| def.fields.iter().all(|t| type_within(t, types)))
+                .all(|(_, def)| def.fields.iter().all(struct_refs_within))
             && self.globals[..globals]
                 .iter()
-                .all(|g| type_within(&g.ty, types))
-            && self.funcs[..funcs]
-                .iter()
-                .all(|f| f.refers_within(funcs, globals, types))
+                .all(|g| struct_refs_within(&g.ty))
+            && self.funcs[..funcs].iter().all(|f| {
+                let mut ok = true;
+                f.for_each_ref(|r| ok &= within(r));
+                ok
+            })
     }
 
     /// Stable content fingerprint: [`fnv1a64`] over the canonical textual
@@ -853,7 +860,7 @@ mod tests {
             src: Operand::ConstInt(3),
         };
         assert_eq!(i.def(), None);
-        assert_eq!(i.uses().len(), 2);
+        assert_eq!(i.operands().count(), 2);
         let l = Inst::Load {
             dst: LocalId(2),
             src: Operand::Global(GlobalId(0)),
@@ -866,6 +873,7 @@ mod tests {
         let mut m = Module::new("at");
         let callee = m.declare_func("callee", vec![], Type::Void).unwrap();
         let taken = m.declare_func("taken", vec![], Type::Void).unwrap();
+        let returned = m.declare_func("returned", vec![], Type::Void).unwrap();
         let f = Function {
             name: "main".into(),
             param_count: 0,
@@ -891,6 +899,67 @@ mod tests {
         };
         m.add_func(f).unwrap();
         assert_eq!(m.address_taken_funcs(), vec![taken]);
+        // A terminator operand takes an address too.
+        let get = Function {
+            name: "get".into(),
+            param_count: 0,
+            ret_ty: Type::fn_ptr(vec![], Type::Void),
+            locals: vec![],
+            blocks: vec![Block {
+                insts: vec![],
+                term: Terminator::Ret(Some(Operand::Func(returned))),
+            }],
+        };
+        m.add_func(get).unwrap();
+        assert_eq!(m.address_taken_funcs(), vec![taken, returned]);
+    }
+
+    #[test]
+    fn for_each_ref_tells_callees_from_taken_addresses() {
+        let mut m = Module::new("refs");
+        let s = m.types.declare("s", vec![Type::Int]).unwrap();
+        let g = m.add_global("g", Type::Int).unwrap();
+        let callee = m.declare_func("callee", vec![], Type::Void).unwrap();
+        let taken = m.declare_func("taken", vec![], Type::Void).unwrap();
+        let f = Function {
+            name: "main".into(),
+            param_count: 0,
+            ret_ty: Type::Void,
+            locals: vec![LocalDecl {
+                name: "fp".into(),
+                ty: Type::fn_ptr(vec![Type::ptr(Type::Struct(s))], Type::Void),
+            }],
+            blocks: vec![Block {
+                insts: vec![
+                    Inst::Call {
+                        dst: None,
+                        callee,
+                        args: vec![Operand::Global(g)],
+                    },
+                    Inst::Copy {
+                        dst: LocalId(0),
+                        src: Operand::Func(taken),
+                    },
+                ],
+                term: Terminator::Branch {
+                    cond: Operand::Func(callee),
+                    then_bb: BlockId(0),
+                    else_bb: BlockId(0),
+                },
+            }],
+        };
+        let mut refs = Vec::new();
+        f.for_each_ref(|r| refs.push(r));
+        assert_eq!(
+            refs,
+            vec![
+                ItemRef::Struct(s),
+                ItemRef::Callee(callee),
+                ItemRef::Global(g),
+                ItemRef::FuncAddr(taken),
+                ItemRef::FuncAddr(callee),
+            ]
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::collections::HashSet;
 
-use crate::module::{Function, Inst, LocalId, Module, Operand, Terminator};
+use crate::module::{Function, Inst, LocalId, Module, Operand};
 use crate::types::Type;
 
 /// Statistics from a [`mem2reg`] run.
@@ -87,7 +87,7 @@ fn mem2reg_func(f: &mut Function) -> Mem2RegStats {
                     }
                 }
                 other => {
-                    for op in other.uses() {
+                    for op in other.operands() {
                         if let Operand::Local(l) = op {
                             if alloca_slots[l.index()].is_some() {
                                 escaped.insert(l.0);
@@ -98,16 +98,9 @@ fn mem2reg_func(f: &mut Function) -> Mem2RegStats {
             }
         }
         // Terminator uses (branch conditions, returned values).
-        let term_ops: Vec<Operand> = match &block.term {
-            Terminator::Branch { cond, .. } => vec![*cond],
-            Terminator::Ret(Some(v)) => vec![*v],
-            _ => vec![],
-        };
-        for op in term_ops {
-            if let Operand::Local(l) = op {
-                if alloca_slots[l.index()].is_some() {
-                    escaped.insert(l.0);
-                }
+        if let Some(Operand::Local(l)) = block.term.operand() {
+            if alloca_slots[l.index()].is_some() {
+                escaped.insert(l.0);
             }
         }
     }

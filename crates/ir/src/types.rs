@@ -129,11 +129,19 @@ impl Type {
         }
     }
 
-    /// The struct id, if this is a struct type.
-    pub fn as_struct(&self) -> Option<StructId> {
+    /// Visit every struct type this type names, at any depth of pointers,
+    /// arrays and function signatures (parameters before the return).
+    pub fn for_each_struct(&self, visit: &mut impl FnMut(StructId)) {
         match self {
-            Type::Struct(s) => Some(*s),
-            _ => None,
+            Type::Void | Type::Int => {}
+            Type::Ptr(t) | Type::Array(t, _) => t.for_each_struct(visit),
+            Type::Struct(s) => visit(*s),
+            Type::Func(FuncSig { params, ret }) => {
+                for p in params {
+                    p.for_each_struct(visit);
+                }
+                ret.for_each_struct(visit);
+            }
         }
     }
 

@@ -140,7 +140,7 @@ fn verify_func(f: &Function, m: &Module, errs: &mut Vec<VerifyError>) {
                     continue;
                 }
             }
-            for op in inst.uses() {
+            for op in inst.operands() {
                 if let Err(msg) = check_op(&op) {
                     err(format!("{at}: {msg}"));
                 }

@@ -129,7 +129,7 @@ impl Analysis {
     ///   and this program. Any incompatible edit, including one the caller
     ///   rejected before handing over counts, falls back to a cold solve,
     ///   visible as `stats.incr_fallback_full == 1`.
-    /// * With `capture`, a converged solve also returns a [`SolvedState`]
+    /// * With `capture`, the solve also returns a [`SolvedState`]
     ///   snapshot tagged with that fingerprint, which must be `module`'s.
     ///
     /// Returns the typed budget error when the solve budget is exhausted.

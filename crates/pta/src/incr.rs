@@ -1,6 +1,6 @@
 //! Incremental re-solve for watch-mode traffic.
 //!
-//! A converged solve can be *captured* as a [`SolvedState`] snapshot: the
+//! A finished solve can be *captured* as a [`SolvedState`] snapshot: the
 //! canonical points-to sets, the union-find condensation, the copy-edge
 //! set, and the invariant/degradation events, all expressed over identities
 //! that survive regeneration (node kinds, [`ObjSite`]s, constraint prefix
@@ -32,7 +32,9 @@
 
 use std::collections::HashMap;
 
-use kaleidoscope_ir::{BlockId, FuncId, InstLoc, LocalId, Module, PrefixCounts};
+use kaleidoscope_ir::{
+    BlockId, ByteReader, ByteWriter, CodecError, FuncId, InstLoc, LocalId, Module, PrefixCounts,
+};
 
 use crate::gen::{ConstraintKind, IndirectCall, Program};
 use crate::node::{NodeId, NodeKind, ObjId, ObjSite};
@@ -79,8 +81,8 @@ enum CreatedNode {
 }
 
 /// A captured fixpoint: everything needed to warm-start the solver on the
-/// next revision of the same module. Only *converged* solves (fixpoint
-/// reached, not the `max_passes` valve) are captured.
+/// next revision of the same module. Every successful solve ends at its
+/// fixpoint, so every one can be captured.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolvedState {
     /// Fingerprint of the module revision this state solves.
@@ -126,7 +128,7 @@ pub struct SolvedState {
 }
 
 impl SolvedState {
-    /// Capture the state of a solver that just converged. Returns `None`
+    /// Capture the state of a solver at its fixpoint. Returns `None`
     /// when the arena contains a node shape the replay cannot reproduce
     /// (defensive; does not occur with the current solver).
     pub(crate) fn capture(solver: &Solver<'_>, fingerprint: u64) -> Option<SolvedState> {
@@ -264,95 +266,102 @@ impl SolvedState {
         self.node_count as usize
     }
 
-    /// Serialize to a stable binary blob (for the on-disk snapshot store).
+    /// Serialize to a stable binary blob (for the on-disk snapshot store):
+    /// the magic, fixed-width fingerprint and keys, and LEB128 integers
+    /// otherwise.
     pub fn to_bytes(&self) -> Vec<u8> {
         let items = self.created.len() + self.merged.len() + self.pts.len() + self.copy_edges.len();
-        let mut out = Vec::with_capacity(64 + items * 4);
-        out.extend_from_slice(&STATE_MAGIC);
-        put_u32(&mut out, INCR_STATE_VERSION);
-        put_u32(&mut out, crate::PTS_REPR_VERSION);
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.opts_key.to_le_bytes());
-        out.extend_from_slice(&self.plan_digest.to_le_bytes());
-        put_u32(&mut out, self.gen_len);
-        put_u32(&mut out, self.created.len() as u32);
+        let mut w = ByteWriter::with_capacity(64 + items * 4);
+        let loc = |w: &mut ByteWriter, l: InstLoc| {
+            w.uint(l.func.0.into());
+            w.uint(l.block.0.into());
+            w.uint(l.inst.into());
+        };
+        w.raw(&STATE_MAGIC);
+        w.uint(INCR_STATE_VERSION.into());
+        w.uint(crate::PTS_REPR_VERSION.into());
+        w.u64_le(self.fingerprint);
+        w.u64_le(self.opts_key);
+        w.u64_le(self.plan_digest);
+        w.uint(self.gen_len.into());
+        w.uint(self.created.len() as u64);
         for c in &self.created {
             match *c {
                 CreatedNode::Field { parent, idx } => {
-                    out.push(0);
-                    put_u32(&mut out, parent);
-                    put_u32(&mut out, idx);
+                    w.u8(0);
+                    w.uint(parent.into());
+                    w.uint(idx.into());
                 }
                 CreatedNode::Local { func, local } => {
-                    out.push(1);
-                    put_u32(&mut out, func);
-                    put_u32(&mut out, local);
+                    w.u8(1);
+                    w.uint(func.into());
+                    w.uint(local.into());
                 }
                 CreatedNode::Ret { func } => {
-                    out.push(2);
-                    put_u32(&mut out, func);
+                    w.u8(2);
+                    w.uint(func.into());
                 }
             }
         }
         // Union-find: only the non-trivial entries.
-        put_u32(&mut out, self.node_count);
-        put_u32(&mut out, self.merged.len() as u32);
+        w.uint(self.node_count.into());
+        w.uint(self.merged.len() as u64);
         for &(i, r) in &self.merged {
-            put_u32(&mut out, i);
-            put_u32(&mut out, r);
+            w.uint(i.into());
+            w.uint(r.into());
         }
-        put_u32(&mut out, self.pts_sets.len() as u32);
+        w.uint(self.pts_sets.len() as u64);
         for members in &self.pts_sets {
-            put_u32(&mut out, members.len() as u32);
+            w.uint(members.len() as u64);
             let mut prev = 0u32;
             for &m in members {
                 // Sorted ascending: delta-encode for compactness.
-                put_u32(&mut out, m.wrapping_sub(prev));
+                w.uint(m.wrapping_sub(prev).into());
                 prev = m;
             }
         }
-        put_u32(&mut out, self.pts.len() as u32);
+        w.uint(self.pts.len() as u64);
         for &(rep, set) in &self.pts {
-            put_u32(&mut out, rep);
-            put_u32(&mut out, set);
+            w.uint(rep.into());
+            w.uint(set.into());
         }
-        put_u32(&mut out, self.copy_edges.len() as u32);
+        w.uint(self.copy_edges.len() as u64);
         for &(a, b) in &self.copy_edges {
-            put_u32(&mut out, a);
-            put_u32(&mut out, b);
+            w.uint(a.into());
+            w.uint(b.into());
         }
-        put_u32(&mut out, self.degraded.len() as u32);
+        w.uint(self.degraded.len() as u64);
         for &c in &self.degraded {
-            put_u32(&mut out, c);
+            w.uint(c.into());
         }
-        put_u32(&mut out, self.pa_events.len() as u32);
-        for &(loc, obj) in &self.pa_events {
-            put_loc(&mut out, loc);
-            put_u32(&mut out, obj);
+        w.uint(self.pa_events.len() as u64);
+        for &(l, obj) in &self.pa_events {
+            loc(&mut w, l);
+            w.uint(obj.into());
         }
-        put_u32(&mut out, self.pwc_events.len() as u32);
+        w.uint(self.pwc_events.len() as u64);
         for (members, locs) in &self.pwc_events {
-            put_u32(&mut out, members.len() as u32);
+            w.uint(members.len() as u64);
             for &m in members {
-                put_u32(&mut out, m);
+                w.uint(m.into());
             }
-            put_u32(&mut out, locs.len() as u32);
+            w.uint(locs.len() as u64);
             for &l in locs {
-                put_loc(&mut out, l);
+                loc(&mut w, l);
             }
         }
-        put_u32(&mut out, self.collapsed.len() as u32);
+        w.uint(self.collapsed.len() as u64);
         for &o in &self.collapsed {
-            put_u32(&mut out, o);
+            w.uint(o.into());
         }
-        put_u32(&mut out, self.icall_wired.len() as u32);
+        w.uint(self.icall_wired.len() as u64);
         for fids in &self.icall_wired {
-            put_u32(&mut out, fids.len() as u32);
+            w.uint(fids.len() as u64);
             for &f in fids {
-                put_u32(&mut out, f);
+                w.uint(f.into());
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Decode a snapshot. Returns `None` on truncation, version skew, or
@@ -362,21 +371,32 @@ impl SolvedState {
     /// and the claimed node count is checked against the program's extent
     /// only at the warm start ([`crate::WarmStart::diff`]).
     pub fn from_bytes(bytes: &[u8]) -> Option<SolvedState> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(4)? != STATE_MAGIC {
-            return None;
-        }
-        if r.u32()? != INCR_STATE_VERSION || r.u32()? != crate::PTS_REPR_VERSION {
-            return None;
-        }
+        Self::decode(&mut ByteReader::new(bytes)).ok()
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<SolvedState, CodecError> {
+        let check = |ok: bool, what: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(CodecError(format!("snapshot: {what}")))
+            }
+        };
+        let count = |r: &mut ByteReader<'_>| r.u32().map(|n| n as usize);
+        let loc = |r: &mut ByteReader<'_>| {
+            Ok::<_, CodecError>(InstLoc::new(FuncId(r.u32()?), BlockId(r.u32()?), r.u32()?))
+        };
+        check(r.take(4)? == STATE_MAGIC, "magic")?;
+        check(r.u32()? == INCR_STATE_VERSION, "version")?;
+        check(r.u32()? == crate::PTS_REPR_VERSION, "set representation")?;
         let fingerprint = r.u64_le()?;
         let opts_key = r.u64_le()?;
         let plan_digest = r.u64_le()?;
         let gen_len = r.u32()?;
-        let ncreated = r.u32()? as usize;
-        let mut created = Vec::with_capacity(r.cap(ncreated));
+        let ncreated = count(r)?;
+        let mut created = Vec::with_capacity(r.capacity_for(ncreated));
         for _ in 0..ncreated {
-            created.push(match r.byte()? {
+            created.push(match r.u8()? {
                 0 => CreatedNode::Field {
                     parent: r.u32()?,
                     idx: r.u32()?,
@@ -386,106 +406,100 @@ impl SolvedState {
                     local: r.u32()?,
                 },
                 2 => CreatedNode::Ret { func: r.u32()? },
-                _ => return None,
+                _ => return Err(CodecError("snapshot: created-node tag".into())),
             });
         }
         let node_count = r.u32()?;
         let total = node_count as usize;
-        if total != gen_len as usize + created.len() {
-            return None;
-        }
-        let nmerged = r.u32()? as usize;
-        let mut merged: Vec<(u32, u32)> = Vec::with_capacity(r.cap(nmerged));
+        check(total == gen_len as usize + created.len(), "node count")?;
+        let nmerged = count(r)?;
+        let mut merged: Vec<(u32, u32)> = Vec::with_capacity(r.capacity_for(nmerged));
         for _ in 0..nmerged {
             let i = r.u32()?;
             let rep = r.u32()?;
             // Written in ascending node order, never as an identity.
-            if i.max(rep) >= node_count || i == rep || merged.last().is_some_and(|&(l, _)| l >= i) {
-                return None;
-            }
+            check(
+                i.max(rep) < node_count && i != rep && merged.last().is_none_or(|&(l, _)| l < i),
+                "merged entry",
+            )?;
             merged.push((i, rep));
         }
-        let nsets = r.u32()? as usize;
-        let mut pts_sets = Vec::with_capacity(r.cap(nsets));
+        let nsets = count(r)?;
+        let mut pts_sets = Vec::with_capacity(r.capacity_for(nsets));
         for _ in 0..nsets {
-            let nm = r.u32()? as usize;
-            let mut members = Vec::with_capacity(r.cap(nm));
+            let nm = count(r)?;
+            let mut members = Vec::with_capacity(r.capacity_for(nm));
             let mut prev = 0u32;
             for _ in 0..nm {
                 prev = prev.wrapping_add(r.u32()?);
-                if prev as usize >= total {
-                    return None;
-                }
+                check((prev as usize) < total, "set member")?;
                 members.push(prev);
             }
             pts_sets.push(members);
         }
-        let npts = r.u32()? as usize;
-        let mut pts = Vec::with_capacity(r.cap(npts));
+        let npts = count(r)?;
+        let mut pts = Vec::with_capacity(r.capacity_for(npts));
         for _ in 0..npts {
             let rep = r.u32()?;
             let set = r.u32()?;
-            if rep as usize >= total || set as usize >= pts_sets.len() {
-                return None;
-            }
+            check(
+                (rep as usize) < total && (set as usize) < pts_sets.len(),
+                "set entry",
+            )?;
             pts.push((rep, set));
         }
-        let nce = r.u32()? as usize;
-        let mut copy_edges = Vec::with_capacity(r.cap(nce));
+        let nce = count(r)?;
+        let mut copy_edges = Vec::with_capacity(r.capacity_for(nce));
         for _ in 0..nce {
             let a = r.u32()?;
             let b = r.u32()?;
-            if a as usize >= total || b as usize >= total {
-                return None;
-            }
+            check((a as usize) < total && (b as usize) < total, "copy edge")?;
             copy_edges.push((a, b));
         }
-        let nd = r.u32()? as usize;
-        let mut degraded = Vec::with_capacity(r.cap(nd));
+        let nd = count(r)?;
+        let mut degraded = Vec::with_capacity(r.capacity_for(nd));
         for _ in 0..nd {
             degraded.push(r.u32()?);
         }
-        let npa = r.u32()? as usize;
-        let mut pa_events = Vec::with_capacity(r.cap(npa));
+        let npa = count(r)?;
+        let mut pa_events = Vec::with_capacity(r.capacity_for(npa));
         for _ in 0..npa {
-            let loc = r.loc()?;
-            pa_events.push((loc, r.u32()?));
+            let l = loc(r)?;
+            pa_events.push((l, r.u32()?));
         }
-        let npwc = r.u32()? as usize;
-        let mut pwc_events = Vec::with_capacity(r.cap(npwc));
+        let npwc = count(r)?;
+        let mut pwc_events = Vec::with_capacity(r.capacity_for(npwc));
         for _ in 0..npwc {
-            let nm = r.u32()? as usize;
-            let mut members = Vec::with_capacity(r.cap(nm));
+            let nm = count(r)?;
+            let mut members = Vec::with_capacity(r.capacity_for(nm));
             for _ in 0..nm {
                 let m = r.u32()?;
-                if m as usize >= total {
-                    return None;
-                }
+                check((m as usize) < total, "cycle member")?;
                 members.push(m);
             }
-            let nl = r.u32()? as usize;
-            let mut locs = Vec::with_capacity(r.cap(nl));
+            let nl = count(r)?;
+            let mut locs = Vec::with_capacity(r.capacity_for(nl));
             for _ in 0..nl {
-                locs.push(r.loc()?);
+                locs.push(loc(r)?);
             }
             pwc_events.push((members, locs));
         }
-        let nco = r.u32()? as usize;
-        let mut collapsed = Vec::with_capacity(r.cap(nco));
+        let nco = count(r)?;
+        let mut collapsed = Vec::with_capacity(r.capacity_for(nco));
         for _ in 0..nco {
             collapsed.push(r.u32()?);
         }
-        let nic = r.u32()? as usize;
-        let mut icall_wired = Vec::with_capacity(r.cap(nic));
+        let nic = count(r)?;
+        let mut icall_wired = Vec::with_capacity(r.capacity_for(nic));
         for _ in 0..nic {
-            let nf = r.u32()? as usize;
-            let mut fids = Vec::with_capacity(r.cap(nf));
+            let nf = count(r)?;
+            let mut fids = Vec::with_capacity(r.capacity_for(nf));
             for _ in 0..nf {
                 fids.push(r.u32()?);
             }
             icall_wired.push(fids);
         }
-        Some(SolvedState {
+        Ok(SolvedState {
             fingerprint,
             opts_key,
             plan_digest,
@@ -502,78 +516,6 @@ impl SolvedState {
             collapsed,
             icall_wired,
         })
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn put_loc(out: &mut Vec<u8>, loc: InstLoc) {
-    put_u32(out, loc.func.0);
-    put_u32(out, loc.block.0);
-    put_u32(out, loc.inst);
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// A capacity for `n` items still to read: every item takes at least
-    /// one byte, so no more than the bytes left.
-    fn cap(&self, n: usize) -> usize {
-        n.min(self.buf.len() - self.pos)
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    fn byte(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let mut v = 0u32;
-        let mut shift = 0u32;
-        loop {
-            let b = self.byte()?;
-            if shift >= 32 {
-                return None;
-            }
-            v |= ((b & 0x7f) as u32) << shift;
-            if b & 0x80 == 0 {
-                return Some(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn u64_le(&mut self) -> Option<u64> {
-        let s = self.take(8)?;
-        Some(u64::from_le_bytes(s.try_into().ok()?))
-    }
-
-    fn loc(&mut self) -> Option<InstLoc> {
-        Some(InstLoc::new(
-            FuncId(self.u32()?),
-            BlockId(self.u32()?),
-            self.u32()?,
-        ))
     }
 }
 

@@ -81,4 +81,4 @@ pub use solver::{
     SolveStats, Solver,
 };
 pub use stats::PtsStats;
-pub use steens::{steens_analysis, steensgaard};
+pub use steens::steens_analysis;

@@ -147,8 +147,6 @@ pub struct SolveOptions {
     pub pwc_defer: bool,
     /// Collapse pure-copy cycles (precision-neutral optimization).
     pub collapse_cycles: bool,
-    /// Upper bound on fixpoint/cycle-detection passes (safety valve).
-    pub max_passes: usize,
     /// Resource budget; exhausting it turns the solve into a typed
     /// [`SolveError`] instead of a panic.
     pub budget: SolveBudget,
@@ -161,7 +159,6 @@ impl SolveOptions {
             pa_filter: false,
             pwc_defer: false,
             collapse_cycles: true,
-            max_passes: 128,
             budget: SolveBudget::unlimited(),
         }
     }
@@ -185,8 +182,8 @@ impl SolveOptions {
 
     /// Stable key distinguishing solve configurations, for snapshot names
     /// and the snapshots themselves: equal *result-affecting* options ⇔
-    /// equal key. Packs the flags into the low bits and `max_passes` above
-    /// them.
+    /// equal key. Packs the flags into the low bits, above them the
+    /// constant 128 (a retired pass bound, written so that no key moves).
     ///
     /// [`SolveOptions::budget`] is deliberately excluded: the fixpoint is
     /// unique, so a solve that *succeeds* produces the same result under any
@@ -205,7 +202,7 @@ impl SolveOptions {
         (self.pa_filter as u64)
             | (self.pwc_defer as u64) << 1
             | (self.collapse_cycles as u64) << 2
-            | (self.max_passes as u64) << 8
+            | 128 << 8
     }
 }
 
@@ -546,9 +543,8 @@ impl<'m> Solver<'m> {
     /// state falls back to a cold solve, counted in
     /// `SolveStats::incr_fallback_full`.
     ///
-    /// With `capture`, a solve that converges (reaches a true fixpoint
-    /// rather than the `max_passes` valve) also returns a [`SolvedState`]
-    /// snapshot tagged with that module fingerprint, for the next
+    /// With `capture`, the solve also returns a [`SolvedState`] snapshot
+    /// of its fixpoint tagged with that module fingerprint, for the next
     /// revision's warm start.
     pub fn try_solve(
         mut self,
@@ -582,26 +578,20 @@ impl<'m> Solver<'m> {
         if restored.is_some() {
             self.stats.incr_seeded_nodes = self.queued.iter().filter(|&&q| q).count();
         }
-        let converged = self.run_loop(start, obs)?;
-        let state = match capture {
-            Some(fingerprint) if converged => SolvedState::capture(&self, fingerprint),
-            _ => None,
-        };
+        self.run_loop(start, obs)?;
+        let state = capture.and_then(|fingerprint| SolvedState::capture(&self, fingerprint));
         Ok((self.finish(), state))
     }
 
-    /// Drive the drain/cycle-detect loop to fixpoint. Returns whether the
-    /// solve *converged* (exited because a cycle-detection pass found
-    /// nothing left to change) as opposed to hitting the `max_passes`
-    /// safety valve — only converged states are safe to snapshot for
-    /// incremental reuse. Stamps the final statistics on success.
-    fn run_loop(
-        &mut self,
-        start: Instant,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<bool, SolveError> {
+    /// Drive the drain/cycle-detect loop to fixpoint: it ends when a
+    /// cycle-detection pass changes nothing, or with a typed error when
+    /// the budget runs out. Stamps the final statistics on success.
+    ///
+    /// The loop terminates: every pass that reports a change merges nodes
+    /// or degrades a Field-Of constraint, and a program has finitely many
+    /// of each.
+    fn run_loop(&mut self, start: Instant, obs: &mut dyn SolverObserver) -> Result<(), SolveError> {
         let mut passes = 0usize;
-        let mut converged = false;
         let run = loop {
             if let Err(e) = self.drain_worklist(obs) {
                 break Err(e);
@@ -618,11 +608,7 @@ impl<'m> Solver<'m> {
             }
             passes += 1;
             self.stats.scc_passes = passes;
-            if passes >= self.opts.max_passes {
-                break Ok(());
-            }
             if !self.scc_pass(obs) {
-                converged = true;
                 break Ok(());
             }
         };
@@ -635,7 +621,7 @@ impl<'m> Solver<'m> {
         self.stats.copy_edges = self.copy_set.len();
         self.stats.degraded_fields = self.degraded_fields.len();
         self.stats.duration = start.elapsed();
-        Ok(converged)
+        Ok(())
     }
 
     /// Consume the solver into its result.

@@ -2,62 +2,23 @@
 //!
 //! Runs in near-linear time but is markedly less precise than Andersen's —
 //! the paper cites it (§9, "Scalability Improvements") as the fast/imprecise
-//! end of the design space. We use it in the benchmark suite as an extra
-//! comparison point and in tests as a soundness upper bound (every
-//! Andersen's set is a subset of the Steensgaard set for the same program).
+//! end of the design space. It is the last rung of the executor's
+//! degradation ladder, an extra comparison point in the benchmark suite,
+//! and in tests a soundness upper bound (every Andersen's set is a subset
+//! of the Steensgaard set for the same program). [`steens_analysis`] is
+//! its one entry point.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use kaleidoscope_ir::{FuncId, Inst, LocalId, Module, Type};
+use kaleidoscope_ir::{Inst, LocalId, Module};
 
 use crate::analysis::Analysis;
 use crate::callgraph::CallGraph;
-use crate::gen::{generate, ConstraintKind, IndirectCall};
-use crate::node::{NodeId, NodeTable};
+use crate::gen::{generate, ConstraintKind};
+use crate::node::NodeId;
 use crate::pts::PtsSet;
 use crate::solver::{SolveResult, SolveStats};
-
-/// Result of a Steensgaard run: equivalence classes with pointee links.
-#[derive(Debug, Clone)]
-pub struct SteensResult {
-    nodes: NodeTable,
-    parent: Vec<u32>,
-    pointee: HashMap<u32, u32>,
-    /// Object members of each class representative.
-    members: HashMap<u32, Vec<NodeId>>,
-}
-
-impl SteensResult {
-    fn find(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x
-    }
-
-    /// The points-to set of a local: all object nodes in the pointee class.
-    pub fn pts_of_local(&self, module: &Module, func: FuncId, local: LocalId) -> PtsSet {
-        let _ = module;
-        let Some(n) = self.nodes.local_node_opt(func, local) else {
-            return PtsSet::new();
-        };
-        let class = self.find(n.0);
-        let Some(&ptee) = self.pointee.get(&class) else {
-            return PtsSet::new();
-        };
-        let ptee = self.find(ptee);
-        self.members
-            .get(&ptee)
-            .map(|v| v.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Borrow the node table (to resolve object identities).
-    pub fn nodes(&self) -> &NodeTable {
-        &self.nodes
-    }
-}
 
 struct Steens {
     parent: Vec<u32>,
@@ -115,18 +76,23 @@ impl Steens {
     }
 }
 
-/// Run Steensgaard's analysis over a module.
-pub fn steensgaard(module: &Module) -> SteensResult {
-    steens_core(module).0
-}
-
-/// The shared unification pass; also hands back the indirect-call records
-/// and constraint count so [`steens_analysis`] can fill in a call graph and
-/// stats without generating constraints twice.
-fn steens_core(module: &Module) -> (SteensResult, Vec<IndirectCall>, usize) {
+/// Run Steensgaard's analysis and package the result as a canonical
+/// [`Analysis`], so the unification tier can stand in wherever an Andersen
+/// analysis is expected — it is the last rung of the executor's
+/// degradation ladder.
+///
+/// Each indirect call is unified with every arity-compatible address-taken
+/// function: actuals with formals, and the destination with the callee's
+/// return. The packaging is deterministic: each node's points-to set is
+/// the sorted object-member list of its pointee class, and the call graph
+/// carries the module's direct edges plus that indirect wiring. Two calls
+/// on the same module produce identical artifacts.
+pub fn steens_analysis(module: &Module) -> Analysis {
+    let start = Instant::now();
     let program = generate(module, None);
     let nodes = program.nodes;
-    let mut fresh = nodes.len() as u32;
+    let n = nodes.len();
+    let mut fresh = n as u32;
     let mut s = Steens {
         parent: (0..fresh).collect(),
         pointee: HashMap::new(),
@@ -156,78 +122,6 @@ fn steens_core(module: &Module) -> (SteensResult, Vec<IndirectCall>, usize) {
         }
     }
 
-    // Indirect calls: unify with every arity-compatible address-taken
-    // function (the conservative unification treatment).
-    let taken = module.address_taken_funcs();
-    for ic in &program.icalls {
-        for &fid in &taken {
-            let f = module.func(fid);
-            if f.param_count != ic.args.len() {
-                continue;
-            }
-            for (idx, arg) in ic.args.iter().enumerate() {
-                if let (Some(a), Some(p)) = (arg, nodes.local_node_opt(fid, LocalId(idx as u32))) {
-                    s.join_pointees(a.0, p.0, &mut fresh);
-                }
-            }
-            if let Some(dst) = ic.dst {
-                if f.ret_ty != Type::Void {
-                    // Best effort: unify dst with every address-taken return.
-                    // Return nodes may not exist if the function never
-                    // returns a pointer-relevant value.
-                    let _ = dst;
-                }
-            }
-        }
-    }
-
-    // Collect class members (object nodes only).
-    let mut members: HashMap<u32, Vec<NodeId>> = HashMap::new();
-    for id in nodes.iter_ids() {
-        if nodes.is_object_node(id) {
-            let class = s.find(id.0);
-            members.entry(class).or_default().push(id);
-        }
-    }
-    for v in members.values_mut() {
-        v.sort_unstable();
-    }
-
-    let res = SteensResult {
-        nodes,
-        parent: s.parent,
-        pointee: s.pointee,
-        members,
-    };
-    let n_constraints = program.constraints.len();
-    (res, program.icalls, n_constraints)
-}
-
-/// Run Steensgaard and package the result as a canonical [`Analysis`], so
-/// the unification tier can stand in wherever an Andersen analysis is
-/// expected — it is the last rung of the executor's degradation ladder.
-///
-/// The packaging is deterministic: each node's points-to set is the sorted
-/// object-member list of its pointee class, and the call graph carries the
-/// module's direct edges plus the conservative arity-compatible indirect
-/// wiring. Two calls on the same module produce identical artifacts.
-pub fn steens_analysis(module: &Module) -> Analysis {
-    let start = Instant::now();
-    let (res, icalls, constraint_count) = steens_core(module);
-
-    let n = res.nodes.len();
-    let mut pts = vec![PtsSet::new(); n];
-    for id in res.nodes.iter_ids() {
-        let class = res.find(id.0);
-        let Some(&ptee) = res.pointee.get(&class) else {
-            continue;
-        };
-        let ptee = res.find(ptee);
-        if let Some(m) = res.members.get(&ptee) {
-            pts[id.0 as usize] = m.iter().copied().collect();
-        }
-    }
-
     let mut callgraph = CallGraph::new();
     for (loc, inst) in module.iter_locs() {
         if let Inst::Call { callee, .. } = inst {
@@ -235,33 +129,58 @@ pub fn steens_analysis(module: &Module) -> Analysis {
         }
     }
     let taken = module.address_taken_funcs();
-    for ic in &icalls {
+    for ic in &program.icalls {
         callgraph.add_indirect_site(ic.site);
         for &fid in &taken {
-            if module.func(fid).param_count == ic.args.len() {
-                callgraph.add_indirect(ic.site, fid);
+            if module.func(fid).param_count != ic.args.len() {
+                continue;
+            }
+            callgraph.add_indirect(ic.site, fid);
+            // A formal or a return the generated program never names has
+            // no node: nothing reads it, so nothing needs to flow into it.
+            for (idx, arg) in ic.args.iter().enumerate() {
+                if let (Some(a), Some(p)) = (arg, nodes.local_node_opt(fid, LocalId(idx as u32))) {
+                    s.join_pointees(a.0, p.0, &mut fresh);
+                }
+            }
+            if let (Some(dst), Some(ret)) = (ic.dst, nodes.ret_node_opt(fid)) {
+                s.join_pointees(dst.0, ret.0, &mut fresh);
             }
         }
     }
 
-    let obj_count = res
-        .nodes
-        .iter_ids()
-        .filter(|&id| res.nodes.is_object_node(id))
-        .count();
+    // Object members of each class, then each node's pointee class.
+    let mut members: HashMap<u32, Vec<NodeId>> = HashMap::new();
+    let mut obj_count = 0;
+    for id in nodes.iter_ids() {
+        if nodes.is_object_node(id) {
+            obj_count += 1;
+            members.entry(s.find(id.0)).or_default().push(id);
+        }
+    }
+    let mut pts = vec![PtsSet::new(); n];
+    for id in nodes.iter_ids() {
+        let class = s.find(id.0);
+        let Some(&ptee) = s.pointee.get(&class) else {
+            continue;
+        };
+        if let Some(m) = members.get(&s.find(ptee)) {
+            pts[id.index()] = m.iter().copied().collect();
+        }
+    }
+
     let stats = SolveStats {
         node_count: n,
         obj_count,
-        constraint_count,
-        icall_count: icalls.len(),
+        constraint_count: program.constraints.len(),
+        icall_count: program.icalls.len(),
         duration: start.elapsed(),
         ..SolveStats::default()
     };
-
     Analysis {
         result: SolveResult {
-            merged: res.nodes.any_merged(),
-            nodes: res.nodes,
+            merged: nodes.any_merged(),
+            nodes,
             pts,
             callgraph,
             pa_filters: Vec::new(),
@@ -272,37 +191,12 @@ pub fn steens_analysis(module: &Module) -> Analysis {
     }
 }
 
-/// Convenience: average points-to set size over pointer-typed locals (for
-/// the comparison benches).
-pub fn avg_pts_size(module: &Module, res: &SteensResult) -> f64 {
-    let mut total = 0usize;
-    let mut count = 0usize;
-    for (fid, f) in module.iter_funcs() {
-        for (i, l) in f.locals.iter().enumerate() {
-            if !l.ty.is_ptr() {
-                continue;
-            }
-            let size = res.pts_of_local(module, fid, LocalId(i as u32)).len();
-            if size > 0 {
-                total += size;
-                count += 1;
-            }
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total as f64 / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Analysis;
-    use crate::node::ObjSite;
     use crate::solver::SolveOptions;
-    use kaleidoscope_ir::{FunctionBuilder, Module, Operand};
+    use crate::stats::PtsStats;
+    use kaleidoscope_ir::{FunctionBuilder, Operand, Type};
 
     /// Two unrelated pointers end up unified by Steensgaard but separate
     /// under Andersen's — the textbook precision gap.
@@ -325,28 +219,59 @@ mod tests {
         b.ret(None);
         let main = b.finish();
 
-        let steens = steensgaard(&m);
+        let steens = steens_analysis(&m);
         let andersen = Analysis::run(&m, &SolveOptions::baseline());
         // `p` under Andersen's: just o1.
         let ap = andersen.pts_of_local(main, LocalId(2));
         assert_eq!(ap.len(), 1);
         // `p` under Steensgaard: o1 and o2 are in the same class.
-        let sp = steens.pts_of_local(&m, main, LocalId(2));
+        let sp = steens.pts_of_local(main, LocalId(2));
         assert!(sp.len() >= 2, "unification merged the objects: {sp:?}");
     }
 
-    /// Soundness cross-check: every object Andersen's reports for a local
-    /// is in the Steensgaard class for that local.
+    /// Soundness cross-check of `module`: every allocation site Andersen's
+    /// baseline finds for a pointer local is in its Steensgaard set, and
+    /// every indirect callsite's Andersen targets are among its Steensgaard
+    /// targets. Returns the pointer locals and callsites that fail.
+    fn steens_misses(m: &Module) -> Vec<String> {
+        let steens = steens_analysis(m);
+        let andersen = Analysis::run(m, &SolveOptions::baseline());
+        let mut misses = Vec::new();
+        for (fid, f) in m.iter_funcs() {
+            for (l, decl) in f.locals.iter().enumerate() {
+                let l = LocalId(l as u32);
+                if !decl.ty.is_ptr() {
+                    continue;
+                }
+                let ssites = steens.sites_of(&steens.pts_of_local(fid, l));
+                let asites = andersen.sites_of(&andersen.pts_of_local(fid, l));
+                if let Some(site) = asites.iter().find(|s| !ssites.contains(s)) {
+                    misses.push(format!("{}: local {l}: object {site}", f.name));
+                }
+            }
+        }
+        for (site, targets) in andersen.result.callgraph.indirect_sites() {
+            let st = steens.callsite_targets(site);
+            if let Some(t) = targets.iter().find(|t| !st.contains(t)) {
+                misses.push(format!("icall {site}: target {}", m.func(*t).name));
+            }
+        }
+        misses
+    }
+
+    /// Every Andersen fact is a Steensgaard fact: on an indirect call's
+    /// argument, on its destination (which holds what the callees
+    /// return), and on the nine models.
     #[test]
     fn andersen_subset_of_steensgaard() {
-        let mut m = Module::new("subset");
+        let mut arg = Module::new("icall-arg");
         let h = {
-            let mut b = FunctionBuilder::new(&mut m, "h", vec![("x", Type::Int)], Type::Void);
+            let mut b = FunctionBuilder::new(&mut arg, "h", vec![("x", Type::Int)], Type::Void);
             b.output(Operand::Local(b.param(0)));
             b.ret(None);
             b.finish()
         };
-        let mut b = FunctionBuilder::new(&mut m, "main", vec![], Type::Void);
+        let mut b = FunctionBuilder::new(&mut arg, "main", vec![], Type::Void);
         let o = b.alloca("o", Type::Int);
         let slot = b.alloca("slot", Type::ptr(Type::Int));
         b.store(slot, o);
@@ -354,29 +279,61 @@ mod tests {
         let fp = b.copy("fp", Operand::Func(h));
         b.call_ind("r", fp, vec![v.into()], Type::Void);
         b.ret(None);
-        let main = b.finish();
+        b.finish();
 
-        let steens = steensgaard(&m);
-        let andersen = Analysis::run(&m, &SolveOptions::baseline());
-        for l in 0..m.func(main).locals.len() as u32 {
-            let a = andersen.pts_of_local(main, LocalId(l));
-            if a.is_empty() {
-                continue;
-            }
-            let s = steens.pts_of_local(&m, main, LocalId(l));
-            let asites = andersen.sites_of(&a);
-            let ssites: Vec<ObjSite> = s
-                .iter()
-                .filter_map(|n| steens.nodes().node_obj(n))
-                .map(|o| steens.nodes().obj_info(o).site)
-                .collect();
-            for site in asites {
-                assert!(
-                    ssites.contains(&site),
-                    "local {l}: Andersen object {site} missing from Steensgaard class"
-                );
-            }
+        let mut ret = Module::new("icall-ret");
+        let mk = {
+            let mut b = FunctionBuilder::new(&mut ret, "mk", vec![], Type::ptr(Type::Int));
+            let o = b.alloca("o", Type::Int);
+            b.ret(Some(o.into()));
+            b.finish()
+        };
+        let mut b = FunctionBuilder::new(&mut ret, "main", vec![], Type::Void);
+        let fp = b.copy("fp", Operand::Func(mk));
+        b.call_ind("r", fp, vec![], Type::ptr(Type::Int));
+        b.ret(None);
+        b.finish();
+
+        let models = kaleidoscope_apps::all_models();
+        let named = [("icall-arg", &arg), ("icall-ret", &ret)]
+            .into_iter()
+            .chain(models.iter().map(|m| (m.name, &m.module)));
+        for (name, m) in named {
+            let misses = steens_misses(m);
+            assert!(
+                misses.is_empty(),
+                "{name}: {} Andersen facts missing from Steensgaard, first {}",
+                misses.len(),
+                misses[0]
+            );
         }
+    }
+
+    /// A function whose address escapes only through a `ret` is an
+    /// indirect-call target of the unification tier too.
+    #[test]
+    fn returned_function_is_an_indirect_target() {
+        let mut m = Module::new("ret-handler");
+        let handler = {
+            let mut b = FunctionBuilder::new(&mut m, "handler", vec![], Type::Void);
+            b.ret(None);
+            b.finish()
+        };
+        let get = {
+            let fn_ty = Type::fn_ptr(vec![], Type::Void);
+            let mut b = FunctionBuilder::new(&mut m, "get", vec![], fn_ty);
+            b.ret(Some(Operand::Func(handler)));
+            b.finish()
+        };
+        let mut b = FunctionBuilder::new(&mut m, "main", vec![], Type::Void);
+        let fp = b.call("fp", get, vec![]).expect("non-void call");
+        b.call_ind("r", fp, vec![], Type::Void);
+        b.ret(None);
+        b.finish();
+        let andersen = Analysis::run(&m, &SolveOptions::baseline());
+        let (site, targets) = andersen.result.callgraph.indirect_sites().next().unwrap();
+        assert_eq!(targets, &[handler]);
+        assert_eq!(steens_analysis(&m).callsite_targets(site), &[handler]);
     }
 
     #[test]
@@ -408,12 +365,7 @@ mod tests {
         let sites: Vec<_> = a.result.callgraph.indirect_sites().collect();
         assert_eq!(sites.len(), 1);
         assert_eq!(a.callsite_targets(sites[0].0), &[h]);
-        // The canonical facade agrees with the raw Steensgaard classes.
-        let raw = steensgaard(&m);
-        assert_eq!(
-            a.pts_of_local(main, LocalId(1)).len(),
-            raw.pts_of_local(&m, main, LocalId(1)).len()
-        );
+        assert_eq!(a.pts_of_local(main, LocalId(1)).len(), 1);
         assert!(a.result.stats.node_count > 0);
     }
 
@@ -425,7 +377,6 @@ mod tests {
         let _p = b.copy("p", o);
         b.ret(None);
         b.finish();
-        let res = steensgaard(&m);
-        assert!(avg_pts_size(&m, &res) >= 1.0);
+        assert!(PtsStats::collect(&steens_analysis(&m), &m).avg >= 1.0);
     }
 }

@@ -9,6 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use kaleidoscope_fuzz::edit::{edit_script, EditKind};
+use kaleidoscope_ir::ByteWriter;
 use kaleidoscope_pta::gen::generate;
 use kaleidoscope_pta::{
     Analysis, FallbackReason, NullObserver, SolveOptions, SolvedState, WarmStart,
@@ -37,30 +38,23 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-fn put_u32(out: &mut Vec<u8>, mut v: u32) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
 /// A snapshot of `like`'s revision, options and plan whose header claims
 /// `u32::MAX` generated nodes and whose body is empty.
 fn crafted(like: &SolvedState) -> Vec<u8> {
-    let mut out = b"KDIS".to_vec();
-    put_u32(&mut out, INCR_STATE_VERSION);
-    put_u32(&mut out, PTS_REPR_VERSION);
+    let mut w = ByteWriter::new();
+    w.raw(b"KDIS");
+    w.uint(INCR_STATE_VERSION.into());
+    w.uint(PTS_REPR_VERSION.into());
     for v in [like.fingerprint, like.opts_key, like.plan_digest] {
-        out.extend_from_slice(&v.to_le_bytes());
+        w.u64_le(v);
     }
-    put_u32(&mut out, u32::MAX); // generated nodes
-    put_u32(&mut out, 0); // created nodes
-    put_u32(&mut out, u32::MAX); // total nodes
+    w.uint(u32::MAX.into()); // generated nodes
+    w.uint(0); // created nodes
+    w.uint(u32::MAX.into()); // total nodes
     for _ in 0..9 {
-        put_u32(&mut out, 0); // every list empty
+        w.uint(0); // every list empty
     }
-    out
+    w.into_bytes()
 }
 
 #[test]

@@ -123,17 +123,17 @@ pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
                 // mixes read naturally (`kill` a healthy worker vs a
                 // worker that `crash`es on its own).
                 "kill" | "crash" => std::process::exit(101),
-                // Simulates a hung solve (`ConnStall`): accept the
-                // request, never reply. The shard's deadline kill is the
-                // only way out.
+                // Simulates a hung solve or a stalled connection: accept
+                // the request, never reply. The shard's deadline kill is
+                // the only way out.
                 "stall" => loop {
                     std::thread::sleep(std::time::Duration::from_secs(3600));
                 },
-                // Simulates a cache publish cut short (`TornPublish`):
-                // leave a `.tmp` orphan and a report with a truncated
-                // integrity line behind, then die. The daemon's next
-                // recovery sweep (at drain, or at its next start) must
-                // delete the one and quarantine the other.
+                // Simulates a cache publish cut short: leave a `.tmp`
+                // orphan and a report with a truncated integrity line
+                // behind, then die. The daemon's next recovery sweep (at
+                // drain, or at its next start) must delete the one and
+                // quarantine the other.
                 "torn" => {
                     if let Some(c) = opts.cache.as_deref() {
                         let _ = c.inject_torn_publish();
