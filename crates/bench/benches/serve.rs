@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use kaleidoscope_bench::timing::{bench, bench_with_setup, to_json_with_counters};
-use kaleidoscope_exec::DiskCache;
+use kaleidoscope_exec::{CacheDisposition, DiskCache};
 use kaleidoscope_serve::{
     request_over_tcp, BreakerConfig, Request, Response, ServeConfig, Server, ShardMode,
     TenantQuota, WorkerOptions,
@@ -290,6 +290,56 @@ fn main() {
             },
         ));
         incr_warm_fe = warm_fe;
+
+        // A modify: `watch0` of `edits[0]` re-emitted from a new body seed
+        // per request, named after `edits[0]`. It does not extend the
+        // revision it names, but it extends the stored base `v1`, so each
+        // request warm-starts from `v1`'s snapshot.
+        let modify = |body_seed: u64| {
+            let mut m = v1.clone();
+            kaleidoscope_fuzz::edit::append_function(&mut m, body_seed, 0);
+            let text = m.to_text();
+            assert_ne!(
+                text, edits[0],
+                "body seed {body_seed:#x} re-emits the same body"
+            );
+            text
+        };
+        let edit0_fp = kaleidoscope_ir::fnv1a64(&[edits[0].as_bytes()]);
+        let modifies: Vec<String> = (1..=incr_iters as u64 + 2)
+            .map(|i| modify(0xca1e + i))
+            .collect();
+        let modify_request = |text: &str, stats: bool| {
+            let mut req = Request::inline("im", text);
+            req.config = Some("baseline".into());
+            req.prev_fingerprint = Some(edit0_fp);
+            req.stats = stats;
+            match must_ok(request_over_tcp(&addr, &req)) {
+                Response::Ok { report, cache, .. } => {
+                    assert_ne!(
+                        cache,
+                        CacheDisposition::Hit,
+                        "a modify is solved, not served"
+                    );
+                    report
+                }
+                _ => unreachable!(),
+            }
+        };
+        let mut round = 0usize;
+        samples.push(bench(
+            "serve/incr/request_warm_modify_100k",
+            incr_iters,
+            || {
+                modify_request(&modifies[round], false);
+                round += 1;
+            },
+        ));
+        let report = modify_request(&modifies[round], true);
+        assert!(
+            report.contains("incr-fallback-full=0") && !report.contains("incr-fallback-full=1"),
+            "a modify must warm-start from the base:\n{report}"
+        );
         let incr_cache_stats = cache.stats();
         println!(
             "incr warm path: {} snapshot hits / {} lookups; last warm edit: parse {}ms gen {}ms fe-hits {}",

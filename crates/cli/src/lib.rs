@@ -129,10 +129,13 @@ pub fn parse_config(name: &str) -> Result<PolicyConfig, CliError> {
 ///
 /// `incremental_from` (`--incremental-from <fp>`) names the fingerprint of
 /// a previously-analyzed revision whose solved-state snapshot (published
-/// to the cache by that run) should warm-start this solve. Requires a
+/// to the cache by that run) should warm-start this solve. It is where
+/// the search starts: when the module does not extend it, the longest
+/// stored revision both extend warm-starts the solve instead. Requires a
 /// cache directory. Warm-starting is advisory and sound: a missing
-/// snapshot or an incompatible edit falls back to a cold solve, and the
-/// report bytes are identical either way — only the time differs.
+/// snapshot or an edit that extends no stored revision falls back to a
+/// cold solve, and the report bytes are identical either way — only the
+/// time differs.
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_analyze(
     source: &Source,
@@ -726,9 +729,11 @@ OPTIONS:
                        analyze/serve/worker reuse stored reports
     --cache-max-bytes <n>  analyze/serve: cap the store's total size;
                        oldest artifacts are evicted at publish time
-    --incremental-from <h>  analyze: warm-start from the named previous
-                       revision's solved-state snapshot (needs --cache-dir;
-                       identical report bytes, faster on small edits)
+    --incremental-from <h>  analyze: warm-start from a previous revision's
+                       solved-state snapshot, searching from the named one
+                       to the longest stored revision the edit extends
+                       (needs --cache-dir; identical report bytes, faster
+                       on small edits)
 
 SERVING:
     --addr <a>         serve: bind address (default 127.0.0.1:0, port printed)
@@ -747,7 +752,9 @@ SERVING:
     --tenant <name>    request: tenant to account against (default: default)
     --fingerprint <h>  request: query a stored module by fingerprint
     --prev-fingerprint <h>  request: warm-start from a previous revision's
-                       snapshot (absent = the daemon's per-tenant lookup)
+                       snapshot, searching from the named one to the
+                       longest stored revision the edit extends (absent =
+                       the search starts at the tenant's head)
     --fault <kind>     request: inject a worker fault (needs --unsafe-faults)
     --timeout-ms <n>   request: connect/read/write timeout (default 10s/120s)
     --retries <n>      request: retry connect failures and timeouts with

@@ -6,7 +6,10 @@
 //!
 //! * **Modules** — canonical textual IR keyed by its content
 //!   [`fingerprint`](kaleidoscope_ir::Module::fingerprint), so a client can
-//!   submit a module once and query by fingerprint afterwards. Canonical
+//!   submit a module once and query by fingerprint afterwards. The files
+//!   also index the revisions that were submitted: a warm start looks for
+//!   the longest stored prefix of an edited module
+//!   ([`DiskCache::has_module`], one `stat`). Canonical
 //!   text hashes to its own name, so a module file needs no integrity
 //!   line: a fetch returns the text only when `fnv1a64(text)` is the
 //!   fingerprint asked for, and quarantines the file otherwise.
@@ -601,6 +604,13 @@ impl DiskCache {
         None
     }
 
+    /// Whether a module text is stored under `fp`: one `stat`, no read.
+    /// The text is not checked against `fp`; a warm start that picks a
+    /// revision by this index still reads only snapshots tagged with `fp`.
+    pub fn has_module(&self, fp: u64) -> bool {
+        self.module_path(fp).is_file()
+    }
+
     /// Publish `bytes` at `path` behind its integrity line, then enforce
     /// the size cap.
     fn put_checked(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -868,7 +878,9 @@ mod tests {
         let text = "module \"m\"\n";
         let fp = fnv1a64(&[text.as_bytes()]);
         assert_eq!(cache.get_module(fp), None);
+        assert!(!cache.has_module(fp));
         cache.put_module(fp, text).unwrap();
+        assert!(cache.has_module(fp));
         assert_eq!(cache.get_module(fp).as_deref(), Some(text));
         assert_eq!(cache.stats().verify_failures, 0);
     }

@@ -38,15 +38,17 @@
 //! * **Warm starts** — with a state store and a previous revision
 //!   ([`Executor::with_previous_revision`]), each solve of the module that
 //!   extends that revision restores the revision's snapshot of its key. The
-//!   caller resolves the revision once, before any solve:
-//!   [`analyze_request`] compares the revision's stored text with the
-//!   module's canonical text ([`kaleidoscope_ir::revision_prefix`]) and
-//!   checks that the module's first that many items stand alone
+//!   caller resolves the revision once, before any solve
+//!   ([`resolve_previous_revision`], from [`analyze_request`]): it compares
+//!   the named revision's stored text with the module's canonical text
+//!   ([`kaleidoscope_ir::revision_prefix`]), and when the module does not
+//!   extend it, takes the longest stored revision both extend, checking
+//!   that the module's first that many items stand alone
 //!   ([`Module::prefix_closed`]). The revision is never parsed, cut or
 //!   generated: an edit that extends it hands over only its counts, from
 //!   which each solve derives the translation onto its own program
-//!   ([`kaleidoscope_pta::ConstraintDiff::derive`]); any other edit solves
-//!   cold, counted as a fallback.
+//!   ([`kaleidoscope_pta::ConstraintDiff::derive`]); an edit that extends
+//!   no stored revision solves cold, counted as a fallback.
 //! * **A/B checking** — one worker ([`Executor::serial`], `--jobs 1`)
 //!   bypasses both the pool and the row slots and runs the legacy
 //!   [`kaleidoscope::analyze`] per cell, as the reference for the
@@ -102,8 +104,8 @@ pub use fault::{FaultKind, FaultPlan};
 pub use frontend::{load_frontend, FrontendStats, LoadedFrontend};
 pub use memo::ArtifactCache;
 pub use report::{
-    analyze_request, render_analyze, AnalyzeAnswer, AnalyzeError, AnalyzeReport, AnalyzeRequest,
-    CacheDisposition, ModuleSource,
+    analyze_request, render_analyze, resolve_previous_revision, AnalyzeAnswer, AnalyzeError,
+    AnalyzeReport, AnalyzeRequest, CacheDisposition, ModuleSource,
 };
 
 use std::fmt;
@@ -871,11 +873,15 @@ mod tests {
         }
     }
 
-    /// The counts of the revision whose text is `prev_text`, when `module`
-    /// extends it, as [`analyze_request`] resolves them.
-    fn prefix(prev_text: &str, module: &Module) -> Option<PrefixCounts> {
-        kaleidoscope_ir::revision_prefix(prev_text, &module.to_text())
-            .filter(|&counts| module.prefix_closed(counts))
+    /// The revision `module` warm-starts from when `prev` is named, as
+    /// [`analyze_request`] resolves it, after storing `prev`'s text.
+    fn resolve(store: &DiskCache, prev: &Module, module: &Module) -> (u64, Option<PrefixCounts>) {
+        store
+            .put_module(prev.fingerprint(), &prev.to_text())
+            .expect("store text");
+        let fp = module.fingerprint();
+        resolve_previous_revision(store, prev.fingerprint(), module, fp, &module.to_text())
+            .expect("stored text")
     }
 
     #[test]
@@ -903,7 +909,9 @@ mod tests {
         assert!(store.stats().state_lookups == 0 || store.stats().state_hits == 0);
 
         // The previous revision is v2's first v1-many items.
-        let counts = prefix(&v1.to_text(), &v2).expect("an append extends v1");
+        let (rev, counts) = resolve(&store, &v1, &v2);
+        assert_eq!(rev, v1.fingerprint());
+        let counts = counts.expect("an append extends v1");
         assert_eq!(
             (counts.funcs, counts.globals, counts.types),
             (v1.funcs.len(), v1.globals.len(), v1.types.len())
@@ -967,7 +975,7 @@ mod tests {
         // An unrelated module does not extend the stored text: no solve
         // warm-starts, and the attempt on the fallback's key (which has a
         // snapshot) is counted.
-        assert!(prefix(&prev.to_text(), &next).is_none());
+        assert_eq!(resolve(&store, &prev, &next), (prev.fingerprint(), None));
         let ex = Executor::with_jobs(2)
             .with_state_store(Arc::clone(&store))
             .with_previous_revision(prev.fingerprint(), next.fingerprint(), None);

@@ -11,7 +11,7 @@ use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use kaleidoscope::{CellHealth, DegradedTier, PolicyConfig};
-use kaleidoscope_ir::{fnv1a64, revision_prefix, verify_module, Module, ParseError};
+use kaleidoscope_ir::{fnv1a64, revision_prefix, verify_module, Module, ParseError, PrefixCounts};
 use kaleidoscope_pta::{Analysis, PtsStats, SolveBudget};
 
 use crate::{load_frontend, DiskCache, Executor, FrontendStats, ReportScope};
@@ -267,13 +267,14 @@ impl std::error::Error for AnalyzeError {}
 /// 2. Store the canonical text, so fetch-by-fingerprint re-parses to the
 ///    same fingerprint whatever the submission's formatting.
 /// 3. Look up the report. A hit moves the tenant head and returns.
-/// 4. On a miss, find the previous revision: `prev_fingerprint`, else the
-///    tenant's head, unless it is the module itself. Read its stored text
-///    once and compare it with the canonical text of step 1
-///    ([`revision_prefix`]); the module extends the revision when the
-///    texts agree and the module's first that many items refer only to
-///    each other ([`Module::prefix_closed`]). Only the revision's counts
-///    are kept; then drop both texts.
+/// 4. On a miss, find the revision to warm-start from
+///    ([`resolve_previous_revision`]), starting at the named one:
+///    `prev_fingerprint`, else the tenant's head, unless it is the module
+///    itself. Its stored text is read once and compared with the canonical
+///    text of step 1; when the module does not extend it, the longest
+///    stored prefix of the module they share is taken instead. Only the
+///    chosen revision's fingerprint and counts are kept; then drop both
+///    texts.
 /// 5. Solve on an [`Executor`] with the frontend's stored plan-free
 ///    program, the budget, the cache as state store, and the revision of
 ///    step 4 to warm-start from. Render, move the head, and publish the
@@ -347,20 +348,15 @@ pub fn analyze_request(
     }
     if let Some(store) = cache {
         // The warm start is advisory: a missing text or snapshot solves
-        // cold, and a self-edge (prev == current) is skipped. The previous
-        // revision is never parsed: `get_module` returns only text that
-        // hashes to `prev`, and text that parses refers only within
-        // itself, so a prefix that a kept item refers past is no revision.
-        let prev = req
+        // cold, and a self-edge (prev == current) is skipped.
+        let named = req
             .prev_fingerprint
             .or_else(|| req.tenant.and_then(|t| store.get_tenant_head(t)))
             .filter(|&prev| prev != fp);
-        if let Some(prev) = prev {
-            if let Some(text) = store.get_module(prev) {
-                let prefix = revision_prefix(&text, &canonical)
-                    .filter(|&counts| loaded.module.prefix_closed(counts));
-                ex = ex.with_previous_revision(prev, fp, prefix);
-            }
+        if let Some((prev, prefix)) = named.and_then(|named| {
+            resolve_previous_revision(store, named, &loaded.module, fp, &canonical)
+        }) {
+            ex = ex.with_previous_revision(prev, fp, prefix);
         }
         ex = ex.with_state_store(Arc::clone(store));
     }
@@ -381,6 +377,61 @@ pub fn analyze_request(
         fingerprint: fp,
         cache: disposition,
         frontend: loaded.stats,
+    })
+}
+
+/// The revision whose snapshots the solves of `module` (fingerprinted
+/// `fp`, with canonical text `canonical`) warm-start from, when a request
+/// names `named` as its previous revision: the revision's fingerprint and
+/// its counts for [`Executor::with_previous_revision`], or `None` when
+/// `named` has no stored text (every solve then runs cold, with no
+/// `incr[..]` row). [`analyze_request`] resolves it once per request.
+///
+/// The stored text of `named` is read once and compared with the
+/// canonical text ([`revision_prefix`]). When it is consumed whole and the
+/// module's first that many items refer only to each other
+/// ([`Module::prefix_closed`]), the module extends `named`: that is the
+/// revision. Otherwise the module's own prefixes at the common prefix are
+/// tried, the longest first (their fingerprints in one streaming pass,
+/// [`CommonPrefix::fingerprints`](kaleidoscope_ir::CommonPrefix::fingerprints)):
+/// the first one that is not the module itself, whose text is stored
+/// ([`DiskCache::has_module`], one `stat` each) and that stands alone is
+/// the revision, with its counts. Such a revision was submitted earlier
+/// and is the module's first items, so a warm start from it only appends
+/// what follows them. With none, the revision is `named`, not extended,
+/// and each solve whose key has a snapshot falls back. The previous
+/// revision is never parsed: `get_module` returns only text that hashes
+/// to `named`, and text that parses refers only within itself, so a prefix
+/// that a kept item refers past is no revision.
+pub fn resolve_previous_revision(
+    store: &DiskCache,
+    named: u64,
+    module: &Module,
+    fp: u64,
+    canonical: &str,
+) -> Option<(u64, Option<PrefixCounts>)> {
+    let text = store.get_module(named)?;
+    let Some(common) = revision_prefix(&text, canonical) else {
+        return Some((named, None));
+    };
+    if common.whole && module.prefix_closed(common.counts) {
+        return Some((named, Some(common.counts)));
+    }
+    let counts = |funcs| PrefixCounts {
+        funcs,
+        ..common.counts
+    };
+    let stored = common
+        .fingerprints()
+        .into_iter()
+        .enumerate()
+        .rev()
+        .find(|&(funcs, prev)| {
+            prev != fp && store.has_module(prev) && module.prefix_closed(counts(funcs))
+        });
+    Some(match stored {
+        Some((funcs, prev)) => (prev, Some(counts(funcs))),
+        None => (named, None),
     })
 }
 
@@ -475,5 +526,101 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn an_edit_warm_starts_from_the_longest_stored_revision_it_extends() {
+        use kaleidoscope_fuzz::{edit, scale};
+        let base = scale::corpus_module(1, 400);
+        // The base plus `watch<i>` from body seed `seeds[i]`.
+        let with = |seeds: &[u64]| {
+            let mut m = base.clone();
+            for (id, &seed) in seeds.iter().enumerate() {
+                edit::append_function(&mut m, seed, id as u64);
+            }
+            m
+        };
+        let (v1, v2, modify) = (with(&[1]), with(&[1, 1]), with(&[7, 1]));
+        assert_ne!(modify.funcs[base.funcs.len()], v2.funcs[base.funcs.len()]);
+        let dir = std::env::temp_dir().join(format!("kd-report-search-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(DiskCache::open(&dir).expect("open store"));
+        let resolve = |named: &Module, m: &Module| {
+            resolve_previous_revision(
+                &store,
+                named.fingerprint(),
+                m,
+                m.fingerprint(),
+                &m.to_text(),
+            )
+        };
+        let counts = |m: &Module| Some(m.item_counts());
+
+        // Without the named revision's text there is nothing to resolve;
+        // with it but no stored prefix, the named revision is not extended.
+        assert_eq!(resolve(&v2, &modify), None);
+        store
+            .put_module(v2.fingerprint(), &v2.to_text())
+            .expect("store");
+        assert_eq!(resolve(&v2, &modify), Some((v2.fingerprint(), None)));
+        // An append extends the named revision without a search.
+        assert_eq!(
+            resolve(&v2, &with(&[1, 1, 1])),
+            Some((v2.fingerprint(), counts(&v2)))
+        );
+
+        // A modify of `watch0` extends the base, the last revision before
+        // it; a removal of `watch1` is `v1` itself, which is never its own
+        // previous revision, so it extends the base too.
+        store
+            .put_module(base.fingerprint(), &base.to_text())
+            .expect("store");
+        store
+            .put_module(v1.fingerprint(), &v1.to_text())
+            .expect("store");
+        assert_eq!(
+            resolve(&v2, &modify),
+            Some((base.fingerprint(), counts(&base)))
+        );
+        assert_eq!(resolve(&v2, &v1), Some((base.fingerprint(), counts(&base))));
+        // A modify of `watch1` extends `v1`.
+        let last = with(&[1, 7]);
+        assert_ne!(last.funcs, v2.funcs);
+        assert_eq!(resolve(&v2, &last), Some((v1.fingerprint(), counts(&v1))));
+
+        // Through `analyze_request`: the chain base, v1, v2, then the
+        // modify named after v2 warm-starts from the base, and its report
+        // is the cold one.
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(DiskCache::open(&dir).expect("open store"));
+        let mut prev = None;
+        for m in [&base, &v1, &v2, &modify] {
+            let text = m.to_text();
+            let ask = |cache, stats| {
+                let req = AnalyzeRequest {
+                    module: ModuleSource::Text(&text),
+                    config: Some("all"),
+                    stats,
+                    budget: None,
+                    jobs: 2,
+                    prev_fingerprint: prev,
+                    tenant: None,
+                };
+                analyze_request(&req, cache).expect("answers").report.text
+            };
+            let warm = ask(Some(&store), true);
+            if prev.is_some() {
+                assert!(warm.contains("incr-fallback-full=0"), "{warm}");
+                assert!(!warm.contains("incr-fallback-full=1"), "{warm}");
+            }
+            let answer: String = warm
+                .lines()
+                .filter(|l| !l.contains("solver[") && !l.contains("incr["))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(answer, ask(None, false));
+            prev = Some(m.fingerprint());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,7 +11,11 @@
 //!
 //! Each seed runs two scripts: `edit_script` (appends and removals) and
 //! `edit_script_with_modify` (which also re-emits appended functions in
-//! place). CI runs this over a seed matrix via `KD_EDIT_SEEDS`
+//! place). Every revision's text is stored, and each is resolved as
+//! `analyze_request` resolves it (`resolve_previous_revision`): an append
+//! extends its predecessor, and a removal or a modify extends the last
+//! stored revision before the function it touched (at worst the base), so
+//! every step warm-starts. CI runs this over a seed matrix via `KD_EDIT_SEEDS`
 //! (comma-separated integers; default `1,2`) and `KD_EDIT_STEPS` (default
 //! 3, at least 2 for the modify script); locally it
 //! runs with the defaults as part of the normal suite. Reports are
@@ -22,9 +26,10 @@
 use std::sync::Arc;
 
 use kaleidoscope::PolicyConfig;
-use kaleidoscope_exec::{load_frontend, render_analyze, DiskCache, Executor};
-use kaleidoscope_fuzz::edit::{edit_script, edit_script_with_modify, EditKind};
-use kaleidoscope_ir::revision_prefix;
+use kaleidoscope_exec::{
+    load_frontend, render_analyze, resolve_previous_revision, DiskCache, Executor,
+};
+use kaleidoscope_fuzz::edit::{edit_script, edit_script_with_modify};
 
 fn env_list(var: &str, default: &[u64]) -> Vec<u64> {
     match std::env::var(var) {
@@ -74,15 +79,13 @@ fn incremental_reports_match_cold_bytes_at_every_step() {
             let m = &step.module;
             let text = m.to_text();
             store.put_module(m.fingerprint(), &text).unwrap();
-            // The previous revision as `analyze_request` resolves it: the
-            // stored text, compared with the canonical text, gives the
-            // counts of `m`'s prefix that it was.
-            let prev_text = store.get_module(prev_fp).expect("stored revision");
-            let prefix =
-                revision_prefix(&prev_text, &text).filter(|&counts| m.prefix_closed(counts));
+            // The previous revision as `analyze_request` resolves it.
+            let (rev, prefix) =
+                resolve_previous_revision(&store, prev_fp, m, m.fingerprint(), &text)
+                    .expect("stored revision");
             let warm_ex = Executor::with_jobs(2)
                 .with_state_store(Arc::clone(&store))
-                .with_previous_revision(prev_fp, m.fingerprint(), prefix);
+                .with_previous_revision(rev, m.fingerprint(), prefix);
             let warm = render_analyze(m, &configs, &warm_ex, false).text;
             let cold = render_analyze(m, &configs, &Executor::with_jobs(2), false).text;
             assert_eq!(
@@ -91,22 +94,15 @@ fn incremental_reports_match_cold_bytes_at_every_step() {
                 step.kind
             );
             // The warm pass must have exercised the intended path: a
-            // with-stats rendering of the same warm executor reports
-            // reuse on appends and the fallback counter on removals.
+            // with-stats rendering of the same warm executor reports reuse
+            // and no fallback, for appends, removals and modifies alike.
             let stats_report = render_analyze(m, &configs, &warm_ex, true).text;
-            match step.kind {
-                EditKind::Append => assert!(
-                    stats_report.contains("incr-fallback-full=0"),
-                    "{name} seed {seed} step {i}: append did not warm-start:\n{stats_report}"
-                ),
-                EditKind::Remove | EditKind::Modify => assert!(
-                    stats_report.contains("incr-fallback-full=1")
-                        && !stats_report.contains("incr-fallback-full=0"),
-                    "{name} seed {seed} step {i}: {:?} did not fall back:\n{stats_report}",
-                    step.kind
-                ),
-                EditKind::Base => unreachable!(),
-            }
+            assert!(
+                stats_report.contains("incr-fallback-full=0")
+                    && !stats_report.contains("incr-fallback-full=1"),
+                "{name} seed {seed} step {i}: {:?} did not warm-start:\n{stats_report}",
+                step.kind
+            );
             prev_fp = m.fingerprint();
         }
         let _ = std::fs::remove_dir_all(&dir);

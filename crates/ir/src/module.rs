@@ -710,7 +710,7 @@ impl Module {
     }
 
     /// The module's own item counts: what
-    /// [`revision_prefix`](crate::printer::revision_prefix) returns for a
+    /// [`revision_prefix`](crate::printer::revision_prefix) counts for a
     /// revision that is this whole module.
     pub fn item_counts(&self) -> PrefixCounts {
         PrefixCounts {
@@ -777,15 +777,41 @@ impl Module {
 ///
 /// The workspace's one content hash: module fingerprints, frontend cache
 /// keys, tenant-head file names and disk-cache integrity sidecars all use
-/// it, so a change of digest happens here.
+/// it, so a change of digest happens here (and in `Fnv1a64`, its
+/// streaming state).
 pub fn fnv1a64(chunks: &[&[u8]]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut h = Fnv1a64::new();
     for chunk in chunks {
-        for &b in *chunk {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        h.write(chunk);
+    }
+    h.finish()
+}
+
+/// The streaming state of [`fnv1a64`]: the digest of every byte written
+/// so far, readable after each write. One pass over a text yields the
+/// digest of each of its prefixes (see
+/// [`CommonPrefix::fingerprints`](crate::printer::CommonPrefix::fingerprints)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The state of no bytes.
+    pub(crate) const fn new() -> Fnv1a64 {
+        Fnv1a64(0xCBF2_9CE4_8422_2325)
+    }
+
+    /// Continue the stream with `bytes`.
+    #[inline]
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
         }
     }
-    h
+
+    /// The digest of the bytes written so far.
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -987,6 +1013,11 @@ mod tests {
         assert_eq!(fnv1a64(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(&[b"foobar"]), 0x8594_4171_f739_67e8);
         assert_eq!(fnv1a64(&[b"foo", b"", b"bar"]), fnv1a64(&[b"foobar"]));
+        let mut h = Fnv1a64::new();
+        h.write(b"foo");
+        assert_eq!(h.finish(), fnv1a64(&[b"foo"]));
+        h.write(b"bar");
+        assert_eq!(h.finish(), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use crate::module::{Block, Function, Inst, LocalId, Module, Operand, Terminator};
+use crate::module::{Block, Fnv1a64, Function, Inst, LocalId, Module, Operand, Terminator};
 use crate::types::{FuncSig, Type, TypeRegistry};
 
 // Every token is written straight into one `String`; no per-instruction,
@@ -200,33 +200,78 @@ impl Module {
     }
 }
 
-/// The item counts of an earlier revision whose text is a prefix of the
-/// current module's text (see [`revision_prefix`]).
+/// The item counts of a module's prefix: its first `funcs` functions,
+/// `globals` globals and `types` struct types (see [`revision_prefix`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixCounts {
-    /// Functions of the earlier revision.
+    /// Functions.
     pub funcs: usize,
-    /// Its globals.
+    /// Globals.
     pub globals: usize,
-    /// Its struct types.
+    /// Struct types.
     pub types: usize,
+}
+
+/// What a stored revision's text and the current module's canonical text
+/// share, section by section (see [`revision_prefix`]).
+#[derive(Debug, Clone, Copy)]
+pub struct CommonPrefix<'a> {
+    /// The leading struct lines, global lines and function chunks the two
+    /// texts share, each section counted on its own.
+    pub counts: PrefixCounts,
+    /// Whether the stored text was consumed whole: it is the current
+    /// module's first `counts` items, so the module extends the revision
+    /// whenever [`Module::prefix_closed`] accepts the counts.
+    pub whole: bool,
+    /// The current text's name line and common struct lines.
+    head: &'a str,
+    /// The current text's common global lines.
+    globals: &'a str,
+    /// The current text's common function chunks.
+    funcs: &'a str,
+}
+
+impl CommonPrefix<'_> {
+    /// Entry `k` is the fingerprint of the current module's own prefix of
+    /// the common struct and global lines and its first `k` functions, for
+    /// `k` from 0 to `counts.funcs`: what [`Module::fingerprint`] returns
+    /// for that module under the current module's name, whenever
+    /// [`Module::prefix_closed`] accepts its counts. One streaming pass
+    /// over the common prefix.
+    pub fn fingerprints(&self) -> Vec<u64> {
+        let mut h = Fnv1a64::new();
+        h.write(self.head.as_bytes());
+        h.write(self.globals.as_bytes());
+        let mut out = Vec::with_capacity(self.counts.funcs + 1);
+        out.push(h.finish());
+        let mut rest = self.funcs;
+        while let Some(end) = rest.find("\n}\n") {
+            let (chunk, tail) = rest.split_at(end + 3);
+            h.write(chunk.as_bytes());
+            out.push(h.finish());
+            rest = tail;
+        }
+        out
+    }
 }
 
 /// Compare `prev`, the stored text of an earlier revision, with `current`,
 /// the canonical text of the module being analyzed, both as
-/// [`Module::to_text`] prints them. `prev` describes a prefix of the module
-/// when its struct lines, its global lines and its function chunks (a
-/// blank line, `func`, through the closing `}` line) are the first ones of
-/// `current`'s, in that order, and nothing else follows. The module-name
-/// lines are not compared. Returns `prev`'s counts: since
-/// `parse(print(m)) == m`, the module `prev` parses to is the current
-/// module's first that many items, up to its name, whenever
-/// [`Module::prefix_closed`] accepts them. `None` when `prev` describes no
-/// prefix of the module.
+/// [`Module::to_text`] prints them, in one walk. The module-name lines are
+/// not compared. Each section is counted on its own: the leading struct
+/// lines both texts share, then the leading global lines, then the leading
+/// function chunks (a blank line, `func`, through the closing `}` line),
+/// stopping at the first chunk that differs. `prev` describes a prefix of
+/// the module ([`CommonPrefix::whole`]) when every one of its lines and
+/// chunks was shared and nothing else follows; since `parse(print(m)) ==
+/// m`, the module `prev` parses to is then the current module's first
+/// that many items, up to its name, whenever [`Module::prefix_closed`]
+/// accepts them. `None` when `prev` is not shaped as a module's text up to
+/// where the walk stops (no common prefix).
 ///
 /// In canonical text a line that is exactly `}` closes a function, so a
 /// chunk of `prev` that starts `current` is one of `current`'s chunks.
-pub fn revision_prefix(prev: &str, current: &str) -> Option<PrefixCounts> {
+pub fn revision_prefix<'a>(prev: &str, current: &'a str) -> Option<CommonPrefix<'a>> {
     let name_line_end = |t: &str| {
         let end = t.find('\n').map_or(t.len(), |i| i + 1);
         (t.starts_with("module \"") && t[..end].trim_end().ends_with('"')).then_some(end)
@@ -235,36 +280,59 @@ pub fn revision_prefix(prev: &str, current: &str) -> Option<PrefixCounts> {
         &prev[name_line_end(prev)?..],
         &current[name_line_end(current)?..],
     );
+    // The offset in `current` of its rest `c`.
+    let at = |c: &str| current.len() - c.len();
     let mut counts = PrefixCounts {
         funcs: 0,
         globals: 0,
         types: 0,
     };
-    for (keyword, count) in [
-        ("struct ", &mut counts.types),
-        ("global ", &mut counts.globals),
+    let mut whole = true;
+    // Where each section's common lines start and end in `current`.
+    let (mut structs, mut globals) = ((0, 0), (0, 0));
+    for (keyword, count, span) in [
+        ("struct ", &mut counts.types, &mut structs),
+        ("global ", &mut counts.globals, &mut globals),
     ] {
+        span.0 = at(c);
         while p.starts_with(keyword) {
             let line = &p[..=p.find('\n')?];
-            c = c.strip_prefix(line)?;
-            p = &p[line.len()..];
+            let Some(rest) = c.strip_prefix(line) else {
+                break;
+            };
+            (p, c) = (&p[line.len()..], rest);
             *count += 1;
         }
-        // The current module's further lines of this section.
+        span.1 = at(c);
+        // Each text's further lines of this section.
+        whole &= !p.starts_with(keyword);
+        while p.starts_with(keyword) {
+            p = &p[p.find('\n')? + 1..];
+        }
         while c.starts_with(keyword) {
             c = c.find('\n').map_or("", |i| &c[i + 1..]);
         }
     }
+    let funcs_start = at(c);
     while !p.is_empty() {
         if !p.starts_with("\nfunc ") {
             return None;
         }
         let chunk = &p[..p.find("\n}\n")? + 3];
-        c = c.strip_prefix(chunk)?;
-        p = &p[chunk.len()..];
+        let Some(rest) = c.strip_prefix(chunk) else {
+            whole = false;
+            break;
+        };
+        (p, c) = (&p[chunk.len()..], rest);
         counts.funcs += 1;
     }
-    Some(counts)
+    Some(CommonPrefix {
+        counts,
+        whole,
+        head: &current[..structs.1],
+        globals: &current[globals.0..globals.1],
+        funcs: &current[funcs_start..at(c)],
+    })
 }
 
 /// `dst = ` followed by `rest` (an instruction's mnemonic).
@@ -404,16 +472,17 @@ bb2:
         let current = crate::parser::parse_module(ALL_FORMS).expect("parses");
         let text = current.to_text();
         let (head, main) = text.split_at(text.find("\nfunc main").expect("main"));
+        let walk = |prev: &str| revision_prefix(prev, &text).map(|c| (c.counts, c.whole));
         let all = PrefixCounts {
             funcs: 2,
             globals: 2,
             types: 3,
         };
-        assert_eq!(revision_prefix(&text, &text), Some(all));
+        assert_eq!(walk(&text), Some((all, true)));
         let callee_only = PrefixCounts { funcs: 1, ..all };
-        assert_eq!(revision_prefix(head, &text), Some(callee_only));
+        assert_eq!(walk(head), Some((callee_only, true)));
         let renamed = head.replacen("\"pin\"", "\"other\"", 1);
-        assert_eq!(revision_prefix(&renamed, &text), Some(callee_only));
+        assert_eq!(walk(&renamed), Some((callee_only, true)));
         assert!(current.prefix_closed(callee_only));
         let empty = "module \"e\"\n";
         let none = PrefixCounts {
@@ -421,28 +490,64 @@ bb2:
             globals: 0,
             types: 0,
         };
-        assert_eq!(revision_prefix(empty, &text), Some(none));
+        assert_eq!(walk(empty), Some((none, true)));
         assert!(current.prefix_closed(none));
         assert!(current.prefix_closed(all));
 
-        // Rejections: a removed function, a changed function, struct or
-        // global, and text that is no module's.
+        // Not consumed whole: each section is counted on its own, and the
+        // functions stop at the first chunk that differs. A removed
+        // function (the stored text has one more), a changed function
+        // (`main` still matches but follows it), a changed struct, a
+        // changed global.
         let grown = format!("{text}{}", main.replacen("func main", "func main2", 1));
         let changed = text.replacen("%2 = field %1, 1", "%2 = field %1, 0", 1);
         let structs = text.replacen("struct empty {  }", "struct empty { int }", 1);
         let globals = text.replacen("global g: int", "global g: int*", 1);
+        for (prev, counts) in [
+            (grown.as_str(), all),
+            (&changed, PrefixCounts { funcs: 0, ..all }),
+            (&structs, PrefixCounts { types: 2, ..all }),
+            (&globals, PrefixCounts { globals: 0, ..all }),
+        ] {
+            assert_eq!(walk(prev), Some((counts, false)), "{prev:?}");
+        }
+
+        // Text that is no module's reads as no common prefix, never as a
+        // panic: no name line, a line past the sections, a line or a chunk
+        // without its end, sections out of order, non-ASCII text.
+        let unterminated = format!("{head}\nfunc f() -> void {{\nbb0:\n  ret\n");
+        let reordered = "module \"pin\"\nglobal g: int\nstruct pair { int, int* }\n";
         for bad in [
-            grown.as_str(),
-            &changed,
-            &structs,
-            &globals,
             "",
             "garbage",
             "module \"x\"\nbogus\n",
+            "module \"x\"\nstruct pair { int, int* }",
             &text[..text.len() - 1],
+            &unterminated,
+            reordered,
+            "module \"\u{e9}\"\nstruct \u{e9}\n\u{e9}",
         ] {
-            assert_eq!(revision_prefix(bad, &text), None, "{bad:?}");
+            assert_eq!(walk(bad), None, "{bad:?}");
         }
+
+        // The fingerprints of the current module's own prefixes: entry `k`
+        // is the text of its first `k` functions, under its own name.
+        let before_funcs = &text[..text.find("\nfunc ").expect("a function")];
+        assert_eq!(
+            revision_prefix(&renamed, &text)
+                .expect("a prefix")
+                .fingerprints(),
+            [
+                crate::module::fnv1a64(&[before_funcs.as_bytes()]),
+                crate::parser::parse_module(head)
+                    .expect("parses")
+                    .fingerprint(),
+            ]
+        );
+        let whole = revision_prefix(&text, &text).expect("a prefix");
+        assert_eq!(whole.fingerprints()[2], current.fingerprint());
+        let changed = revision_prefix(&changed, &text).expect("a prefix");
+        assert_eq!(changed.fingerprints().len(), 1);
 
         // A prefix whose items name one past the cut is no revision: a
         // kept function's struct types, a kept function's globals, a kept
@@ -465,7 +570,9 @@ bb2:
         let fwd_module = crate::parser::parse_module(fwd).expect("parses");
         assert_eq!(fwd_module.to_text(), fwd);
         let a_only = &fwd[..fwd.find("\nfunc b").expect("b")];
-        let counts = revision_prefix(a_only, fwd).expect("a text prefix");
+        let a_prefix = revision_prefix(a_only, fwd).expect("a text prefix");
+        let counts = a_prefix.counts;
+        assert!(a_prefix.whole);
         assert!(crate::parser::parse_module(a_only).is_err());
         assert!(!fwd_module.prefix_closed(counts));
         // Counts beyond the module's.

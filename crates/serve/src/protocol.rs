@@ -36,10 +36,12 @@ pub struct Request {
     /// Content fingerprint of a previously-submitted module (hex).
     pub fingerprint: Option<u64>,
     /// Fingerprint of the tenant's *previous* revision (hex): ask the
-    /// worker to warm-start from that revision's solved-state snapshot
-    /// (falling back to a cold solve if the snapshot is missing or the
-    /// edit is incompatible). Absent = the daemon's per-tenant
-    /// auto-lookup applies; explicit `null` is treated as absent.
+    /// worker to warm-start from that revision's solved-state snapshot,
+    /// or, when the module does not extend it, from the longest stored
+    /// revision both extend (falling back to a cold solve if the snapshot
+    /// is missing or the edit extends no stored revision). Absent = the
+    /// daemon's per-tenant auto-lookup applies; explicit `null` is
+    /// treated as absent.
     pub prev_fingerprint: Option<u64>,
     /// Configuration name (`baseline`, `kd-ctx-pa`, `all`, …); absent =
     /// the full eight-configuration Table-3 matrix.

@@ -3,17 +3,22 @@
 # output set, `cmp` each pair, print each output that differs, and exit 1
 # if any differ. Each argument is a release directory holding `kd` and the
 # bench binaries (a `target/release` of a checkout built with
-# `cargo build --release --offline --workspace`):
+# `cargo build --release --offline --workspace`); the second also holds
+# `examples/scale_corpus` (`cargo build --release --offline --example
+# scale_corpus`):
 #
 #   scripts/output_identity.sh ../parent/target/release target/release
 #
 # The set: `kd analyze --model M` for the nine models, plain and with each
 # of `--stats`, `--budget 1`, `--budget 200`, `--jobs 1/2/4`,
 # `--config all` and `--config kd-pwc --stats`; `--cache-dir`, cold and
-# then warm with `--stats`; and table2-5, fig1 and fig10-12 under
-# `TABLE4_REQUESTS=100 TABLE5_ITERS=300`. Only stdout is compared: stderr
-# carries timings. Warm starts across revisions are pinned by the
-# `watch_golden` and `solve_golden` tests instead.
+# then warm with `--stats`; a watch chain of a 3k `scale` corpus, two
+# appends and a modify of the last appended function, each run with
+# `--cache-dir D --incremental-from <previous revision>`; and table2-5,
+# fig1 and fig10-12 under `TABLE4_REQUESTS=100 TABLE5_ITERS=300`. Only
+# stdout is compared: stderr carries timings. The `--stats` rows of warm
+# starts are pinned by the `watch_golden` and `solve_golden` tests
+# instead.
 
 set -euo pipefail
 
@@ -31,6 +36,11 @@ for dir in "$A" "$B"; do
         fi
     done
 done
+CORPUS="$B/examples/scale_corpus"
+if [[ ! -x "$CORPUS" ]]; then
+    echo "error: $CORPUS not found (build with: cargo build --release --example scale_corpus)" >&2
+    exit 2
+fi
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -87,6 +97,31 @@ for m in "${MODELS[@]}"; do
     both "$m.all" kd analyze --model "$m" --config all
     both "$m.kd-pwc.stats" kd analyze --model "$m" --config kd-pwc --stats
     both "$m.cache" cached "$m"
+done
+
+# The watch chain. Its inputs are generated once, by the second build's
+# `scale_corpus`, so both builds read the same files. Each revision runs on
+# its build's own cache directory, warm-starting from the one before it;
+# `kd analyze` prints no fingerprint, so a revision's is the name of the
+# one file its run adds under `modules/`.
+WATCH=("0" "1" "2" "2 7")
+for rev in "${WATCH[@]}"; do
+    # shellcheck disable=SC2086 # `rev` is the corpus arguments after the seed
+    "$CORPUS" 3000 1 $rev > "$WORK/watch${rev// /-}.kir"
+done
+watch_step() {
+    local dir="$WORK/watch-$SIDE" prev="$WORK/watch-$SIDE.fp" from=() status=0
+    [[ -s "$prev" ]] && from=(--incremental-from "$(cat "$prev")")
+    mkdir -p "$dir/modules"
+    LC_ALL=C ls "$dir/modules" > "$WORK/watch-$SIDE.before"
+    "$BIN/kd" analyze "$1" --cache-dir "$dir" ${from[@]+"${from[@]}"} || status=1
+    LC_ALL=C ls "$dir/modules" | LC_ALL=C comm -13 "$WORK/watch-$SIDE.before" - |
+        sed 's/\.kir$//' > "$prev"
+    [[ $(wc -l < "$prev") -eq 1 ]] || status=1
+    return $status
+}
+for rev in "${WATCH[@]}"; do
+    both "watch${rev// /-}" watch_step "$WORK/watch${rev// /-}.kir"
 done
 
 bench() { "$BIN/$1"; }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke test for the `kd serve` daemon: start it, drive ~25 mixed requests
+# Smoke test for the `kd serve` daemon: start it, drive ~30 mixed requests
 # (cold solves, warm cache repeats, fingerprint queries, over-budget
 # requests, an injected worker kill, a watch chain of warm edits) through
 # `kd request`, then a line that is not UTF-8 over a raw socket, and assert
@@ -153,14 +153,19 @@ send full stored --model TinyDTLS --stats
 send full hit --model TinyDTLS --stats
 
 # Watch chain: a 3k `scale` corpus, then two revisions that each append a
-# function, sent with --prev-fingerprint so the worker warm-starts from the
-# previous revision's snapshots. Each served report must be byte-identical
-# to an offline `kd analyze` of the same file, and each append's --stats
-# rows must show the warm start.
+# function, then a modify (revision 2 with its last function `watch1`
+# re-emitted from body seed 7), each sent with --prev-fingerprint of the
+# revision before it so the worker warm-starts. The modify does not extend
+# revision 2, which it names, but it extends the stored revision 1, so it
+# warm-starts from that one's snapshots. Each served report must be
+# byte-identical to an offline `kd analyze` of the same file, and each
+# edit's --stats rows must show the warm start.
 PREV=""
-for n in 0 1 2; do
-    FILE="$WORK/watch$n.kir"
-    "$CORPUS" 3000 1 "$n" >"$FILE"
+for rev in "0" "1" "2" "2 7"; do
+    FILE="$WORK/watch${rev// /-}.kir"
+    # shellcheck disable=SC2086 # `rev` is the corpus arguments after the seed
+    "$CORPUS" 3000 1 $rev >"$FILE"
+    n="${rev// /, body seed }"
     FROM=()
     [[ -n "$PREV" ]] && FROM=(--prev-fingerprint "$PREV")
     LAST_META=""
@@ -174,7 +179,7 @@ for n in 0 1 2; do
         send full stored --tenant watch --prev-fingerprint "$PREV" --stats "$FILE"
         if ! grep -q 'incr-fallback-full=0' "$WORK/report.out" ||
             grep -q 'incr-fallback-full=1' "$WORK/report.out"; then
-            fail "watch revision $n: the append did not warm-start"
+            fail "watch revision $n: the edit did not warm-start"
         fi
     fi
     if [[ -z "$FP" ]]; then

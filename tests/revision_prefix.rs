@@ -8,9 +8,14 @@
 //! This property pins that derivation to the checks it replaces. Over pairs
 //! of modules:
 //!
-//! * the text comparison accepts exactly when
-//!   `ConstraintDiff::precheck(parse(prev), next)` does, and an accepted
-//!   pair's counts are `parse(prev)`'s and pass the prefix scan;
+//! * the text comparison accepts (consumes the stored text whole) exactly
+//!   when `ConstraintDiff::precheck(parse(prev), next)` does, and an
+//!   accepted pair's counts are `parse(prev)`'s and pass the prefix scan;
+//! * for every `k` up to the common prefix's function count where the
+//!   prefix scan accepts the counts, the streamed fingerprint of `next`'s
+//!   own prefix is `Module::fingerprint()` of the module parsed from the
+//!   printed text of those items (a warm start that searches for a stored
+//!   revision names it by that fingerprint);
 //! * plan-free and under the full context plan, the derived diff accepts
 //!   exactly when the oracle `ConstraintDiff::compute` over both generated
 //!   programs does, and then equals it: node and object maps, first new
@@ -26,12 +31,15 @@
 //!   rejected), and against themselves plus an appended function, plus an
 //!   appended global and function.
 
+use std::collections::BTreeSet;
+use std::sync::Mutex;
+
 use kaleidoscope_suite::apps;
 use kaleidoscope_suite::fuzz::edit::{
     edit_script, edit_script_with_modify, edit_script_with_removal, EditKind,
 };
 use kaleidoscope_suite::ir::{
-    parse_module, revision_prefix, FunctionBuilder, Module, Operand, PrefixCounts, Type,
+    fnv1a64, parse_module, revision_prefix, FunctionBuilder, Module, Operand, PrefixCounts, Type,
 };
 use kaleidoscope_suite::kaleidoscope::detect_ctx_plan;
 use kaleidoscope_suite::pta::gen::generate;
@@ -44,7 +52,10 @@ fn check(what: &str, prev: &Module, next: &Module) -> bool {
     let prev_text = prev.to_text();
     let parsed = parse_module(&prev_text).expect("canonical text parses");
     let precheck = ConstraintDiff::precheck(&parsed, next).fallback.is_none();
-    let text = revision_prefix(&prev_text, &next.to_text());
+    let next_text = next.to_text();
+    let common = revision_prefix(&prev_text, &next_text).expect("canonical text");
+    check_fingerprints(what, next, common.counts, &common.fingerprints());
+    let text = common.whole.then_some(common.counts);
     assert_eq!(
         text.is_some(),
         precheck,
@@ -76,6 +87,49 @@ fn check(what: &str, prev: &Module, next: &Module) -> bool {
         );
     }
     precheck
+}
+
+/// `fingerprints[k]` against the fingerprint of the module parsed from the
+/// printed text of `next`'s first `k` functions and `common`'s struct types
+/// and globals, for every `k` whose counts the prefix scan accepts. Every
+/// `k` is checked against the printed text's digest; each distinct text is
+/// parsed once per test run (revisions of one script share most prefixes).
+fn check_fingerprints(what: &str, next: &Module, common: PrefixCounts, fingerprints: &[u64]) {
+    static PARSED: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
+    assert_eq!(
+        fingerprints.len(),
+        common.funcs + 1,
+        "{what}: one per prefix"
+    );
+    let mut items = Module::new(next.name.clone());
+    for (_, def) in next.types.iter().take(common.types) {
+        items.types.declare(def.name.clone(), def.fields.clone());
+    }
+    for g in &next.globals[..common.globals] {
+        items.add_global(g.name.clone(), g.ty.clone());
+    }
+    for (k, &fp) in fingerprints.iter().enumerate() {
+        if k > 0 {
+            items.add_func(next.funcs[k - 1].clone());
+        }
+        if !next.prefix_closed(PrefixCounts { funcs: k, ..common }) {
+            continue;
+        }
+        let text = items.to_text();
+        let printed = fnv1a64(&[text.as_bytes()]);
+        assert_eq!(
+            fp, printed,
+            "{what}: fingerprint of the prefix of {k} functions"
+        );
+        if PARSED.lock().expect("not poisoned").insert(printed) {
+            let parsed = parse_module(&text).expect("a closed prefix parses");
+            assert_eq!(
+                parsed.fingerprint(),
+                printed,
+                "{what}: {k} functions reparse"
+            );
+        }
+    }
 }
 
 /// The derived diff of `prev → next` (each with its context plan) against
